@@ -265,34 +265,25 @@ def cmd_export_features(args) -> int:
         split, test = build_dataset(cfg.data, cfg.seed)
         labeled_mask = np.zeros(split.base.n_examples, dtype=bool)
         labeled_mask[split.labeled_idx] = True
+        base = split.base
+        subsets = {"labeled": split.labeled_idx, "unlabeled": split.unlabeled_idx}
+
+        def spreads(params) -> dict[str, float]:
+            return {
+                name: intra_class_spread(
+                    forward_batch(params, base.features[idx]).features,
+                    base.labels[idx],
+                    base.num_classes,
+                )
+                for name, idx in subsets.items()
+            }
+
         params = stage1_supervised(cfg, split, test)
-        _export_features_csv(params, split.base, labeled_mask, out / "features_before.csv")
-        before = {
-            "labeled": intra_class_spread(
-                forward_batch(params, split.base.features[split.labeled_idx]).features,
-                split.base.labels[split.labeled_idx],
-                split.base.num_classes,
-            ),
-            "unlabeled": intra_class_spread(
-                forward_batch(params, split.base.features[split.unlabeled_idx]).features,
-                split.base.labels[split.unlabeled_idx],
-                split.base.num_classes,
-            ),
-        }
+        _export_features_csv(params, base, labeled_mask, out / "features_before.csv")
+        before = spreads(params)
         params, _ = stage2_joint(cfg, params, split, test)
-        _export_features_csv(params, split.base, labeled_mask, out / "features_after.csv")
-        after = {
-            "labeled": intra_class_spread(
-                forward_batch(params, split.base.features[split.labeled_idx]).features,
-                split.base.labels[split.labeled_idx],
-                split.base.num_classes,
-            ),
-            "unlabeled": intra_class_spread(
-                forward_batch(params, split.base.features[split.unlabeled_idx]).features,
-                split.base.labels[split.unlabeled_idx],
-                split.base.num_classes,
-            ),
-        }
+        _export_features_csv(params, base, labeled_mask, out / "features_after.csv")
+        after = spreads(params)
     except StageError as exc:
         _write_manifest(out, cfg, "export-features", "failed", exc.stage)
         print(f"error: {exc}", file=sys.stderr)

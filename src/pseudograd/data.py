@@ -77,7 +77,6 @@ class SplitDataset:
     base: Dataset
     labeled_idx: np.ndarray
     unlabeled_idx: np.ndarray
-    eval_labels_hidden: bool = True
 
     def __post_init__(self):
         self.labeled_idx = np.asarray(self.labeled_idx, dtype=np.int64)
@@ -147,11 +146,6 @@ def gen_gaussian_blobs(
         feats[lo : lo + n_per_class] = centers[k] + noise
         labels[lo : lo + n_per_class] = k
     return Dataset(feats, labels, n_classes)
-
-
-def blob_centers(n_classes: int, dim: int) -> np.ndarray:
-    """Expose the deterministic centers used by gen_gaussian_blobs."""
-    return _simplex_vertices(n_classes, dim)
 
 
 def gen_two_moons(n_per_class: int, noise: float, seed: int) -> Dataset:

@@ -10,9 +10,12 @@ stationarity checks rely on.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,48 +52,73 @@ class Architecture:
         return self.hidden_dims[-1] if self.hidden_dims else self.input_dim
 
 
+class TensorSlot(NamedTuple):
+    """One named tensor of the flat parameter vector: flat[start:stop]."""
+
+    name: str
+    start: int
+    stop: int
+    shape: tuple[int, ...]
+
+
+@functools.cache
+def param_layout(arch: Architecture) -> tuple[TensorSlot, ...]:
+    """Every network parameter's slot, in a fixed order; 1-D slots are biases.
+    Checkpoints key on these names; the optimizer sees only the flat vector."""
+    dims = [arch.input_dim, *arch.hidden_dims]
+    shapes = []
+    for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
+        shapes += [(f"layer{i}.w", (d_in, d_out)), (f"layer{i}.b", (d_out,))]
+    shapes.append(("head.w", (arch.feature_dim, arch.num_classes)))
+    if arch.head_bias:
+        shapes.append(("head.b", (arch.num_classes,)))
+    slots, start = [], 0
+    for name, shape in shapes:
+        slots.append(TensorSlot(name, start, start + math.prod(shape), shape))
+        start = slots[-1].stop
+    return tuple(slots)
+
+
+def param_count(arch: Architecture) -> int:
+    return param_layout(arch)[-1].stop
+
+
+def weight_mask(arch: Architecture) -> np.ndarray:
+    """1.0 on weight-matrix entries, 0.0 on bias entries of the flat vector."""
+    return np.concatenate(
+        [np.full(s.stop - s.start, float(len(s.shape) == 2)) for s in param_layout(arch)]
+    )
+
+
 @dataclass
 class ModelParams:
+    """All network parameters in one float64 vector ``flat``; the named
+    tensors are views into it, so writing through either changes both."""
+
     arch: Architecture
-    layer_weights: list[np.ndarray]  # weights[l]: (in_dim, out_dim)
-    layer_biases: list[np.ndarray]  # biases[l]: (out_dim,)
-    head_w: np.ndarray  # (feature_dim, num_classes)
-    head_b: np.ndarray | None  # (num_classes,) or None when head_bias is off
+    flat: np.ndarray
+    layer_weights: list[np.ndarray] = field(init=False, repr=False)  # (in, out)
+    layer_biases: list[np.ndarray] = field(init=False, repr=False)  # (out,)
+    head_w: np.ndarray = field(init=False, repr=False)  # (feature_dim, N)
+    head_b: np.ndarray | None = field(init=False, repr=False)  # None if no head bias
+
+    def __post_init__(self):
+        if self.flat.shape != (param_count(self.arch),) or self.flat.dtype != np.float64:
+            raise InvalidStateError(f"flat must be float64 ({param_count(self.arch)},)")
+        views = dict(self.tensors())
+        hidden = range(len(self.arch.hidden_dims))
+        self.layer_weights = [views[f"layer{i}.w"] for i in hidden]
+        self.layer_biases = [views[f"layer{i}.b"] for i in hidden]
+        self.head_w = views["head.w"]
+        self.head_b = views.get("head.b")
 
     def tensors(self):
-        """Yield (name, array, is_bias) in a fixed order. Optimizer state and
-        checkpoints rely on this ordering."""
-        for i, (w, b) in enumerate(zip(self.layer_weights, self.layer_biases)):
-            yield f"layer{i}.w", w, False
-            yield f"layer{i}.b", b, True
-        yield "head.w", self.head_w, False
-        if self.head_b is not None:
-            yield "head.b", self.head_b, True
+        """Yield (name, view) in layout order."""
+        for slot in param_layout(self.arch):
+            yield slot.name, self.flat[slot.start : slot.stop].reshape(slot.shape)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.arch,
-            [w.copy() for w in self.layer_weights],
-            [b.copy() for b in self.layer_biases],
-            self.head_w.copy(),
-            None if self.head_b is None else self.head_b.copy(),
-        )
-
-
-@dataclass
-class ParamGrads:
-    layer_weights: list[np.ndarray]
-    layer_biases: list[np.ndarray]
-    head_w: np.ndarray
-    head_b: np.ndarray | None
-
-    def tensors(self):
-        for i, (w, b) in enumerate(zip(self.layer_weights, self.layer_biases)):
-            yield f"layer{i}.w", w, False
-            yield f"layer{i}.b", b, True
-        yield "head.w", self.head_w, False
-        if self.head_b is not None:
-            yield "head.b", self.head_b, True
+        return ModelParams(self.arch, self.flat.copy())
 
 
 @dataclass
@@ -108,16 +136,11 @@ class ForwardTrace:
 def init_params(arch: Architecture, seed: int) -> ModelParams:
     """Glorot-uniform weights, zero biases, deterministic per seed."""
     stream = RandomStream(seed, stream_id=2)
-    dims = [arch.input_dim, *arch.hidden_dims]
-    lw, lb = [], []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        bound = np.sqrt(6.0 / (d_in + d_out))
-        lw.append(stream.uniform(-bound, bound, size=(d_in, d_out)))
-        lb.append(np.zeros(d_out))
-    bound = np.sqrt(6.0 / (arch.feature_dim + arch.num_classes))
-    head_w = stream.uniform(-bound, bound, size=(arch.feature_dim, arch.num_classes))
-    head_b = np.zeros(arch.num_classes) if arch.head_bias else None
-    return ModelParams(arch, lw, lb, head_w, head_b)
+    params = ModelParams(arch, np.zeros(param_count(arch)))
+    for w in [*params.layer_weights, params.head_w]:
+        bound = np.sqrt(6.0 / sum(w.shape))
+        w[...] = stream.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -153,61 +176,45 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardTrace:
     return ForwardTrace(x, pre_acts, post_acts, h, y_hat, p_hat)
 
 
-def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
-    """Single-example forward; fields keep a leading batch axis of size 1."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise InvalidInputError("forward expects a 1-D input vector")
-    return forward_batch(params, x[None, :])
-
-
 def backward(
     trace: ForwardTrace, grad_y_hat: np.ndarray, params: ModelParams
-) -> ParamGrads:
+) -> ModelParams:
     """Backprop d(sum over batch of loss)/d(theta) given dL/d(y_hat) rows.
+
+    The gradient comes back as a ModelParams of the same architecture.
 
     The head-weight gradient column n is sum_b grad_y_hat[b, n] * f[b], which
     reduces to grad_y_hat[n] * f for a single example.
     """
     g = np.asarray(grad_y_hat, dtype=np.float64)
-    if g.ndim == 1:
-        g = g[None, :]
     if g.shape != trace.y_hat.shape:
         raise InvalidStateError(
             f"grad_y_hat shape {g.shape} does not match trace {trace.y_hat.shape}"
         )
     if trace.features.shape[1] != params.head_w.shape[0]:
         raise InvalidStateError("trace feature dim does not match params")
-    head_w_grad = trace.features.T @ g
-    head_b_grad = g.sum(axis=0) if params.head_b is not None else None
+    grads = ModelParams(params.arch, np.empty_like(params.flat))
+    grads.head_w[...] = trace.features.T @ g
+    if grads.head_b is not None:
+        grads.head_b[...] = g.sum(axis=0)
     dh = g @ params.head_w.T
-    lw_grads: list[np.ndarray] = [None] * len(params.layer_weights)
-    lb_grads: list[np.ndarray] = [None] * len(params.layer_biases)
     for l in reversed(range(len(params.layer_weights))):
         dz = dh * _activate_grad(
             trace.pre_acts[l], trace.post_acts[l], params.arch.activation
         )
         h_prev = trace.x if l == 0 else trace.post_acts[l - 1]
-        lw_grads[l] = h_prev.T @ dz
-        lb_grads[l] = dz.sum(axis=0)
+        grads.layer_weights[l][...] = h_prev.T @ dz
+        grads.layer_biases[l][...] = dz.sum(axis=0)
         dh = dz @ params.layer_weights[l].T
-    return ParamGrads(lw_grads, lb_grads, head_w_grad, head_b_grad)
+    return grads
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Versioned JSON checkpoint; float64 round-trips are bit-exact."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "arch": {
-            "input_dim": params.arch.input_dim,
-            "hidden_dims": list(params.arch.hidden_dims),
-            "num_classes": params.arch.num_classes,
-            "activation": params.arch.activation,
-            "head_bias": params.arch.head_bias,
-        },
-        "tensors": {
-            name: arr.ravel().tolist() for name, arr, _ in params.tensors()
-        },
+        "arch": asdict(params.arch),
+        "tensors": {name: arr.ravel().tolist() for name, arr in params.tensors()},
     }
     Path(path).write_text(json.dumps(doc))
 
@@ -218,19 +225,11 @@ def load_checkpoint(path) -> ModelParams:
         raise InvalidInputError(
             f"unsupported checkpoint version {doc.get('format_version')!r}"
         )
-    a = doc["arch"]
-    arch = Architecture(
-        a["input_dim"],
-        tuple(a["hidden_dims"]),
-        a["num_classes"],
-        a["activation"],
-        a["head_bias"],
-    )
-    params = init_params(arch, seed=0)
-    tensors = doc["tensors"]
-    for name, arr, _ in params.tensors():
-        flat = np.asarray(tensors[name], dtype=np.float64)
-        if flat.size != arr.size:
+    arch = Architecture(**doc["arch"])
+    params = ModelParams(arch, np.zeros(param_count(arch)))
+    for name, arr in params.tensors():
+        values = np.asarray(doc["tensors"][name], dtype=np.float64)
+        if values.size != arr.size:
             raise InvalidInputError(f"checkpoint tensor {name} has wrong size")
-        arr[...] = flat.reshape(arr.shape)
+        arr[...] = values.reshape(arr.shape)
     return params

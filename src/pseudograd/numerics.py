@@ -84,16 +84,6 @@ def kl_divergence(p, q) -> float:
     return float((parr * (clamped_log(parr) - clamped_log(qarr))).sum())
 
 
-def kl_divergence_rows(p, q) -> np.ndarray:
-    parr = np.asarray(p, dtype=np.float64)
-    qarr = np.asarray(q, dtype=np.float64)
-    if parr.shape != qarr.shape:
-        raise InvalidInputError(
-            f"kl_divergence length mismatch: {parr.shape} vs {qarr.shape}"
-        )
-    return (parr * (clamped_log(parr) - clamped_log(qarr))).sum(axis=1)
-
-
 class RandomStream:
     """Seeded, stream-addressable RNG.
 

@@ -6,9 +6,10 @@ The Nesterov recurrence used here (lookahead form), with g~ = g + wd*theta:
     v     <- mu * v - lr * g~
     theta <- theta + mu * v - lr * g~
 
-With mu = 0 and wd = 0 this reduces to plain SGD. Weight decay applies to
-weight matrices only, never to biases and never to pseudo-logits (a decay
-term on pseudo-logits would break their sum conservation).
+With mu = 0 and wd = 0 this reduces to plain SGD. The recurrence runs on the
+whole flat parameter vector at once. Weight decay applies to weight-matrix
+entries only, never to biases and never to pseudo-logits (a decay term on
+pseudo-logits would break their sum conservation).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, ParamGrads
+from .model import ModelParams, weight_mask
 from .numerics import InvalidInputError
 from .pseudo_labels import PseudoTable
 
@@ -27,7 +28,8 @@ class OptState:
     lr: float
     momentum: float = 0.9
     weight_decay: float = 0.0
-    velocities: dict[str, np.ndarray] = field(default_factory=dict)
+    velocity: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    decay: np.ndarray = field(default_factory=lambda: np.zeros(0))  # per flat entry
 
     def __post_init__(self):
         if not 0.0 <= self.momentum < 1.0:
@@ -40,29 +42,25 @@ def init_opt_state(
     params: ModelParams, lr: float, momentum: float = 0.9, weight_decay: float = 0.0
 ) -> OptState:
     state = OptState(lr, momentum, weight_decay)
-    for name, arr, _ in params.tensors():
-        state.velocities[name] = np.zeros_like(arr)
+    state.velocity = np.zeros_like(params.flat)
+    state.decay = weight_decay * weight_mask(params.arch)
     return state
 
 
 def sgd_nesterov_step(
-    params: ModelParams, grads: ParamGrads, state: OptState
+    params: ModelParams, grads: ModelParams, state: OptState
 ) -> tuple[ModelParams, OptState]:
-    """One in-place Nesterov SGD step over every parameter tensor."""
-    grad_map = {name: (g, is_bias) for name, g, is_bias in grads.tensors()}
-    for name, arr, is_bias in params.tensors():
-        if name not in grad_map:
-            raise InvalidInputError(f"missing gradient for tensor {name}")
-        g, _ = grad_map[name]
-        if g.shape != arr.shape:
-            raise InvalidInputError(
-                f"gradient shape {g.shape} != param shape {arr.shape} for {name}"
-            )
-        g_eff = g if (is_bias or state.weight_decay == 0.0) else g + state.weight_decay * arr
-        v = state.velocities[name]
-        v *= state.momentum
-        v -= state.lr * g_eff
-        arr += state.momentum * v - state.lr * g_eff
+    """One in-place Nesterov SGD step over the flat parameter vector."""
+    theta = params.flat
+    if not grads.flat.size == state.velocity.size == theta.size:
+        raise InvalidInputError(
+            f"gradient size {grads.flat.size} and velocity size "
+            f"{state.velocity.size} must equal param size {theta.size}"
+        )
+    g_eff = grads.flat + state.decay * theta
+    state.velocity *= state.momentum
+    state.velocity -= state.lr * g_eff
+    theta += state.momentum * state.velocity - state.lr * g_eff
     return params, state
 
 
@@ -92,7 +90,7 @@ def pseudo_step(
 
 
 def decay_lr(state: OptState, factor: float) -> OptState:
-    """Multiply the network learning rate; velocities are preserved.
+    """Multiply the network learning rate; the velocity is preserved.
 
     The pseudo-logit learning rate is out of scope here: it stays fixed for a
     whole run.

@@ -116,6 +116,10 @@ class StageOneConfig:
     wd: float = 0.0
     batch: int = 32
 
+    def __post_init__(self):
+        if self.epochs < 0 or self.batch < 1:
+            raise ConfigError(f"need epochs >= 0 and batch >= 1, got {self.epochs}, {self.batch}")
+
 
 @dataclass
 class StageTwoConfig:
@@ -134,6 +138,8 @@ class StageTwoConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ConfigError("stage2.rounds must be >= 1")
+        if self.batch < 1 or (self.epochs_per_round or 0) < 0:
+            raise ConfigError("stage2 needs batch >= 1 and epochs_per_round >= 0")
         if self.reprediction_period < 1:
             raise ConfigError("stage2.reprediction_period must be >= 1")
         if not 0.0 <= self.labeled_fraction_per_batch <= 1.0:
@@ -149,10 +155,9 @@ class StageTwoConfig:
 
 
 @dataclass
-class StageThreeConfig:
+class StageThreeConfig(StageOneConfig):  # stage-1 fields and checks, finetune defaults
     epochs: int = 40
     lr: float = 0.01
-    wd: float = 0.0
     batch: int = 64
 
 

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from pseudograd.cli import main
 
 
@@ -32,6 +34,16 @@ class TestExitCodes:
         bad.write_text("{not json")
         rc = main(["train", "--config", str(bad), "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "override", ["stage1.batch=0", "stage2.batch=0", "stage3.batch=0", "stage3.epochs=-3"]
+    )
+    def test_out_of_range_stage_override_exits_2_before_training(self, tmp_path, override):
+        cfg = _write_tiny_config(tmp_path / "cfg.json")
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--out", str(out), "--override", override])
+        assert rc == 2
+        assert not (out / "report.csv").exists()
 
     def test_verify_missing_artifacts_exits_2(self, tmp_path):
         cfg = _write_tiny_config(tmp_path / "cfg.json")

@@ -6,12 +6,12 @@ import pytest
 from pseudograd.data import (
     Dataset,
     IdxFormatError,
-    blob_centers,
     gen_gaussian_blobs,
     gen_two_moons,
     load_idx,
     split_per_class,
     write_idx,
+    _simplex_vertices,
 )
 from pseudograd.numerics import InvalidInputError
 
@@ -19,7 +19,7 @@ from pseudograd.numerics import InvalidInputError
 class TestGaussianBlobs:
     def test_zero_noise_limit_hits_centers(self):
         ds = gen_gaussian_blobs(2, 1, 2, spread=1e-12, seed=0)
-        centers = blob_centers(2, 2)
+        centers = _simplex_vertices(2, 2)
         np.testing.assert_allclose(ds.features, centers, atol=1e-9)
 
     def test_deterministic(self):
@@ -29,7 +29,7 @@ class TestGaussianBlobs:
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_centers_equidistant(self):
-        c = blob_centers(4, 5)
+        c = _simplex_vertices(4, 5)
         dists = [
             np.linalg.norm(c[i] - c[j]) for i in range(4) for j in range(i + 1, 4)
         ]

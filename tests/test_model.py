@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from pseudograd.model import (
     Architecture,
     InvalidStateError,
     backward,
-    forward,
     forward_batch,
     init_params,
     load_checkpoint,
@@ -43,15 +44,22 @@ class TestInitParams:
             assert not b.any()
         assert not params.head_b.any()
 
+    def test_named_tensors_are_views_and_copy_does_not_alias(self):
+        params = init_params(Architecture(4, (7, 5), 3, head_bias=True), seed=0)
+        clone = params.copy()
+        params.head_w[...] = 9.0
+        np.testing.assert_array_equal(params.flat[-18:-3], np.full(15, 9.0))
+        params.flat[:28] = 2.0
+        np.testing.assert_array_equal(params.layer_weights[0], np.full((4, 7), 2.0))
+        np.testing.assert_array_equal(clone.flat, init_params(clone.arch, seed=0).flat)
+
 
 class TestForward:
     def test_zero_params_uniform_prediction(self):
         arch = Architecture(4, (6,), 3, head_bias=True)
         params = init_params(arch, seed=0)
-        for w in params.layer_weights:
-            w[...] = 0.0
-        params.head_w[...] = 0.0
-        trace = forward(params, np.ones(4))
+        params.flat[...] = 0.0
+        trace = forward_batch(params, np.ones((1, 4)))
         np.testing.assert_allclose(trace.p_hat[0], [1 / 3] * 3, atol=1e-15)
 
     def test_opposed_head_columns_give_logistic(self):
@@ -64,7 +72,7 @@ class TestForward:
         params.head_w[:, 1] = -w1
         x = rng.normal(size=3)
         expected = 1.0 / (1.0 + np.exp(-2.0 * w1 @ x))
-        trace = forward(params, x)
+        trace = forward_batch(params, x[None, :])
         np.testing.assert_allclose(trace.p_hat[0, 0], expected, atol=1e-12)
 
     def test_finite_on_unit_inputs(self):
@@ -77,23 +85,22 @@ class TestForward:
     def test_p_hat_is_softmax_of_y_hat(self):
         arch = Architecture(4, (5,), 3)
         params = init_params(arch, seed=5)
-        trace = forward(params, np.array([0.1, -0.2, 0.3, 0.4]))
+        trace = forward_batch(params, np.array([[0.1, -0.2, 0.3, 0.4]]))
         np.testing.assert_array_equal(trace.p_hat[0], softmax(trace.y_hat[0]))
 
     def test_dim_mismatch(self):
         params = init_params(Architecture(4, (5,), 3), seed=0)
         with pytest.raises(InvalidInputError):
-            forward(params, np.zeros(5))
+            forward_batch(params, np.zeros((1, 5)))
 
 
 class TestBackward:
     def test_zero_grad_in_zero_grads_out(self):
         arch = Architecture(4, (6,), 3, head_bias=True)
         params = init_params(arch, seed=1)
-        trace = forward(params, np.ones(4))
-        grads = backward(trace, np.zeros(3), params)
-        for _, g, _ in grads.tensors():
-            assert not g.any()
+        trace = forward_batch(params, np.ones((1, 4)))
+        grads = backward(trace, np.zeros((1, 3)), params)
+        assert not grads.flat.any()
 
     def test_head_gradient_outer_product(self):
         # no hidden layers: head grad column n must be g[n] * x
@@ -101,8 +108,8 @@ class TestBackward:
         params = init_params(arch, seed=1)
         x = np.array([0.5, -1.0, 2.0, 0.25])
         g = np.array([0.3, -0.2, -0.1])
-        trace = forward(params, x)
-        grads = backward(trace, g, params)
+        trace = forward_batch(params, x[None, :])
+        grads = backward(trace, g[None, :], params)
         np.testing.assert_allclose(grads.head_w, np.outer(x, g), atol=1e-14)
 
     @pytest.mark.parametrize("hidden,activation", [((6,), "relu"), ((6, 5), "tanh")])
@@ -120,24 +127,22 @@ class TestBackward:
         trace = forward_batch(params, x)
         grads = backward(trace, v, params)
         h = 1e-5
-        for name, arr, _ in params.tensors():
-            analytic = dict((n, g) for n, g, _ in grads.tensors())[name]
-            flat = arr.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                fp = probe()
-                flat[i] = orig - h
-                fm = probe()
-                flat[i] = orig
-                numeric = (fp - fm) / (2 * h)
-                denom = max(abs(numeric), 1e-8)
-                assert abs(analytic.ravel()[i] - numeric) / denom < 1e-6
+        flat = params.flat
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = probe()
+            flat[i] = orig - h
+            fm = probe()
+            flat[i] = orig
+            numeric = (fp - fm) / (2 * h)
+            denom = max(abs(numeric), 1e-8)
+            assert abs(grads.flat[i] - numeric) / denom < 1e-6
 
     def test_stale_trace_rejected(self):
         arch = Architecture(4, (5,), 3)
         params = init_params(arch, seed=0)
-        trace = forward(params, np.ones(4))
+        trace = forward_batch(params, np.ones((1, 4)))
         with pytest.raises(InvalidStateError):
             backward(trace, np.zeros((1, 4)), params)
 
@@ -154,7 +159,7 @@ class TestBackward:
         x = rng.normal(size=4)
         p_tilde = softmax(rng.normal(size=3))
         cfg = LossConfig()
-        trace = forward(params, x)
+        trace = forward_batch(params, x[None, :])
         p_hat = trace.p_hat[0]
         grads = backward(trace, grad_wrt_logits(p_hat, p_tilde, cfg)[None, :], params)
         total = loss_value(p_hat, p_tilde, cfg).total
@@ -173,13 +178,27 @@ class TestCheckpoint:
         arch = Architecture(4, (7, 5), 3, activation="tanh", head_bias=True)
         params = init_params(arch, seed=9)
         save_checkpoint(params, tmp_path / "ckpt.json")
+        tensors = json.loads((tmp_path / "ckpt.json").read_text())["tensors"]
+        assert [(k, len(v)) for k, v in tensors.items()] == [
+            ("layer0.w", 28), ("layer0.b", 7), ("layer1.w", 35),
+            ("layer1.b", 5), ("head.w", 15), ("head.b", 3)]
         loaded = load_checkpoint(tmp_path / "ckpt.json")
         assert loaded.arch == params.arch
-        for (n1, a, _), (n2, b, _) in zip(params.tensors(), loaded.tensors()):
-            assert n1 == n2
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(loaded.flat, params.flat)
 
     def test_version_check(self, tmp_path):
         (tmp_path / "bad.json").write_text('{"format_version": 99}')
         with pytest.raises(InvalidInputError):
             load_checkpoint(tmp_path / "bad.json")
+
+    def test_loads_per_tensor_version_1_document(self, tmp_path):
+        arch = {"input_dim": 2, "hidden_dims": [1], "num_classes": 2,
+                "activation": "relu", "head_bias": True}
+        tensors = {"layer0.w": [1.0, 2.0], "layer0.b": [3.0],
+                   "head.w": [4.0, 5.0], "head.b": [6.0, 7.0]}
+        doc = {"format_version": 1, "arch": arch, "tensors": tensors}
+        (tmp_path / "v1.json").write_text(json.dumps(doc))
+        params = load_checkpoint(tmp_path / "v1.json")
+        np.testing.assert_array_equal(params.flat, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+        np.testing.assert_array_equal(params.layer_weights[0], [[1.0], [2.0]])
+

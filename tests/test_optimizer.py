@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pseudograd.model import Architecture, ParamGrads, init_params
+from pseudograd.model import Architecture, ModelParams, init_params
 from pseudograd.numerics import InvalidInputError, softmax
 from pseudograd.optimizer import (
     OptState,
@@ -14,22 +14,16 @@ from pseudograd.pseudo_labels import PseudoTable
 
 
 def _grads_like(params, fill=0.0):
-    return ParamGrads(
-        [np.full_like(w, fill) for w in params.layer_weights],
-        [np.full_like(b, fill) for b in params.layer_biases],
-        np.full_like(params.head_w, fill),
-        None if params.head_b is None else np.full_like(params.head_b, fill),
-    )
+    return ModelParams(params.arch, np.full_like(params.flat, fill))
 
 
 class TestNesterovStep:
     def test_zero_gradients_no_motion(self):
         params = init_params(Architecture(3, (4,), 2, head_bias=True), seed=0)
-        before = {n: a.copy() for n, a, _ in params.tensors()}
+        before = params.flat.copy()
         state = init_opt_state(params, lr=0.1)
         sgd_nesterov_step(params, _grads_like(params), state)
-        for n, a, _ in params.tensors():
-            np.testing.assert_array_equal(a, before[n])
+        np.testing.assert_array_equal(params.flat, before)
 
     def test_reduces_to_plain_sgd(self):
         params = init_params(Architecture(3, (), 2, head_bias=False), seed=1)
@@ -70,8 +64,7 @@ class TestNesterovStep:
 
     def test_shape_mismatch_rejected(self):
         params = init_params(Architecture(3, (), 2, head_bias=False), seed=0)
-        grads = _grads_like(params)
-        grads.head_w = np.zeros((2, 2))
+        grads = _grads_like(init_params(Architecture(2, (), 2, head_bias=False), seed=0))
         state = init_opt_state(params, lr=0.1)
         with pytest.raises(InvalidInputError):
             sgd_nesterov_step(params, grads, state)
@@ -127,15 +120,14 @@ class TestDecayLr:
         decay_lr(state, 0.1)
         np.testing.assert_allclose(state.lr, 0.01, atol=1e-15)
 
-    def test_velocities_preserved(self):
+    def test_velocity_preserved(self):
         params = init_params(Architecture(3, (), 2, head_bias=False), seed=0)
         state = init_opt_state(params, lr=0.1, momentum=0.9)
         grads = _grads_like(params, fill=1.0)
         sgd_nesterov_step(params, grads, state)
-        vel_before = {k: v.copy() for k, v in state.velocities.items()}
+        vel_before = state.velocity.copy()
         decay_lr(state, 0.5)
-        for k, v in state.velocities.items():
-            np.testing.assert_array_equal(v, vel_before[k])
+        np.testing.assert_array_equal(state.velocity, vel_before)
 
     def test_factor_range_enforced(self):
         state = OptState(lr=1.0)
@@ -155,7 +147,7 @@ class TestDecayLr:
 class TestNoOpStage:
     def test_zero_rates_freeze_everything(self):
         params = init_params(Architecture(3, (4,), 2, head_bias=True), seed=5)
-        before = {n: a.copy() for n, a, _ in params.tensors()}
+        before = params.flat.copy()
         state = init_opt_state(params, lr=0.0, momentum=0.9)
         table = PseudoTable(np.ones((2, 2)), np.zeros(2, bool), np.full(2, 2.0))
         rng = np.random.default_rng(0)
@@ -163,6 +155,5 @@ class TestNoOpStage:
             grads = _grads_like(params, fill=float(rng.normal()))
             sgd_nesterov_step(params, grads, state)
             pseudo_step(table, rng.normal(size=(2, 2)), lam=0.0)
-        for n, a, _ in params.tensors():
-            np.testing.assert_array_equal(a, before[n])
+        np.testing.assert_array_equal(params.flat, before)
         np.testing.assert_array_equal(table.logits, np.ones((2, 2)))

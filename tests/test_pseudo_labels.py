@@ -50,9 +50,7 @@ class TestInitPseudo:
         assert not table.frozen[small_split.unlabeled_idx].any()
 
     def test_zero_model_gives_uniform_pseudo(self, small_split, small_params):
-        for w in small_params.layer_weights:
-            w[...] = 0.0
-        small_params.head_w[...] = 0.0
+        small_params.flat[...] = 0.0
         table = init_pseudo(small_split, small_params)
         i = small_split.unlabeled_idx[0]
         np.testing.assert_array_equal(table.logits[i], np.zeros(3))
