@@ -126,7 +126,6 @@ class ForwardTrace:
     """Per-layer caches from one forward pass over a batch (rows = examples)."""
 
     x: np.ndarray  # (B, input_dim)
-    pre_acts: list[np.ndarray]  # per hidden layer, (B, width)
     post_acts: list[np.ndarray]  # per hidden layer, (B, width)
     features: np.ndarray  # (B, feature_dim)
     y_hat: np.ndarray  # (B, N)
@@ -143,37 +142,44 @@ def init_params(arch: Architecture, seed: int) -> ModelParams:
     return params
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate_in_place(z: np.ndarray, kind: str) -> None:
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        np.maximum(z, 0.0, out=z)
+    else:
+        np.tanh(z, out=z)
 
 
-def _activate_grad(pre: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
+def _activate_grad(post: np.ndarray, kind: str) -> np.ndarray:
+    """Activation derivative from the output alone: a ReLU output is > 0
+    exactly where its input is, and tanh' = 1 - tanh^2."""
     if kind == "relu":
-        return (pre > 0.0).astype(np.float64)
+        return (post > 0.0).astype(np.float64)
     return 1.0 - post**2
 
 
 def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardTrace:
-    """Forward pass over a batch; rows are examples."""
+    """Forward pass over a batch; rows are examples.
+
+    Each layer is computed in the one buffer its matmul returns (bias and
+    activation in place), which rounds exactly as ``act(h @ w + b)`` does.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.arch.input_dim:
         raise InvalidInputError(
             f"input must be (batch, {params.arch.input_dim}), got {x.shape}"
         )
     h = x
-    pre_acts, post_acts = [], []
+    post_acts = []
     for w, b in zip(params.layer_weights, params.layer_biases):
-        z = h @ w + b
-        h = _activate(z, params.arch.activation)
-        pre_acts.append(z)
+        h = h @ w
+        h += b
+        _activate_in_place(h, params.arch.activation)
         post_acts.append(h)
     y_hat = h @ params.head_w
     if params.head_b is not None:
-        y_hat = y_hat + params.head_b
+        y_hat += params.head_b
     p_hat = softmax_rows(y_hat)
-    return ForwardTrace(x, pre_acts, post_acts, h, y_hat, p_hat)
+    return ForwardTrace(x, post_acts, h, y_hat, p_hat)
 
 
 def backward(
@@ -199,13 +205,12 @@ def backward(
         grads.head_b[...] = g.sum(axis=0)
     dh = g @ params.head_w.T
     for l in reversed(range(len(params.layer_weights))):
-        dz = dh * _activate_grad(
-            trace.pre_acts[l], trace.post_acts[l], params.arch.activation
-        )
+        dz = dh * _activate_grad(trace.post_acts[l], params.arch.activation)
         h_prev = trace.x if l == 0 else trace.post_acts[l - 1]
         grads.layer_weights[l][...] = h_prev.T @ dz
         grads.layer_biases[l][...] = dz.sum(axis=0)
-        dh = dz @ params.layer_weights[l].T
+        if l > 0:  # the gradient wrt the input rows is never read
+            dh = dz @ params.layer_weights[l].T
     return grads
 
 

@@ -58,20 +58,27 @@ class InvalidConfigError(ValueError):
 def link_residuals(
     params: ModelParams, table: PseudoTable, split: SplitDataset, cfg: LossConfig
 ) -> np.ndarray:
-    """Per-example residual r over the unlabeled, unfrozen rows.
-
-    Uses each example's own loss value, not a batch mean: the stationarity
-    argument is per-example.
-    """
+    """Per-example residual r over the unlabeled, unfrozen rows, from a
+    fresh forward pass."""
     unl = split.unlabeled_idx[~table.frozen[split.unlabeled_idx]]
     if unl.size == 0:
         return np.zeros(0)
     p_hat = forward_batch(params, split.base.features[unl]).p_hat
-    p_tilde = pseudo_probs_rows(table, unl)
+    return link_residual_rows(p_hat, pseudo_probs_rows(table, unl), cfg)
+
+
+def link_residual_rows(
+    p_hat: np.ndarray, p_tilde: np.ndarray, cfg: LossConfig
+) -> np.ndarray:
+    """Residual r of each prediction row against its pseudo-label row.
+
+    Uses each example's own loss value, not a batch mean: the stationarity
+    argument is per-example.
+    """
     lc, le = loss_terms_rows(p_hat, p_tilde, cfg)
     total = cfg.alpha * lc + cfg.beta * le
     n = p_hat.argmax(axis=1)
-    rows = np.arange(unl.size)
+    rows = np.arange(p_hat.shape[0])
     return (
         (cfg.alpha - cfg.beta) * clamped_log(p_hat[rows, n])
         - cfg.alpha * clamped_log(p_tilde[rows, n])

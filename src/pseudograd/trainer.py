@@ -32,6 +32,7 @@ from .loss import (
     loss_terms_rows,
 )
 from .model import (
+    ACTIVATIONS,
     Architecture,
     ModelParams,
     backward,
@@ -107,6 +108,8 @@ class ArchSpec:
 
     def __post_init__(self):
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"arch.activation must be one of {ACTIVATIONS}")
 
 
 @dataclass
@@ -142,6 +145,8 @@ class StageTwoConfig:
             raise ConfigError("stage2 needs batch >= 1 and epochs_per_round >= 0")
         if self.reprediction_period < 1:
             raise ConfigError("stage2.reprediction_period must be >= 1")
+        if not 0.0 < self.lr_decay_factor < 1.0:
+            raise ConfigError("stage2.lr_decay_factor must be in (0, 1)")
         if not 0.0 <= self.labeled_fraction_per_batch <= 1.0:
             raise ConfigError("stage2.labeled_fraction_per_batch must be in [0, 1]")
 
@@ -230,6 +235,8 @@ def config_from_dict(doc: dict) -> TrainConfig:
         stage3=_build_section(StageThreeConfig, doc.get("stage3", {}), "stage3"),
         seed=int(doc.get("seed", 0)),
     )
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     return cfg
 
 
@@ -525,11 +532,13 @@ def _eval_row(
     if table is not None and unl.size:
         hard = hard_labels(table)[unl]
         pseudo_acc = float((hard == split.hidden_truth(unl)).mean())
-        mean_ent_pseudo = float(entropy_rows(pseudo_probs_rows(table, unl)).mean())
+        p_tilde_unl = pseudo_probs_rows(table, unl)
+        mean_ent_pseudo = float(entropy_rows(p_tilde_unl).mean())
         drift = float(table.sum_drift()[unl].max())
         if cfg.loss.variant == "kl_pred_pseudo":
-            res = np.abs(theory.link_residuals(params, table, split, cfg.loss))
-            p50, p90, p99 = (float(np.quantile(res, q)) for q in (0.5, 0.9, 0.99))
+            live = ~table.frozen[unl]
+            res = theory.link_residual_rows(p_hat_unl[live], p_tilde_unl[live], cfg.loss)
+            p50, p90, p99 = (float(q) for q in np.quantile(np.abs(res), (0.5, 0.9, 0.99)))
     return ReportRow(
         stage,
         epoch,

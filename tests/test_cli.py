@@ -36,7 +36,9 @@ class TestExitCodes:
         assert rc == 2
 
     @pytest.mark.parametrize(
-        "override", ["stage1.batch=0", "stage2.batch=0", "stage3.batch=0", "stage3.epochs=-3"]
+        "override",
+        ["stage1.batch=0", "stage2.batch=0", "stage3.batch=0", "stage3.epochs=-3",
+         "arch.activation=gelu", "stage2.lr_decay_factor=1.5", "seed=-1"],
     )
     def test_out_of_range_stage_override_exits_2_before_training(self, tmp_path, override):
         cfg = _write_tiny_config(tmp_path / "cfg.json")
@@ -44,6 +46,7 @@ class TestExitCodes:
         rc = main(["train", "--config", str(cfg), "--out", str(out), "--override", override])
         assert rc == 2
         assert not (out / "report.csv").exists()
+        assert not (out / "checkpoint_stage1.json").exists()
 
     def test_verify_missing_artifacts_exits_2(self, tmp_path):
         cfg = _write_tiny_config(tmp_path / "cfg.json")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pseudograd.model import (
+    ACTIVATIONS,
     Architecture,
     InvalidStateError,
     backward,
@@ -12,7 +13,20 @@ from pseudograd.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from pseudograd.numerics import InvalidInputError, softmax
+from pseudograd.numerics import InvalidInputError, softmax, softmax_rows
+
+
+def _unfused_forward(params, x):
+    """Reference forward: act(h @ w + b) per layer, every step a new array."""
+    act = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}[params.arch.activation]
+    h, post_acts = x, []
+    for w, b in zip(params.layer_weights, params.layer_biases):
+        h = act(h @ w + b)
+        post_acts.append(h)
+    y_hat = h @ params.head_w
+    if params.head_b is not None:
+        y_hat = y_hat + params.head_b
+    return post_acts, y_hat
 
 
 class TestInitParams:
@@ -88,6 +102,25 @@ class TestForward:
         trace = forward_batch(params, np.array([[0.1, -0.2, 0.3, 0.4]]))
         np.testing.assert_array_equal(trace.p_hat[0], softmax(trace.y_hat[0]))
 
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("head_bias", [False, True])
+    @pytest.mark.parametrize("hidden", [(), (64, 32)])
+    def test_matches_unfused_reference_bit_for_bit(self, activation, head_bias, hidden):
+        arch = Architecture(3, hidden, 4, activation=activation, head_bias=head_bias)
+        params = init_params(arch, seed=8)
+        rng = np.random.default_rng(8)
+        params.flat[...] = rng.normal(size=params.flat.size)  # nonzero biases
+        x = rng.normal(size=(1000, 3))
+        x_before = x.copy()
+        trace = forward_batch(params, x)
+        post_acts, y_hat = _unfused_forward(params, x)
+        assert len(trace.post_acts) == len(post_acts)
+        for got, want in zip(trace.post_acts, post_acts):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(trace.y_hat, y_hat)
+        np.testing.assert_array_equal(trace.p_hat, softmax_rows(y_hat))
+        np.testing.assert_array_equal(x, x_before)
+
     def test_dim_mismatch(self):
         params = init_params(Architecture(4, (5,), 3), seed=0)
         with pytest.raises(InvalidInputError):
@@ -138,6 +171,26 @@ class TestBackward:
             numeric = (fp - fm) / (2 * h)
             denom = max(abs(numeric), 1e-8)
             assert abs(grads.flat[i] - numeric) / denom < 1e-6
+
+    def test_relu_mask_from_pre_activation_at_exact_zeros(self):
+        # unit 1 has zero weights and bias, so its pre-activation is 0 on every
+        # row; the zero input row also zeroes unit 3, whose bias is 0. The
+        # ReLU subgradient at 0 must be 0, as the pre-activation mask says
+        arch = Architecture(3, (5,), 2, activation="relu", head_bias=True)
+        params = init_params(arch, seed=4)
+        params.layer_weights[0][:, 1] = 0.0
+        params.layer_biases[0][...] = [0.3, 0.0, -0.2, 0.0, 0.1]
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(6, 3))
+        x[2] = 0.0
+        g = rng.normal(size=(6, 2))
+        pre = x @ params.layer_weights[0] + params.layer_biases[0]
+        assert (pre == 0.0).sum() == 6 + 1
+        dz = (g @ params.head_w.T) * (pre > 0.0).astype(np.float64)
+        grads = backward(forward_batch(params, x), g, params)
+        np.testing.assert_array_equal(grads.layer_weights[0], x.T @ dz)
+        np.testing.assert_array_equal(grads.layer_biases[0], dz.sum(axis=0))
+        assert not grads.layer_weights[0][:, 1].any()
 
     def test_stale_trace_rejected(self):
         arch = Architecture(4, (5,), 3)

@@ -118,6 +118,26 @@ class TestResidualDecline:
         assert (np.diff(p50) > 0).mean() <= 0.05
 
 
+class TestEvalRowResidual:
+    def test_report_quantiles_equal_check_link_residual(self):
+        # the per-epoch report reuses its own forward; the verify path makes a
+        # fresh one: both must give the same quantiles bit for bit
+        from conftest import make_trend_config
+        from pseudograd.trainer import Report, build_dataset, stage1_supervised, stage2_joint
+
+        cfg = make_trend_config(seed=7)
+        cfg.stage2.rounds = 1
+        split, test = build_dataset(cfg.data, cfg.seed)
+        report = Report()
+        params = stage1_supervised(cfg, split, test)
+        params, table = stage2_joint(cfg, params, split, test, report)
+        row = report.stage_rows(2)[-1]
+        stats = theory.check_link_residual(params, table, split, cfg.loss)
+        assert (row.link_residual_p50, row.link_residual_p90, row.link_residual_p99) == (
+            stats.p50, stats.p90, stats.p99
+        )
+
+
 class TestFiniteDiffSuite:
     def test_all_paths_within_bounds(self):
         worst = theory.finite_diff_suite(seed=0, trials=25)
