@@ -9,7 +9,8 @@ reprediction-and-decay schedule counteracts pseudo-label flattening. The
 
 __version__ = "0.1.0"
 
-from .loss import LossConfig, LossBreakdown
-from .trainer import TrainConfig, run_pipeline
+from .config import LossConfig, TrainConfig
+from .loss import LossBreakdown
+from .trainer import run_pipeline
 
 __all__ = ["LossConfig", "LossBreakdown", "TrainConfig", "run_pipeline", "__version__"]

@@ -2,8 +2,9 @@
 
 Commands: gen-data, train, verify, gradcheck, ablate, export-features.
 Exit codes: 0 success, 1 runtime/verification failure, 2 usage/config error.
-Every artifact-producing command writes a run manifest (config, git describe,
-seed, status) even when it fails, with the failing stage recorded.
+train, ablate and export-features write a run manifest (config, git
+describe, seed, status) even when they fail, with the failing stage
+recorded; gen-data, verify and gradcheck write none.
 """
 
 from __future__ import annotations
@@ -19,17 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import theory
+from .config import ConfigError, TrainConfig, apply_overrides, load_config
 from .data import Dataset
 from .model import forward_batch, load_checkpoint
 from .pseudo_labels import load_table
 from .trainer import (
-    ConfigError,
     StageError,
-    TrainConfig,
-    apply_overrides,
     build_dataset,
     intra_class_spread,
-    load_config,
+    resolve_arch,
     run_pipeline,
     stage1_supervised,
     stage2_joint,
@@ -111,6 +110,20 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _artifact_mismatch(params, table, split, cfg: TrainConfig) -> str | None:
+    """Why the saved model and pseudo table cannot belong to ``cfg``'s run,
+    or None when their architecture and labeled rows agree with it."""
+    arch = resolve_arch(cfg.arch, split.base)
+    if params.arch != arch:
+        return f"checkpoint architecture {params.arch} != configured {arch}"
+    labeled = np.zeros(split.base.n_examples, dtype=bool)
+    labeled[split.labeled_idx] = True
+    if not np.array_equal(table.frozen, labeled):  # compares shapes, then values
+        return (f"pseudo table's labeled rows ({table.frozen.sum()} of {table.frozen.size}) "
+                f"differ from the split's ({labeled.sum()} of {labeled.size})")
+    return None
+
+
 def cmd_verify(args) -> int:
     cfg = _load_cfg(args)
     out = Path(args.out)
@@ -126,6 +139,10 @@ def cmd_verify(args) -> int:
     params = load_checkpoint(ckpt)
     table = load_table(table_path)
     split, _ = build_dataset(cfg.data, cfg.seed)
+    mismatch = _artifact_mismatch(params, table, split, cfg)
+    if mismatch:
+        print(f"error: artifacts in {out} do not match the config: {mismatch}", file=sys.stderr)
+        return EXIT_USAGE
     doc = theory.run_verification(params, table, split, cfg.loss, seed=cfg.seed)
     (out / "verification.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for name, entry in doc.items():

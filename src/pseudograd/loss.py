@@ -13,49 +13,17 @@ row-stacked batches and are what the trainer uses.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import VARIANT_KL_PRED_PSEUDO, VARIANT_KL_PSEUDO_PRED, LossConfig
+from .config import VARIANTS  # noqa: F401  (re-exported with the loss functions)
 from .numerics import (
     InvalidInputError,
     clamped_log,
     entropy_rows,
 )
-
-VARIANT_KL_PRED_PSEUDO = "kl_pred_pseudo"
-VARIANT_KL_PSEUDO_PRED = "kl_pseudo_pred"
-VARIANT_L2 = "l2"
-VARIANTS = (VARIANT_KL_PRED_PSEUDO, VARIANT_KL_PSEUDO_PRED, VARIANT_L2)
-
-
-@dataclass
-class LossConfig:
-    alpha: float = 0.1
-    beta: float = 0.03
-    lam: float = 4000.0  # pseudo-logit learning rate; serialized as "lambda"
-    variant: str = VARIANT_KL_PRED_PSEUDO
-    alpha_beta_warning: bool = field(init=False, default=False)
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise InvalidInputError("alpha must be > 0")
-        if self.beta < 0:
-            raise InvalidInputError("beta must be >= 0")
-        if self.lam <= 0:
-            raise InvalidInputError("lambda must be > 0")
-        if self.variant not in VARIANTS:
-            raise InvalidInputError(f"variant must be one of {VARIANTS}")
-        if self.alpha <= self.beta:
-            # Permitted (failure-mode experiments) but flagged: the prediction
-            # exponent 1 - beta/alpha is then <= 0 and training degrades.
-            self.alpha_beta_warning = True
-            warnings.warn(
-                f"alpha={self.alpha} <= beta={self.beta}: pseudo-labels decouple "
-                "from predictions and training is expected to degrade",
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)

@@ -16,23 +16,22 @@ call for the same seed.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import theory
+from .config import ArchSpec, ConfigError, DataSpec, LossConfig, TrainConfig
+from .config import load_config  # noqa: F401  (re-exported with build_dataset)
 from .data import Dataset, SplitDataset, gen_gaussian_blobs, gen_two_moons, load_idx, split_per_class
 from .loss import (
-    LossConfig,
     grad_wrt_logits_rows,
     grad_wrt_pseudo_logits_rows,
     loss_terms_rows,
 )
 from .model import (
-    ACTIVATIONS,
     Architecture,
     ModelParams,
     backward,
@@ -42,7 +41,6 @@ from .model import (
 from .numerics import InvalidInputError, RandomStream, clamped_log, entropy_rows, softmax_rows
 from .optimizer import decay_lr, init_opt_state, pseudo_step, sgd_nesterov_step
 from .pseudo_labels import (
-    DEFAULT_INIT_K,
     PseudoTable,
     hard_labels,
     init_pseudo,
@@ -56,10 +54,6 @@ MOMENTUM = 0.9
 NA = -1.0
 
 
-class ConfigError(ValueError):
-    """A configuration document is malformed or inconsistent."""
-
-
 class StageError(RuntimeError):
     """A pipeline stage failed; carries the stage name for error reporting."""
 
@@ -70,264 +64,7 @@ class StageError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Configuration
-
-
-@dataclass
-class DataSpec:
-    kind: str = "blobs"  # blobs | moons | idx
-    n_classes: int = 3
-    n_per_class: int = 200
-    dim: int = 2
-    spread: float = 0.5
-    noise: float = 0.1
-    images: str | None = None
-    labels: str | None = None
-    test_images: str | None = None
-    test_labels: str | None = None
-    take_first: int | None = None
-    holdout: int = 0
-    labeled_per_class: int = 4
-    test_n_per_class: int = 200
-    standardize: bool = False
-    data_seed: int | None = None
-    split_seed: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("blobs", "moons", "idx"):
-            raise ConfigError(f"data.kind must be blobs|moons|idx, got {self.kind!r}")
-        if self.kind == "idx" and (not self.images or not self.labels):
-            raise ConfigError("data.kind 'idx' requires images and labels paths")
-
-
-@dataclass
-class ArchSpec:
-    hidden_dims: tuple[int, ...] = (32, 16)
-    activation: str = "relu"
-    head_bias: bool = False
-
-    def __post_init__(self):
-        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"arch.activation must be one of {ACTIVATIONS}")
-
-
-@dataclass
-class StageOneConfig:
-    epochs: int = 60
-    lr: float = 0.1
-    wd: float = 0.0
-    batch: int = 32
-
-    def __post_init__(self):
-        if self.epochs < 0 or self.batch < 1:
-            raise ConfigError(f"need epochs >= 0 and batch >= 1, got {self.epochs}, {self.batch}")
-
-
-@dataclass
-class StageTwoConfig:
-    epochs_per_round: int | None = None  # defaults to reprediction_period
-    rounds: int = 3
-    lr0: float = 0.05
-    lr_decay_factor: float = 0.1
-    reprediction_period: int = 75
-    batch: int = 128
-    labeled_fraction_per_batch: float = 0.5
-    wd: float = 0.0
-    repredict_between_rounds: bool = True
-    decay_between_rounds: bool = True
-    pseudo_init_k: float = DEFAULT_INIT_K
-
-    def __post_init__(self):
-        if self.rounds < 1:
-            raise ConfigError("stage2.rounds must be >= 1")
-        if self.batch < 1 or (self.epochs_per_round or 0) < 0:
-            raise ConfigError("stage2 needs batch >= 1 and epochs_per_round >= 0")
-        if self.reprediction_period < 1:
-            raise ConfigError("stage2.reprediction_period must be >= 1")
-        if not 0.0 < self.lr_decay_factor < 1.0:
-            raise ConfigError("stage2.lr_decay_factor must be in (0, 1)")
-        if not 0.0 <= self.labeled_fraction_per_batch <= 1.0:
-            raise ConfigError("stage2.labeled_fraction_per_batch must be in [0, 1]")
-
-    @property
-    def epochs(self) -> int:
-        return (
-            self.reprediction_period
-            if self.epochs_per_round is None
-            else self.epochs_per_round
-        )
-
-
-@dataclass
-class StageThreeConfig(StageOneConfig):  # stage-1 fields and checks, finetune defaults
-    epochs: int = 40
-    lr: float = 0.01
-    batch: int = 64
-
-
-@dataclass
-class TrainConfig:
-    data: DataSpec = field(default_factory=DataSpec)
-    arch: ArchSpec = field(default_factory=ArchSpec)
-    loss: LossConfig = field(default_factory=LossConfig)
-    stage1: StageOneConfig = field(default_factory=StageOneConfig)
-    stage2: StageTwoConfig = field(default_factory=StageTwoConfig)
-    stage3: StageThreeConfig = field(default_factory=StageThreeConfig)
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        doc = {
-            "data": asdict(self.data),
-            "arch": {
-                "hidden_dims": list(self.arch.hidden_dims),
-                "activation": self.arch.activation,
-                "head_bias": self.arch.head_bias,
-            },
-            "loss": {
-                "alpha": self.loss.alpha,
-                "beta": self.loss.beta,
-                "lambda": self.loss.lam,
-                "variant": self.loss.variant,
-            },
-            "stage1": asdict(self.stage1),
-            "stage2": asdict(self.stage2),
-            "stage3": asdict(self.stage3),
-            "seed": self.seed,
-        }
-        return doc
-
-    def copy(self) -> "TrainConfig":
-        return config_from_dict(self.to_dict())
-
-
-def _build_section(cls, doc: dict, section: str, rename: dict | None = None):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{section} must be an object")
-    rename = rename or {}
-    known = {f.name for f in cls.__dataclass_fields__.values() if f.init} | set(rename)
-    kwargs = {}
-    for key, value in doc.items():
-        if key not in known:
-            raise ConfigError(f"unknown key {section}.{key}")
-        kwargs[rename.get(key, key)] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {section} section: {exc}") from exc
-
-
-def config_from_dict(doc: dict) -> TrainConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
-    known = {"data", "arch", "loss", "stage1", "stage2", "stage3", "seed"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    cfg = TrainConfig(
-        data=_build_section(DataSpec, doc.get("data", {}), "data"),
-        arch=_build_section(ArchSpec, doc.get("arch", {}), "arch"),
-        loss=_build_section(
-            LossConfig, doc.get("loss", {}), "loss", rename={"lambda": "lam"}
-        ),
-        stage1=_build_section(StageOneConfig, doc.get("stage1", {}), "stage1"),
-        stage2=_build_section(StageTwoConfig, doc.get("stage2", {}), "stage2"),
-        stage3=_build_section(StageThreeConfig, doc.get("stage3", {}), "stage3"),
-        seed=int(doc.get("seed", 0)),
-    )
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    return cfg
-
-
-def load_config(path) -> TrainConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return config_from_dict(doc)
-
-
-def apply_overrides(cfg: TrainConfig, overrides: list[str]) -> TrainConfig:
-    """Apply `section.key=value` overrides; values are coerced to the type of
-    the value they replace."""
-    doc = cfg.to_dict()
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
-        path, raw = item.split("=", 1)
-        keys = path.split(".")
-        node = doc
-        for k in keys[:-1]:
-            if not isinstance(node, dict) or k not in node:
-                raise ConfigError(f"override references unknown key {path!r}")
-            node = node[k]
-        leaf = keys[-1]
-        if not isinstance(node, dict) or leaf not in node:
-            raise ConfigError(f"override references unknown key {path!r}")
-        node[leaf] = _coerce_like(node[leaf], raw, path)
-    return config_from_dict(doc)
-
-
-def _coerce_like(current, raw: str, path: str):
-    if isinstance(current, bool):
-        if raw.lower() in ("true", "1"):
-            return True
-        if raw.lower() in ("false", "0"):
-            return False
-        raise ConfigError(f"override {path}: expected boolean, got {raw!r}")
-    if isinstance(current, int) and not isinstance(current, bool):
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"override {path}: expected integer, got {raw!r}") from exc
-    if isinstance(current, float):
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"override {path}: expected number, got {raw!r}") from exc
-    if isinstance(current, list):
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"override {path}: expected JSON list, got {raw!r}") from exc
-    if current is None:
-        # untyped optional: try int, then float, then string
-        for cast in (int, float):
-            try:
-                return cast(raw)
-            except ValueError:
-                pass
-        return raw
-    return raw
-
-
-# ---------------------------------------------------------------------------
 # Report
-
-
-REPORT_COLUMNS = [
-    "stage",
-    "epoch",
-    "lr",
-    "loss_total",
-    "loss_lc",
-    "loss_le",
-    "labeled_acc",
-    "unlabeled_pseudo_acc",
-    "test_acc",
-    "mean_entropy_pred",
-    "mean_entropy_pseudo",
-    "max_sum_drift",
-    "link_residual_p50",
-    "link_residual_p90",
-    "link_residual_p99",
-]
 
 
 @dataclass
@@ -347,6 +84,9 @@ class ReportRow:
     link_residual_p50: float
     link_residual_p90: float
     link_residual_p99: float
+
+
+REPORT_COLUMNS = [f.name for f in fields(ReportRow)]
 
 
 class Report:
@@ -370,13 +110,8 @@ class Report:
             writer = csv.writer(f)
             writer.writerow(REPORT_COLUMNS)
             for row in self.rows:
-                d = asdict(row)
-                writer.writerow(
-                    [
-                        d[c] if c in ("stage", "epoch") else repr(float(d[c]))
-                        for c in REPORT_COLUMNS
-                    ]
-                )
+                metrics = (repr(float(getattr(row, c))) for c in REPORT_COLUMNS[2:])
+                writer.writerow([row.stage, row.epoch, *metrics])
 
     def stage_rows(self, stage: int) -> list[ReportRow]:
         return [r for r in self.rows if r.stage == stage]

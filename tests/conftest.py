@@ -9,19 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from pseudograd.data import Dataset, write_idx
-from pseudograd.loss import LossConfig
-from pseudograd.trainer import (
+from pseudograd.config import (
     ArchSpec,
     DataSpec,
+    LossConfig,
     StageOneConfig,
     StageThreeConfig,
     StageTwoConfig,
     TrainConfig,
-    build_dataset,
-    stage1_supervised,
-    stage2_joint,
 )
+from pseudograd.data import Dataset, write_idx
+from pseudograd.trainer import build_dataset, stage1_supervised, stage2_joint
 
 CONVERGENCE_GATE = 1e-4
 
@@ -42,7 +40,7 @@ def make_convergence_config(variant: str = "kl_pred_pseudo", rounds: int = 6,
         arch=ArchSpec(hidden_dims=(32, 16), activation="relu", head_bias=False),
         loss=loss,
         stage1=StageOneConfig(epochs=60, lr=0.1, wd=0.0, batch=16),
-        stage2=StageTwoConfig(epochs_per_round=epochs_per_round, rounds=rounds,
+        stage2=StageTwoConfig(epochs=epochs_per_round, rounds=rounds,
                               lr0=0.05, lr_decay_factor=0.3, batch=600,
                               labeled_fraction_per_batch=0.25, wd=0.0),
         stage3=StageThreeConfig(epochs=30, lr=0.01, batch=64),
@@ -62,7 +60,7 @@ def make_moons_config(seed: int, alpha: float = 0.1) -> TrainConfig:
         arch=ArchSpec(hidden_dims=(128,), activation="tanh", head_bias=False),
         loss=loss,
         stage1=StageOneConfig(epochs=40, lr=0.1, wd=1e-2, batch=8),
-        stage2=StageTwoConfig(epochs_per_round=5, rounds=30, lr0=0.2, lr_decay_factor=0.95,
+        stage2=StageTwoConfig(epochs=5, rounds=30, lr0=0.2, lr_decay_factor=0.95,
                               batch=64, labeled_fraction_per_batch=0.1, wd=1e-2),
         stage3=StageThreeConfig(epochs=40, lr=0.01, batch=64),
         seed=seed,
@@ -72,7 +70,7 @@ def make_moons_config(seed: int, alpha: float = 0.1) -> TrainConfig:
 def make_failure_pair_config(seed: int, alpha: float) -> TrainConfig:
     """Longer moons schedule for the alpha-vs-beta failure comparison."""
     cfg = make_moons_config(seed, alpha=alpha)
-    cfg.stage2.epochs_per_round = 50
+    cfg.stage2.epochs = 50
     cfg.stage2.rounds = 4
     cfg.stage2.lr0 = 0.1
     cfg.stage2.lr_decay_factor = 0.3
@@ -90,7 +88,7 @@ def make_trend_config(seed: int, variant: str = "kl_pred_pseudo") -> TrainConfig
         arch=ArchSpec(hidden_dims=(32, 16), activation="relu", head_bias=False),
         loss=loss,
         stage1=StageOneConfig(epochs=60, lr=0.1, wd=1e-3, batch=8),
-        stage2=StageTwoConfig(epochs_per_round=15, rounds=4, lr0=0.1, lr_decay_factor=0.3,
+        stage2=StageTwoConfig(epochs=15, rounds=4, lr0=0.1, lr_decay_factor=0.3,
                               batch=64, labeled_fraction_per_batch=0.25, wd=1e-3),
         stage3=StageThreeConfig(epochs=40, lr=0.01, batch=64),
         seed=seed,
@@ -206,7 +204,7 @@ def make_digits_config(meta: dict, seed: int = 7) -> TrainConfig:
         arch=ArchSpec(hidden_dims=meta["hidden_dims"], activation="tanh", head_bias=False),
         loss=LossConfig(),
         stage1=StageOneConfig(epochs=60, lr=0.1, wd=1e-4, batch=32),
-        stage2=StageTwoConfig(epochs_per_round=40, rounds=3, lr0=0.05, lr_decay_factor=0.1,
+        stage2=StageTwoConfig(epochs=40, rounds=3, lr0=0.05, lr_decay_factor=0.1,
                               batch=128, labeled_fraction_per_batch=0.5, wd=0.0),
         stage3=StageThreeConfig(epochs=20, lr=0.01, batch=64),
         seed=seed,

@@ -269,7 +269,7 @@ def test_criterion_9_classification_loss_direction():
         errs = []
         for seed in (7, 8, 9, 10, 11):
             cfg = make_trend_config(seed, variant=variant)
-            cfg.stage2.epochs_per_round = 50
+            cfg.stage2.epochs = 50
             cfg.stage2.labeled_fraction_per_batch = 0.1
             errs.append(1.0 - run_pipeline(cfg).report.rows[-1].test_acc)
         return float(np.median(errs))

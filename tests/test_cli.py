@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,14 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "override",
         ["stage1.batch=0", "stage2.batch=0", "stage3.batch=0", "stage3.epochs=-3",
-         "arch.activation=gelu", "stage2.lr_decay_factor=1.5", "seed=-1"],
+         "arch.activation=gelu", "stage2.lr_decay_factor=1.5", "seed=-1",
+         "data.n_classes=0", "data.labeled_per_class=0", "data.spread=-1",
+         "data.n_per_class=1", "data.dim=0", "data.test_n_per_class=0",
+         "data.data_seed=-4", "data.noise=-1", "data.take_first=abc",
+         "arch.hidden_dims=[0]",
+         "stage1.lr=-1", "stage1.lr=nan", "stage2.wd=-1", "stage3.wd=-1",
+         "stage2.lr0=inf", "stage2.pseudo_init_k=nan",
+         "loss.alpha=nan", "loss.lambda=inf"],
     )
     def test_out_of_range_stage_override_exits_2_before_training(self, tmp_path, override):
         cfg = _write_tiny_config(tmp_path / "cfg.json")
@@ -52,6 +60,44 @@ class TestExitCodes:
         cfg = _write_tiny_config(tmp_path / "cfg.json")
         rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "empty")])
         assert rc == 2
+
+
+class TestVerifyRefusesMismatchedArtifacts:
+    """verify exits 2, writing nothing, when the artifacts were not trained
+    under the given config's architecture and split."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("verify")
+        cfg = _write_tiny_config(root / "cfg.json")
+        assert main(["train", "--config", str(cfg), "--out", str(root / "run")]) == 0
+        return cfg, root / "run"
+
+    @pytest.mark.parametrize(
+        "extra, overrides, expected",
+        [
+            ({"data": {"kind": "moons", "n_per_class": 30, "noise": 0.1,
+                       "labeled_per_class": 4, "test_n_per_class": 30}}, [], "architecture"),
+            ({}, ["data.labeled_per_class=5"], "labeled rows"),
+            ({}, ["arch.hidden_dims=[16]"], "architecture"),
+        ],
+        ids=["moons_config_on_blobs", "labeled_per_class", "hidden_dims"],
+    )
+    def test_mismatch_exits_2(self, trained, tmp_path, capsys, extra, overrides, expected):
+        _, run = trained
+        cfg = _write_tiny_config(tmp_path / "other.json", **extra)
+        argv = ["verify", "--config", str(cfg), "--out", str(run)]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 2
+        assert expected in capsys.readouterr().err
+        assert not (run / "verification.json").exists()
+
+    def test_matching_config_is_verified(self, trained, tmp_path):
+        cfg, run = trained
+        copy = shutil.copytree(run, tmp_path / "run")
+        assert main(["verify", "--config", str(cfg), "--out", str(copy)]) in (0, 1)
+        assert (copy / "verification.json").exists()
 
 
 class TestTrainCommand:

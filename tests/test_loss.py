@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from pseudograd.config import ConfigError
 from pseudograd.loss import (
     VARIANTS,
     LossConfig,
@@ -43,15 +46,16 @@ class TestLossConfig:
         assert cfg.alpha == 0.1
         assert cfg.beta == 0.03
         assert cfg.lam == 4000.0
-        assert not cfg.alpha_beta_warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            LossConfig()
 
     def test_alpha_le_beta_flagged(self):
         with pytest.warns(UserWarning):
-            cfg = LossConfig(alpha=0.01, beta=0.03)
-        assert cfg.alpha_beta_warning
+            LossConfig(alpha=0.01, beta=0.03)
 
     def test_invalid_variant(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ConfigError):
             LossConfig(variant="mse")
 
 

@@ -1,35 +1,40 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_moons_config
-from pseudograd.data import gen_gaussian_blobs, split_per_class
-from pseudograd.loss import LossConfig
-from pseudograd.trainer import (
+from pseudograd.config import (
     ArchSpec,
     ConfigError,
     DataSpec,
-    Report,
-    ReportRow,
+    LossConfig,
     StageOneConfig,
     StageThreeConfig,
     StageTwoConfig,
     TrainConfig,
-    _mixed_batch_plan,
     apply_overrides,
-    build_dataset,
     config_from_dict,
     load_config,
+)
+from pseudograd.data import gen_gaussian_blobs, split_per_class
+from pseudograd.trainer import (
+    Report,
+    ReportRow,
+    _mixed_batch_plan,
+    build_dataset,
     run_pipeline,
     stage1_supervised,
     stage2_joint,
     stage3_finetune,
 )
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
 
 def tiny_config(seed=0, **stage2_kw):
-    s2 = dict(epochs_per_round=5, rounds=2, lr0=0.05, lr_decay_factor=0.1,
+    s2 = dict(epochs=5, rounds=2, lr0=0.05, lr_decay_factor=0.1,
               batch=60, labeled_fraction_per_batch=0.25)
     s2.update(stage2_kw)
     return TrainConfig(
@@ -73,19 +78,58 @@ class TestConfigHandling:
     def test_override_types(self):
         cfg = tiny_config()
         out = apply_overrides(
-            cfg, ["loss.alpha=0.2", "stage2.rounds=5", "data.standardize=true"]
+            cfg, ["loss.alpha=0.2", "stage2.rounds=5", "data.standardize=true",
+                  "arch.hidden_dims=[64,2]", "data.kind=moons"]
         )
         assert out.loss.alpha == 0.2
         assert out.stage2.rounds == 5
         assert out.data.standardize is True
+        assert out.arch.hidden_dims == (64, 2)
+        assert out.data.kind == "moons"
 
     def test_override_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
             apply_overrides(tiny_config(), ["loss.gamma=1"])
 
-    def test_epochs_per_round_defaults_to_reprediction_period(self):
-        s2 = StageTwoConfig(epochs_per_round=None, reprediction_period=75)
-        assert s2.epochs == 75
+    def test_stage2_epochs_default_to_75(self):
+        assert StageTwoConfig().epochs == 75
+        assert config_from_dict({}).to_dict()["stage2"]["epochs_per_round"] == 75
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"seed": 2.9},
+            {"seed": "7"},
+            {"stage1": {"epochs": 2.5}},
+            {"stage1": {"epochs": True}},
+            {"stage1": {"lr": "abc"}},
+            {"stage2": {"rounds": 2.5}},
+            {"stage2": {"repredict_between_rounds": "no"}},
+            {"data": {"standardize": "yes"}},
+            {"arch": {"hidden_dims": [2.7]}},
+            {"loss": {"alpha": float("nan")}},
+        ],
+        ids=repr,
+    )
+    def test_wrong_type_or_non_finite_value_rejected(self, doc):
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+
+    def test_int_accepted_for_float_and_stored_as_float(self):
+        cfg = config_from_dict({"loss": {"lambda": 4000}, "stage2": {"wd": 0}})
+        assert type(cfg.loss.lam) is float and cfg.loss.lam == 4000.0
+        assert type(cfg.stage2.wd) is float
+
+    def test_unknown_attribute_assignment_raises(self):
+        with pytest.raises(AttributeError):
+            tiny_config().stage2.epochs_per_round = 50
+
+    @pytest.mark.parametrize(
+        "path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name
+    )
+    def test_committed_config_loads_and_round_trips(self, path):
+        cfg = load_config(path)
+        assert config_from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
 
 class TestBatchPlan:
