@@ -10,7 +10,6 @@ reprediction-and-decay schedule counteracts pseudo-label flattening. The
 __version__ = "0.1.0"
 
 from .config import LossConfig, TrainConfig
-from .loss import LossBreakdown
 from .trainer import run_pipeline
 
-__all__ = ["LossConfig", "LossBreakdown", "TrainConfig", "run_pipeline", "__version__"]
+__all__ = ["LossConfig", "TrainConfig", "run_pipeline", "__version__"]

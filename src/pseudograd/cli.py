@@ -26,12 +26,13 @@ from .model import forward_batch, load_checkpoint
 from .pseudo_labels import load_table
 from .trainer import (
     StageError,
-    build_dataset,
+    build_run_data,
     intra_class_spread,
     resolve_arch,
     run_pipeline,
     stage1_supervised,
     stage2_joint,
+    stage_errors,
 )
 
 EXIT_OK = 0
@@ -89,7 +90,7 @@ def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    split, test = build_dataset(cfg.data, cfg.seed)
+    split, test = build_run_data(cfg)
     split.base.to_csv(out / "train.csv")
     test.to_csv(out / "test.csv")
     print(f"wrote {split.base.n_examples} train / {test.n_examples} test rows to {out}")
@@ -138,7 +139,7 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     params = load_checkpoint(ckpt)
     table = load_table(table_path)
-    split, _ = build_dataset(cfg.data, cfg.seed)
+    split, _ = build_run_data(cfg)
     mismatch = _artifact_mismatch(params, table, split, cfg)
     if mismatch:
         print(f"error: artifacts in {out} do not match the config: {mismatch}", file=sys.stderr)
@@ -279,7 +280,7 @@ def cmd_export_features(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        split, test = build_dataset(cfg.data, cfg.seed)
+        split, test = build_run_data(cfg)
         labeled_mask = np.zeros(split.base.n_examples, dtype=bool)
         labeled_mask[split.labeled_idx] = True
         base = split.base
@@ -295,10 +296,12 @@ def cmd_export_features(args) -> int:
                 for name, idx in subsets.items()
             }
 
-        params = stage1_supervised(cfg, split, test)
+        with stage_errors("stage1"):
+            params = stage1_supervised(cfg, split, test)
         _export_features_csv(params, base, labeled_mask, out / "features_before.csv")
         before = spreads(params)
-        params, _ = stage2_joint(cfg, params, split, test)
+        with stage_errors("stage2"):
+            params, _ = stage2_joint(cfg, params, split, test)
         _export_features_csv(params, base, labeled_mask, out / "features_after.csv")
         after = spreads(params)
     except StageError as exc:
@@ -317,6 +320,13 @@ def cmd_export_features(args) -> int:
     for k in ("labeled", "unlabeled"):
         print(f"{k} compaction ratio (after/before): {summary['compaction_ratio'][k]:.4f}")
     return EXIT_OK
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,10 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("verify", help="run theory checks against saved artifacts"))
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     add_common(p)
-    p.add_argument("--trials", type=int, default=100, help="instances per gradient path")
+    p.add_argument("--trials", type=positive_int, default=100, help="instances per gradient path")
     p = sub.add_parser("ablate", help="run a comparison grid")
     add_common(p)
-    p.add_argument("--seeds", type=int, default=5, help="seeds per grid cell")
+    p.add_argument("--seeds", type=positive_int, default=5, help="seeds per grid cell")
     p.add_argument(
         "--grid",
         choices=["strategy", "alpha", "beta", "lc"],

@@ -155,8 +155,8 @@ class DataSpec(_Section):
     labels: str | None = None
     test_images: str | None = None
     test_labels: str | None = None
-    take_first: int | None = None
-    holdout: int = 0
+    take_first: int | None = setting(None, ge=1)
+    holdout: int = setting(0, ge=0)
     labeled_per_class: int = setting(4, ge=1)
     test_n_per_class: int = setting(200, ge=1)
     standardize: bool = False

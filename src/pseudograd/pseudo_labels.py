@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import SplitDataset
 from .model import ModelParams, forward_batch
-from .numerics import InvalidInputError, softmax, softmax_rows
+from .numerics import InvalidInputError, softmax_rows
 
 DEFAULT_INIT_K = 10.0
 
@@ -85,13 +85,6 @@ def repredict(table: PseudoTable, split: SplitDataset, params: ModelParams) -> P
         out.logits[unfrozen] = trace.y_hat
         out.init_sum[unfrozen] = trace.y_hat.sum(axis=1)
     return out
-
-
-def pseudo_probs(table: PseudoTable, idx: int) -> np.ndarray:
-    """Softmax of one pseudo-logit row."""
-    if not 0 <= idx < table.n_examples:
-        raise InvalidInputError(f"row index {idx} out of range")
-    return softmax(table.logits[idx])
 
 
 def pseudo_probs_rows(table: PseudoTable, idx) -> np.ndarray:

@@ -25,8 +25,7 @@ from .loss import (
     VARIANT_KL_PRED_PSEUDO,
     VARIANTS,
     LossConfig,
-    grad_wrt_logits_rows,
-    grad_wrt_pseudo_logits_rows,
+    joint_loss_rows,
     loss_terms_rows,
 )
 from .model import (
@@ -41,7 +40,6 @@ from .numerics import (
     RandomStream,
     clamped_log,
     entropy_rows,
-    softmax,
     softmax_rows,
 )
 from .pseudo_labels import PseudoTable, pseudo_probs_rows
@@ -139,8 +137,8 @@ def solve_link_point(p_hat: np.ndarray, cfg: LossConfig, iters: int = 200) -> np
         p_tilde = np.empty_like(p_hat)
         p_tilde[n] = t
         p_tilde[off] = (1.0 - t) * w
-        lc, le = loss_terms_rows(p_hat, p_tilde, cfg)
-        total = cfg.alpha * float(lc) + cfg.beta * float(le)
+        lc, le = loss_terms_rows(p_hat[None, :], p_tilde[None, :], cfg)
+        total = cfg.alpha * float(lc[0]) + cfg.beta * float(le[0])
         return (
             (cfg.alpha - cfg.beta) * float(clamped_log(p_hat[n : n + 1])[0])
             - cfg.alpha * np.log(t)
@@ -224,6 +222,7 @@ def flatness_bound_check(
     counts over ``n_samples`` draws.
     """
     stream = RandomStream(seed, stream_id=3)
+    kl_pred_pseudo = LossConfig(variant=VARIANT_KL_PRED_PSEUDO)  # alpha, beta drawn per row
     sizes = (2, 3, 5, 10)
     per = n_samples // len(sizes)
     violations = 0
@@ -237,8 +236,7 @@ def flatness_bound_check(
         p_tilde /= p_tilde.sum(axis=1, keepdims=True)
         alpha = stream.uniform(0.02, 0.5, size=m)
         beta = alpha * stream.uniform(0.0, 0.999, size=m)
-        lc = (p_hat * (clamped_log(p_hat) - clamped_log(p_tilde))).sum(axis=1)
-        le = entropy_rows(p_hat)
+        lc, le = loss_terms_rows(p_hat, p_tilde, kl_pred_pseudo)
         total = alpha * lc + beta * le
         top = p_hat.max(axis=1)
         bound = np.exp(-total / alpha) * top ** (1.0 - beta / alpha)
@@ -252,25 +250,6 @@ def flatness_bound_check(
         "max_excess": max_excess,
         "tolerance": tolerance,
     }
-
-
-# ---------------------------------------------------------------------------
-# Sum conservation
-
-
-def check_sum_invariance(run_trace) -> np.ndarray:
-    """Max |sum(y~) - init_sum| per example across a trace of table snapshots.
-
-    Asserted (elsewhere) only for the kl_pred_pseudo variant; for other
-    variants the value is informational.
-    """
-    worst: np.ndarray | None = None
-    for table in run_trace:
-        drift = table.sum_drift()
-        worst = drift if worst is None else np.maximum(worst, drift)
-    if worst is None:
-        raise InvalidInputError("run_trace is empty")
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +279,8 @@ def _central_diff(fn, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
 
 
 def _loss_total(y_hat: np.ndarray, y_tilde: np.ndarray, cfg: LossConfig) -> float:
-    lc, le = loss_terms_rows(softmax(y_hat), softmax(y_tilde), cfg)
-    return cfg.alpha * float(lc) + cfg.beta * float(le)
+    lc, le = loss_terms_rows(softmax_rows(y_hat), softmax_rows(y_tilde), cfg)
+    return cfg.alpha * float(lc[0]) + cfg.beta * float(le[0])
 
 
 def finite_diff_suite(seed: int, trials: int) -> dict[str, float]:
@@ -327,20 +306,18 @@ def finite_diff_suite(seed: int, trials: int) -> dict[str, float]:
                 beta=float(stream.uniform(0.0, 0.04)),
                 variant=variant,
             )
-            y_hat = stream.normal(0.0, 2.0, size=nc)
-            y_tilde = stream.normal(0.0, 2.0, size=nc)
-            p_hat, p_tilde = softmax(y_hat), softmax(y_tilde)
+            y_hat = stream.normal(0.0, 2.0, size=(1, nc))
+            y_tilde = stream.normal(0.0, 2.0, size=(1, nc))
+            loss = joint_loss_rows(softmax_rows(y_hat), softmax_rows(y_tilde), cfg)
 
-            analytic = grad_wrt_pseudo_logits_rows(p_hat, p_tilde, cfg)
             numeric = _central_diff(lambda: _loss_total(y_hat, y_tilde, cfg), y_tilde)
             worst[f"pseudo:{variant}"] = max(
-                worst[f"pseudo:{variant}"], _rel_err(analytic, numeric)
+                worst[f"pseudo:{variant}"], _rel_err(loss.grad_pseudo, numeric)
             )
 
-            analytic = grad_wrt_logits_rows(p_hat, p_tilde, cfg)
             numeric = _central_diff(lambda: _loss_total(y_hat, y_tilde, cfg), y_hat)
             worst[f"logits:{variant}"] = max(
-                worst[f"logits:{variant}"], _rel_err(analytic, numeric)
+                worst[f"logits:{variant}"], _rel_err(loss.grad_y, numeric)
             )
 
     for label, hidden in (("params:linear", ()), ("params:deep", (6, 5, 4))):
@@ -361,7 +338,7 @@ def finite_diff_suite(seed: int, trials: int) -> dict[str, float]:
                 return float(np.mean(cfg.alpha * lc + cfg.beta * le))
 
             trace = forward_batch(params, x)
-            grad_y = grad_wrt_logits_rows(trace.p_hat, p_tilde, cfg) / x.shape[0]
+            grad_y = joint_loss_rows(trace.p_hat, p_tilde, cfg).grad_y / x.shape[0]
             grads = backward(trace, grad_y, params)
             numeric = ModelParams(arch, _central_diff(batch_loss, params.flat))
             # judged per tensor: one ratio over the whole vector would be looser
@@ -430,7 +407,8 @@ def run_verification(
     alg = flatness_bound_check(algebraic_samples, seed)
     doc["flatness_algebraic"] = {**alg, "asserted": True, "pass": alg["violations"] == 0}
 
-    drift = float(check_sum_invariance([table]).max())
+    # asserted only for kl_pred_pseudo; informational for the other variants
+    drift = float(table.sum_drift().max())
     doc["sum_invariance"] = {
         "max_drift": drift,
         "tolerance": 1e-6,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -26,11 +27,7 @@ from . import theory
 from .config import ArchSpec, ConfigError, DataSpec, LossConfig, TrainConfig
 from .config import load_config  # noqa: F401  (re-exported with build_dataset)
 from .data import Dataset, SplitDataset, gen_gaussian_blobs, gen_two_moons, load_idx, split_per_class
-from .loss import (
-    grad_wrt_logits_rows,
-    grad_wrt_pseudo_logits_rows,
-    loss_terms_rows,
-)
+from .loss import joint_loss_rows
 from .model import (
     Architecture,
     ModelParams,
@@ -61,6 +58,15 @@ class StageError(RuntimeError):
         super().__init__(f"{stage} failed: {original}")
         self.stage = stage
         self.original = original
+
+
+@contextmanager
+def stage_errors(stage: str):
+    """Re-raise any exception of the block as a StageError naming ``stage``."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(stage, exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +168,12 @@ def build_dataset(spec: DataSpec, seed: int) -> tuple[SplitDataset, Dataset]:
         test = Dataset((test.features - mean) / std, test.labels, test.num_classes)
     split = split_per_class(train, spec.labeled_per_class, split_seed)
     return split, test
+
+
+def build_run_data(cfg: TrainConfig) -> tuple[SplitDataset, Dataset]:
+    """``build_dataset`` for a run; any failure is a StageError naming "data"."""
+    with stage_errors("data"):
+        return build_dataset(cfg.data, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -377,19 +389,16 @@ def _joint_epoch(
             parts.append(unl_pool.take(unl_q))
         rows = np.concatenate(parts)
         trace = forward_batch(params, feats[rows])
-        p_tilde = softmax_rows(table.logits[rows])
-        lc_rows, le_rows = loss_terms_rows(trace.p_hat, p_tilde, lcfg)
-        lc_s += float(np.sum(lc_rows))
-        le_s += float(np.sum(le_rows))
-        tot += float(np.sum(lcfg.alpha * lc_rows + lcfg.beta * le_rows))
+        loss = joint_loss_rows(trace.p_hat, softmax_rows(table.logits[rows]), lcfg)
+        lc_s += float(np.sum(loss.lc))
+        le_s += float(np.sum(loss.le))
+        tot += float(np.sum(loss.total))
         n_seen += rows.size
         # joint step from one shared forward pass; gradients of the batch-mean loss
-        grad_y = grad_wrt_logits_rows(trace.p_hat, p_tilde, lcfg) / rows.size
-        grads = backward(trace, grad_y, params)
+        grads = backward(trace, loss.grad_y / rows.size, params)
         hn += float(np.linalg.norm(grads.head_w))
         sgd_nesterov_step(params, grads, opt)
-        pgrads = grad_wrt_pseudo_logits_rows(trace.p_hat, p_tilde, lcfg) / rows.size
-        pseudo_step(table, pgrads, lcfg.lam, rows)
+        pseudo_step(table, loss.grad_pseudo / rows.size, lcfg.lam, rows)
     return StageTwoStats(tot / n_seen, lc_s / n_seen, le_s / n_seen, hn / n_batches)
 
 
@@ -522,32 +531,23 @@ def run_pipeline(cfg: TrainConfig, out_dir=None) -> PipelineResult:
     from .model import save_checkpoint
     from .pseudo_labels import export_csv, save_table
 
-    try:
-        split, test = build_dataset(cfg.data, cfg.seed)
-    except Exception as exc:
-        raise StageError("data", exc) from exc
+    split, test = build_run_data(cfg)
     report = Report()
     out = Path(out_dir) if out_dir is not None else None
-    try:
+    with stage_errors("stage1"):
         params = stage1_supervised(cfg, split, test, report)
-    except Exception as exc:
-        raise StageError("stage1", exc) from exc
     stage1_snapshot = params.copy()
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         save_checkpoint(params, out / "checkpoint_stage1.json")
-    try:
+    with stage_errors("stage2"):
         params, table = stage2_joint(cfg, params, split, test, report)
-    except Exception as exc:
-        raise StageError("stage2", exc) from exc
     if out is not None:
         save_checkpoint(params, out / "checkpoint_stage2.json")
         save_table(table, out / "pseudo_table.json")
         export_csv(table, out / "pseudo_table.csv")
-    try:
+    with stage_errors("stage3"):
         params = stage3_finetune(cfg, params, table, split, test, report)
-    except Exception as exc:
-        raise StageError("stage3", exc) from exc
     if out is not None:
         save_checkpoint(params, out / "checkpoint_stage3.json")
         report.to_csv(out / "report.csv")

@@ -26,8 +26,8 @@ from conftest import (
 )
 from pseudograd import theory, trainer
 from pseudograd.cli import main, run_ablation
-from pseudograd.loss import LossConfig, loss_terms_rows
-from pseudograd.numerics import clamped_log, entropy_rows, softmax
+from pseudograd.loss import LossConfig, joint_loss_rows, loss_terms_rows
+from pseudograd.numerics import clamped_log, entropy_rows, softmax_rows
 from pseudograd.pseudo_labels import pseudo_probs_rows, repredict
 from pseudograd.trainer import (
     build_dataset,
@@ -57,14 +57,13 @@ def test_criterion_1_gradient_oracle():
 
 def test_criterion_2_sum_invariance(converged_run):
     # per-step conservation on a fresh row
-    from pseudograd.loss import grad_wrt_pseudo_logits_rows
     from pseudograd.optimizer import pseudo_step
     from pseudograd.pseudo_labels import PseudoTable
 
     logits = np.array([[0.7, -0.4, 1.1]])
     table = PseudoTable(logits.copy(), np.array([False]), logits.sum(axis=1))
-    p_hat = softmax(np.array([2.0, 0.0, -1.0]))[None, :]
-    grads = grad_wrt_pseudo_logits_rows(p_hat, pseudo_probs_rows(table, [0]), LossConfig())
+    p_hat = softmax_rows(np.array([[2.0, 0.0, -1.0]]))
+    grads = joint_loss_rows(p_hat, pseudo_probs_rows(table, [0]), LossConfig()).grad_pseudo
     pseudo_step(table, grads, lam=4000.0)
     step_drift = float(table.sum_drift().max())
 
@@ -108,9 +107,10 @@ def test_criterion_2_negative_control_l2_drift(monkeypatch):
     l2_drift = _l2_stage2_drift()
 
     def uncentred(p_hat, p_tilde, cfg):
-        return 2.0 * cfg.alpha * p_tilde * (p_tilde - p_hat)
+        loss = joint_loss_rows(p_hat, p_tilde, cfg)
+        return loss._replace(grad_pseudo=2.0 * cfg.alpha * p_tilde * (p_tilde - p_hat))
 
-    monkeypatch.setattr(trainer, "grad_wrt_pseudo_logits_rows", uncentred)
+    monkeypatch.setattr(trainer, "joint_loss_rows", uncentred)
     uncentred_drift = _l2_stage2_drift()
     ok = l2_drift < 1e-6 and uncentred_drift > 1e-6
     _criterion(
@@ -131,10 +131,10 @@ def test_criterion_3_exponential_link(converged_run):
     oracle_worst = 0.0
     cfg = converged_run.cfg.loss
     for _ in range(20):
-        p_hat = softmax(rng.normal(size=3) * 2)
+        p_hat = softmax_rows(rng.normal(size=(1, 3)) * 2)[0]
         p_tilde = theory.solve_link_point(p_hat, cfg)
-        lc, le = loss_terms_rows(p_hat, p_tilde, cfg)
-        total = cfg.alpha * float(lc) + cfg.beta * float(le)
+        lc, le = loss_terms_rows(p_hat[None, :], p_tilde[None, :], cfg)
+        total = cfg.alpha * float(lc[0]) + cfg.beta * float(le[0])
         n = int(p_hat.argmax())
         r = (
             (cfg.alpha - cfg.beta) * float(clamped_log(p_hat[n : n + 1])[0])

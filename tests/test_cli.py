@@ -24,6 +24,43 @@ def _write_tiny_config(path: Path, **extra) -> Path:
     return path
 
 
+def _missing_idx_data(tmp_path: Path) -> dict:
+    return {"kind": "idx", "images": str(tmp_path / "missing.idx"),
+            "labels": str(tmp_path / "missing2.idx"), "holdout": 5, "labeled_per_class": 1}
+
+
+class TestDataFailures:
+    """Every command that builds the configured data names a "data" failure
+    (exit 1) instead of ending in a traceback."""
+
+    @pytest.mark.parametrize("command", ["train", "gen-data", "verify", "export-features"])
+    def test_named_data_failure(self, tmp_path, capsys, command):
+        cfg = _write_tiny_config(
+            tmp_path / "cfg.json", data=_missing_idx_data(tmp_path),
+            arch={"hidden_dims": [8, 2], "activation": "tanh", "head_bias": False},
+        )
+        out = tmp_path / "run"
+        if command == "verify":  # verify reads the artifacts before the data
+            tiny = _write_tiny_config(tmp_path / "tiny.json", arch={
+                "hidden_dims": [8, 2], "activation": "tanh", "head_bias": False})
+            assert main(["train", "--config", str(tiny), "--out", str(out)]) == 0
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "data failed" in err
+        assert "Traceback" not in err
+
+    def test_export_features_writes_failed_manifest(self, tmp_path):
+        cfg = _write_tiny_config(
+            tmp_path / "cfg.json", data=_missing_idx_data(tmp_path),
+            arch={"hidden_dims": [8, 2], "activation": "tanh", "head_bias": False},
+        )
+        out = tmp_path / "feat"
+        assert main(["export-features", "--config", str(cfg), "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["failure_stage"] == "data"
+
+
 class TestExitCodes:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -43,6 +80,7 @@ class TestExitCodes:
          "data.n_classes=0", "data.labeled_per_class=0", "data.spread=-1",
          "data.n_per_class=1", "data.dim=0", "data.test_n_per_class=0",
          "data.data_seed=-4", "data.noise=-1", "data.take_first=abc",
+         "data.take_first=-10", "data.holdout=-3",
          "arch.hidden_dims=[0]",
          "stage1.lr=-1", "stage1.lr=nan", "stage2.wd=-1", "stage3.wd=-1",
          "stage2.lr0=inf", "stage2.pseudo_init_k=nan",
@@ -55,6 +93,17 @@ class TestExitCodes:
         assert rc == 2
         assert not (out / "report.csv").exists()
         assert not (out / "checkpoint_stage1.json").exists()
+
+    @pytest.mark.parametrize("argv", [["ablate", "--seeds", "0"], ["ablate", "--seeds", "-1"],
+                                      ["gradcheck", "--trials", "0"]],
+                             ids=["seeds_0", "seeds_-1", "trials_0"])
+    def test_non_positive_counts_exit_2_at_parsing(self, tmp_path, capsys, argv):
+        cfg = _write_tiny_config(tmp_path / "cfg.json")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_verify_missing_artifacts_exits_2(self, tmp_path):
         cfg = _write_tiny_config(tmp_path / "cfg.json")
@@ -121,12 +170,7 @@ class TestTrainCommand:
         assert manifest["config"]["loss"]["alpha"] == 0.2
 
     def test_failure_writes_manifest_with_stage(self, tmp_path):
-        cfg = _write_tiny_config(
-            tmp_path / "cfg.json",
-            data={"kind": "idx", "images": str(tmp_path / "missing.idx"),
-                  "labels": str(tmp_path / "missing2.idx"), "holdout": 5,
-                  "labeled_per_class": 1},
-        )
+        cfg = _write_tiny_config(tmp_path / "cfg.json", data=_missing_idx_data(tmp_path))
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
         manifest = json.loads((out / "manifest.json").read_text())

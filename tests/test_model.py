@@ -13,7 +13,7 @@ from pseudograd.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from pseudograd.numerics import InvalidInputError, softmax, softmax_rows
+from pseudograd.numerics import InvalidInputError, softmax_rows
 
 
 def _unfused_forward(params, x):
@@ -100,7 +100,7 @@ class TestForward:
         arch = Architecture(4, (5,), 3)
         params = init_params(arch, seed=5)
         trace = forward_batch(params, np.array([[0.1, -0.2, 0.3, 0.4]]))
-        np.testing.assert_array_equal(trace.p_hat[0], softmax(trace.y_hat[0]))
+        np.testing.assert_array_equal(trace.p_hat, softmax_rows(trace.y_hat))
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     @pytest.mark.parametrize("head_bias", [False, True])
@@ -203,19 +203,18 @@ class TestBackward:
         # composing the joint-loss logit gradient with backward must give
         # head columns of the closed form
         # ((a-b)*log p_n - a*log p~_n - L) * p_n * f on a bias-free head
-        from pseudograd.loss import LossConfig, grad_wrt_logits, loss_value
-        from pseudograd.numerics import softmax
+        from pseudograd.loss import LossConfig, joint_loss_rows
 
         arch = Architecture(4, (6,), 3, activation="tanh", head_bias=False)
         params = init_params(arch, seed=13)
         rng = np.random.default_rng(13)
         x = rng.normal(size=4)
-        p_tilde = softmax(rng.normal(size=3))
+        p_tilde = softmax_rows(rng.normal(size=(1, 3)))
         cfg = LossConfig()
         trace = forward_batch(params, x[None, :])
-        p_hat = trace.p_hat[0]
-        grads = backward(trace, grad_wrt_logits(p_hat, p_tilde, cfg)[None, :], params)
-        total = loss_value(p_hat, p_tilde, cfg).total
+        loss = joint_loss_rows(trace.p_hat, p_tilde, cfg)
+        grads = backward(trace, loss.grad_y, params)
+        p_hat, p_tilde, total = trace.p_hat[0], p_tilde[0], loss.total[0]
         f = trace.features[0]
         for n in range(3):
             factor = (

@@ -1,88 +1,78 @@
 import numpy as np
 import pytest
 
-from pseudograd.numerics import (
-    InvalidInputError,
-    RandomStream,
-    entropy,
-    kl_divergence,
-    require_prob_vector,
-    softmax,
-    softmax_rows,
-)
+from pseudograd.loss import LossConfig, loss_terms_rows
+from pseudograd.numerics import InvalidInputError, RandomStream, entropy_rows, softmax_rows
 
 
 class TestSoftmax:
     def test_symmetry_two_zeros(self):
-        np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(softmax_rows([[0.0, 0.0]]), [[0.5, 0.5]], atol=1e-15)
 
     def test_constant_vector_is_uniform(self):
         for c in (-7.0, 0.0, 123.4):
-            np.testing.assert_allclose(softmax([c, c, c]), [1 / 3] * 3, atol=1e-15)
+            np.testing.assert_allclose(softmax_rows([[c, c, c]]), [[1 / 3] * 3], atol=1e-15)
 
     def test_scalar_reference_value(self):
         # frozen from a 50-digit scalar evaluation of exp(v_i)/sum exp(v_j)
-        expected = [0.090030573170380458, 0.24472847105479765, 0.6652409557748219]
-        np.testing.assert_allclose(softmax([1.0, 2.0, 3.0]), expected, atol=1e-12)
+        expected = [[0.090030573170380458, 0.24472847105479765, 0.6652409557748219]]
+        np.testing.assert_allclose(softmax_rows([[1.0, 2.0, 3.0]]), expected, atol=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            v = rng.normal(size=5) * 10
+            v = rng.normal(size=(1, 5)) * 10
             c = rng.normal() * 100
-            np.testing.assert_allclose(softmax(v + c), softmax(v), atol=1e-12)
+            np.testing.assert_allclose(softmax_rows(v + c), softmax_rows(v), atol=1e-12)
 
     def test_large_logits_stable(self):
-        out = softmax([1000.0, 0.0])
+        out = softmax_rows([[1000.0, 0.0]])
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out.sum(), 1.0, atol=1e-15)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
-            softmax([np.nan, 0.0])
+            softmax_rows([[np.nan, 0.0]])
         with pytest.raises(InvalidInputError):
-            softmax([np.inf, 0.0])
-
-    def test_rows_matches_vector_form(self):
-        rng = np.random.default_rng(1)
-        m = rng.normal(size=(8, 4))
-        rows = softmax_rows(m)
-        for i in range(8):
-            np.testing.assert_allclose(rows[i], softmax(m[i]), atol=1e-15)
+            softmax_rows([[np.inf, 0.0]])
 
 
 class TestEntropy:
     def test_one_hot_is_zero(self):
-        assert abs(entropy([1.0, 0.0, 0.0])) < 1e-10
+        assert abs(entropy_rows([[1.0, 0.0, 0.0]])[0]) < 1e-10
 
     def test_uniform_is_log_n(self):
-        np.testing.assert_allclose(entropy([0.25] * 4), np.log(4), atol=1e-12)
+        np.testing.assert_allclose(entropy_rows([[0.25] * 4]), [np.log(4)], atol=1e-12)
 
     def test_scalar_reference_value(self):
         # frozen from 50-digit evaluation of -(0.9 log 0.9 + 0.1 log 0.1)
-        np.testing.assert_allclose(entropy([0.9, 0.1]), 0.3250829733914482, atol=1e-12)
+        np.testing.assert_allclose(entropy_rows([[0.9, 0.1]]), [0.3250829733914482], atol=1e-12)
 
     def test_upper_bound(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             p = rng.dirichlet(np.ones(5))
-            assert entropy(p) <= np.log(5) + 1e-10
+            assert entropy_rows(p[None, :])[0] <= np.log(5) + 1e-10
 
 
 class TestKlDivergence:
+    """KL(p || q) is the kl_pred_pseudo Lc, read from ``loss_terms_rows``."""
+
+    @staticmethod
+    def kl(p, q):
+        return loss_terms_rows(p, q, LossConfig(variant="kl_pred_pseudo"))[0]
+
     def test_identity_is_zero(self):
-        p = [0.2, 0.5, 0.3]
-        assert abs(kl_divergence(p, p)) < 1e-10
+        p = [[0.2, 0.5, 0.3]]
+        assert abs(self.kl(p, p)[0]) < 1e-10
 
     def test_degenerate_vs_uniform(self):
-        np.testing.assert_allclose(
-            kl_divergence([1.0, 0.0], [0.5, 0.5]), np.log(2), atol=1e-9
-        )
+        np.testing.assert_allclose(self.kl([[1.0, 0.0]], [[0.5, 0.5]]), [np.log(2)], atol=1e-9)
 
     def test_scalar_reference_value(self):
         # frozen from 50-digit evaluation
         np.testing.assert_allclose(
-            kl_divergence([0.7, 0.3], [0.3, 0.7]), 0.33891914415488145, atol=1e-12
+            self.kl([[0.7, 0.3]], [[0.3, 0.7]]), [0.33891914415488145], atol=1e-12
         )
 
     def test_non_negative(self):
@@ -90,24 +80,11 @@ class TestKlDivergence:
         for _ in range(200):
             p = rng.dirichlet(np.ones(4))
             q = rng.dirichlet(np.ones(4))
-            assert kl_divergence(p, q) >= -1e-10
+            assert self.kl(p[None, :], q[None, :])[0] >= -1e-10
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
-            kl_divergence([0.5, 0.5], [0.3, 0.3, 0.4])
-
-
-class TestProbVectorValidation:
-    def test_accepts_valid(self):
-        require_prob_vector([0.1, 0.9])
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(InvalidInputError):
-            require_prob_vector([0.5, 0.6])
-
-    def test_rejects_negative(self):
-        with pytest.raises(InvalidInputError):
-            require_prob_vector([-0.1, 1.1])
+            self.kl([[0.5, 0.5]], [[0.3, 0.3, 0.4]])
 
 
 class TestRandomStream:

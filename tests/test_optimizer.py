@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pseudograd.model import Architecture, ModelParams, init_params
-from pseudograd.numerics import InvalidInputError, softmax
+from pseudograd.numerics import InvalidInputError, softmax_rows
 from pseudograd.optimizer import (
     OptState,
     decay_lr,
@@ -80,9 +80,9 @@ class TestPseudoStep:
         # y~=[0,0], p_hat -> [1,0], lambda=4000, alpha=0.1:
         # grad = 0.1*([0.5,0.5]-[1,0]) = [-0.05,+0.05]; step -> [200,-200]
         table = PseudoTable(np.zeros((1, 2)), np.array([False]), np.array([0.0]))
-        p_hat = softmax(np.array([300.0, 0.0]))
-        grad = 0.1 * (softmax(table.logits[0]) - p_hat)
-        pseudo_step(table, grad[None, :], lam=4000.0)
+        p_hat = softmax_rows(np.array([[300.0, 0.0]]))
+        grad = 0.1 * (softmax_rows(table.logits) - p_hat)
+        pseudo_step(table, grad, lam=4000.0)
         np.testing.assert_allclose(table.logits[0], [200.0, -200.0], atol=1e-9)
 
     def test_row_sum_conserved_per_step(self):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from pseudograd.data import gen_gaussian_blobs, split_per_class
-from pseudograd.loss import LossConfig, grad_wrt_pseudo_logits_rows
+from pseudograd.loss import LossConfig, joint_loss_rows
 from pseudograd.model import Architecture, forward_batch, init_params
-from pseudograd.numerics import InvalidInputError, softmax_rows
+from pseudograd.numerics import softmax_rows
 from pseudograd.optimizer import pseudo_step
 from pseudograd.pseudo_labels import (
     PseudoTable,
@@ -12,7 +12,6 @@ from pseudograd.pseudo_labels import (
     hard_labels,
     init_pseudo,
     load_table,
-    pseudo_probs,
     pseudo_probs_rows,
     repredict,
     save_table,
@@ -54,7 +53,7 @@ class TestInitPseudo:
         table = init_pseudo(small_split, small_params)
         i = small_split.unlabeled_idx[0]
         np.testing.assert_array_equal(table.logits[i], np.zeros(3))
-        np.testing.assert_allclose(pseudo_probs(table, i), [1 / 3] * 3, atol=1e-15)
+        np.testing.assert_allclose(pseudo_probs_rows(table, [i]), [[1 / 3] * 3], atol=1e-15)
 
     def test_init_sum_recorded(self, small_split, small_params):
         table = init_pseudo(small_split, small_params)
@@ -89,8 +88,8 @@ class TestReadout:
         table = PseudoTable(np.array([[0.0, 10.0, 0.0]]), np.array([True]), np.array([10.0]))
         # frozen from 50-digit evaluation of softmax([0, 10, 0])
         np.testing.assert_allclose(
-            pseudo_probs(table, 0),
-            [4.5395807829510909e-05, 0.99990920838434098, 4.5395807829510909e-05],
+            pseudo_probs_rows(table, [0]),
+            [[4.5395807829510909e-05, 0.99990920838434098, 4.5395807829510909e-05]],
             atol=1e-12,
         )
 
@@ -98,12 +97,14 @@ class TestReadout:
         row = np.array([[1.0, 2.0, 0.5]])
         t1 = PseudoTable(row, np.array([False]), row.sum(axis=1))
         t2 = PseudoTable(row + 7.3, np.array([False]), (row + 7.3).sum(axis=1))
-        np.testing.assert_allclose(pseudo_probs(t1, 0), pseudo_probs(t2, 0), atol=1e-12)
+        np.testing.assert_allclose(
+            pseudo_probs_rows(t1, [0]), pseudo_probs_rows(t2, [0]), atol=1e-12
+        )
 
     def test_out_of_range_index(self):
         table = PseudoTable(np.zeros((2, 3)), np.zeros(2, bool), np.zeros(2))
-        with pytest.raises(InvalidInputError):
-            pseudo_probs(table, 5)
+        with pytest.raises(IndexError):
+            pseudo_probs_rows(table, [5])
 
     def test_hard_labels_from_frozen_row(self, small_split, small_params):
         table = init_pseudo(small_split, small_params, k=10.0)
@@ -134,7 +135,7 @@ class TestFreezeAndConservation:
         for _ in range(50):
             p_hat = softmax_rows(rng.normal(size=table.logits.shape))
             p_tilde = pseudo_probs_rows(table, rows)
-            grads = grad_wrt_pseudo_logits_rows(p_hat, p_tilde, cfg)
+            grads = joint_loss_rows(p_hat, p_tilde, cfg).grad_pseudo
             pseudo_step(table, grads, cfg.lam, rows)
         np.testing.assert_array_equal(
             table.logits[small_split.labeled_idx], frozen_before
@@ -148,7 +149,7 @@ class TestFreezeAndConservation:
         for _ in range(100):
             p_hat = softmax_rows(rng.normal(size=(rows.size, 3)))
             p_tilde = pseudo_probs_rows(table, rows)
-            grads = grad_wrt_pseudo_logits_rows(p_hat, p_tilde, cfg)
+            grads = joint_loss_rows(p_hat, p_tilde, cfg).grad_pseudo
             pseudo_step(table, grads, cfg.lam, rows)
         assert table.sum_drift()[rows].max() < 1e-9
 

@@ -5,13 +5,13 @@ from pseudograd import theory
 from pseudograd.data import gen_gaussian_blobs, split_per_class
 from pseudograd.loss import LossConfig, loss_terms_rows
 from pseudograd.model import Architecture, init_params
-from pseudograd.numerics import clamped_log, softmax
+from pseudograd.numerics import clamped_log, softmax_rows
 from pseudograd.pseudo_labels import PseudoTable, init_pseudo
 
 
 def _residual_of(p_hat, p_tilde, cfg):
-    lc, le = loss_terms_rows(p_hat, p_tilde, cfg)
-    total = cfg.alpha * float(lc) + cfg.beta * float(le)
+    lc, le = loss_terms_rows(p_hat[None, :], p_tilde[None, :], cfg)
+    total = cfg.alpha * float(lc[0]) + cfg.beta * float(le[0])
     n = int(np.argmax(p_hat))
     return (
         (cfg.alpha - cfg.beta) * float(clamped_log(p_hat[n : n + 1])[0])
@@ -25,7 +25,7 @@ class TestLinkPointOracle:
         cfg = LossConfig()
         rng = np.random.default_rng(21)
         for _ in range(50):
-            p_hat = softmax(rng.normal(size=rng.integers(2, 6)) * 2)
+            p_hat = softmax_rows(rng.normal(size=(1, rng.integers(2, 6))) * 2)[0]
             if p_hat.max() >= 1 - 1e-9:
                 continue
             p_tilde = theory.solve_link_point(p_hat, cfg)
@@ -36,7 +36,7 @@ class TestLinkPointOracle:
         cfg = LossConfig()
         rng = np.random.default_rng(22)
         for _ in range(50):
-            p_hat = softmax(rng.normal(size=4) * 2)
+            p_hat = softmax_rows(rng.normal(size=(1, 4)) * 2)[0]
             p_tilde = theory.solve_link_point(p_hat, cfg)
             n = p_hat.argmax()
             assert p_tilde[n] <= p_hat[n] + 1e-12
@@ -78,27 +78,20 @@ class TestSumInvariance:
     def test_single_step_drift(self):
         logits = np.array([[0.4, -1.2, 0.8]])
         table = PseudoTable(logits.copy(), np.array([False]), logits.sum(axis=1))
-        from pseudograd.loss import grad_wrt_pseudo_logits_rows
+        from pseudograd.loss import joint_loss_rows
         from pseudograd.optimizer import pseudo_step
-        from pseudograd.numerics import softmax_rows
 
         p_hat = softmax_rows(np.array([[2.0, 0.0, -1.0]]))
-        grads = grad_wrt_pseudo_logits_rows(p_hat, softmax_rows(logits), LossConfig())
+        grads = joint_loss_rows(p_hat, softmax_rows(logits), LossConfig()).grad_pseudo
         pseudo_step(table, grads, lam=4000.0)
-        drift = theory.check_sum_invariance([table])
+        drift = table.sum_drift()
         assert drift.max() < 1e-12
 
-    def test_accepts_snapshot_sequence(self):
+    def test_drift_is_per_row(self):
         logits = np.zeros((2, 3))
-        t1 = PseudoTable(logits.copy(), np.zeros(2, bool), logits.sum(axis=1))
-        t2 = t1.copy()
-        t2.logits[0, 0] += 1e-7
-        worst = theory.check_sum_invariance([t1, t2])
-        np.testing.assert_allclose(worst, [1e-7, 0.0], atol=1e-20)
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(Exception):
-            theory.check_sum_invariance([])
+        table = PseudoTable(logits.copy(), np.zeros(2, bool), logits.sum(axis=1))
+        table.logits[0, 0] += 1e-7
+        np.testing.assert_allclose(table.sum_drift(), [1e-7, 0.0], atol=1e-20)
 
 
 class TestResidualDecline:
