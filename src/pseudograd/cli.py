@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Commands: gen-data, train, verify, gradcheck, ablate, export-features.
-Exit codes: 0 success, 1 runtime/verification failure, 2 usage/config error.
-train, ablate and export-features write a run manifest (config, git
-describe, seed, status) even when they fail, with the failing stage
-recorded; gen-data, verify and gradcheck write none.
+Exit codes: 0 success, 1 runtime/verification failure, 2 usage/config error
+(including verify artifacts that are missing, unreadable or from another
+run). verify on a run with no unlabeled rows reports the link and flatness
+checks as informational. train, ablate and export-features write a run
+manifest (config, git describe, seed, status) even when they fail, with the
+failing stage recorded; gen-data, verify and gradcheck write none.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import theory
-from .config import ConfigError, TrainConfig, apply_overrides, load_config
+from .config import ConfigError, TrainConfig, load_config
 from .data import Dataset
 from .model import forward_batch, load_checkpoint
 from .pseudo_labels import load_table
@@ -79,16 +81,7 @@ def _write_manifest(out_dir: Path, cfg: TrainConfig, command: str, status: str,
     (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _load_cfg(args) -> TrainConfig:
-    cfg = load_config(args.config)
-    if args.override:
-        cfg = apply_overrides(cfg, args.override)
-    return cfg
-
-
-def cmd_gen_data(args) -> int:
-    cfg = _load_cfg(args)
-    out = Path(args.out)
+def cmd_gen_data(args, cfg: TrainConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     split, test = build_run_data(cfg)
     split.base.to_csv(out / "train.csv")
@@ -97,16 +90,8 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
-    out = Path(args.out)
-    try:
-        run_pipeline(cfg, out_dir=out)
-    except StageError as exc:
-        _write_manifest(out, cfg, "train", "failed", exc.stage)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    _write_manifest(out, cfg, "train", "ok", None)
+def cmd_train(args, cfg: TrainConfig, out: Path) -> int:
+    run_pipeline(cfg, out_dir=out)
     print(f"run complete; artifacts in {out}")
     return EXIT_OK
 
@@ -125,20 +110,15 @@ def _artifact_mismatch(params, table, split, cfg: TrainConfig) -> str | None:
     return None
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_cfg(args)
-    out = Path(args.out)
-    ckpt = out / "checkpoint_stage2.json"
-    table_path = out / "pseudo_table.json"
-    if not ckpt.exists() or not table_path.exists():
-        print(
-            f"error: missing artifacts in {out} "
-            f"(need checkpoint_stage2.json and pseudo_table.json)",
-            file=sys.stderr,
-        )
+def cmd_verify(args, cfg: TrainConfig, out: Path) -> int:
+    try:  # a missing or unreadable artifact is a usage error naming the file
+        path = out / "checkpoint_stage2.json"
+        params = load_checkpoint(path)
+        path = out / "pseudo_table.json"
+        table = load_table(path)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        print(f"error: cannot read {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    params = load_checkpoint(ckpt)
-    table = load_table(table_path)
     split, _ = build_run_data(cfg)
     mismatch = _artifact_mismatch(params, table, split, cfg)
     if mismatch:
@@ -154,25 +134,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if doc["all_pass"] else EXIT_FAILURE
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = _load_cfg(args)
-    worst = theory.finite_diff_suite(cfg.seed, args.trials)
-    tol = {path: (1e-5 if path == "params:deep" else 1e-6) for path in worst}
-    ok = all(worst[p] < tol[p] for p in worst)
-    out = Path(args.out)
+def cmd_gradcheck(args, cfg: TrainConfig, out: Path) -> int:
+    doc = theory.gradient_oracle(cfg.seed, args.trials)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "gradcheck.json").write_text(
-        json.dumps(
-            {"worst_rel_err": worst, "tolerance": tol, "pass": ok},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    (out / "gradcheck.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    worst, tol = doc["worst_rel_err"], doc["tolerance"]
     for path in sorted(worst):
         mark = "PASS" if worst[path] < tol[path] else "FAIL"
         print(f"{mark} {path}: worst rel err {worst[path]:.3e} (tol {tol[path]:.0e})")
-    return EXIT_OK if ok else EXIT_FAILURE
+    return EXIT_OK if doc["pass"] else EXIT_FAILURE
 
 
 def _cell_configs(cfg: TrainConfig, grid: str) -> list[tuple[str, TrainConfig]]:
@@ -233,15 +203,8 @@ def run_ablation(cfg: TrainConfig, grid: str, n_seeds: int) -> list[dict]:
     return rows
 
 
-def cmd_ablate(args) -> int:
-    cfg = _load_cfg(args)
-    out = Path(args.out)
-    try:
-        rows = run_ablation(cfg, args.grid, args.seeds)
-    except StageError as exc:
-        _write_manifest(out, cfg, "ablate", "failed", exc.stage)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+def cmd_ablate(args, cfg: TrainConfig, out: Path) -> int:
+    rows = run_ablation(cfg, args.grid, args.seeds)
     out.mkdir(parents=True, exist_ok=True)
     with (out / "ablation.csv").open("w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
@@ -250,7 +213,6 @@ def cmd_ablate(args) -> int:
             writer.writerow(
                 {k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()}
             )
-    _write_manifest(out, cfg, "ablate", "ok", None)
     for row in rows:
         print(
             f"{row['cell']}: median test error {row['median_test_error']:.4f} "
@@ -268,8 +230,7 @@ def _export_features_csv(params, ds: Dataset, labeled_mask: np.ndarray, path: Pa
             writer.writerow([repr(float(row[0])), repr(float(row[1])), int(lab), int(is_lab)])
 
 
-def cmd_export_features(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_export_features(args, cfg: TrainConfig, out: Path) -> int:
     if not cfg.arch.hidden_dims or cfg.arch.hidden_dims[-1] != 2:
         print(
             "error: export-features needs a 2-D penultimate layer "
@@ -277,37 +238,31 @@ def cmd_export_features(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        split, test = build_run_data(cfg)
-        labeled_mask = np.zeros(split.base.n_examples, dtype=bool)
-        labeled_mask[split.labeled_idx] = True
-        base = split.base
-        subsets = {"labeled": split.labeled_idx, "unlabeled": split.unlabeled_idx}
+    split, test = build_run_data(cfg)
+    labeled_mask = np.zeros(split.base.n_examples, dtype=bool)
+    labeled_mask[split.labeled_idx] = True
+    base = split.base
+    subsets = {"labeled": split.labeled_idx, "unlabeled": split.unlabeled_idx}
 
-        def spreads(params) -> dict[str, float]:
-            return {
-                name: intra_class_spread(
-                    forward_batch(params, base.features[idx]).features,
-                    base.labels[idx],
-                    base.num_classes,
-                )
-                for name, idx in subsets.items()
-            }
+    def spreads(params) -> dict[str, float]:
+        return {
+            name: intra_class_spread(
+                forward_batch(params, base.features[idx]).features,
+                base.labels[idx],
+                base.num_classes,
+            )
+            for name, idx in subsets.items()
+        }
 
-        with stage_errors("stage1"):
-            params = stage1_supervised(cfg, split, test)
-        _export_features_csv(params, base, labeled_mask, out / "features_before.csv")
-        before = spreads(params)
-        with stage_errors("stage2"):
-            params, _ = stage2_joint(cfg, params, split, test)
-        _export_features_csv(params, base, labeled_mask, out / "features_after.csv")
-        after = spreads(params)
-    except StageError as exc:
-        _write_manifest(out, cfg, "export-features", "failed", exc.stage)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    with stage_errors("stage1"):
+        params = stage1_supervised(cfg, split, test)
+    _export_features_csv(params, base, labeled_mask, out / "features_before.csv")
+    before = spreads(params)
+    with stage_errors("stage2"):
+        params, _ = stage2_joint(cfg, params, split, test)
+    _export_features_csv(params, base, labeled_mask, out / "features_after.csv")
+    after = spreads(params)
     summary = {
         "spread_before": before,
         "spread_after": after,
@@ -316,7 +271,6 @@ def cmd_export_features(args) -> int:
         },
     }
     (out / "export_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, cfg, "export-features", "ok", None)
     for k in ("labeled", "unlabeled"):
         print(f"{k} compaction ratio (after/before): {summary['compaction_ratio'][k]:.4f}")
     return EXIT_OK
@@ -366,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each command is cmd(args, cfg, out) -> exit code; main loads the config
 COMMANDS = {
     "gen-data": cmd_gen_data,
     "train": cmd_train,
@@ -374,19 +329,28 @@ COMMANDS = {
     "ablate": cmd_ablate,
     "export-features": cmd_export_features,
 }
+# the commands whose output directory gets a manifest.json, failed or ok
+MANIFEST_COMMANDS = ("train", "ablate", "export-features")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = Path(args.out)
+    manifest = args.command in MANIFEST_COMMANDS
     try:
-        return COMMANDS[args.command](args)
+        cfg = load_config(args.config, args.override)
+        rc = COMMANDS[args.command](args, cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StageError as exc:
+        if manifest:
+            _write_manifest(out, cfg, args.command, "failed", exc.stage)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    if manifest and rc == EXIT_OK:
+        _write_manifest(out, cfg, args.command, "ok", None)
+    return rc
 
 
 if __name__ == "__main__":

@@ -240,7 +240,9 @@ def config_from_dict(doc: dict) -> TrainConfig:
     return _from_doc(TrainConfig, doc, "")
 
 
-def load_config(path) -> TrainConfig:
+def load_config(path, overrides=()) -> TrainConfig:
+    """The config at ``path`` with ``overrides`` applied. Warnings (alpha <=
+    beta) are judged on the final config only, so they are raised once."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -250,7 +252,12 @@ def load_config(path) -> TrainConfig:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return config_from_dict(doc)
+    if not overrides:
+        return config_from_dict(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = config_from_dict(doc)
+    return apply_overrides(cfg, overrides)
 
 
 def apply_overrides(cfg: TrainConfig, overrides: list[str]) -> TrainConfig:

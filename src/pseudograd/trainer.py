@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import theory
-from .config import ArchSpec, ConfigError, DataSpec, LossConfig, TrainConfig
+from .config import ArchSpec, ConfigError, DataSpec, LossConfig, StageOneConfig, TrainConfig
 from .config import load_config  # noqa: F401  (re-exported with build_dataset)
 from .data import Dataset, SplitDataset, gen_gaussian_blobs, gen_two_moons, load_idx, split_per_class
 from .loss import joint_loss_rows
@@ -218,39 +218,6 @@ def accuracy(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     return float((pred == y).mean())
 
 
-def _ce_rows(p_hat: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    return -clamped_log(p_hat[np.arange(p_hat.shape[0]), targets])
-
-
-def _ce_grad_rows(p_hat: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    g = p_hat.copy()
-    g[np.arange(g.shape[0]), targets] -= 1.0
-    return g
-
-
-def _supervised_epochs(
-    params, opt, features, targets, epochs, batch, stream, on_epoch=None
-):
-    """Cross-entropy epochs over a fixed example set (stages 1 and 3)."""
-    n = features.shape[0]
-    for ep in range(epochs):
-        order = stream.permutation(n)
-        ce_sum = 0.0
-        ent_sum = 0.0
-        for lo in range(0, n, batch):
-            rows = order[lo : lo + batch]
-            trace = forward_batch(params, features[rows])
-            t = targets[rows]
-            ce_sum += float(_ce_rows(trace.p_hat, t).sum())
-            ent_sum += float(entropy_rows(trace.p_hat).sum())
-            grad_y = _ce_grad_rows(trace.p_hat, t) / rows.size
-            grads = backward(trace, grad_y, params)
-            sgd_nesterov_step(params, grads, opt)
-        if on_epoch is not None:
-            on_epoch(ep, ce_sum / n, ent_sum / n)
-    return params
-
-
 def _eval_row(
     stage: int,
     epoch: int,
@@ -309,6 +276,41 @@ def _eval_row(
 # Stages
 
 
+def _supervised_stage(
+    stage: int,
+    stage_cfg: StageOneConfig,
+    stream_id: int,
+    params: ModelParams,
+    features: np.ndarray,
+    targets: np.ndarray,
+    split: SplitDataset,
+    test: Dataset | None,
+    table: PseudoTable | None,
+    report: Report | None,
+    cfg: TrainConfig,
+) -> ModelParams:
+    """Cross-entropy epochs over a fixed example set (stages 1 and 3), with
+    one report row per epoch when ``report`` is given."""
+    opt = init_opt_state(params, stage_cfg.lr, MOMENTUM, stage_cfg.wd)
+    stream = RandomStream(cfg.seed, stream_id=stream_id)
+    n = features.shape[0]
+    for ep in range(stage_cfg.epochs):
+        order = stream.permutation(n)
+        ce_sum = 0.0
+        for lo in range(0, n, stage_cfg.batch):
+            rows = order[lo : lo + stage_cfg.batch]
+            trace = forward_batch(params, features[rows])
+            g = trace.p_hat  # becomes the cross-entropy gradient in place
+            picked = (np.arange(rows.size), targets[rows])
+            ce_sum -= float(clamped_log(g[picked]).sum())
+            g[picked] -= 1.0
+            sgd_nesterov_step(params, backward(trace, g / rows.size, params), opt)
+        if report is not None:
+            ce = ce_sum / n
+            report.add(_eval_row(stage, ep + 1, opt.lr, ce, ce, 0.0, params, split, test, table, cfg))
+    return params
+
+
 def stage1_supervised(
     cfg: TrainConfig,
     split: SplitDataset,
@@ -318,23 +320,10 @@ def stage1_supervised(
     """Supervised warmup on the labeled subset only."""
     if split.n_labeled == 0:
         raise InvalidInputError("stage 1 requires a non-empty labeled set")
-    arch = resolve_arch(cfg.arch, split.base)
-    params = init_params(arch, cfg.seed)
-    opt = init_opt_state(params, cfg.stage1.lr, MOMENTUM, cfg.stage1.wd)
-    stream = RandomStream(cfg.seed, stream_id=10)
+    params = init_params(resolve_arch(cfg.arch, split.base), cfg.seed)
     feats = split.base.features[split.labeled_idx]
-    targets = split.labeled_targets()
-
-    def on_epoch(ep, ce, ent):
-        if report is not None:
-            report.add(
-                _eval_row(1, ep + 1, opt.lr, ce, ce, 0.0, params, split, test, None, cfg)
-            )
-
-    _supervised_epochs(
-        params, opt, feats, targets, cfg.stage1.epochs, cfg.stage1.batch, stream, on_epoch
-    )
-    return params
+    return _supervised_stage(1, cfg.stage1, 10, params, feats, split.labeled_targets(),
+                             split, test, None, report, cfg)
 
 
 def _mixed_batch_plan(
@@ -479,26 +468,8 @@ def stage3_finetune(
     """Hard-target finetune on all examples; the pseudo table is read-only."""
     targets = hard_labels(table)
     targets[split.labeled_idx] = split.labeled_targets()
-    opt = init_opt_state(params, cfg.stage3.lr, MOMENTUM, cfg.stage3.wd)
-    stream = RandomStream(cfg.seed, stream_id=12)
-
-    def on_epoch(ep, ce, ent):
-        if report is not None:
-            report.add(
-                _eval_row(3, ep + 1, opt.lr, ce, ce, 0.0, params, split, test, table, cfg)
-            )
-
-    _supervised_epochs(
-        params,
-        opt,
-        split.base.features,
-        targets,
-        cfg.stage3.epochs,
-        cfg.stage3.batch,
-        stream,
-        on_epoch,
-    )
-    return params
+    return _supervised_stage(3, cfg.stage3, 12, params, split.base.features, targets,
+                             split, test, table, report, cfg)
 
 
 def resolve_arch(spec: ArchSpec, ds: Dataset) -> Architecture:
@@ -518,7 +489,6 @@ class PipelineResult:
     table: PseudoTable
     split: SplitDataset
     test: Dataset
-    stage1_params: ModelParams  # snapshot taken before joint training
 
 
 def run_pipeline(cfg: TrainConfig, out_dir=None) -> PipelineResult:
@@ -536,7 +506,6 @@ def run_pipeline(cfg: TrainConfig, out_dir=None) -> PipelineResult:
     out = Path(out_dir) if out_dir is not None else None
     with stage_errors("stage1"):
         params = stage1_supervised(cfg, split, test, report)
-    stage1_snapshot = params.copy()
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         save_checkpoint(params, out / "checkpoint_stage1.json")
@@ -551,7 +520,7 @@ def run_pipeline(cfg: TrainConfig, out_dir=None) -> PipelineResult:
     if out is not None:
         save_checkpoint(params, out / "checkpoint_stage3.json")
         report.to_csv(out / "report.csv")
-    return PipelineResult(report, params, table, split, test, stage1_snapshot)
+    return PipelineResult(report, params, table, split, test)
 
 
 def intra_class_spread(features: np.ndarray, labels: np.ndarray, num_classes: int) -> float:

@@ -122,7 +122,7 @@ def test_criterion_2_negative_control_l2_drift(monkeypatch):
 
 
 def test_criterion_3_exponential_link(converged_run):
-    stats = theory.check_link_residual(
+    link = theory.check_link_residual(
         converged_run.params, converged_run.table, converged_run.split,
         converged_run.cfg.loss, tolerance=1e-2,
     )
@@ -144,7 +144,7 @@ def test_criterion_3_exponential_link(converged_run):
         oracle_worst = max(oracle_worst, abs(r))
     ok = (
         converged_run.converged
-        and stats.fraction_within >= 0.9
+        and link["fraction_within"] >= 0.9
         and oracle_worst < 1e-8
         and converged_run.runtime_s < 300.0
     )
@@ -152,7 +152,7 @@ def test_criterion_3_exponential_link(converged_run):
         3,
         ok,
         f"trained to head-grad {converged_run.gate_head_grad:.2e} < {CONVERGENCE_GATE}; "
-        f"{stats.fraction_within:.1%} of unlabeled within 1e-2 (need 90%); "
+        f"{link['fraction_within']:.1%} of unlabeled within 1e-2 (need 90%); "
         f"bisection oracle residual {oracle_worst:.1e} < 1e-8; "
         f"fixture runtime {converged_run.runtime_s:.0f}s < 300s",
     )
@@ -166,11 +166,11 @@ def test_criterion_4_flattening_bound(converged_run):
     t0 = time.perf_counter()
     alg = theory.flatness_bound_check(100_000, seed=4)
     elapsed = time.perf_counter() - t0
-    ok = flat.n_violations == 0 and alg["violations"] == 0 and elapsed < 10.0
+    ok = flat["violations"] == 0 and alg["violations"] == 0 and elapsed < 10.0
     _criterion(
         4,
         ok,
-        f"{flat.n_violations} violations among {flat.n_checked} link-satisfying "
+        f"{flat['violations']} violations among {flat['checked']} link-satisfying "
         f"examples (tol 1e-6); algebraic check {alg['violations']} violations "
         f"over {alg['samples']} samples in {elapsed:.1f}s < 10s",
     )

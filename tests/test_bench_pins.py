@@ -34,3 +34,32 @@ def test_every_traced_target_resolves(bench_run):
             owner = getattr(owner, part, None)
             assert owner is not None, f"{target.name}: {target.module}.{target.attr} is gone"
         assert callable(owner), f"{target.name} is not callable"
+
+
+# names the benchmark reads outside TARGETS: its setup imports the first two
+# from pseudograd.trainer, and its client calls cli.main
+@pytest.mark.parametrize("module, attr", [("trainer", "build_dataset"),
+                                          ("trainer", "load_config"), ("cli", "main")])
+def test_untraced_names_resolve(bench_run, module, attr):
+    owner = importlib.import_module(f"{bench_run.PACKAGE}.{module}")
+    assert callable(getattr(owner, attr, None)), f"{module}.{attr} is gone"
+
+
+def test_strategy_cells_keep_the_keys_the_benchmark_reads():
+    from pseudograd.cli import STRATEGY_CELLS
+
+    assert list(STRATEGY_CELLS) == ["single_round", "repeat", "repeat_repredict",
+                                    "repeat_decay", "full_schedule"]
+    for name, opts in STRATEGY_CELLS.items():
+        assert isinstance(opts["repredict"], bool), name
+        assert isinstance(opts.get("rounds", 1), int), name
+
+
+def test_setup_and_expected_counts_run(bench_run, tmp_path):
+    # the untimed half of a workload: seeded config, dataset and the call
+    # counts derived from the config and the strategy cells
+    cli = importlib.import_module(f"{bench_run.PACKAGE}.cli")
+    for name in ("train_moons", "ablate_trend"):
+        workload = bench_run.WORKLOADS[name]
+        st = bench_run.setup(cli, workload, tmp_path / name, 0)
+        assert workload.expected_counts(cli, st)["trainer.run_pipeline"] >= 1

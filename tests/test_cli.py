@@ -1,10 +1,18 @@
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
 
+from pseudograd import theory
 from pseudograd.cli import main
+from pseudograd.data import gen_gaussian_blobs, split_per_class
+from pseudograd.loss import LossConfig
+from pseudograd.model import Architecture, init_params
+from pseudograd.pseudo_labels import init_pseudo
+
+FEATURE_ARCH = {"hidden_dims": [8, 2], "activation": "tanh", "head_bias": False}
 
 
 def _write_tiny_config(path: Path, **extra) -> Path:
@@ -29,36 +37,62 @@ def _missing_idx_data(tmp_path: Path) -> dict:
             "labels": str(tmp_path / "missing2.idx"), "holdout": 5, "labeled_per_class": 1}
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """(config, run directory) of one tiny trained run; copy it before changing it."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = _write_tiny_config(root / "cfg.json")
+    assert main(["train", "--config", str(cfg), "--out", str(root / "run")]) == 0
+    return cfg, root / "run"
+
+
 class TestDataFailures:
     """Every command that builds the configured data names a "data" failure
     (exit 1) instead of ending in a traceback."""
 
     @pytest.mark.parametrize("command", ["train", "gen-data", "verify", "export-features"])
     def test_named_data_failure(self, tmp_path, capsys, command):
-        cfg = _write_tiny_config(
-            tmp_path / "cfg.json", data=_missing_idx_data(tmp_path),
-            arch={"hidden_dims": [8, 2], "activation": "tanh", "head_bias": False},
-        )
+        cfg = _write_tiny_config(tmp_path / "cfg.json", data=_missing_idx_data(tmp_path),
+                                 arch=FEATURE_ARCH)
         out = tmp_path / "run"
         if command == "verify":  # verify reads the artifacts before the data
-            tiny = _write_tiny_config(tmp_path / "tiny.json", arch={
-                "hidden_dims": [8, 2], "activation": "tanh", "head_bias": False})
+            tiny = _write_tiny_config(tmp_path / "tiny.json", arch=FEATURE_ARCH)
             assert main(["train", "--config", str(tiny), "--out", str(out)]) == 0
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "data failed" in err
         assert "Traceback" not in err
 
-    def test_export_features_writes_failed_manifest(self, tmp_path):
-        cfg = _write_tiny_config(
-            tmp_path / "cfg.json", data=_missing_idx_data(tmp_path),
-            arch={"hidden_dims": [8, 2], "activation": "tanh", "head_bias": False},
-        )
-        out = tmp_path / "feat"
-        assert main(["export-features", "--config", str(cfg), "--out", str(out)]) == 1
+
+class TestManifest:
+    """main writes manifest.json for train, ablate and export-features, with
+    status ok or failed and the failing stage; the other commands write none."""
+
+    @pytest.mark.parametrize("status", ["ok", "failed"])
+    @pytest.mark.parametrize("command", ["train", "ablate", "export-features"])
+    def test_status_and_failure_stage(self, tmp_path, command, status):
+        extra = {"data": _missing_idx_data(tmp_path)} if status == "failed" else {}
+        cfg = _write_tiny_config(tmp_path / "cfg.json", arch=FEATURE_ARCH, **extra)
+        out = tmp_path / "run"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "ablate":
+            argv += ["--grid", "lc", "--seeds", "1"]
+        assert main(argv) == (0 if status == "ok" else 1)
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "failed"
-        assert manifest["failure_stage"] == "data"
+        assert manifest["command"] == command
+        assert manifest["status"] == status
+        assert manifest["failure_stage"] == (None if status == "ok" else "data")
+
+    @pytest.mark.parametrize("command", ["gen-data", "verify", "gradcheck"])
+    def test_other_commands_write_none(self, trained, tmp_path, command):
+        cfg, run = trained
+        out = shutil.copytree(run, tmp_path / "run") if command == "verify" else tmp_path / "out"
+        (out / "manifest.json").unlink(missing_ok=True)
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "gradcheck":
+            argv += ["--trials", "3"]
+        assert main(argv) in (0, 1)
+        assert not (out / "manifest.json").exists()
 
 
 class TestExitCodes:
@@ -110,17 +144,28 @@ class TestExitCodes:
         rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "empty")])
         assert rc == 2
 
+    @pytest.mark.parametrize("name", ["checkpoint_stage2.json", "pseudo_table.json"])
+    @pytest.mark.parametrize("damage", ["truncated", "version_2", "missing_key"])
+    def test_verify_unreadable_artifact_exits_2(self, trained, tmp_path, capsys, name, damage):
+        cfg, run = trained
+        out = shutil.copytree(run, tmp_path / "run")
+        text = (out / name).read_text()
+        doc = json.loads(text)
+        if damage == "version_2":
+            doc["format_version"] = 2
+        elif damage == "missing_key":
+            del doc["tensors" if name.startswith("checkpoint") else "logits"]
+        (out / name).write_text(text[: len(text) // 2] if damage == "truncated" else json.dumps(doc))
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert name in err
+        assert "Traceback" not in err
+        assert not (out / "verification.json").exists()
+
 
 class TestVerifyRefusesMismatchedArtifacts:
     """verify exits 2, writing nothing, when the artifacts were not trained
     under the given config's architecture and split."""
-
-    @pytest.fixture(scope="class")
-    def trained(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("verify")
-        cfg = _write_tiny_config(root / "cfg.json")
-        assert main(["train", "--config", str(cfg), "--out", str(root / "run")]) == 0
-        return cfg, root / "run"
 
     @pytest.mark.parametrize(
         "extra, overrides, expected",
@@ -149,6 +194,22 @@ class TestVerifyRefusesMismatchedArtifacts:
         assert (copy / "verification.json").exists()
 
 
+def test_verify_all_labeled_run_reports_link_checks_as_informational(tmp_path):
+    # every training row is labeled: the link and flatness checks have no
+    # rows to judge, and the exit code comes from the remaining checks
+    data = {"kind": "blobs", "n_classes": 3, "n_per_class": 4, "dim": 2, "spread": 0.6,
+            "labeled_per_class": 4, "test_n_per_class": 20}
+    cfg = _write_tiny_config(tmp_path / "cfg.json", data=data)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "verification.json").read_text())
+    for name in ("link_residual", "flatness"):
+        assert doc[name] == {"asserted": False, "pass": True, "note": theory.NO_LIVE_ROWS}
+    assert doc["gradient_oracle"]["asserted"] and doc["sum_invariance"]["asserted"]
+    assert doc["all_pass"]
+
+
 class TestTrainCommand:
     def test_artifacts_and_manifest(self, tmp_path):
         cfg = _write_tiny_config(tmp_path / "cfg.json")
@@ -169,13 +230,22 @@ class TestTrainCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["loss"]["alpha"] == 0.2
 
-    def test_failure_writes_manifest_with_stage(self, tmp_path):
-        cfg = _write_tiny_config(tmp_path / "cfg.json", data=_missing_idx_data(tmp_path))
-        out = tmp_path / "run"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "failed"
-        assert manifest["failure_stage"] == "data"
+    @pytest.mark.parametrize(
+        "loss, override, expected",
+        [({"alpha": 0.01, "beta": 0.03}, "loss.alpha=0.2", []),
+         ({"alpha": 0.1, "beta": 0.03}, "loss.beta=0.2", ["alpha=0.1 <= beta=0.2"]),
+         ({"alpha": 0.01, "beta": 0.03}, "loss.alpha=0.02", ["alpha=0.02 <= beta=0.03"])],
+        ids=["override_clears", "override_creates", "override_keeps"],
+    )
+    def test_alpha_le_beta_warning_judges_final_config(self, tmp_path, loss, override, expected):
+        cfg = _write_tiny_config(tmp_path / "cfg.json", loss=loss)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                       "--override", override])
+        assert rc == 0
+        flagged = [str(w.message).split(":")[0] for w in caught if "<= beta" in str(w.message)]
+        assert flagged == expected
 
     def test_report_bytes_identical_across_runs(self, tmp_path):
         cfg = _write_tiny_config(tmp_path / "cfg.json")
@@ -204,6 +274,18 @@ class TestGradcheckCommand:
         doc = json.loads((out / "gradcheck.json").read_text())
         assert doc["pass"] is True
 
+    def test_json_equals_the_verify_gradient_section(self, tmp_path):
+        cfg = _write_tiny_config(tmp_path / "cfg.json", seed=3)
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--config", str(cfg), "--out", str(out), "--trials", "4"]) == 0
+        split = split_per_class(gen_gaussian_blobs(2, 10, 2, 0.5, seed=0), 2, seed=0)
+        params = init_params(Architecture(2, (), 2), seed=0)
+        doc = theory.run_verification(params, init_pseudo(split, params), split, LossConfig(),
+                                      gradcheck_trials=4, algebraic_samples=100, seed=3)
+        section = json.loads(json.dumps(doc["gradient_oracle"]))
+        assert section.pop("asserted") is True
+        assert json.loads((out / "gradcheck.json").read_text()) == section
+
 
 class TestExportFeatures:
     def test_requires_two_d_feature(self, tmp_path, capsys):
@@ -215,7 +297,7 @@ class TestExportFeatures:
     def test_writes_before_after_csvs(self, tmp_path):
         cfg = _write_tiny_config(
             tmp_path / "cfg.json",
-            arch={"hidden_dims": [8, 2], "activation": "tanh", "head_bias": False},
+            arch=FEATURE_ARCH,
         )
         out = tmp_path / "feat"
         assert main(["export-features", "--config", str(cfg), "--out", str(out)]) == 0

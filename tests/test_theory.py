@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pseudograd import theory
+from pseudograd.config import ConfigError
 from pseudograd.data import gen_gaussian_blobs, split_per_class
 from pseudograd.loss import LossConfig, loss_terms_rows
 from pseudograd.model import Architecture, init_params
@@ -57,7 +58,7 @@ class TestLinkPointOracle:
         params = init_params(Architecture(2, (), 2, head_bias=False), seed=0)
         table = init_pseudo(split, params)
         cfg = LossConfig(variant="l2")
-        with pytest.raises(theory.InvalidConfigError):
+        with pytest.raises(ConfigError):
             theory.check_link_residual(params, table, split, cfg)
 
 
@@ -125,9 +126,9 @@ class TestEvalRowResidual:
         params = stage1_supervised(cfg, split, test)
         params, table = stage2_joint(cfg, params, split, test, report)
         row = report.stage_rows(2)[-1]
-        stats = theory.check_link_residual(params, table, split, cfg.loss)
+        section = theory.check_link_residual(params, table, split, cfg.loss)
         assert (row.link_residual_p50, row.link_residual_p90, row.link_residual_p99) == (
-            stats.p50, stats.p90, stats.p99
+            section["p50"], section["p90"], section["p99"]
         )
 
 

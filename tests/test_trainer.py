@@ -206,16 +206,10 @@ class TestStages:
         oracle_table = PseudoTable(logits, np.zeros(n, bool), logits.sum(axis=1))
         out = stage3_finetune(cfg, params.copy(), oracle_table, split, test)
 
-        from pseudograd.numerics import RandomStream
-        from pseudograd.optimizer import init_opt_state
-        from pseudograd.trainer import MOMENTUM, _supervised_epochs
+        from pseudograd.trainer import _supervised_stage
 
-        ref = params.copy()
-        opt = init_opt_state(ref, cfg.stage3.lr, MOMENTUM, cfg.stage3.wd)
-        _supervised_epochs(
-            ref, opt, split.base.features, split.base.labels,
-            cfg.stage3.epochs, cfg.stage3.batch, RandomStream(cfg.seed, stream_id=12),
-        )
+        ref = _supervised_stage(3, cfg.stage3, 12, params.copy(), split.base.features,
+                                split.base.labels, split, test, None, None, cfg)
         np.testing.assert_array_equal(out.head_w, ref.head_w)
 
     def test_stage2_emits_epoch_rows(self):
