@@ -13,11 +13,11 @@ import json
 import math
 import operator
 import warnings
+from copy import deepcopy
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .model import ACTIVATIONS
-from .pseudo_labels import DEFAULT_INIT_K
 
 VARIANT_KL_PRED_PSEUDO = "kl_pred_pseudo"
 VARIANT_KL_PSEUDO_PRED = "kl_pseudo_pred"
@@ -153,19 +153,20 @@ class DataSpec(_Section):
     noise: float = setting(0.1, ge=0)
     images: str | None = None
     labels: str | None = None
-    test_images: str | None = None
-    test_labels: str | None = None
     take_first: int | None = setting(None, ge=1)
     holdout: int = setting(0, ge=0)
     labeled_per_class: int = setting(4, ge=1)
     test_n_per_class: int = setting(200, ge=1)
     standardize: bool = False
-    data_seed: int | None = setting(None, ge=0)
-    split_seed: int | None = setting(None, ge=0)
 
     def _cross_check(self) -> None:
         if self.kind == "idx" and (not self.images or not self.labels):
             raise ConfigError("kind 'idx' requires images and labels paths")
+        if self.kind == "idx" and self.holdout < 1:
+            raise ConfigError("kind 'idx' tests on the last holdout rows: holdout must be >= 1")
+        if self.kind == "blobs" and self.dim < self.n_classes - 1:
+            raise ConfigError(f"kind 'blobs' needs dim >= n_classes - 1, got dim={self.dim} "
+                              f"for {self.n_classes} classes")
         if self.kind != "idx" and self.n_per_class < self.labeled_per_class:
             raise ConfigError(f"n_per_class must be >= labeled_per_class, got {self.n_per_class}")
 
@@ -174,7 +175,6 @@ class DataSpec(_Section):
 class ArchSpec(_Section):
     hidden_dims: tuple[int, ...] = setting((32, 16), ge=1)
     activation: str = setting("relu", choices=ACTIVATIONS)
-    head_bias: bool = False
 
 
 @section
@@ -196,7 +196,6 @@ class StageTwoConfig(_Section):
     wd: float = setting(0.0, ge=0)
     repredict_between_rounds: bool = True
     decay_between_rounds: bool = True
-    pseudo_init_k: float = DEFAULT_INIT_K
 
 
 @section
@@ -232,8 +231,9 @@ class TrainConfig(_Section):
     seed: int = setting(0, ge=0)
 
     def copy(self) -> "TrainConfig":
-        """A re-validated deep copy (attribute assignments are not checked)."""
-        return config_from_dict(self.to_dict())
+        """A deep copy, not validated again: the config was checked when built
+        (attribute assignments are not checked)."""
+        return deepcopy(self)
 
 
 def config_from_dict(doc: dict) -> TrainConfig:

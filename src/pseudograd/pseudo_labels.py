@@ -19,7 +19,7 @@ from .data import SplitDataset
 from .model import ModelParams, forward_batch
 from .numerics import InvalidInputError, softmax_rows
 
-DEFAULT_INIT_K = 10.0
+INIT_K = 10.0  # the logit K of a labeled row's frozen K * one-hot
 
 
 @dataclass
@@ -52,9 +52,7 @@ class PseudoTable:
         return np.abs(self.logits.sum(axis=1) - self.init_sum)
 
 
-def init_pseudo(
-    split: SplitDataset, params: ModelParams, k: float = DEFAULT_INIT_K
-) -> PseudoTable:
+def init_pseudo(split: SplitDataset, params: ModelParams) -> PseudoTable:
     """Labeled rows: K * one-hot(truth), frozen. Unlabeled rows: head activation."""
     n_classes = split.base.num_classes
     if params.arch.num_classes != n_classes:
@@ -64,7 +62,7 @@ def init_pseudo(
     logits = np.zeros((split.base.n_examples, n_classes))
     frozen = np.zeros(split.base.n_examples, dtype=bool)
     labels = split.labeled_targets()
-    logits[split.labeled_idx, labels] = k
+    logits[split.labeled_idx, labels] = INIT_K
     frozen[split.labeled_idx] = True
     if split.unlabeled_idx.size:
         trace = forward_batch(params, split.base.features[split.unlabeled_idx])

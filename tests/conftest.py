@@ -1,5 +1,6 @@
 """Shared fixtures: the converged blobs run used by the stationarity checks,
-and a handwritten-digits IDX pair for the 2-D-feature reproduction."""
+the five moons runs of the benefit tests, and a handwritten-digits IDX pair
+for the 2-D-feature reproduction."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from pseudograd.config import (
     TrainConfig,
 )
 from pseudograd.data import Dataset, write_idx
-from pseudograd.trainer import build_dataset, stage1_supervised, stage2_joint
+from pseudograd.trainer import build_dataset, run_pipeline, stage1_supervised, stage2_joint
 
 CONVERGENCE_GATE = 1e-4
 
@@ -37,7 +38,7 @@ def make_convergence_config(variant: str = "kl_pred_pseudo", rounds: int = 6,
     return TrainConfig(
         data=DataSpec(kind="blobs", n_classes=3, n_per_class=200, dim=2, spread=0.8,
                       labeled_per_class=10, test_n_per_class=400),
-        arch=ArchSpec(hidden_dims=(32, 16), activation="relu", head_bias=False),
+        arch=ArchSpec(hidden_dims=(32, 16), activation="relu"),
         loss=loss,
         stage1=StageOneConfig(epochs=60, lr=0.1, wd=0.0, batch=16),
         stage2=StageTwoConfig(epochs=epochs_per_round, rounds=rounds,
@@ -57,7 +58,7 @@ def make_moons_config(seed: int, alpha: float = 0.1) -> TrainConfig:
     return TrainConfig(
         data=DataSpec(kind="moons", n_per_class=500, noise=0.1, labeled_per_class=4,
                       test_n_per_class=500, standardize=True),
-        arch=ArchSpec(hidden_dims=(128,), activation="tanh", head_bias=False),
+        arch=ArchSpec(hidden_dims=(128,), activation="tanh"),
         loss=loss,
         stage1=StageOneConfig(epochs=40, lr=0.1, wd=1e-2, batch=8),
         stage2=StageTwoConfig(epochs=5, rounds=30, lr0=0.2, lr_decay_factor=0.95,
@@ -85,7 +86,7 @@ def make_trend_config(seed: int, variant: str = "kl_pred_pseudo") -> TrainConfig
     return TrainConfig(
         data=DataSpec(kind="blobs", n_classes=3, n_per_class=200, dim=2, spread=1.1,
                       labeled_per_class=3, test_n_per_class=400, standardize=True),
-        arch=ArchSpec(hidden_dims=(32, 16), activation="relu", head_bias=False),
+        arch=ArchSpec(hidden_dims=(32, 16), activation="relu"),
         loss=loss,
         stage1=StageOneConfig(epochs=60, lr=0.1, wd=1e-3, batch=8),
         stage2=StageTwoConfig(epochs=15, rounds=4, lr0=0.1, lr_decay_factor=0.3,
@@ -155,6 +156,17 @@ def converged_run() -> ConvergenceRun:
 
 
 @pytest.fixture(scope="session")
+def moons_benefit_runs() -> dict[int, tuple[float, float]]:
+    """Seed -> (stage-1 baseline, final) test accuracy of the moons fixture
+    for seeds 7-11, trained once for the benefit tests of both suites."""
+    runs = {}
+    for seed in (7, 8, 9, 10, 11):
+        report = run_pipeline(make_moons_config(seed)).report
+        runs[seed] = (report.stage_rows(1)[-1].test_acc, report.rows[-1].test_acc)
+    return runs
+
+
+@pytest.fixture(scope="session")
 def digits_idx(tmp_path_factory) -> dict:
     """IDX image/label files of a handwritten-digit set.
 
@@ -201,7 +213,7 @@ def make_digits_config(meta: dict, seed: int = 7) -> TrainConfig:
         data=DataSpec(kind="idx", images=str(meta["images"]), labels=str(meta["labels"]),
                       take_first=meta["take_first"], holdout=meta["holdout"],
                       labeled_per_class=meta["labeled_per_class"]),
-        arch=ArchSpec(hidden_dims=meta["hidden_dims"], activation="tanh", head_bias=False),
+        arch=ArchSpec(hidden_dims=meta["hidden_dims"], activation="tanh"),
         loss=LossConfig(),
         stage1=StageOneConfig(epochs=60, lr=0.1, wd=1e-4, batch=32),
         stage2=StageTwoConfig(epochs=40, rounds=3, lr0=0.05, lr_decay_factor=0.1,

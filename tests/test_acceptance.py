@@ -12,6 +12,7 @@ test of the two-moons benefit over each seed's own stage-1 baseline.
 import json
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from conftest import (
 )
 from pseudograd import theory, trainer
 from pseudograd.cli import main, run_ablation
+from pseudograd.config import load_config
 from pseudograd.loss import LossConfig, joint_loss_rows, loss_terms_rows
 from pseudograd.numerics import clamped_log, entropy_rows, softmax_rows
 from pseudograd.pseudo_labels import pseudo_probs_rows, repredict
@@ -37,9 +39,26 @@ from pseudograd.trainer import (
 )
 
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
 def _criterion(n: int, ok: bool, detail: str) -> None:
     print(f"\n{'PASS' if ok else 'FAIL'} criterion {n}: {detail}")
     assert ok, f"criterion {n}: {detail}"
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [("moons_ssl.json", lambda: make_moons_config(7)),
+     ("blobs_trend.json", lambda: make_trend_config(7)),
+     ("blobs_convergence.json",
+      lambda: make_convergence_config(rounds=6, epochs_per_round=1000))],
+    ids=["moons_ssl", "blobs_trend", "blobs_convergence"],
+)
+def test_fixture_builder_equals_committed_config(name, build):
+    # the benchmark and the README runs use the committed files, this suite
+    # the builders: they must stay the same configuration
+    assert build().to_dict() == load_config(CONFIG_DIR / name).to_dict()
 
 
 def test_criterion_1_gradient_oracle():
@@ -199,7 +218,7 @@ def test_criterion_5_flattening_and_sharpening():
     )
 
 
-def test_criterion_6_ssl_benefit_on_moons():
+def test_criterion_6_ssl_benefit_on_moons(moons_benefit_runs):
     """Two-moons benefit as a paired one-sided sign test.
 
     On every one of the five seeds the final test accuracy must be strictly
@@ -209,12 +228,8 @@ def test_criterion_6_ssl_benefit_on_moons():
     other SSL methods, and this fixture's model reaches a median of only
     0.884 with all 998 training labels against a 0.825 baseline (README).
     """
-    seeds = (7, 8, 9, 10, 11)
-    finals, baselines = [], []
-    for seed in seeds:
-        result = run_pipeline(make_moons_config(seed))
-        baselines.append(result.report.stage_rows(1)[-1].test_acc)
-        finals.append(result.report.rows[-1].test_acc)
+    seeds = tuple(moons_benefit_runs)
+    baselines, finals = zip(*moons_benefit_runs.values())
     margin = float(np.median(finals) - np.median(baselines))
     ok = all(f > b for f, b in zip(finals, baselines))
     pairs = ", ".join(f"{s}: {b:.3f}->{f:.3f}" for s, b, f in zip(seeds, baselines, finals))

@@ -12,14 +12,14 @@ from pseudograd.loss import LossConfig
 from pseudograd.model import Architecture, init_params
 from pseudograd.pseudo_labels import init_pseudo
 
-FEATURE_ARCH = {"hidden_dims": [8, 2], "activation": "tanh", "head_bias": False}
+FEATURE_ARCH = {"hidden_dims": [8, 2], "activation": "tanh"}
 
 
 def _write_tiny_config(path: Path, **extra) -> Path:
     doc = {
         "data": {"kind": "blobs", "n_classes": 3, "n_per_class": 20, "dim": 2,
                  "spread": 0.6, "labeled_per_class": 4, "test_n_per_class": 20},
-        "arch": {"hidden_dims": [8], "activation": "relu", "head_bias": False},
+        "arch": {"hidden_dims": [8], "activation": "relu"},
         "loss": {"alpha": 0.1, "beta": 0.03, "lambda": 4000.0, "variant": "kl_pred_pseudo"},
         "stage1": {"epochs": 5, "lr": 0.1, "wd": 0.0, "batch": 8},
         "stage2": {"epochs_per_round": 5, "rounds": 2, "lr0": 0.05, "lr_decay_factor": 0.1,
@@ -112,7 +112,7 @@ class TestExitCodes:
         ["stage1.batch=0", "stage2.batch=0", "stage3.batch=0", "stage3.epochs=-3",
          "arch.activation=gelu", "stage2.lr_decay_factor=1.5", "seed=-1",
          "data.n_classes=0", "data.labeled_per_class=0", "data.spread=-1",
-         "data.n_per_class=1", "data.dim=0", "data.test_n_per_class=0",
+         "data.n_per_class=1", "data.dim=0", "data.dim=1", "data.test_n_per_class=0",
          "data.data_seed=-4", "data.noise=-1", "data.take_first=abc",
          "data.take_first=-10", "data.holdout=-3",
          "arch.hidden_dims=[0]",
@@ -127,6 +127,32 @@ class TestExitCodes:
         assert rc == 2
         assert not (out / "report.csv").exists()
         assert not (out / "checkpoint_stage1.json").exists()
+
+    def test_idx_without_holdout_exits_2_before_reading_files(self, tmp_path, capsys):
+        # the files do not exist: reading them would be an exit-1 data failure
+        data = {**_missing_idx_data(tmp_path), "holdout": 0}
+        cfg = _write_tiny_config(tmp_path / "cfg.json", data=data)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "holdout must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("data", "test_images", "t.idx"), ("data", "test_labels", "t.idx"),
+         ("data", "data_seed", 3), ("data", "split_seed", 3),
+         ("arch", "head_bias", False), ("stage2", "pseudo_init_k", 10.0)],
+        ids=["test_images", "test_labels", "data_seed", "split_seed", "head_bias",
+             "pseudo_init_k"],
+    )
+    def test_removed_key_in_document_exits_2(self, tmp_path, capsys, section, key, value):
+        doc = json.loads(_write_tiny_config(tmp_path / "cfg.json").read_text())
+        doc[section][key] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 2
+        assert f"unknown key {section}.{key}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["ablate", "--seeds", "0"], ["ablate", "--seeds", "-1"],
                                       ["gradcheck", "--trials", "0"]],
@@ -246,6 +272,17 @@ class TestTrainCommand:
         assert rc == 0
         flagged = [str(w.message).split(":")[0] for w in caught if "<= beta" in str(w.message)]
         assert flagged == expected
+
+    def test_ablate_warns_alpha_le_beta_once(self, tmp_path):
+        # the grid cells and the per-seed runs copy the config without
+        # judging it again
+        cfg = _write_tiny_config(tmp_path / "cfg.json", loss={"alpha": 0.02, "beta": 0.03})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab"),
+                       "--grid", "lc", "--seeds", "2"])
+        assert rc == 0
+        assert sum("alpha=0.02 <= beta=0.03" in str(w.message) for w in caught) == 1
 
     def test_report_bytes_identical_across_runs(self, tmp_path):
         cfg = _write_tiny_config(tmp_path / "cfg.json")

@@ -32,7 +32,7 @@ def small_params(small_split):
 
 class TestInitPseudo:
     def test_labeled_rows_are_scaled_one_hot(self, small_split, small_params):
-        table = init_pseudo(small_split, small_params, k=10.0)
+        table = init_pseudo(small_split, small_params)
         for i in small_split.labeled_idx:
             y = small_split.base.labels[i]
             expected = np.zeros(3)
@@ -107,7 +107,7 @@ class TestReadout:
             pseudo_probs_rows(table, [5])
 
     def test_hard_labels_from_frozen_row(self, small_split, small_params):
-        table = init_pseudo(small_split, small_params, k=10.0)
+        table = init_pseudo(small_split, small_params)
         hard = hard_labels(table)
         np.testing.assert_array_equal(
             hard[small_split.labeled_idx], small_split.labeled_targets()
@@ -128,7 +128,7 @@ class TestReadout:
 class TestFreezeAndConservation:
     def test_frozen_rows_survive_many_steps(self, small_split, small_params):
         cfg = LossConfig()
-        table = init_pseudo(small_split, small_params, k=10.0)
+        table = init_pseudo(small_split, small_params)
         frozen_before = table.logits[small_split.labeled_idx].copy()
         rng = np.random.default_rng(0)
         rows = np.arange(table.n_examples)

@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_moons_config
 from pseudograd.config import (
     ArchSpec,
     ConfigError,
@@ -40,7 +39,7 @@ def tiny_config(seed=0, **stage2_kw):
     return TrainConfig(
         data=DataSpec(kind="blobs", n_classes=3, n_per_class=20, dim=2, spread=0.6,
                       labeled_per_class=4, test_n_per_class=20),
-        arch=ArchSpec(hidden_dims=(8,), activation="relu", head_bias=False),
+        arch=ArchSpec(hidden_dims=(8,), activation="relu"),
         loss=LossConfig(),
         stage1=StageOneConfig(epochs=5, lr=0.1, wd=0.0, batch=8),
         stage2=StageTwoConfig(**s2),
@@ -256,14 +255,10 @@ class TestPipeline:
         with pytest.raises(Exception):
             report.add(ReportRow(stage=1, epoch=2, **row))
 
-    def test_moons_benefit_direction(self):
+    def test_moons_benefit_direction(self, moons_benefit_runs):
         # direction guard at a conservative pinned margin; the full-margin
         # assertion lives in the acceptance suite
-        finals, stage1s = [], []
-        for seed in (7, 8, 9, 10, 11):
-            result = run_pipeline(make_moons_config(seed))
-            stage1s.append(result.report.stage_rows(1)[-1].test_acc)
-            finals.append(result.report.rows[-1].test_acc)
+        stage1s, finals = zip(*moons_benefit_runs.values())
         assert np.median(finals) >= np.median(stage1s) + 0.02
 
     def test_idx_holdout_split(self, tmp_path):
