@@ -2,11 +2,12 @@
 
 Commands: gen-data, train, verify, gradcheck, ablate, export-features.
 Exit codes: 0 success, 1 runtime/verification failure, 2 usage/config error
-(including verify artifacts that are missing, unreadable or from another
-run). verify on a run with no unlabeled rows reports the link and flatness
-checks as informational. train, ablate and export-features write a run
-manifest (config, git describe, seed, status) even when they fail, with the
-failing stage recorded; gen-data, verify and gradcheck write none.
+(including verify artifacts that are missing, unreadable, non-finite or
+from another run). verify on a run with no unlabeled rows reports the link
+and flatness checks as informational. train, ablate and export-features
+write a run manifest (config, git describe, seed, status) even when they
+fail, with the failing stage recorded; gen-data, verify and gradcheck write
+none.
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ def _artifact_mismatch(params, table, split, cfg: TrainConfig) -> str | None:
     arch = resolve_arch(cfg.arch, split.base)
     if params.arch != arch:
         return f"checkpoint architecture {params.arch} != configured {arch}"
+    if table.num_classes != arch.num_classes:
+        return f"pseudo table has {table.num_classes} classes, configured {arch.num_classes}"
     labeled = np.zeros(split.base.n_examples, dtype=bool)
     labeled[split.labeled_idx] = True
     if not np.array_equal(table.frozen, labeled):  # compares shapes, then values

@@ -3,9 +3,8 @@
 The backbone maps the raw input through fully connected layers to a feature
 ``f`` (the last hidden width, or the input itself when there are no hidden
 layers). The head computes the pre-softmax activation ``y_hat = W^T f`` and
-the prediction ``p_hat = softmax(y_hat)``. The head bias can be disabled so
-that the analytic head-weight gradient has the exact bias-free form the
-stationarity checks rely on.
+the prediction ``p_hat = softmax(y_hat)``. The head has no bias: the
+exponential link the stationarity checks rely on is derived for that head.
 """
 
 from __future__ import annotations
@@ -19,9 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import InvalidInputError, RandomStream, softmax_rows
+from .numerics import InvalidInputError, RandomStream, as_float_array, softmax_rows
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -36,7 +35,6 @@ class Architecture:
     hidden_dims: tuple[int, ...]
     num_classes: int
     activation: str = "relu"
-    head_bias: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
@@ -70,8 +68,6 @@ def param_layout(arch: Architecture) -> tuple[TensorSlot, ...]:
     for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
         shapes += [(f"layer{i}.w", (d_in, d_out)), (f"layer{i}.b", (d_out,))]
     shapes.append(("head.w", (arch.feature_dim, arch.num_classes)))
-    if arch.head_bias:
-        shapes.append(("head.b", (arch.num_classes,)))
     slots, start = [], 0
     for name, shape in shapes:
         slots.append(TensorSlot(name, start, start + math.prod(shape), shape))
@@ -100,7 +96,6 @@ class ModelParams:
     layer_weights: list[np.ndarray] = field(init=False, repr=False)  # (in, out)
     layer_biases: list[np.ndarray] = field(init=False, repr=False)  # (out,)
     head_w: np.ndarray = field(init=False, repr=False)  # (feature_dim, N)
-    head_b: np.ndarray | None = field(init=False, repr=False)  # None if no head bias
 
     def __post_init__(self):
         if self.flat.shape != (param_count(self.arch),) or self.flat.dtype != np.float64:
@@ -110,7 +105,6 @@ class ModelParams:
         self.layer_weights = [views[f"layer{i}.w"] for i in hidden]
         self.layer_biases = [views[f"layer{i}.b"] for i in hidden]
         self.head_w = views["head.w"]
-        self.head_b = views.get("head.b")
 
     def tensors(self):
         """Yield (name, view) in layout order."""
@@ -176,8 +170,6 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardTrace:
         _activate_in_place(h, params.arch.activation)
         post_acts.append(h)
     y_hat = h @ params.head_w
-    if params.head_b is not None:
-        y_hat += params.head_b
     p_hat = softmax_rows(y_hat)
     return ForwardTrace(x, post_acts, h, y_hat, p_hat)
 
@@ -201,8 +193,6 @@ def backward(
         raise InvalidStateError("trace feature dim does not match params")
     grads = ModelParams(params.arch, np.empty_like(params.flat))
     grads.head_w[...] = trace.features.T @ g
-    if grads.head_b is not None:
-        grads.head_b[...] = g.sum(axis=0)
     dh = g @ params.head_w.T
     for l in reversed(range(len(params.layer_weights))):
         dz = dh * _activate_grad(trace.post_acts[l], params.arch.activation)
@@ -233,7 +223,7 @@ def load_checkpoint(path) -> ModelParams:
     arch = Architecture(**doc["arch"])
     params = ModelParams(arch, np.zeros(param_count(arch)))
     for name, arr in params.tensors():
-        values = np.asarray(doc["tensors"][name], dtype=np.float64)
+        values = as_float_array(doc["tensors"][name], f"checkpoint tensor {name}")
         if values.size != arr.size:
             raise InvalidInputError(f"checkpoint tensor {name} has wrong size")
         arr[...] = values.reshape(arr.shape)

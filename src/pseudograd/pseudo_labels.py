@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import SplitDataset
 from .model import ModelParams, forward_batch
-from .numerics import InvalidInputError, softmax_rows
+from .numerics import InvalidInputError, as_float_array, softmax_rows
 
 INIT_K = 10.0  # the logit K of a labeled row's frozen K * one-hot
 
@@ -32,9 +32,9 @@ class PseudoTable:
         self.logits = np.asarray(self.logits, dtype=np.float64)
         self.frozen = np.asarray(self.frozen, dtype=bool)
         self.init_sum = np.asarray(self.init_sum, dtype=np.float64)
-        n = self.logits.shape[0]
-        if self.frozen.shape != (n,) or self.init_sum.shape != (n,):
-            raise InvalidInputError("frozen/init_sum must have one entry per row")
+        rows = self.logits.shape[:1]
+        if self.logits.ndim != 2 or self.frozen.shape != rows or self.init_sum.shape != rows:
+            raise InvalidInputError("logits must be 2-D, with one frozen/init_sum entry per row")
 
     @property
     def n_examples(self) -> int:
@@ -64,9 +64,8 @@ def init_pseudo(split: SplitDataset, params: ModelParams) -> PseudoTable:
     labels = split.labeled_targets()
     logits[split.labeled_idx, labels] = INIT_K
     frozen[split.labeled_idx] = True
-    if split.unlabeled_idx.size:
-        trace = forward_batch(params, split.base.features[split.unlabeled_idx])
-        logits[split.unlabeled_idx] = trace.y_hat
+    unl = split.unlabeled_idx
+    logits[unl] = forward_batch(params, split.base.features[unl]).y_hat
     return PseudoTable(logits, frozen, logits.sum(axis=1))
 
 
@@ -78,10 +77,9 @@ def repredict(table: PseudoTable, split: SplitDataset, params: ModelParams) -> P
     """
     out = table.copy()
     unfrozen = np.flatnonzero(~table.frozen)
-    if unfrozen.size:
-        trace = forward_batch(params, split.base.features[unfrozen])
-        out.logits[unfrozen] = trace.y_hat
-        out.init_sum[unfrozen] = trace.y_hat.sum(axis=1)
+    trace = forward_batch(params, split.base.features[unfrozen])
+    out.logits[unfrozen] = trace.y_hat
+    out.init_sum[unfrozen] = trace.y_hat.sum(axis=1)
     return out
 
 
@@ -127,7 +125,7 @@ def load_table(path) -> PseudoTable:
     if doc.get("format_version") != 1:
         raise InvalidInputError("unsupported pseudo-table checkpoint version")
     return PseudoTable(
-        np.asarray(doc["logits"], dtype=np.float64),
+        as_float_array(doc["logits"], "pseudo-table logits"),
         np.asarray(doc["frozen"], dtype=bool),
-        np.asarray(doc["init_sum"], dtype=np.float64),
+        as_float_array(doc["init_sum"], "pseudo-table init_sum"),
     )

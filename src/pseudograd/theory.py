@@ -51,20 +51,15 @@ NO_LIVE_ROWS = "no unlabeled, unfrozen rows: nothing to check"
 # Exponential link
 
 
-def _live_unlabeled(table: PseudoTable, split: SplitDataset) -> np.ndarray:
-    return split.unlabeled_idx[~table.frozen[split.unlabeled_idx]]
-
-
 def link_residuals(
     params: ModelParams, table: PseudoTable, split: SplitDataset, cfg: LossConfig
-) -> np.ndarray:
-    """Per-example residual r over the unlabeled, unfrozen rows, from a
-    fresh forward pass."""
-    unl = _live_unlabeled(table, split)
-    if unl.size == 0:
-        return np.zeros(0)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p_hat, p_tilde, r) over the unlabeled rows from one fresh forward
+    pass: the predictions, the pseudo-label rows and each row's residual."""
+    unl = split.unlabeled_idx
     p_hat = forward_batch(params, split.base.features[unl]).p_hat
-    return link_residual_rows(p_hat, pseudo_probs_rows(table, unl), cfg)
+    p_tilde = pseudo_probs_rows(table, unl)
+    return p_hat, p_tilde, link_residual_rows(p_hat, p_tilde, cfg)
 
 
 def link_residual_rows(
@@ -93,18 +88,16 @@ def check_link_residual(
     cfg: LossConfig,
     tolerance: float = 1e-2,
 ) -> dict:
-    """The ``link_residual`` section: quantiles of |r| over the live unlabeled
+    """The ``link_residual`` section: quantiles of |r| over the unlabeled
     rows; it passes when at least 90% of them lie within ``tolerance``."""
     if cfg.variant != VARIANT_KL_PRED_PSEUDO:
         raise ConfigError("the exponential link is proved for the kl_pred_pseudo loss only")
-    mag = np.abs(link_residuals(params, table, split, cfg))
-    if mag.size == 0:
+    _, _, r = link_residuals(params, table, split, cfg)
+    if r.size == 0:
         return {"asserted": False, "pass": True, "note": NO_LIVE_ROWS}
-    within = float((mag < tolerance).mean())
+    within = float((np.abs(r) < tolerance).mean())
     return {
-        "p50": float(np.quantile(mag, 0.5)),
-        "p90": float(np.quantile(mag, 0.9)),
-        "p99": float(np.quantile(mag, 0.99)),
+        **residual_quantiles(r),
         "fraction_within": within,
         "tolerance": tolerance,
         "asserted": True,
@@ -112,49 +105,11 @@ def check_link_residual(
     }
 
 
-def solve_link_point(p_hat: np.ndarray, cfg: LossConfig, iters: int = 200) -> np.ndarray:
-    """Construct a pseudo-label vector that satisfies the link exactly.
-
-    One-dimensional bisection on t = p_tilde_n: the remaining mass 1 - t is
-    spread over the other classes proportionally to the prediction, and t is
-    solved so that r(t) = 0. Independent of the gradient/training code paths;
-    serves as the analytic oracle for the link residual.
-    """
-    p_hat = np.asarray(p_hat, dtype=np.float64)
-    n = int(p_hat.argmax())
-    if p_hat[n] >= 1.0 - 1e-9:
-        raise InvalidInputError("prediction too close to one-hot for the 1-D solve")
-    off = np.ones(p_hat.size, dtype=bool)
-    off[n] = False
-    w = p_hat[off] / p_hat[off].sum()
-
-    def residual(t: float) -> float:
-        p_tilde = np.empty_like(p_hat)
-        p_tilde[n] = t
-        p_tilde[off] = (1.0 - t) * w
-        lc, le = loss_terms_rows(p_hat[None, :], p_tilde[None, :], cfg)
-        total = cfg.alpha * float(lc[0]) + cfg.beta * float(le[0])
-        return (
-            (cfg.alpha - cfg.beta) * float(clamped_log(p_hat[n : n + 1])[0])
-            - cfg.alpha * np.log(t)
-            - total
-        )
-
-    lo, hi = 1e-12, 1.0 - 1e-12
-    r_lo, r_hi = residual(lo), residual(hi)
-    if not (r_lo > 0.0 > r_hi):
-        raise InvalidInputError("bisection bracket failed; prediction degenerate")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    p_tilde = np.empty_like(p_hat)
-    p_tilde[n] = t
-    p_tilde[off] = (1.0 - t) * w
-    return p_tilde
+def residual_quantiles(r: np.ndarray) -> dict[str, float]:
+    """p50, p90 and p99 of |r|: the ``link_residual`` section's quantiles and
+    the report's ``link_residual_*`` columns."""
+    qs = np.quantile(np.abs(r), (0.5, 0.9, 0.99))
+    return {"p50": float(qs[0]), "p90": float(qs[1]), "p99": float(qs[2])}
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +130,12 @@ def check_flatness(
     The flattening statement is conditional on the link holding, so rows with
     residual magnitude >= ``link_tolerance`` are excluded.
     """
-    unl = _live_unlabeled(table, split)
-    if unl.size == 0:
+    p_hat, p_tilde, r = link_residuals(params, table, split, cfg)
+    if r.size == 0:
         return {"asserted": False, "pass": True, "note": NO_LIVE_ROWS}
-    p_hat = forward_batch(params, split.base.features[unl]).p_hat
-    p_tilde = pseudo_probs_rows(table, unl)
-    mask = np.abs(link_residuals(params, table, split, cfg)) < link_tolerance
+    mask = np.abs(r) < link_tolerance
     n = p_hat.argmax(axis=1)
-    rows = np.arange(unl.size)
+    rows = np.arange(r.size)
     excess = p_tilde[rows, n][mask] - p_hat[rows, n][mask] - tolerance
     violations = int((excess > 0).sum())
     return {
@@ -312,7 +265,7 @@ def finite_diff_suite(seed: int, trials: int) -> dict[str, float]:
         for t in range(n_param_trials):
             variant = VARIANTS[t % len(VARIANTS)]
             cfg = LossConfig(alpha=0.1, beta=0.03, variant=variant)
-            arch = Architecture(4, hidden, 3, activation="tanh", head_bias=True)
+            arch = Architecture(4, hidden, 3, activation="tanh")
             params = init_params(arch, seed + t)
             x = stream.normal(0.0, 1.0, size=(3, 4))
             y_tilde = stream.normal(0.0, 2.0, size=(3, 3))

@@ -190,18 +190,10 @@ class _CyclingPool:
         return out
 
 
-def predict_probs(params: ModelParams, x: np.ndarray, chunk: int = 8192) -> np.ndarray:
-    """Chunked forward returning p_hat rows."""
-    outs = []
-    for lo in range(0, x.shape[0], chunk):
-        outs.append(forward_batch(params, x[lo : lo + chunk]).p_hat)
-    return np.vstack(outs) if outs else np.zeros((0, params.arch.num_classes))
-
-
 def accuracy(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     if x.shape[0] == 0:
         return float("nan")
-    pred = predict_probs(params, x).argmax(axis=1)
+    pred = forward_batch(params, x).p_hat.argmax(axis=1)
     return float((pred == y).mean())
 
 
@@ -225,7 +217,7 @@ def _eval_row(
     test_acc = accuracy(params, test.features, test.labels) if test is not None else NA
     unl = split.unlabeled_idx
     if unl.size:
-        p_hat_unl = predict_probs(params, feats[unl])
+        p_hat_unl = forward_batch(params, feats[unl]).p_hat
         mean_ent_pred = float(entropy_rows(p_hat_unl).mean())
     else:
         mean_ent_pred = NA
@@ -237,9 +229,8 @@ def _eval_row(
         mean_ent_pseudo = float(entropy_rows(p_tilde_unl).mean())
         drift = float(table.sum_drift()[unl].max())
         if cfg.loss.variant == "kl_pred_pseudo":
-            live = ~table.frozen[unl]
-            res = theory.link_residual_rows(p_hat_unl[live], p_tilde_unl[live], cfg.loss)
-            p50, p90, p99 = (float(q) for q in np.quantile(np.abs(res), (0.5, 0.9, 0.99)))
+            res = theory.link_residual_rows(p_hat_unl, p_tilde_unl, cfg.loss)
+            p50, p90, p99 = theory.residual_quantiles(res).values()
     return ReportRow(
         stage,
         epoch,
@@ -460,13 +451,11 @@ def stage3_finetune(
 
 
 def resolve_arch(spec: ArchSpec, ds: Dataset) -> Architecture:
-    # bias-free head: the exponential link verify checks is derived for it
     return Architecture(
         input_dim=ds.input_dim,
         hidden_dims=spec.hidden_dims,
         num_classes=ds.num_classes,
         activation=spec.activation,
-        head_bias=False,
     )
 
 

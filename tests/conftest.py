@@ -1,6 +1,6 @@
 """Shared fixtures: the converged blobs run used by the stationarity checks,
 the five moons runs of the benefit tests, and a handwritten-digits IDX pair
-for the 2-D-feature reproduction."""
+for the 2-D-feature reproduction; and the bisection link-point oracle."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pseudograd.config import (
@@ -20,6 +21,8 @@ from pseudograd.config import (
     TrainConfig,
 )
 from pseudograd.data import Dataset, write_idx
+from pseudograd.loss import loss_terms_rows
+from pseudograd.numerics import clamped_log
 from pseudograd.trainer import build_dataset, run_pipeline, stage1_supervised, stage2_joint
 
 CONVERGENCE_GATE = 1e-4
@@ -94,6 +97,47 @@ def make_trend_config(seed: int, variant: str = "kl_pred_pseudo") -> TrainConfig
         stage3=StageThreeConfig(epochs=40, lr=0.01, batch=64),
         seed=seed,
     )
+
+
+def solve_link_point(p_hat: np.ndarray, cfg: LossConfig, iters: int = 200) -> np.ndarray:
+    """Construct a pseudo-label vector that satisfies the link exactly.
+
+    One-dimensional bisection on t = p_tilde_n: the remaining mass 1 - t is
+    spread over the other classes proportionally to the prediction, and t is
+    solved so that r(t) = 0. Independent of the gradient/training code paths;
+    serves as the analytic oracle for the link residual.
+    """
+    p_hat = np.asarray(p_hat, dtype=np.float64)
+    n = int(p_hat.argmax())
+    assert p_hat[n] < 1.0 - 1e-9, "prediction too close to one-hot for the 1-D solve"
+    off = np.ones(p_hat.size, dtype=bool)
+    off[n] = False
+    w = p_hat[off] / p_hat[off].sum()
+
+    def point(t: float) -> np.ndarray:
+        p_tilde = np.empty_like(p_hat)
+        p_tilde[n] = t
+        p_tilde[off] = (1.0 - t) * w
+        return p_tilde
+
+    def residual(t: float) -> float:
+        lc, le = loss_terms_rows(p_hat[None, :], point(t)[None, :], cfg)
+        total = cfg.alpha * float(lc[0]) + cfg.beta * float(le[0])
+        return (
+            (cfg.alpha - cfg.beta) * float(clamped_log(p_hat[n : n + 1])[0])
+            - cfg.alpha * np.log(t)
+            - total
+        )
+
+    lo, hi = 1e-12, 1.0 - 1e-12
+    assert residual(lo) > 0.0 > residual(hi), "bisection bracket failed; prediction degenerate"
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if residual(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return point(0.5 * (lo + hi))
 
 
 class ConvergenceRun:

@@ -24,6 +24,7 @@ from conftest import (
     make_moons_config,
     make_convergence_config,
     make_trend_config,
+    solve_link_point,
 )
 from pseudograd import theory, trainer
 from pseudograd.cli import main, run_ablation
@@ -151,7 +152,7 @@ def test_criterion_3_exponential_link(converged_run):
     cfg = converged_run.cfg.loss
     for _ in range(20):
         p_hat = softmax_rows(rng.normal(size=(1, 3)) * 2)[0]
-        p_tilde = theory.solve_link_point(p_hat, cfg)
+        p_tilde = solve_link_point(p_hat, cfg)
         lc, le = loss_terms_rows(p_hat[None, :], p_tilde[None, :], cfg)
         total = cfg.alpha * float(lc[0]) + cfg.beta * float(le[0])
         n = int(p_hat.argmax())

@@ -63,3 +63,20 @@ def test_setup_and_expected_counts_run(bench_run, tmp_path):
         workload = bench_run.WORKLOADS[name]
         st = bench_run.setup(cli, workload, tmp_path / name, 0)
         assert workload.expected_counts(cli, st)["trainer.run_pipeline"] >= 1
+
+
+@pytest.mark.parametrize("name", ["train_moons", "verify_trend"])
+def test_one_traced_op_has_the_derived_counts(bench_run, tmp_path, name):
+    # the traced run's gate on one op (seconds=0 runs exactly one): an op
+    # whose call counts differ from those the benchmark derives from the
+    # config counts as failed
+    cli = importlib.import_module(f"{bench_run.PACKAGE}.cli")
+    workload = bench_run.WORKLOADS[name]
+    st = bench_run.setup(cli, workload, tmp_path / name, bench_run.DEFAULT_SEED)
+    stats, tracer = bench_run.RunStats(), bench_run.spans.Tracer()
+    bench_run.install_tracer(tracer)
+    try:
+        bench_run.run_ops(cli, workload, st, 0, stats, tracer, bench_run.LayerTotals())
+    finally:
+        tracer.uninstall()
+    assert (len(stats.op_s), stats.failed) == (1, 0)

@@ -170,21 +170,33 @@ class TestExitCodes:
         rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "empty")])
         assert rc == 2
 
-    @pytest.mark.parametrize("name", ["checkpoint_stage2.json", "pseudo_table.json"])
-    @pytest.mark.parametrize("damage", ["truncated", "version_2", "missing_key"])
-    def test_verify_unreadable_artifact_exits_2(self, trained, tmp_path, capsys, name, damage):
+    @pytest.mark.parametrize(
+        "damage, name",
+        [(damage, name) for damage in ("truncated", "next_version", "missing_key", "nan")
+         for name in ("checkpoint_stage2.json", "pseudo_table.json")]
+        + [("flat_logits", "pseudo_table.json"), ("two_columns", "pseudo_table.json")],
+        ids=lambda v: v,
+    )
+    def test_verify_unreadable_artifact_exits_2(self, trained, tmp_path, capsys, damage, name):
         cfg, run = trained
         out = shutil.copytree(run, tmp_path / "run")
         text = (out / name).read_text()
         doc = json.loads(text)
-        if damage == "version_2":
-            doc["format_version"] = 2
+        values = doc["tensors"]["head.w"] if name.startswith("checkpoint") else doc["logits"][-1]
+        if damage == "next_version":
+            doc["format_version"] += 1
         elif damage == "missing_key":
             del doc["tensors" if name.startswith("checkpoint") else "logits"]
+        elif damage == "nan":
+            values[0] = float("nan")
+        elif damage == "flat_logits":  # one value per row: 1-D
+            doc["logits"] = [row[0] for row in doc["logits"]]
+        elif damage == "two_columns":  # a 2-class table for the 3-class config
+            doc["logits"] = [row[:2] for row in doc["logits"]]
         (out / name).write_text(text[: len(text) // 2] if damage == "truncated" else json.dumps(doc))
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert name in err
+        assert ("pseudo table has 2 classes" if damage == "two_columns" else name) in err
         assert "Traceback" not in err
         assert not (out / "verification.json").exists()
 

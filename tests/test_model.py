@@ -23,15 +23,12 @@ def _unfused_forward(params, x):
     for w, b in zip(params.layer_weights, params.layer_biases):
         h = act(h @ w + b)
         post_acts.append(h)
-    y_hat = h @ params.head_w
-    if params.head_b is not None:
-        y_hat = y_hat + params.head_b
-    return post_acts, y_hat
+    return post_acts, h @ params.head_w
 
 
 class TestInitParams:
     def test_zero_hidden_layers_head_on_input(self):
-        arch = Architecture(5, (), 3, head_bias=True)
+        arch = Architecture(5, (), 3)
         params = init_params(arch, seed=0)
         assert params.head_w.shape == (5, 3)
         assert not params.layer_weights
@@ -53,16 +50,15 @@ class TestInitParams:
         assert abs(w.mean()) < 3 * sigma_mean
 
     def test_biases_zero(self):
-        params = init_params(Architecture(4, (8, 8), 3, head_bias=True), seed=0)
+        params = init_params(Architecture(4, (8, 8), 3), seed=0)
         for b in params.layer_biases:
             assert not b.any()
-        assert not params.head_b.any()
 
     def test_named_tensors_are_views_and_copy_does_not_alias(self):
-        params = init_params(Architecture(4, (7, 5), 3, head_bias=True), seed=0)
+        params = init_params(Architecture(4, (7, 5), 3), seed=0)
         clone = params.copy()
         params.head_w[...] = 9.0
-        np.testing.assert_array_equal(params.flat[-18:-3], np.full(15, 9.0))
+        np.testing.assert_array_equal(params.flat[-15:], np.full(15, 9.0))
         params.flat[:28] = 2.0
         np.testing.assert_array_equal(params.layer_weights[0], np.full((4, 7), 2.0))
         np.testing.assert_array_equal(clone.flat, init_params(clone.arch, seed=0).flat)
@@ -70,7 +66,7 @@ class TestInitParams:
 
 class TestForward:
     def test_zero_params_uniform_prediction(self):
-        arch = Architecture(4, (6,), 3, head_bias=True)
+        arch = Architecture(4, (6,), 3)
         params = init_params(arch, seed=0)
         params.flat[...] = 0.0
         trace = forward_batch(params, np.ones((1, 4)))
@@ -78,7 +74,7 @@ class TestForward:
 
     def test_opposed_head_columns_give_logistic(self):
         # single-layer-free net, 2 classes, w2 = -w1: p1 = logistic(2 w1.x)
-        arch = Architecture(3, (), 2, head_bias=False)
+        arch = Architecture(3, (), 2)
         params = init_params(arch, seed=0)
         rng = np.random.default_rng(4)
         w1 = rng.normal(size=3)
@@ -103,14 +99,14 @@ class TestForward:
         np.testing.assert_array_equal(trace.p_hat, softmax_rows(trace.y_hat))
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
-    @pytest.mark.parametrize("head_bias", [False, True])
+    @pytest.mark.parametrize("strided_input", [False, True])
     @pytest.mark.parametrize("hidden", [(), (64, 32)])
-    def test_matches_unfused_reference_bit_for_bit(self, activation, head_bias, hidden):
-        arch = Architecture(3, hidden, 4, activation=activation, head_bias=head_bias)
+    def test_matches_unfused_reference_bit_for_bit(self, activation, strided_input, hidden):
+        arch = Architecture(3, hidden, 4, activation=activation)
         params = init_params(arch, seed=8)
         rng = np.random.default_rng(8)
         params.flat[...] = rng.normal(size=params.flat.size)  # nonzero biases
-        x = rng.normal(size=(1000, 3))
+        x = rng.normal(size=(1000, 6))[:, ::2] if strided_input else rng.normal(size=(1000, 3))
         x_before = x.copy()
         trace = forward_batch(params, x)
         post_acts, y_hat = _unfused_forward(params, x)
@@ -129,7 +125,7 @@ class TestForward:
 
 class TestBackward:
     def test_zero_grad_in_zero_grads_out(self):
-        arch = Architecture(4, (6,), 3, head_bias=True)
+        arch = Architecture(4, (6,), 3)
         params = init_params(arch, seed=1)
         trace = forward_batch(params, np.ones((1, 4)))
         grads = backward(trace, np.zeros((1, 3)), params)
@@ -137,7 +133,7 @@ class TestBackward:
 
     def test_head_gradient_outer_product(self):
         # no hidden layers: head grad column n must be g[n] * x
-        arch = Architecture(4, (), 3, head_bias=False)
+        arch = Architecture(4, (), 3)
         params = init_params(arch, seed=1)
         x = np.array([0.5, -1.0, 2.0, 0.25])
         g = np.array([0.3, -0.2, -0.1])
@@ -148,7 +144,7 @@ class TestBackward:
     @pytest.mark.parametrize("hidden,activation", [((6,), "relu"), ((6, 5), "tanh")])
     def test_matches_finite_differences_of_probe(self, hidden, activation):
         # probe scalar: sum(v * y_hat) for fixed v; gradient via backward(v)
-        arch = Architecture(4, hidden, 3, activation=activation, head_bias=True)
+        arch = Architecture(4, hidden, 3, activation=activation)
         params = init_params(arch, seed=6)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 4))
@@ -176,7 +172,7 @@ class TestBackward:
         # unit 1 has zero weights and bias, so its pre-activation is 0 on every
         # row; the zero input row also zeroes unit 3, whose bias is 0. The
         # ReLU subgradient at 0 must be 0, as the pre-activation mask says
-        arch = Architecture(3, (5,), 2, activation="relu", head_bias=True)
+        arch = Architecture(3, (5,), 2, activation="relu")
         params = init_params(arch, seed=4)
         params.layer_weights[0][:, 1] = 0.0
         params.layer_biases[0][...] = [0.3, 0.0, -0.2, 0.0, 0.1]
@@ -202,10 +198,10 @@ class TestBackward:
     def test_head_gradient_matches_stationarity_factor(self):
         # composing the joint-loss logit gradient with backward must give
         # head columns of the closed form
-        # ((a-b)*log p_n - a*log p~_n - L) * p_n * f on a bias-free head
+        # ((a-b)*log p_n - a*log p~_n - L) * p_n * f
         from pseudograd.loss import LossConfig, joint_loss_rows
 
-        arch = Architecture(4, (6,), 3, activation="tanh", head_bias=False)
+        arch = Architecture(4, (6,), 3, activation="tanh")
         params = init_params(arch, seed=13)
         rng = np.random.default_rng(13)
         x = rng.normal(size=4)
@@ -227,13 +223,15 @@ class TestBackward:
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
-        arch = Architecture(4, (7, 5), 3, activation="tanh", head_bias=True)
+        arch = Architecture(4, (7, 5), 3, activation="tanh")
         params = init_params(arch, seed=9)
         save_checkpoint(params, tmp_path / "ckpt.json")
-        tensors = json.loads((tmp_path / "ckpt.json").read_text())["tensors"]
-        assert [(k, len(v)) for k, v in tensors.items()] == [
+        doc = json.loads((tmp_path / "ckpt.json").read_text())
+        assert doc["arch"] == {"input_dim": 4, "hidden_dims": [7, 5], "num_classes": 3,
+                               "activation": "tanh"}
+        assert [(k, len(v)) for k, v in doc["tensors"].items()] == [
             ("layer0.w", 28), ("layer0.b", 7), ("layer1.w", 35),
-            ("layer1.b", 5), ("head.w", 15), ("head.b", 3)]
+            ("layer1.b", 5), ("head.w", 15)]
         loaded = load_checkpoint(tmp_path / "ckpt.json")
         assert loaded.arch == params.arch
         np.testing.assert_array_equal(loaded.flat, params.flat)
@@ -243,14 +241,12 @@ class TestCheckpoint:
         with pytest.raises(InvalidInputError):
             load_checkpoint(tmp_path / "bad.json")
 
-    def test_loads_per_tensor_version_1_document(self, tmp_path):
+    def test_refuses_version_1_document_with_head_bias(self, tmp_path):
         arch = {"input_dim": 2, "hidden_dims": [1], "num_classes": 2,
                 "activation": "relu", "head_bias": True}
         tensors = {"layer0.w": [1.0, 2.0], "layer0.b": [3.0],
                    "head.w": [4.0, 5.0], "head.b": [6.0, 7.0]}
         doc = {"format_version": 1, "arch": arch, "tensors": tensors}
         (tmp_path / "v1.json").write_text(json.dumps(doc))
-        params = load_checkpoint(tmp_path / "v1.json")
-        np.testing.assert_array_equal(params.flat, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
-        np.testing.assert_array_equal(params.layer_weights[0], [[1.0], [2.0]])
-
+        with pytest.raises(InvalidInputError, match="version 1"):
+            load_checkpoint(tmp_path / "v1.json")

@@ -19,14 +19,14 @@ def _grads_like(params, fill=0.0):
 
 class TestNesterovStep:
     def test_zero_gradients_no_motion(self):
-        params = init_params(Architecture(3, (4,), 2, head_bias=True), seed=0)
+        params = init_params(Architecture(3, (4,), 2), seed=0)
         before = params.flat.copy()
         state = init_opt_state(params, lr=0.1)
         sgd_nesterov_step(params, _grads_like(params), state)
         np.testing.assert_array_equal(params.flat, before)
 
     def test_reduces_to_plain_sgd(self):
-        params = init_params(Architecture(3, (), 2, head_bias=False), seed=1)
+        params = init_params(Architecture(3, (), 2), seed=1)
         before = params.head_w.copy()
         g = _grads_like(params, fill=0.5)
         state = init_opt_state(params, lr=0.2, momentum=0.0, weight_decay=0.0)
@@ -35,7 +35,7 @@ class TestNesterovStep:
 
     def test_quadratic_trajectory_matches_reference(self):
         # loss 0.5*theta^2, grad = theta; reference recurrence written out below
-        arch = Architecture(1, (), 2, head_bias=False)
+        arch = Architecture(1, (), 2)
         params = init_params(arch, seed=0)
         params.head_w[...] = np.array([[1.0, 1.0]])
         state = init_opt_state(params, lr=0.1, momentum=0.9)
@@ -52,19 +52,19 @@ class TestNesterovStep:
             np.testing.assert_allclose(params.head_w[0, 0], theta_ref, atol=1e-14)
 
     def test_weight_decay_skips_biases(self):
-        params = init_params(Architecture(3, (4,), 2, head_bias=True), seed=2)
+        params = init_params(Architecture(3, (4, 5), 2), seed=2)
         params.layer_biases[0][...] = 1.0
-        params.head_b[...] = 1.0
+        params.layer_biases[1][...] = 1.0
         state = init_opt_state(params, lr=0.5, momentum=0.0, weight_decay=0.1)
         w_before = params.head_w.copy()
         sgd_nesterov_step(params, _grads_like(params), state)
         np.testing.assert_array_equal(params.layer_biases[0], np.ones(4))
-        np.testing.assert_array_equal(params.head_b, np.ones(2))
+        np.testing.assert_array_equal(params.layer_biases[1], np.ones(5))
         np.testing.assert_allclose(params.head_w, w_before * (1 - 0.5 * 0.1), atol=1e-15)
 
     def test_shape_mismatch_rejected(self):
-        params = init_params(Architecture(3, (), 2, head_bias=False), seed=0)
-        grads = _grads_like(init_params(Architecture(2, (), 2, head_bias=False), seed=0))
+        params = init_params(Architecture(3, (), 2), seed=0)
+        grads = _grads_like(init_params(Architecture(2, (), 2), seed=0))
         state = init_opt_state(params, lr=0.1)
         with pytest.raises(InvalidInputError):
             sgd_nesterov_step(params, grads, state)
@@ -121,7 +121,7 @@ class TestDecayLr:
         np.testing.assert_allclose(state.lr, 0.01, atol=1e-15)
 
     def test_velocity_preserved(self):
-        params = init_params(Architecture(3, (), 2, head_bias=False), seed=0)
+        params = init_params(Architecture(3, (), 2), seed=0)
         state = init_opt_state(params, lr=0.1, momentum=0.9)
         grads = _grads_like(params, fill=1.0)
         sgd_nesterov_step(params, grads, state)
@@ -146,7 +146,7 @@ class TestDecayLr:
 
 class TestNoOpStage:
     def test_zero_rates_freeze_everything(self):
-        params = init_params(Architecture(3, (4,), 2, head_bias=True), seed=5)
+        params = init_params(Architecture(3, (4,), 2), seed=5)
         before = params.flat.copy()
         state = init_opt_state(params, lr=0.0, momentum=0.9)
         table = PseudoTable(np.ones((2, 2)), np.zeros(2, bool), np.full(2, 2.0))

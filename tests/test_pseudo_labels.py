@@ -26,7 +26,7 @@ def small_split():
 
 @pytest.fixture
 def small_params(small_split):
-    arch = Architecture(2, (8,), 3, head_bias=False)
+    arch = Architecture(2, (8,), 3)
     return init_params(arch, seed=3)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import solve_link_point
 from pseudograd import theory
 from pseudograd.config import ConfigError
 from pseudograd.data import gen_gaussian_blobs, split_per_class
@@ -29,7 +30,7 @@ class TestLinkPointOracle:
             p_hat = softmax_rows(rng.normal(size=(1, rng.integers(2, 6))) * 2)[0]
             if p_hat.max() >= 1 - 1e-9:
                 continue
-            p_tilde = theory.solve_link_point(p_hat, cfg)
+            p_tilde = solve_link_point(p_hat, cfg)
             assert abs(_residual_of(p_hat, p_tilde, cfg)) < 1e-8
 
     def test_solution_is_flatter_at_top(self):
@@ -38,7 +39,7 @@ class TestLinkPointOracle:
         rng = np.random.default_rng(22)
         for _ in range(50):
             p_hat = softmax_rows(rng.normal(size=(1, 4)) * 2)[0]
-            p_tilde = theory.solve_link_point(p_hat, cfg)
+            p_tilde = solve_link_point(p_hat, cfg)
             n = p_hat.argmax()
             assert p_tilde[n] <= p_hat[n] + 1e-12
 
@@ -47,15 +48,15 @@ class TestLinkPointOracle:
         # not be trivially zero
         ds = gen_gaussian_blobs(3, 30, 2, 1.0, seed=5)
         split = split_per_class(ds, 3, seed=5)
-        params = init_params(Architecture(2, (8,), 3, head_bias=False), seed=11)
+        params = init_params(Architecture(2, (8,), 3), seed=11)
         table = init_pseudo(split, params)
-        res = theory.link_residuals(params, table, split, LossConfig())
+        _, _, res = theory.link_residuals(params, table, split, LossConfig())
         assert np.abs(res).max() > 1e-4
 
     def test_wrong_variant_rejected(self):
         ds = gen_gaussian_blobs(2, 10, 2, 0.5, seed=0)
         split = split_per_class(ds, 2, seed=0)
-        params = init_params(Architecture(2, (), 2, head_bias=False), seed=0)
+        params = init_params(Architecture(2, (), 2), seed=0)
         table = init_pseudo(split, params)
         cfg = LossConfig(variant="l2")
         with pytest.raises(ConfigError):
@@ -66,7 +67,7 @@ class TestFlatnessAlgebra:
     def test_uniform_two_class_link_point(self):
         cfg = LossConfig()
         p_hat = np.array([0.5 + 1e-9, 0.5 - 1e-9])
-        p_tilde = theory.solve_link_point(p_hat, cfg)
+        p_tilde = solve_link_point(p_hat, cfg)
         assert p_tilde[0] <= 0.5 + 1e-6
 
     def test_random_bound_check_no_violations(self):
@@ -130,6 +131,28 @@ class TestEvalRowResidual:
         assert (row.link_residual_p50, row.link_residual_p90, row.link_residual_p99) == (
             section["p50"], section["p90"], section["p99"]
         )
+
+
+class TestOneLinkForward:
+    @pytest.mark.parametrize("check, forwards", [("check_flatness", 1), ("run_verification", 2)])
+    def test_unlabeled_rows_forwarded_once_per_check(self, monkeypatch, check, forwards):
+        # check_link_residual and check_flatness each forward the unlabeled
+        # rows once; the gradient oracle's 3-row batches are not counted
+        ds = gen_gaussian_blobs(3, 30, 2, 1.0, seed=5)
+        split = split_per_class(ds, 3, seed=5)
+        params = init_params(Architecture(2, (8,), 3), seed=11)
+        table = init_pseudo(split, params)
+        rows = []
+        forward = theory.forward_batch
+
+        def counting(p, x):
+            rows.append(x.shape[0])
+            return forward(p, x)
+
+        monkeypatch.setattr(theory, "forward_batch", counting)
+        sizes = {"gradcheck_trials": 1, "algebraic_samples": 100} if check == "run_verification" else {}
+        getattr(theory, check)(params, table, split, LossConfig(), **sizes)
+        assert rows.count(split.n_unlabeled) == forwards
 
 
 class TestFiniteDiffSuite:
