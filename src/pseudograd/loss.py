@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import VARIANT_KL_PRED_PSEUDO, VARIANT_KL_PSEUDO_PRED, LossConfig
 from .config import VARIANTS  # noqa: F401  (re-exported with the loss functions)
-from .numerics import InvalidInputError, clamped_log
+from .numerics import InvalidInputError, clamped_log, row_sum
 
 
 class JointLoss(NamedTuple):
@@ -46,12 +46,12 @@ def _check_pair(p_hat, p_tilde):
 def _terms(ph, pt, log_ph, log_pt, variant: str):
     """Per-row (lc, le) from the probability rows and their clamped logs."""
     if variant == VARIANT_KL_PRED_PSEUDO:
-        lc = (ph * (log_ph - log_pt)).sum(axis=1)
+        lc = row_sum(ph * (log_ph - log_pt))
     elif variant == VARIANT_KL_PSEUDO_PRED:
-        lc = (pt * (log_pt - log_ph)).sum(axis=1)
+        lc = row_sum(pt * (log_pt - log_ph))
     else:
-        lc = ((pt - ph) ** 2).sum(axis=1)
-    return lc, -(ph * log_ph).sum(axis=1)
+        lc = row_sum((pt - ph) ** 2)
+    return lc, -row_sum(ph * log_ph)
 
 
 def loss_terms_rows(p_hat, p_tilde, cfg: LossConfig):
@@ -85,9 +85,9 @@ def joint_loss_rows(p_hat, p_tilde, cfg: LossConfig) -> JointLoss:
         scale = alpha
     else:
         diff = pt - ph
-        lc_grad = -2.0 * ph * (diff - (ph * diff).sum(axis=1, keepdims=True))
+        lc_grad = -2.0 * ph * (diff - row_sum(ph * diff)[:, None])
         scale = 2.0 * alpha
-    grad_pseudo = scale * pt * (diff - (pt * diff).sum(axis=1, keepdims=True))
+    grad_pseudo = scale * pt * (diff - row_sum(pt * diff)[:, None])
     return JointLoss(lc, le, total, alpha * lc_grad + beta * le_grad, grad_pseudo)
 
 

@@ -175,11 +175,12 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardTrace:
 
 
 def backward(
-    trace: ForwardTrace, grad_y_hat: np.ndarray, params: ModelParams
+    trace: ForwardTrace, grad_y_hat: np.ndarray, params: ModelParams, out: ModelParams | None = None
 ) -> ModelParams:
     """Backprop d(sum over batch of loss)/d(theta) given dL/d(y_hat) rows.
 
-    The gradient comes back as a ModelParams of the same architecture.
+    The gradient is written into ``out`` when given (it may not share memory
+    with ``params``), else into a new ModelParams of the same architecture.
 
     The head-weight gradient column n is sum_b grad_y_hat[b, n] * f[b], which
     reduces to grad_y_hat[n] * f for a single example.
@@ -191,17 +192,20 @@ def backward(
         )
     if trace.features.shape[1] != params.head_w.shape[0]:
         raise InvalidStateError("trace feature dim does not match params")
-    grads = ModelParams(params.arch, np.empty_like(params.flat))
-    grads.head_w[...] = trace.features.T @ g
+    if out is None:
+        out = ModelParams(params.arch, np.empty_like(params.flat))
+    elif out.arch != params.arch or np.may_share_memory(out.flat, params.flat):
+        raise InvalidStateError("out must be a separate gradient of the params' architecture")
+    np.matmul(trace.features.T, g, out=out.head_w)
     dh = g @ params.head_w.T
     for l in reversed(range(len(params.layer_weights))):
         dz = dh * _activate_grad(trace.post_acts[l], params.arch.activation)
         h_prev = trace.x if l == 0 else trace.post_acts[l - 1]
-        grads.layer_weights[l][...] = h_prev.T @ dz
-        grads.layer_biases[l][...] = dz.sum(axis=0)
+        np.matmul(h_prev.T, dz, out=out.layer_weights[l])
+        dz.sum(axis=0, out=out.layer_biases[l])
         if l > 0:  # the gradient wrt the input rows is never read
             dh = dz @ params.layer_weights[l].T
-    return grads
+    return out
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

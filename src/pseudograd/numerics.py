@@ -1,4 +1,4 @@
-"""Shared float64 numerics: row-wise softmax and entropy, and seeded RNG streams.
+"""Shared float64 numerics: row reductions, softmax and entropy, seeded RNG streams.
 
 Dense matrices and probability rows are plain ``numpy.ndarray`` objects in
 float64, row-major. Validation helpers enforce finiteness at API boundaries
@@ -14,6 +14,14 @@ import numpy as np
 
 LOG_EPS = 1e-12
 
+# The class-axis reductions loop over the columns of an array narrower than
+# 8 columns with at least ROWS_PER_COLUMN rows per column. From 8 entries on,
+# numpy reduces a row in another order (its sum is pairwise, and its max
+# breaks ties of signed zeros otherwise), and on shorter arrays a call per
+# column costs more than numpy's reduce saves.
+MAX_COLUMN_WIDTH = 7
+ROWS_PER_COLUMN = 16
+
 
 class InvalidInputError(ValueError):
     """An argument violates a documented precondition."""
@@ -21,9 +29,31 @@ class InvalidInputError(ValueError):
 
 def as_float_array(v, name: str = "input") -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} contains non-finite values")
     return arr
+
+
+def _by_columns(m: np.ndarray) -> bool:
+    rows, cols = m.shape
+    return 0 < cols <= MAX_COLUMN_WIDTH and rows >= ROWS_PER_COLUMN * cols
+
+
+def _reduce_columns(ufunc, out: np.ndarray, m: np.ndarray) -> np.ndarray:
+    for j in range(1, m.shape[1]):
+        ufunc(out, m[:, j], out=out)
+    return out
+
+
+def row_max(m: np.ndarray) -> np.ndarray:
+    """``m.max(axis=1)`` of a 2-D array, with its bits."""
+    return _reduce_columns(np.maximum, m[:, 0].copy(), m) if _by_columns(m) else m.max(axis=1)
+
+
+def row_sum(m: np.ndarray) -> np.ndarray:
+    """``m.sum(axis=1)`` of a 2-D array, with its bits: numpy starts from
+    +0.0, so a row of -0.0 sums to +0.0."""
+    return _reduce_columns(np.add, m[:, 0] + 0.0, m) if _by_columns(m) else m.sum(axis=1)
 
 
 def softmax_rows(m) -> np.ndarray:
@@ -31,19 +61,21 @@ def softmax_rows(m) -> np.ndarray:
     arr = as_float_array(m, "softmax input")
     if arr.ndim != 2:
         raise InvalidInputError("softmax_rows expects a 2-D array")
-    shifted = arr - arr.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = arr - row_max(arr)[:, None]
+    np.exp(e, out=e)
+    e /= row_sum(e)[:, None]
+    return e
 
 
 def clamped_log(p: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(p, LOG_EPS))
+    out = np.maximum(p, LOG_EPS)
+    return np.log(out, out=out)
 
 
 def entropy_rows(m) -> np.ndarray:
     """Per-row Shannon entropy -sum p*log(p), natural log, with the LOG_EPS clamp."""
     arr = np.asarray(m, dtype=np.float64)
-    return -(arr * clamped_log(arr)).sum(axis=1)
+    return -row_sum(arr * clamped_log(arr))
 
 
 class RandomStream:

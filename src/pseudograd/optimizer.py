@@ -1,5 +1,5 @@
-"""Optimizers: Nesterov-momentum SGD for network weights, plain gradient
-descent with its own learning rate for pseudo-logits.
+"""Optimizers: Nesterov-momentum SGD for network weights, a momentum-free
+descent step with its own learning rate for pseudo-logits.
 
 The Nesterov recurrence used here (lookahead form), with g~ = g + wd*theta:
 
@@ -30,6 +30,7 @@ class OptState:
     weight_decay: float = 0.0
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(0))
     decay: np.ndarray = field(default_factory=lambda: np.zeros(0))  # per flat entry
+    scratch: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)))  # step temporaries
 
     def __post_init__(self):
         if not 0.0 <= self.momentum < 1.0:
@@ -44,6 +45,7 @@ def init_opt_state(
     state = OptState(lr, momentum, weight_decay)
     state.velocity = np.zeros_like(params.flat)
     state.decay = weight_decay * weight_mask(params.arch)
+    state.scratch = np.empty((2, params.flat.size))
     return state
 
 
@@ -52,15 +54,20 @@ def sgd_nesterov_step(
 ) -> tuple[ModelParams, OptState]:
     """One in-place Nesterov SGD step over the flat parameter vector."""
     theta = params.flat
-    if not grads.flat.size == state.velocity.size == theta.size:
+    if not grads.flat.size == state.velocity.size == state.scratch.shape[1] == theta.size:
         raise InvalidInputError(
-            f"gradient size {grads.flat.size} and velocity size "
-            f"{state.velocity.size} must equal param size {theta.size}"
+            f"gradient size {grads.flat.size}, velocity size {state.velocity.size} and "
+            f"scratch size {state.scratch.shape[1]} must equal param size {theta.size}"
         )
-    g_eff = grads.flat + state.decay * theta
+    lr_g, move = state.scratch
+    np.multiply(state.decay, theta, out=lr_g)
+    lr_g += grads.flat  # g~ = g + wd * theta
+    lr_g *= state.lr
     state.velocity *= state.momentum
-    state.velocity -= state.lr * g_eff
-    theta += state.momentum * state.velocity - state.lr * g_eff
+    state.velocity -= lr_g
+    np.multiply(state.velocity, state.momentum, out=move)
+    move -= lr_g
+    theta += move
     return params, state
 
 
@@ -70,11 +77,13 @@ def pseudo_step(
     lam: float,
     rows: np.ndarray | None = None,
 ) -> PseudoTable:
-    """Plain gradient descent on pseudo-logits: y~ <- y~ - lam * grad.
+    """One descent step on pseudo-logits: y~[rows] <- y~[rows] - lam * grad.
 
     ``pseudo_grads`` aligns with ``rows`` (all rows when omitted). Frozen rows
     are never touched regardless of the gradients supplied. No momentum, no
-    weight decay.
+    weight decay. The update is a fancy-index assignment, so a row listed
+    twice in ``rows`` takes only its last gradient row, not the sum of both:
+    with repeated rows this is not gradient descent on the batch loss.
     """
     grads = np.asarray(pseudo_grads, dtype=np.float64)
     if rows is None:

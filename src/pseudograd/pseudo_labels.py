@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import SplitDataset
 from .model import ModelParams, forward_batch
-from .numerics import InvalidInputError, as_float_array, softmax_rows
+from .numerics import InvalidInputError, as_float_array, row_sum, softmax_rows
 
 INIT_K = 10.0  # the logit K of a labeled row's frozen K * one-hot
 
@@ -49,7 +49,7 @@ class PseudoTable:
 
     def sum_drift(self) -> np.ndarray:
         """|sum(row) - init_sum| per example."""
-        return np.abs(self.logits.sum(axis=1) - self.init_sum)
+        return np.abs(row_sum(self.logits) - self.init_sum)
 
 
 def init_pseudo(split: SplitDataset, params: ModelParams) -> PseudoTable:

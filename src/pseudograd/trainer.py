@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +102,8 @@ class Report:
         self.rows: list[ReportRow] = []
 
     def add(self, row: ReportRow) -> None:
-        for name, value in asdict(row).items():
+        for name in REPORT_COLUMNS:
+            value = getattr(row, name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidInputError(f"report field {name} is not finite")
         if self.rows:
@@ -176,18 +177,17 @@ class _CyclingPool:
         self.order = self.idx[stream.permutation(self.idx.size)]
         self.pos = 0
 
-    def take(self, k: int) -> np.ndarray:
-        out = np.empty(k, dtype=np.int64)
+    def take(self, out: np.ndarray) -> None:
+        """Fill ``out`` with the next indices."""
         filled = 0
-        while filled < k:
+        while filled < out.size:
             if self.pos >= self.order.size:
                 self.order = self.idx[self.stream.permutation(self.idx.size)]
                 self.pos = 0
-            n = min(k - filled, self.order.size - self.pos)
+            n = min(out.size - filled, self.order.size - self.pos)
             out[filled : filled + n] = self.order[self.pos : self.pos + n]
             self.pos += n
             filled += n
-        return out
 
 
 def accuracy(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
@@ -270,6 +270,7 @@ def _supervised_stage(
     """Cross-entropy epochs over a fixed example set (stages 1 and 3), with
     one report row per epoch when ``report`` is given."""
     opt = init_opt_state(params, stage_cfg.lr, MOMENTUM, stage_cfg.wd)
+    grads = ModelParams(params.arch, np.empty_like(params.flat))
     stream = RandomStream(cfg.seed, stream_id=stream_id)
     n = features.shape[0]
     for ep in range(stage_cfg.epochs):
@@ -282,7 +283,8 @@ def _supervised_stage(
             picked = (np.arange(rows.size), targets[rows])
             ce_sum -= float(clamped_log(g[picked]).sum())
             g[picked] -= 1.0
-            sgd_nesterov_step(params, backward(trace, g / rows.size, params), opt)
+            g /= rows.size
+            sgd_nesterov_step(params, backward(trace, g, params, out=grads), opt)
         if report is not None:
             ce = ce_sum / n
             report.add(_eval_row(stage, ep + 1, opt.lr, ce, ce, 0.0, params, split, test, table, cfg))
@@ -343,29 +345,37 @@ def _joint_epoch(
     frac: float,
     lab_pool: _CyclingPool | None,
     unl_pool: _CyclingPool | None,
+    grads: ModelParams,
 ) -> StageTwoStats:
-    n_batches, lab_q, unl_q = _mixed_batch_plan(split, batch, frac)
+    """One epoch of joint steps; ``grads`` is the stage's gradient buffer."""
+    n_batches, lab_q, unl_q = _mixed_batch_plan(split, batch, frac)  # 0 when the pool is None
     feats = split.base.features
+    # one batch's rows, inputs and pseudo-logits, refilled every step
+    rows = np.empty(lab_q + unl_q, dtype=np.int64)
+    x = np.empty((rows.size, feats.shape[1]))
+    logits = np.empty((rows.size, table.num_classes))
     tot = lc_s = le_s = hn = 0.0
     n_seen = 0
     for _ in range(n_batches):
-        parts = []
-        if lab_q and lab_pool is not None:
-            parts.append(lab_pool.take(lab_q))
-        if unl_q and unl_pool is not None:
-            parts.append(unl_pool.take(unl_q))
-        rows = np.concatenate(parts)
-        trace = forward_batch(params, feats[rows])
-        loss = joint_loss_rows(trace.p_hat, softmax_rows(table.logits[rows]), lcfg)
-        lc_s += float(np.sum(loss.lc))
-        le_s += float(np.sum(loss.le))
-        tot += float(np.sum(loss.total))
+        if lab_q:
+            lab_pool.take(rows[:lab_q])
+        if unl_q:
+            unl_pool.take(rows[lab_q:])
+        np.take(feats, rows, axis=0, out=x)
+        np.take(table.logits, rows, axis=0, out=logits)
+        trace = forward_batch(params, x)
+        loss = joint_loss_rows(trace.p_hat, softmax_rows(logits), lcfg)
+        lc_s += float(loss.lc.sum())
+        le_s += float(loss.le.sum())
+        tot += float(loss.total.sum())
         n_seen += rows.size
         # joint step from one shared forward pass; gradients of the batch-mean loss
-        grads = backward(trace, loss.grad_y / rows.size, params)
+        for grad in (loss.grad_y, loss.grad_pseudo):
+            grad /= rows.size
+        backward(trace, loss.grad_y, params, out=grads)
         hn += float(np.linalg.norm(grads.head_w))
         sgd_nesterov_step(params, grads, opt)
-        pseudo_step(table, loss.grad_pseudo / rows.size, lcfg.lam, rows)
+        pseudo_step(table, loss.grad_pseudo, lcfg.lam, rows)
     return StageTwoStats(tot / n_seen, lc_s / n_seen, le_s / n_seen, hn / n_batches)
 
 
@@ -394,6 +404,7 @@ def stage2_joint(
         table = init_pseudo(split, params)
     lab_pool = _CyclingPool(split.labeled_idx, stream) if split.n_labeled else None
     unl_pool = _CyclingPool(split.unlabeled_idx, stream) if split.n_unlabeled else None
+    grads = ModelParams(params.arch, np.empty_like(params.flat))
     epoch_global = 0
     for rnd in range(s2.rounds):
         if rnd > 0 and s2.repredict_between_rounds:
@@ -409,6 +420,7 @@ def stage2_joint(
                 s2.labeled_fraction_per_batch,
                 lab_pool,
                 unl_pool,
+                grads,
             )
             epoch_global += 1
             stop = epoch_hook(rnd, epoch_global, params, table, stats) if epoch_hook else None

@@ -7,6 +7,7 @@ from pseudograd.model import (
     ACTIVATIONS,
     Architecture,
     InvalidStateError,
+    ModelParams,
     backward,
     forward_batch,
     init_params,
@@ -187,6 +188,27 @@ class TestBackward:
         np.testing.assert_array_equal(grads.layer_weights[0], x.T @ dz)
         np.testing.assert_array_equal(grads.layer_biases[0], dz.sum(axis=0))
         assert not grads.layer_weights[0][:, 1].any()
+
+    def test_out_buffer_equals_a_fresh_gradient(self):
+        params = init_params(Architecture(4, (6, 5), 3, activation="tanh"), seed=2)
+        out = ModelParams(params.arch, np.full_like(params.flat, np.nan))
+        rng = np.random.default_rng(2)
+        for rows in (7, 3):  # the buffer is overwritten, whatever it held
+            x, g = rng.normal(size=(rows, 4)), rng.normal(size=(rows, 3))
+            trace = forward_batch(params, x)
+            fresh = backward(trace, g, params)
+            assert backward(trace, g, params, out=out) is out
+            np.testing.assert_array_equal(out.flat, fresh.flat)
+
+    def test_out_must_be_a_separate_gradient_of_the_same_arch(self):
+        params = init_params(Architecture(4, (5,), 3), seed=0)
+        before = params.flat.copy()
+        trace = forward_batch(params, np.ones((2, 4)))
+        other_arch = init_params(Architecture(4, (6,), 3), seed=0)
+        for out in (params, ModelParams(params.arch, params.flat), other_arch):
+            with pytest.raises(InvalidStateError):
+                backward(trace, np.ones((2, 3)), params, out=out)
+        np.testing.assert_array_equal(params.flat, before)
 
     def test_stale_trace_rejected(self):
         arch = Architecture(4, (5,), 3)

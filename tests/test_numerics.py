@@ -2,7 +2,65 @@ import numpy as np
 import pytest
 
 from pseudograd.loss import LossConfig, loss_terms_rows
-from pseudograd.numerics import InvalidInputError, RandomStream, entropy_rows, softmax_rows
+from pseudograd.numerics import (
+    LOG_EPS,
+    ROWS_PER_COLUMN,
+    InvalidInputError,
+    RandomStream,
+    entropy_rows,
+    row_max,
+    row_sum,
+    softmax_rows,
+)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _gate_row_counts(cols):
+    """Row counts on both sides of the column gate, and a 1-row input."""
+    gate = ROWS_PER_COLUMN * cols
+    return (1, gate - 1, gate, 3 * gate)
+
+
+class TestRowReductions:
+    """``row_max`` and ``row_sum`` have numpy's bits on both sides of the
+    column gate. A numpy that changes its short-row sum order fails here."""
+
+    @pytest.mark.parametrize("cols", range(1, 17))
+    def test_same_bits_as_numpy(self, cols):
+        rng = np.random.default_rng(cols)
+        for rows in _gate_row_counts(cols):
+            m = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-8, 9, size=(rows, cols))
+            np.testing.assert_array_equal(_bits(row_max(m)), _bits(m.max(axis=1)))
+            np.testing.assert_array_equal(_bits(row_sum(m)), _bits(m.sum(axis=1)))
+
+    @pytest.mark.parametrize("cols", range(1, 17))
+    def test_signed_zeros(self, cols):
+        rng = np.random.default_rng(100 + cols)
+        for rows in _gate_row_counts(cols):
+            m = rng.choice([0.0, -0.0], size=(rows, cols))
+            m[0] = -0.0
+            np.testing.assert_array_equal(_bits(row_max(m)), _bits(m.max(axis=1)))
+            np.testing.assert_array_equal(_bits(row_sum(m)), _bits(m.sum(axis=1)))
+
+    @pytest.mark.parametrize("cols", [1, 2, 3, 7, 8, 16])
+    def test_softmax_and_entropy_keep_the_numpy_reduce_bits(self, cols):
+        # the expressions as written on numpy's reductions
+        def softmax_ref(m):
+            e = np.exp(m - m.max(axis=1, keepdims=True))
+            return e / e.sum(axis=1, keepdims=True)
+
+        def entropy_ref(p):
+            return -(p * np.log(np.maximum(p, LOG_EPS))).sum(axis=1)
+
+        rng = np.random.default_rng(200 + cols)
+        for rows in _gate_row_counts(cols):
+            m = rng.normal(size=(rows, cols)) * 5.0
+            p = softmax_rows(m)
+            np.testing.assert_array_equal(_bits(p), _bits(softmax_ref(m)))
+            np.testing.assert_array_equal(_bits(entropy_rows(p)), _bits(entropy_ref(p)))
 
 
 class TestSoftmax:

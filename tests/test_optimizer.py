@@ -51,6 +51,21 @@ class TestNesterovStep:
             theta_ref = theta_ref + 0.9 * v_ref - 0.1 * g
             np.testing.assert_allclose(params.head_w[0, 0], theta_ref, atol=1e-14)
 
+    def test_in_place_step_has_the_reference_bits(self):
+        # the recurrence as written with a new array per term
+        params = init_params(Architecture(3, (4, 5), 2), seed=3)
+        state = init_opt_state(params, lr=0.05, momentum=0.9, weight_decay=0.01)
+        theta, v = params.flat.copy(), np.zeros_like(params.flat)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            grads = ModelParams(params.arch, rng.normal(size=params.flat.size))
+            g_eff = grads.flat + state.decay * theta
+            v = 0.9 * v - 0.05 * g_eff
+            theta = theta + (0.9 * v - 0.05 * g_eff)
+            sgd_nesterov_step(params, grads, state)
+            np.testing.assert_array_equal(params.flat, theta)
+            np.testing.assert_array_equal(state.velocity, v)
+
     def test_weight_decay_skips_biases(self):
         params = init_params(Architecture(3, (4, 5), 2), seed=2)
         params.layer_biases[0][...] = 1.0

@@ -18,9 +18,11 @@ from pseudograd.config import (
     load_config,
 )
 from pseudograd.data import gen_gaussian_blobs, split_per_class
+from pseudograd.numerics import RandomStream
 from pseudograd.trainer import (
     Report,
     ReportRow,
+    _CyclingPool,
     _mixed_batch_plan,
     build_dataset,
     run_pipeline,
@@ -150,6 +152,37 @@ class TestBatchPlan:
         split = split_per_class(ds, 1, seed=0)
         _, lab, unl = _mixed_batch_plan(split, batch=16, frac=0.01)
         assert lab == 1 and unl == 15
+
+
+def _allocating_take(pool, k):
+    """The pool's take as it was, returning a new array (the reference)."""
+    out = np.empty(k, dtype=np.int64)
+    filled = 0
+    while filled < k:
+        if pool.pos >= pool.order.size:
+            pool.order = pool.idx[pool.stream.permutation(pool.idx.size)]
+            pool.pos = 0
+        n = min(k - filled, pool.order.size - pool.pos)
+        out[filled : filled + n] = pool.order[pool.pos : pool.pos + n]
+        pool.pos += n
+        filled += n
+    return out
+
+
+def test_pool_fills_a_callers_buffer_like_the_allocating_take():
+    # blobs_trend's stage 2: 16 labeled rows from a pool of 9 and 48 of 591
+    # unlabeled per batch, both pools drawing from one stream
+    def pools():
+        stream = RandomStream(7, stream_id=11)
+        return _CyclingPool(np.arange(9), stream), _CyclingPool(np.arange(9, 600), stream)
+
+    (lab, unl), (lab_ref, unl_ref) = pools(), pools()
+    rows = np.empty(64, dtype=np.int64)
+    for _ in range(60):  # about 100 labeled and 4 unlabeled reshuffles
+        lab.take(rows[:16])
+        unl.take(rows[16:])
+        expected = np.concatenate([_allocating_take(lab_ref, 16), _allocating_take(unl_ref, 48)])
+        np.testing.assert_array_equal(rows, expected)
 
 
 class TestStages:
