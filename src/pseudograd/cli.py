@@ -180,6 +180,9 @@ def _cell_configs(cfg: TrainConfig, grid: str) -> list[tuple[str, TrainConfig]]:
 
 def run_ablation(cfg: TrainConfig, grid: str, n_seeds: int) -> list[dict]:
     """Run every grid cell over ``n_seeds`` derived seeds; one summary row per cell."""
+    if not (cfg.stage1.epochs or cfg.stage2.epochs or cfg.stage3.epochs):  # no cell sets them
+        raise ConfigError("ablate reads each run's last report row, and no stage has an epoch "
+                          "(stage1.epochs, stage2.epochs_per_round and stage3.epochs are 0)")
     rows = []
     for name, cell in _cell_configs(cfg, grid):
         test_errors = []

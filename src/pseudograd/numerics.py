@@ -72,10 +72,11 @@ def clamped_log(p: np.ndarray) -> np.ndarray:
     return np.log(out, out=out)
 
 
-def entropy_rows(m) -> np.ndarray:
-    """Per-row Shannon entropy -sum p*log(p), natural log, with the LOG_EPS clamp."""
+def entropy_rows(m, log_m=None) -> np.ndarray:
+    """Per-row Shannon entropy -sum p*log(p), natural log, with the LOG_EPS
+    clamp; ``log_m`` is ``clamped_log(m)`` when the caller has it."""
     arr = np.asarray(m, dtype=np.float64)
-    return -row_sum(arr * clamped_log(arr))
+    return -row_sum(arr * (clamped_log(arr) if log_m is None else log_m))
 
 
 class RandomStream:

@@ -20,6 +20,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,13 +38,7 @@ from .model import (
 )
 from .numerics import InvalidInputError, RandomStream, clamped_log, entropy_rows, softmax_rows
 from .optimizer import decay_lr, init_opt_state, pseudo_step, sgd_nesterov_step
-from .pseudo_labels import (
-    PseudoTable,
-    hard_labels,
-    init_pseudo,
-    pseudo_probs_rows,
-    repredict,
-)
+from .pseudo_labels import PseudoTable, hard_labels, init_pseudo, repredict
 
 MOMENTUM = 0.9
 
@@ -100,6 +95,15 @@ class Report:
 
     def __init__(self):
         self.rows: list[ReportRow] = []
+        self._eval_rows: EvalRows | None = None
+
+    def eval_rows(self, split: SplitDataset, test: Dataset | None) -> EvalRows:
+        """The rows this report's evaluations read, gathered once per
+        (split, test) pair, which is once per pipeline."""
+        held = self._eval_rows
+        if held is None or held.split is not split or held.test is not test:
+            held = self._eval_rows = EvalRows(split, test)
+        return held
 
     def add(self, row: ReportRow) -> None:
         for name in REPORT_COLUMNS:
@@ -194,60 +198,71 @@ def accuracy(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     if x.shape[0] == 0:
         return float("nan")
     pred = forward_batch(params, x).p_hat.argmax(axis=1)
-    return float((pred == y).mean())
+    return float(np.count_nonzero(pred == y) / y.size)  # the bits of (pred == y).mean()
 
 
-def _eval_row(
-    stage: int,
-    epoch: int,
-    lr: float,
-    loss_total: float,
-    loss_lc: float,
-    loss_le: float,
-    params: ModelParams,
-    split: SplitDataset,
-    test: Dataset | None,
-    table: PseudoTable | None,
-    cfg: TrainConfig,
-) -> ReportRow:
-    feats = split.base.features
-    labeled_acc = accuracy(
-        params, feats[split.labeled_idx], split.base.labels[split.labeled_idx]
-    )
+class PseudoEval(NamedTuple):
+    """The report fields read off the pseudo table, with the unlabeled rows'
+    pseudo-label probabilities and their clamped logs."""
+
+    acc: float
+    mean_entropy: float
+    drift: float
+    p_tilde: np.ndarray
+    log_p_tilde: np.ndarray
+
+
+class EvalRows:
+    """The rows a report row reads: the labeled rows and labels, the
+    unlabeled rows and their hidden truth, and the test set."""
+
+    def __init__(self, split: SplitDataset, test: Dataset | None):
+        self.split, self.test = split, test
+        self.x_lab = split.base.features[split.labeled_idx]
+        self.y_lab = split.labeled_targets()
+        self.unl = split.unlabeled_idx
+        self.x_unl = split.base.features[self.unl]
+        self.y_unl = split.hidden_truth(self.unl)
+
+    def pseudo_eval(self, table: PseudoTable) -> PseudoEval | None:
+        """The table's fields over the unlabeled rows; None without any."""
+        if not self.unl.size:
+            return None
+        logits = np.take(table.logits, self.unl, axis=0)
+        p_tilde = softmax_rows(logits)
+        log_p_tilde = clamped_log(p_tilde)
+        return PseudoEval(
+            float(np.count_nonzero(logits.argmax(axis=1) == self.y_unl) / self.unl.size),
+            float(entropy_rows(p_tilde, log_p_tilde).mean()),
+            float(table.sum_drift()[self.unl].max()),
+            p_tilde,
+            log_p_tilde,
+        )
+
+
+def _eval_row(stage: int, epoch: int, lr: float, loss_total: float, loss_lc: float,
+              loss_le: float, params: ModelParams, rows: EvalRows,
+              pseudo: PseudoTable | PseudoEval | None, cfg: TrainConfig) -> ReportRow:
+    """One report row. ``pseudo`` is the pseudo table, its ``pseudo_eval``
+    when the table is read-only for the whole stage, or None before stage 2."""
+    if isinstance(pseudo, PseudoTable):
+        pseudo = rows.pseudo_eval(pseudo)
+    labeled_acc = accuracy(params, rows.x_lab, rows.y_lab)
+    test = rows.test
     test_acc = accuracy(params, test.features, test.labels) if test is not None else NA
-    unl = split.unlabeled_idx
-    if unl.size:
-        p_hat_unl = forward_batch(params, feats[unl]).p_hat
-        mean_ent_pred = float(entropy_rows(p_hat_unl).mean())
-    else:
-        mean_ent_pred = NA
-    pseudo_acc = mean_ent_pseudo = drift = p50 = p90 = p99 = NA
-    if table is not None and unl.size:
-        hard = hard_labels(table)[unl]
-        pseudo_acc = float((hard == split.hidden_truth(unl)).mean())
-        p_tilde_unl = pseudo_probs_rows(table, unl)
-        mean_ent_pseudo = float(entropy_rows(p_tilde_unl).mean())
-        drift = float(table.sum_drift()[unl].max())
+    mean_ent_pred = pseudo_acc = mean_ent_pseudo = drift = p50 = p90 = p99 = NA
+    if rows.unl.size:
+        p_hat = forward_batch(params, rows.x_unl).p_hat
+        log_p_hat = clamped_log(p_hat)
+        mean_ent_pred = float(entropy_rows(p_hat, log_p_hat).mean())
+    if pseudo is not None:
+        pseudo_acc, mean_ent_pseudo, drift = pseudo.acc, pseudo.mean_entropy, pseudo.drift
         if cfg.loss.variant == "kl_pred_pseudo":
-            res = theory.link_residual_rows(p_hat_unl, p_tilde_unl, cfg.loss)
+            logs = (log_p_hat, pseudo.log_p_tilde)
+            res = theory.link_residual_rows(p_hat, pseudo.p_tilde, logs, cfg.loss)
             p50, p90, p99 = theory.residual_quantiles(res).values()
-    return ReportRow(
-        stage,
-        epoch,
-        lr,
-        loss_total,
-        loss_lc,
-        loss_le,
-        labeled_acc,
-        pseudo_acc,
-        test_acc,
-        mean_ent_pred,
-        mean_ent_pseudo,
-        drift,
-        p50,
-        p90,
-        p99,
-    )
+    return ReportRow(stage, epoch, lr, loss_total, loss_lc, loss_le, labeled_acc, pseudo_acc,
+                     test_acc, mean_ent_pred, mean_ent_pseudo, drift, p50, p90, p99)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +287,9 @@ def _supervised_stage(
     opt = init_opt_state(params, stage_cfg.lr, MOMENTUM, stage_cfg.wd)
     grads = ModelParams(params.arch, np.empty_like(params.flat))
     stream = RandomStream(cfg.seed, stream_id=stream_id)
+    if report is not None:  # the table is read-only here: its fields are read once
+        eval_rows = report.eval_rows(split, test)
+        pseudo = eval_rows.pseudo_eval(table) if table is not None else None
     n = features.shape[0]
     for ep in range(stage_cfg.epochs):
         order = stream.permutation(n)
@@ -287,7 +305,9 @@ def _supervised_stage(
             sgd_nesterov_step(params, backward(trace, g, params, out=grads), opt)
         if report is not None:
             ce = ce_sum / n
-            report.add(_eval_row(stage, ep + 1, opt.lr, ce, ce, 0.0, params, split, test, table, cfg))
+            report.add(
+                _eval_row(stage, ep + 1, opt.lr, ce, ce, 0.0, params, eval_rows, pseudo, cfg)
+            )
     return params
 
 
@@ -405,41 +425,19 @@ def stage2_joint(
     lab_pool = _CyclingPool(split.labeled_idx, stream) if split.n_labeled else None
     unl_pool = _CyclingPool(split.unlabeled_idx, stream) if split.n_unlabeled else None
     grads = ModelParams(params.arch, np.empty_like(params.flat))
+    eval_rows = report.eval_rows(split, test) if report is not None else None
     epoch_global = 0
     for rnd in range(s2.rounds):
         if rnd > 0 and s2.repredict_between_rounds:
             table = repredict(table, split, params)
         for _ in range(s2.epochs):
-            stats = _joint_epoch(
-                params,
-                table,
-                split,
-                cfg.loss,
-                opt,
-                s2.batch,
-                s2.labeled_fraction_per_batch,
-                lab_pool,
-                unl_pool,
-                grads,
-            )
+            stats = _joint_epoch(params, table, split, cfg.loss, opt, s2.batch,
+                                 s2.labeled_fraction_per_batch, lab_pool, unl_pool, grads)
             epoch_global += 1
             stop = epoch_hook(rnd, epoch_global, params, table, stats) if epoch_hook else None
             if report is not None:
-                report.add(
-                    _eval_row(
-                        2,
-                        epoch_global,
-                        opt.lr,
-                        stats.loss_total,
-                        stats.loss_lc,
-                        stats.loss_le,
-                        params,
-                        split,
-                        test,
-                        table,
-                        cfg,
-                    )
-                )
+                report.add(_eval_row(2, epoch_global, opt.lr, stats.loss_total, stats.loss_lc,
+                                     stats.loss_le, params, eval_rows, table, cfg))
             if stop:
                 return params, table
         if s2.decay_between_rounds and rnd < s2.rounds - 1:

@@ -165,6 +165,27 @@ class TestExitCodes:
         assert "must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_ablate_without_any_epoch_exits_2_before_training(self, tmp_path, capsys,
+                                                              monkeypatch):
+        cfg = _write_tiny_config(tmp_path / "cfg.json")
+        zero = ["--override", "stage1.epochs=0", "--override", "stage2.epochs_per_round=0",
+                "--override", "stage3.epochs=0"]
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run), *zero]) == 0
+        assert (run / "report.csv").read_text().count("\n") == 1  # the header only
+
+        def no_training(cfg):
+            raise AssertionError("ablate trained a pipeline")
+
+        monkeypatch.setattr("pseudograd.cli.run_pipeline", no_training)
+        out = tmp_path / "ab"
+        assert main(["ablate", "--config", str(cfg), "--out", str(out), "--seeds", "1",
+                     *zero]) == 2
+        err = capsys.readouterr().err
+        assert "no stage has an epoch" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_verify_missing_artifacts_exits_2(self, tmp_path):
         cfg = _write_tiny_config(tmp_path / "cfg.json")
         rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "empty")])

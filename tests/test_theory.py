@@ -133,6 +133,54 @@ class TestEvalRowResidual:
         )
 
 
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestResidualQuantiles:
+    """``residual_quantiles`` partitions and interpolates itself on finite
+    input; it must give the bits of the ``np.quantile`` call it replaces."""
+
+    SIZES = [*range(1, 65), 591, 992, 1000]
+
+    @staticmethod
+    def _assert_numpy_bits(r):
+        kept = r.copy()
+        with np.errstate(invalid="ignore"):
+            got = list(theory.residual_quantiles(r).values())
+            want = np.quantile(np.abs(r), (0.5, 0.9, 0.99))
+        np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=f"n={r.size}: {r}")
+        np.testing.assert_array_equal(_bits(r), _bits(kept))  # the input is not reordered
+
+    @pytest.mark.parametrize("kind", ["magnitudes", "ties", "zeros"])
+    def test_numpy_bits(self, kind):
+        rng = np.random.default_rng(len(kind))
+        for n in self.SIZES:
+            if kind == "magnitudes":  # signed, from 1e-3 to 1e3
+                r = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+            elif kind == "ties":  # few distinct values, zeros among them
+                r = rng.integers(-3, 4, n) * 0.25
+            else:
+                r = np.zeros(n)
+                r[rng.integers(0, n)] = -7.5e-3
+            self._assert_numpy_bits(r)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_gives_numpys_result(self, bad):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7, 591):
+            for at in {0, n // 2, n - 1}:
+                r = rng.normal(size=n)
+                r[at] = bad
+                self._assert_numpy_bits(r)
+
+    def test_empty_input_raises_as_numpy_does(self):
+        with pytest.raises(IndexError):
+            np.quantile(np.abs(np.array([])), (0.5, 0.9, 0.99))
+        with pytest.raises(IndexError):
+            theory.residual_quantiles(np.array([]))
+
+
 class TestOneLinkForward:
     @pytest.mark.parametrize("check, forwards", [("check_flatness", 1), ("run_verification", 2)])
     def test_unlabeled_rows_forwarded_once_per_check(self, monkeypatch, check, forwards):

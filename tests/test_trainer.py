@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pseudograd import theory, trainer
 from pseudograd.config import (
     ArchSpec,
     ConfigError,
@@ -253,6 +254,102 @@ class TestStages:
         s2 = report.stage_rows(2)
         assert len(s2) == cfg.stage2.epochs * cfg.stage2.rounds
         assert all(np.isfinite(list(vars(r).values())).all() for r in s2)
+
+
+class TestSharedEval:
+    """A report row reads each intermediate once: gathered rows, one log per
+    probability array, and in stage 3 the read-only table's fields once per
+    stage. Every column must equal what a fresh computation gives."""
+
+    @pytest.fixture(scope="class")
+    def trend_run(self):
+        from conftest import make_trend_config
+
+        cfg = make_trend_config(seed=7)
+        cfg.stage2.rounds = 2  # one reprediction
+        split, test = build_dataset(cfg.data, cfg.seed)
+        report, seen_params, seen_tables = Report(), [], []
+        original = trainer._eval_row
+
+        def recording(*args):
+            seen_params.append(args[6].copy())  # the network the row is evaluated on
+            return original(*args)
+
+        def copy_table(rnd, epoch, params, table, stats):
+            seen_tables.append(table.copy())  # runs before the epoch's row
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer, "_eval_row", recording)
+            params = stage1_supervised(cfg, split, test, report)
+            params, table = stage2_joint(cfg, params, split, test, report, epoch_hook=copy_table)
+            stage3_finetune(cfg, params, table, split, test, report)
+        return cfg, split, report, seen_params, seen_tables, table
+
+    @staticmethod
+    def _pseudo_columns(table, split):
+        from pseudograd.numerics import entropy_rows
+        from pseudograd.pseudo_labels import hard_labels, pseudo_probs_rows
+
+        unl = split.unlabeled_idx
+        return (float((hard_labels(table)[unl] == split.hidden_truth(unl)).mean()),
+                float(entropy_rows(pseudo_probs_rows(table, unl)).mean()),
+                float(table.sum_drift()[unl].max()))
+
+    @staticmethod
+    def _row_pseudo_columns(row):
+        return row.unlabeled_pseudo_acc, row.mean_entropy_pseudo, row.max_sum_drift
+
+    @staticmethod
+    def _assert_fresh_residual(row, params, table, split, cfg):
+        _, _, r = theory.link_residuals(params, table, split, cfg.loss)
+        quantiles = (row.link_residual_p50, row.link_residual_p90, row.link_residual_p99)
+        assert quantiles == tuple(theory.residual_quantiles(r).values()), (row.stage, row.epoch)
+
+    @staticmethod
+    def _stage_rows_and_params(report, seen_params, stage):
+        return [(row, p) for row, p in zip(report.rows, seen_params) if row.stage == stage]
+
+    def test_prediction_entropy_equals_a_fresh_forward(self, trend_run):
+        from pseudograd.model import forward_batch
+        from pseudograd.numerics import entropy_rows
+
+        cfg, split, report, seen_params, _, _ = trend_run
+        x_unl = split.base.features[split.unlabeled_idx]
+        assert len(seen_params) == len(report.rows)
+        for row, params in zip(report.rows, seen_params):
+            fresh = float(entropy_rows(forward_batch(params, x_unl).p_hat).mean())
+            assert row.mean_entropy_pred == fresh, (row.stage, row.epoch)
+
+    def test_stage2_pseudo_columns_follow_the_table_every_epoch(self, trend_run):
+        cfg, split, report, seen_params, seen_tables, _ = trend_run
+        rows = self._stage_rows_and_params(report, seen_params, 2)
+        assert len(rows) == len(seen_tables) == cfg.stage2.rounds * cfg.stage2.epochs
+        for (row, params), table in zip(rows, seen_tables):
+            assert self._row_pseudo_columns(row) == self._pseudo_columns(table, split), row.epoch
+            self._assert_fresh_residual(row, params, table, split, cfg)
+        assert len({row.mean_entropy_pseudo for row, _ in rows}) > 1
+
+    def test_stage3_pseudo_columns_come_from_the_stage2_table(self, trend_run):
+        cfg, split, report, seen_params, _, table = trend_run
+        want = self._pseudo_columns(table, split)
+        rows = self._stage_rows_and_params(report, seen_params, 3)
+        assert len(rows) == cfg.stage3.epochs
+        for row, params in rows:
+            assert self._row_pseudo_columns(row) == want, row.epoch
+            self._assert_fresh_residual(row, params, table, split, cfg)
+
+    def test_stage1_rows_have_no_pseudo_columns(self, trend_run):
+        _, _, report, _, _, _ = trend_run
+        for row in report.stage_rows(1):
+            assert self._row_pseudo_columns(row) == (-1.0, -1.0, -1.0)
+
+    def test_metric_columns_are_python_floats(self, trend_run):
+        # a numpy scalar would print as np.float64(...) in ablation.csv
+        from pseudograd.trainer import REPORT_COLUMNS
+
+        _, _, report, _, _, _ = trend_run
+        for row in report.rows:
+            assert {type(getattr(row, c)) for c in REPORT_COLUMNS[2:]} == {float}, row
 
 
 class TestPipeline:

@@ -12,7 +12,7 @@ under one temporary directory:
 * ``train`` on blobs_trend with ``loss.variant=l2``;
 * ``ablate --grid strategy --seeds 2`` and ``ablate --grid lc --seeds 2`` on
   blobs_trend;
-* ``verify`` of the blobs_trend run;
+* ``verify`` of the blobs_trend run (ReLU) and of the moons_ssl run (tanh);
 * ``gradcheck --trials 5``.
 
 It then compares every file the commands wrote (``manifest.json`` without
@@ -42,6 +42,7 @@ COMMANDS = (
     ("ablate_strategy", "ablate", TREND, ["--grid", "strategy", "--seeds", "2"]),
     ("ablate_lc", "ablate", TREND, ["--grid", "lc", "--seeds", "2"]),
     ("train_blobs_trend", "verify", TREND, []),
+    ("train_moons_ssl", "verify", "configs/moons_ssl.json", []),
     ("gradcheck", "gradcheck", TREND, ["--trials", "5"]),
 )
 
