@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import theory
-from .config import ConfigError, TrainConfig, load_config
+from .config import VARIANTS, ConfigError, TrainConfig, load_config, warn_alpha_le_beta
 from .data import Dataset
 from .model import forward_batch, load_checkpoint
 from .pseudo_labels import load_table
@@ -42,9 +42,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
-ALPHA_SWEEP = (0.1, 0.2, 0.3, 0.4, 0.5)
-BETA_SWEEP = (0.01, 0.02, 0.03, 0.04, 0.05)
-
 STRATEGY_CELLS = {
     # rounds are taken from the config for every cell except single_round
     "single_round": {"rounds": 1, "repredict": False, "decay": False},
@@ -52,6 +49,17 @@ STRATEGY_CELLS = {
     "repeat_repredict": {"repredict": True, "decay": False},
     "repeat_decay": {"repredict": False, "decay": True},
     "full_schedule": {"repredict": True, "decay": True},
+}
+_STRATEGY_KEYS = {"rounds": "stage2.rounds", "repredict": "stage2.repredict_between_rounds",
+                  "decay": "stage2.decay_between_rounds"}
+
+# grid -> cell name -> the TrainConfig.replace changes that make the cell
+GRIDS = {
+    "strategy": {name: {_STRATEGY_KEYS[k]: v for k, v in opts.items()}
+                 for name, opts in STRATEGY_CELLS.items()},
+    "alpha": {f"alpha={a}": {"loss.alpha": a} for a in (0.1, 0.2, 0.3, 0.4, 0.5)},
+    "beta": {f"beta={b}": {"loss.beta": b} for b in (0.01, 0.02, 0.03, 0.04, 0.05)},
+    "lc": {variant: {"loss.variant": variant} for variant in VARIANTS},
 }
 
 
@@ -149,32 +157,12 @@ def cmd_gradcheck(args, cfg: TrainConfig, out: Path) -> int:
 
 
 def _cell_configs(cfg: TrainConfig, grid: str) -> list[tuple[str, TrainConfig]]:
-    cells = []
-    if grid == "strategy":
-        for name, opts in STRATEGY_CELLS.items():
-            cell = cfg.copy()
-            if "rounds" in opts:
-                cell.stage2.rounds = opts["rounds"]
-            cell.stage2.repredict_between_rounds = opts["repredict"]
-            cell.stage2.decay_between_rounds = opts["decay"]
-            cells.append((name, cell))
-    elif grid == "alpha":
-        for a in ALPHA_SWEEP:
-            cell = cfg.copy()
-            cell.loss.alpha = a
-            cells.append((f"alpha={a}", cell))
-    elif grid == "beta":
-        for b in BETA_SWEEP:
-            cell = cfg.copy()
-            cell.loss.beta = b
-            cells.append((f"beta={b}", cell))
-    elif grid == "lc":
-        for variant in ("kl_pred_pseudo", "kl_pseudo_pred", "l2"):
-            cell = cfg.copy()
-            cell.loss.variant = variant
-            cells.append((variant, cell))
-    else:
-        raise ConfigError(f"unknown grid {grid!r}")
+    """The grid's (cell name, config) pairs, in table order. When ``cfg`` has
+    alpha > beta, one warning names every cell that the grid moves to alpha
+    <= beta (a crossing ``cfg`` was flagged when it was loaded)."""
+    cells = [(name, cfg.replace(changes)) for name, changes in GRIDS[grid].items()]
+    if cfg.loss.alpha > cfg.loss.beta:
+        warn_alpha_le_beta([(f"cell {name} has ", cell.loss) for name, cell in cells])
     return cells
 
 
@@ -188,9 +176,7 @@ def run_ablation(cfg: TrainConfig, grid: str, n_seeds: int) -> list[dict]:
         test_errors = []
         pseudo_errors = []
         for k in range(n_seeds):
-            run_cfg = cell.copy()
-            run_cfg.seed = cfg.seed + k
-            result = run_pipeline(run_cfg)
+            result = run_pipeline(cell.replace({"seed": cfg.seed + k}))
             test_errors.append(1.0 - result.report.rows[-1].test_acc)
             s2 = result.report.stage_rows(2)
             pseudo_errors.append(1.0 - s2[-1].unlabeled_pseudo_acc if s2 else float("nan"))
@@ -318,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=positive_int, default=5, help="seeds per grid cell")
     p.add_argument(
         "--grid",
-        choices=["strategy", "alpha", "beta", "lc"],
+        choices=list(GRIDS),
         default="strategy",
         help="which grid to sweep",
     )

@@ -4,16 +4,17 @@ Each field declares its type (the annotation), default, range and JSON key
 once (``setting``, where a range or a key is needed); ``section`` resolves
 the declarations once per class. One walker over them checks types strictly
 (a bool is not an int, an int is accepted for a float, floats must be
-finite) and ranges on every construction, parses documents and overrides,
-and writes ``to_dict``. Only cross-field rules are hand-written, in
-``_cross_check``.
+finite) and ranges on every construction, parses documents and writes
+``to_dict``. ``TrainConfig.replace`` is the one way to derive a config
+(overrides, sweep cells, seeds), so a derived config is checked like a
+loaded one. Only cross-field rules are hand-written, in ``_cross_check``;
+constructors never warn (``warn_alpha_le_beta``).
 """
 
 import json
 import math
 import operator
 import warnings
-from copy import deepcopy
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -212,13 +213,6 @@ class LossConfig(_Section):
     lam: float = setting(4000.0, gt=0, key="lambda")  # pseudo-logit learning rate
     variant: str = setting(VARIANT_KL_PRED_PSEUDO, choices=VARIANTS)
 
-    def _cross_check(self) -> None:
-        if self.alpha <= self.beta:
-            # Permitted (failure-mode experiments) but flagged: the prediction
-            # exponent 1 - beta/alpha is then <= 0 and training degrades.
-            warnings.warn(f"alpha={self.alpha} <= beta={self.beta}: pseudo-labels decouple "
-                          "from predictions and training is expected to degrade", stacklevel=4)
-
 
 @section
 class TrainConfig(_Section):
@@ -230,52 +224,68 @@ class TrainConfig(_Section):
     stage3: StageThreeConfig = field(default_factory=StageThreeConfig)
     seed: int = setting(0, ge=0)
 
-    def copy(self) -> "TrainConfig":
-        """A deep copy, not validated again: the config was checked when built
-        (attribute assignments are not checked)."""
-        return deepcopy(self)
+    def replace(self, changes: dict) -> "TrainConfig":
+        """A new config with ``changes`` applied, checked like a loaded one.
+        Keys are dotted JSON keys (``stage2.epochs_per_round``, ``loss.lambda``,
+        ``seed``); a section key (``loss``) replaces that whole section."""
+        doc = self.to_dict()
+        for key, value in changes.items():
+            *parents, leaf = key.split(".")
+            node = doc
+            for k in parents:
+                node = node.get(k) if isinstance(node, dict) else None
+            if not isinstance(node, dict) or leaf not in node:
+                raise ConfigError(f"unknown key {key}")
+            node[leaf] = value
+        return config_from_dict(doc)
+
+    def copy(self) -> "TrainConfig":  # bench/run.py writes attributes on a copy
+        return self.replace({})
 
 
 def config_from_dict(doc: dict) -> TrainConfig:
     return _from_doc(TrainConfig, doc, "")
 
 
+def warn_alpha_le_beta(named_losses) -> None:
+    """One warning naming every ``(label, LossConfig)`` pair whose alpha <=
+    beta. Permitted (failure-mode experiments) but flagged: the prediction
+    exponent 1 - beta/alpha is then <= 0 and training degrades."""
+    crossed = [f"{label}alpha={loss.alpha} <= beta={loss.beta}"
+               for label, loss in named_losses if loss.alpha <= loss.beta]
+    if crossed:
+        warnings.warn(f"{', '.join(crossed)}: pseudo-labels decouple from predictions and "
+                      "training is expected to degrade", stacklevel=3)
+
+
+def _override(item: str) -> tuple[str, object]:
+    """``key=value`` as (key, value): the value read as JSON, else as a bare string."""
+    key, sep, raw = item.partition("=")
+    if not sep:
+        raise ConfigError(f"override {item!r} is not of the form key=value")
+    try:
+        return key, json.loads(raw)
+    except json.JSONDecodeError:
+        return key, raw
+
+
 def load_config(path, overrides=()) -> TrainConfig:
-    """The config at ``path`` with ``overrides`` applied. Warnings (alpha <=
-    beta) are judged on the final config only, so they are raised once."""
+    """The config at ``path`` with ``key=value`` overrides applied. The alpha
+    <= beta warning is judged on the returned config only, so it is raised
+    at most once."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not overrides:
-        return config_from_dict(doc)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cfg = config_from_dict(doc)
-    return apply_overrides(cfg, overrides)
-
-
-def apply_overrides(cfg: TrainConfig, overrides: list[str]) -> TrainConfig:
-    """Apply `section.key=value` overrides. Each value is read as JSON, or
-    else as a bare string, and then checked like a document value."""
-    doc = cfg.to_dict()
-    for item in overrides:
-        path, sep, raw = item.partition("=")
-        if not sep:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
-        *parents, leaf = path.split(".")
-        node = doc
-        for k in parents:
-            node = node.get(k) if isinstance(node, dict) else None
-        if not isinstance(node, dict) or leaf not in node:
-            raise ConfigError(f"override references unknown key {path!r}")
-        try:
-            node[leaf] = json.loads(raw)
-        except json.JSONDecodeError:
-            node[leaf] = raw
-    return config_from_dict(doc)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    cfg = config_from_dict(doc)
+    if overrides:
+        cfg = cfg.replace(dict(map(_override, overrides)))
+    warn_alpha_le_beta([("", cfg.loss)])
+    return cfg

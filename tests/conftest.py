@@ -1,31 +1,50 @@
-"""Shared fixtures: the converged blobs run used by the stationarity checks,
-the five moons runs of the benefit tests, and a handwritten-digits IDX pair
-for the 2-D-feature reproduction; and the bisection link-point oracle."""
+"""Shared fixtures: the tiny config of the unit tests, the acceptance configs
+(each a committed file under configs/ with ``TrainConfig.replace`` changes),
+the converged blobs run used by the stationarity checks, the five moons runs
+of the benefit tests, and a handwritten-digits IDX pair for the 2-D-feature
+reproduction; and the bisection link-point oracle."""
 
 from __future__ import annotations
 
+import json
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pseudograd.config import (
-    ArchSpec,
-    DataSpec,
-    LossConfig,
-    StageOneConfig,
-    StageThreeConfig,
-    StageTwoConfig,
-    TrainConfig,
-)
+from pseudograd.config import LossConfig, TrainConfig, config_from_dict, load_config
 from pseudograd.data import Dataset, write_idx
 from pseudograd.loss import loss_terms_rows
 from pseudograd.numerics import clamped_log
 from pseudograd.trainer import build_dataset, run_pipeline, stage1_supervised, stage2_joint
 
 CONVERGENCE_GATE = 1e-4
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+# the small blobs run of the unit and command tests
+TINY_DOC = {
+    "data": {"kind": "blobs", "n_classes": 3, "n_per_class": 20, "dim": 2,
+             "spread": 0.6, "labeled_per_class": 4, "test_n_per_class": 20},
+    "arch": {"hidden_dims": [8], "activation": "relu"},
+    "loss": {"alpha": 0.1, "beta": 0.03, "lambda": 4000.0, "variant": "kl_pred_pseudo"},
+    "stage1": {"epochs": 5, "lr": 0.1, "wd": 0.0, "batch": 8},
+    "stage2": {"epochs_per_round": 5, "rounds": 2, "lr0": 0.05, "lr_decay_factor": 0.1,
+               "batch": 60, "labeled_fraction_per_batch": 0.25},
+    "stage3": {"epochs": 5, "lr": 0.01, "batch": 16},
+    "seed": 0,
+}
+
+
+def tiny_config(changes: dict | None = None) -> TrainConfig:
+    """The tiny run with ``changes`` (``TrainConfig.replace`` keys) applied."""
+    return config_from_dict(TINY_DOC).replace(changes or {})
+
+
+def write_tiny_config(path: Path, **sections) -> Path:
+    """Write the tiny run's document, with whole top-level ``sections`` replaced."""
+    path.write_text(json.dumps({**TINY_DOC, **sections}))
+    return path
 
 
 def make_convergence_config(variant: str = "kl_pred_pseudo", rounds: int = 6,
@@ -35,68 +54,28 @@ def make_convergence_config(variant: str = "kl_pred_pseudo", rounds: int = 6,
     Full-dataset batches keep the pseudo-logit tracking in its contractive
     regime; six decayed rounds settle the pseudo table onto the predictions.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        loss = LossConfig(variant=variant)
-    return TrainConfig(
-        data=DataSpec(kind="blobs", n_classes=3, n_per_class=200, dim=2, spread=0.8,
-                      labeled_per_class=10, test_n_per_class=400),
-        arch=ArchSpec(hidden_dims=(32, 16), activation="relu"),
-        loss=loss,
-        stage1=StageOneConfig(epochs=60, lr=0.1, wd=0.0, batch=16),
-        stage2=StageTwoConfig(epochs=epochs_per_round, rounds=rounds,
-                              lr0=0.05, lr_decay_factor=0.3, batch=600,
-                              labeled_fraction_per_batch=0.25, wd=0.0),
-        stage3=StageThreeConfig(epochs=30, lr=0.01, batch=64),
-        seed=7,
-    )
+    return load_config(CONFIG_DIR / "blobs_convergence.json").replace(
+        {"loss.variant": variant, "stage2.rounds": rounds,
+         "stage2.epochs_per_round": epochs_per_round})
 
 
 def make_moons_config(seed: int, alpha: float = 0.1) -> TrainConfig:
     """The two-moons benefit fixture: a wide tanh layer under weight decay
     (kernel-like smoothness) trained with many short reprediction rounds."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        loss = LossConfig(alpha=alpha)
-    return TrainConfig(
-        data=DataSpec(kind="moons", n_per_class=500, noise=0.1, labeled_per_class=4,
-                      test_n_per_class=500, standardize=True),
-        arch=ArchSpec(hidden_dims=(128,), activation="tanh"),
-        loss=loss,
-        stage1=StageOneConfig(epochs=40, lr=0.1, wd=1e-2, batch=8),
-        stage2=StageTwoConfig(epochs=5, rounds=30, lr0=0.2, lr_decay_factor=0.95,
-                              batch=64, labeled_fraction_per_batch=0.1, wd=1e-2),
-        stage3=StageThreeConfig(epochs=40, lr=0.01, batch=64),
-        seed=seed,
-    )
+    return load_config(CONFIG_DIR / "moons_ssl.json").replace({"seed": seed, "loss.alpha": alpha})
 
 
 def make_failure_pair_config(seed: int, alpha: float) -> TrainConfig:
     """Longer moons schedule for the alpha-vs-beta failure comparison."""
-    cfg = make_moons_config(seed, alpha=alpha)
-    cfg.stage2.epochs = 50
-    cfg.stage2.rounds = 4
-    cfg.stage2.lr0 = 0.1
-    cfg.stage2.lr_decay_factor = 0.3
-    return cfg
+    return make_moons_config(seed, alpha=alpha).replace(
+        {"stage2.epochs_per_round": 50, "stage2.rounds": 4, "stage2.lr0": 0.1,
+         "stage2.lr_decay_factor": 0.3})
 
 
 def make_trend_config(seed: int, variant: str = "kl_pred_pseudo") -> TrainConfig:
     """Overlapping blobs where schedule quality separates the strategy cells."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        loss = LossConfig(variant=variant)
-    return TrainConfig(
-        data=DataSpec(kind="blobs", n_classes=3, n_per_class=200, dim=2, spread=1.1,
-                      labeled_per_class=3, test_n_per_class=400, standardize=True),
-        arch=ArchSpec(hidden_dims=(32, 16), activation="relu"),
-        loss=loss,
-        stage1=StageOneConfig(epochs=60, lr=0.1, wd=1e-3, batch=8),
-        stage2=StageTwoConfig(epochs=15, rounds=4, lr0=0.1, lr_decay_factor=0.3,
-                              batch=64, labeled_fraction_per_batch=0.25, wd=1e-3),
-        stage3=StageThreeConfig(epochs=40, lr=0.01, batch=64),
-        seed=seed,
-    )
+    return load_config(CONFIG_DIR / "blobs_trend.json").replace(
+        {"seed": seed, "loss.variant": variant})
 
 
 def solve_link_point(p_hat: np.ndarray, cfg: LossConfig, iters: int = 200) -> np.ndarray:
@@ -176,9 +155,8 @@ class ConvergenceRun:
         # settle phase: repredicted, decayed rounds kill the table's tracking
         # lag (saturated rows barely contract on their own, so the reset at
         # each round boundary is what clears residual overshoot)
-        settle = make_convergence_config(rounds=4, epochs_per_round=300)
-        settle.stage2.lr0 = 0.01
-        settle.stage2.lr_decay_factor = 0.25
+        settle = make_convergence_config(rounds=4, epochs_per_round=300).replace(
+            {"stage2.lr0": 0.01, "stage2.lr_decay_factor": 0.25})
         params, table = stage2_joint(
             settle, params, split, None,
             epoch_hook=lambda rnd, ep, p, t, stats: track(t, stats),
@@ -253,15 +231,8 @@ def digits_idx(tmp_path_factory) -> dict:
 
 
 def make_digits_config(meta: dict, seed: int = 7) -> TrainConfig:
-    return TrainConfig(
-        data=DataSpec(kind="idx", images=str(meta["images"]), labels=str(meta["labels"]),
-                      take_first=meta["take_first"], holdout=meta["holdout"],
-                      labeled_per_class=meta["labeled_per_class"]),
-        arch=ArchSpec(hidden_dims=meta["hidden_dims"], activation="tanh"),
-        loss=LossConfig(),
-        stage1=StageOneConfig(epochs=60, lr=0.1, wd=1e-4, batch=32),
-        stage2=StageTwoConfig(epochs=40, rounds=3, lr0=0.05, lr_decay_factor=0.1,
-                              batch=128, labeled_fraction_per_batch=0.5, wd=0.0),
-        stage3=StageThreeConfig(epochs=20, lr=0.01, batch=64),
-        seed=seed,
-    )
+    return load_config(CONFIG_DIR / "mnist_features.json").replace(
+        {"data.images": str(meta["images"]), "data.labels": str(meta["labels"]),
+         "data.take_first": meta["take_first"], "data.holdout": meta["holdout"],
+         "data.labeled_per_class": meta["labeled_per_class"],
+         "arch.hidden_dims": meta["hidden_dims"], "seed": seed})

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import write_tiny_config
 from pseudograd import theory
 from pseudograd.cli import main
 from pseudograd.data import gen_gaussian_blobs, split_per_class
@@ -13,23 +14,6 @@ from pseudograd.model import Architecture, init_params
 from pseudograd.pseudo_labels import init_pseudo
 
 FEATURE_ARCH = {"hidden_dims": [8, 2], "activation": "tanh"}
-
-
-def _write_tiny_config(path: Path, **extra) -> Path:
-    doc = {
-        "data": {"kind": "blobs", "n_classes": 3, "n_per_class": 20, "dim": 2,
-                 "spread": 0.6, "labeled_per_class": 4, "test_n_per_class": 20},
-        "arch": {"hidden_dims": [8], "activation": "relu"},
-        "loss": {"alpha": 0.1, "beta": 0.03, "lambda": 4000.0, "variant": "kl_pred_pseudo"},
-        "stage1": {"epochs": 5, "lr": 0.1, "wd": 0.0, "batch": 8},
-        "stage2": {"epochs_per_round": 5, "rounds": 2, "lr0": 0.05, "lr_decay_factor": 0.1,
-                   "batch": 60, "labeled_fraction_per_batch": 0.25},
-        "stage3": {"epochs": 5, "lr": 0.01, "batch": 16},
-        "seed": 0,
-    }
-    doc.update(extra)
-    path.write_text(json.dumps(doc))
-    return path
 
 
 def _missing_idx_data(tmp_path: Path) -> dict:
@@ -41,7 +25,7 @@ def _missing_idx_data(tmp_path: Path) -> dict:
 def trained(tmp_path_factory):
     """(config, run directory) of one tiny trained run; copy it before changing it."""
     root = tmp_path_factory.mktemp("trained")
-    cfg = _write_tiny_config(root / "cfg.json")
+    cfg = write_tiny_config(root / "cfg.json")
     assert main(["train", "--config", str(cfg), "--out", str(root / "run")]) == 0
     return cfg, root / "run"
 
@@ -52,11 +36,11 @@ class TestDataFailures:
 
     @pytest.mark.parametrize("command", ["train", "gen-data", "verify", "export-features"])
     def test_named_data_failure(self, tmp_path, capsys, command):
-        cfg = _write_tiny_config(tmp_path / "cfg.json", data=_missing_idx_data(tmp_path),
-                                 arch=FEATURE_ARCH)
+        cfg = write_tiny_config(tmp_path / "cfg.json", data=_missing_idx_data(tmp_path),
+                                arch=FEATURE_ARCH)
         out = tmp_path / "run"
         if command == "verify":  # verify reads the artifacts before the data
-            tiny = _write_tiny_config(tmp_path / "tiny.json", arch=FEATURE_ARCH)
+            tiny = write_tiny_config(tmp_path / "tiny.json", arch=FEATURE_ARCH)
             assert main(["train", "--config", str(tiny), "--out", str(out)]) == 0
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -72,7 +56,7 @@ class TestManifest:
     @pytest.mark.parametrize("command", ["train", "ablate", "export-features"])
     def test_status_and_failure_stage(self, tmp_path, command, status):
         extra = {"data": _missing_idx_data(tmp_path)} if status == "failed" else {}
-        cfg = _write_tiny_config(tmp_path / "cfg.json", arch=FEATURE_ARCH, **extra)
+        cfg = write_tiny_config(tmp_path / "cfg.json", arch=FEATURE_ARCH, **extra)
         out = tmp_path / "run"
         argv = [command, "--config", str(cfg), "--out", str(out)]
         if command == "ablate":
@@ -113,25 +97,44 @@ class TestExitCodes:
          "arch.activation=gelu", "stage2.lr_decay_factor=1.5", "seed=-1",
          "data.n_classes=0", "data.labeled_per_class=0", "data.spread=-1",
          "data.n_per_class=1", "data.dim=0", "data.dim=1", "data.test_n_per_class=0",
-         "data.data_seed=-4", "data.noise=-1", "data.take_first=abc",
+         "data.noise=-1", "data.take_first=abc",
          "data.take_first=-10", "data.holdout=-3",
          "arch.hidden_dims=[0]",
          "stage1.lr=-1", "stage1.lr=nan", "stage2.wd=-1", "stage3.wd=-1",
-         "stage2.lr0=inf", "stage2.pseudo_init_k=nan",
-         "loss.alpha=nan", "loss.lambda=inf"],
+         "stage2.lr0=inf", "loss.alpha=nan", "loss.lambda=inf"],
     )
     def test_out_of_range_stage_override_exits_2_before_training(self, tmp_path, override):
-        cfg = _write_tiny_config(tmp_path / "cfg.json")
+        cfg = write_tiny_config(tmp_path / "cfg.json")
         out = tmp_path / "run"
         rc = main(["train", "--config", str(cfg), "--out", str(out), "--override", override])
         assert rc == 2
         assert not (out / "report.csv").exists()
         assert not (out / "checkpoint_stage1.json").exists()
 
+    @pytest.mark.parametrize("override", ["data.data_seed=-4", "stage2.pseudo_init_k=nan",
+                                          "stage2.epochs=50"])  # a field name, not its key
+    def test_unknown_override_key_exits_2_before_training(self, tmp_path, capsys, override):
+        cfg = write_tiny_config(tmp_path / "cfg.json")
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--out", str(out), "--override", override])
+        assert rc == 2
+        assert f"unknown key {override.partition('=')[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make", [Path.mkdir, lambda path: path.write_bytes(b"\xff\xfe{")],
+                             ids=["directory", "not_utf8"])
+    def test_unreadable_config_exits_2_naming_it(self, tmp_path, capsys, make):
+        path = tmp_path / "cfg.json"
+        make(path)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config file {path}" in err
+        assert "Traceback" not in err
+
     def test_idx_without_holdout_exits_2_before_reading_files(self, tmp_path, capsys):
         # the files do not exist: reading them would be an exit-1 data failure
         data = {**_missing_idx_data(tmp_path), "holdout": 0}
-        cfg = _write_tiny_config(tmp_path / "cfg.json", data=data)
+        cfg = write_tiny_config(tmp_path / "cfg.json", data=data)
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         assert "holdout must be >= 1" in capsys.readouterr().err
@@ -146,7 +149,7 @@ class TestExitCodes:
              "pseudo_init_k"],
     )
     def test_removed_key_in_document_exits_2(self, tmp_path, capsys, section, key, value):
-        doc = json.loads(_write_tiny_config(tmp_path / "cfg.json").read_text())
+        doc = json.loads(write_tiny_config(tmp_path / "cfg.json").read_text())
         doc[section][key] = value
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
         out = tmp_path / "run"
@@ -158,7 +161,7 @@ class TestExitCodes:
                                       ["gradcheck", "--trials", "0"]],
                              ids=["seeds_0", "seeds_-1", "trials_0"])
     def test_non_positive_counts_exit_2_at_parsing(self, tmp_path, capsys, argv):
-        cfg = _write_tiny_config(tmp_path / "cfg.json")
+        cfg = write_tiny_config(tmp_path / "cfg.json")
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
@@ -167,7 +170,7 @@ class TestExitCodes:
 
     def test_ablate_without_any_epoch_exits_2_before_training(self, tmp_path, capsys,
                                                               monkeypatch):
-        cfg = _write_tiny_config(tmp_path / "cfg.json")
+        cfg = write_tiny_config(tmp_path / "cfg.json")
         zero = ["--override", "stage1.epochs=0", "--override", "stage2.epochs_per_round=0",
                 "--override", "stage3.epochs=0"]
         run = tmp_path / "run"
@@ -187,7 +190,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_verify_missing_artifacts_exits_2(self, tmp_path):
-        cfg = _write_tiny_config(tmp_path / "cfg.json")
+        cfg = write_tiny_config(tmp_path / "cfg.json")
         rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "empty")])
         assert rc == 2
 
@@ -238,7 +241,7 @@ class TestVerifyRefusesMismatchedArtifacts:
     )
     def test_mismatch_exits_2(self, trained, tmp_path, capsys, extra, overrides, expected):
         _, run = trained
-        cfg = _write_tiny_config(tmp_path / "other.json", **extra)
+        cfg = write_tiny_config(tmp_path / "other.json", **extra)
         argv = ["verify", "--config", str(cfg), "--out", str(run)]
         for item in overrides:
             argv += ["--override", item]
@@ -258,7 +261,7 @@ def test_verify_all_labeled_run_reports_link_checks_as_informational(tmp_path):
     # rows to judge, and the exit code comes from the remaining checks
     data = {"kind": "blobs", "n_classes": 3, "n_per_class": 4, "dim": 2, "spread": 0.6,
             "labeled_per_class": 4, "test_n_per_class": 20}
-    cfg = _write_tiny_config(tmp_path / "cfg.json", data=data)
+    cfg = write_tiny_config(tmp_path / "cfg.json", data=data)
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
@@ -271,7 +274,7 @@ def test_verify_all_labeled_run_reports_link_checks_as_informational(tmp_path):
 
 class TestTrainCommand:
     def test_artifacts_and_manifest(self, tmp_path):
-        cfg = _write_tiny_config(tmp_path / "cfg.json")
+        cfg = write_tiny_config(tmp_path / "cfg.json")
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -281,7 +284,7 @@ class TestTrainCommand:
         assert (out / "report.csv").exists()
 
     def test_override_recorded_in_manifest(self, tmp_path):
-        cfg = _write_tiny_config(tmp_path / "cfg.json")
+        cfg = write_tiny_config(tmp_path / "cfg.json")
         out = tmp_path / "run"
         rc = main(["train", "--config", str(cfg), "--out", str(out),
                    "--override", "loss.alpha=0.2"])
@@ -297,7 +300,7 @@ class TestTrainCommand:
         ids=["override_clears", "override_creates", "override_keeps"],
     )
     def test_alpha_le_beta_warning_judges_final_config(self, tmp_path, loss, override, expected):
-        cfg = _write_tiny_config(tmp_path / "cfg.json", loss=loss)
+        cfg = write_tiny_config(tmp_path / "cfg.json", loss=loss)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
@@ -307,9 +310,9 @@ class TestTrainCommand:
         assert flagged == expected
 
     def test_ablate_warns_alpha_le_beta_once(self, tmp_path):
-        # the grid cells and the per-seed runs copy the config without
-        # judging it again
-        cfg = _write_tiny_config(tmp_path / "cfg.json", loss={"alpha": 0.02, "beta": 0.03})
+        # the loaded config crosses, so load_config warns once; the sweep
+        # names no cell, and neither replace nor the constructors warn
+        cfg = write_tiny_config(tmp_path / "cfg.json", loss={"alpha": 0.02, "beta": 0.03})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab"),
@@ -317,8 +320,18 @@ class TestTrainCommand:
         assert rc == 0
         assert sum("alpha=0.02 <= beta=0.03" in str(w.message) for w in caught) == 1
 
+    def test_ablate_names_the_cells_a_grid_moves_to_alpha_le_beta(self, tmp_path):
+        cfg = write_tiny_config(tmp_path / "cfg.json", loss={"alpha": 0.5, "beta": 0.15})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab"),
+                       "--grid", "alpha", "--seeds", "1"])
+        assert rc == 0
+        flagged = [str(w.message).split(": ")[0] for w in caught if "<= beta" in str(w.message)]
+        assert flagged == ["cell alpha=0.1 has alpha=0.1 <= beta=0.15"]
+
     def test_report_bytes_identical_across_runs(self, tmp_path):
-        cfg = _write_tiny_config(tmp_path / "cfg.json")
+        cfg = write_tiny_config(tmp_path / "cfg.json")
         main(["train", "--config", str(cfg), "--out", str(tmp_path / "a")])
         main(["train", "--config", str(cfg), "--out", str(tmp_path / "b")])
         assert (tmp_path / "a/report.csv").read_bytes() == (tmp_path / "b/report.csv").read_bytes()
@@ -326,7 +339,7 @@ class TestTrainCommand:
 
 class TestGenData:
     def test_writes_train_and_test_csv(self, tmp_path):
-        cfg = _write_tiny_config(tmp_path / "cfg.json")
+        cfg = write_tiny_config(tmp_path / "cfg.json")
         out = tmp_path / "data"
         assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
         train = (out / "train.csv").read_text().strip().splitlines()
@@ -337,7 +350,7 @@ class TestGenData:
 
 class TestGradcheckCommand:
     def test_passes_and_writes_json(self, tmp_path):
-        cfg = _write_tiny_config(tmp_path / "cfg.json")
+        cfg = write_tiny_config(tmp_path / "cfg.json")
         out = tmp_path / "gc"
         rc = main(["gradcheck", "--config", str(cfg), "--out", str(out), "--trials", "5"])
         assert rc == 0
@@ -345,7 +358,7 @@ class TestGradcheckCommand:
         assert doc["pass"] is True
 
     def test_json_equals_the_verify_gradient_section(self, tmp_path):
-        cfg = _write_tiny_config(tmp_path / "cfg.json", seed=3)
+        cfg = write_tiny_config(tmp_path / "cfg.json", seed=3)
         out = tmp_path / "gc"
         assert main(["gradcheck", "--config", str(cfg), "--out", str(out), "--trials", "4"]) == 0
         split = split_per_class(gen_gaussian_blobs(2, 10, 2, 0.5, seed=0), 2, seed=0)
@@ -359,16 +372,13 @@ class TestGradcheckCommand:
 
 class TestExportFeatures:
     def test_requires_two_d_feature(self, tmp_path, capsys):
-        cfg = _write_tiny_config(tmp_path / "cfg.json")  # hidden (8,): not 2-D
+        cfg = write_tiny_config(tmp_path / "cfg.json")  # hidden (8,): not 2-D
         rc = main(["export-features", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "2-D" in capsys.readouterr().err
 
     def test_writes_before_after_csvs(self, tmp_path):
-        cfg = _write_tiny_config(
-            tmp_path / "cfg.json",
-            arch=FEATURE_ARCH,
-        )
+        cfg = write_tiny_config(tmp_path / "cfg.json", arch=FEATURE_ARCH)
         out = tmp_path / "feat"
         assert main(["export-features", "--config", str(cfg), "--out", str(out)]) == 0
         for name in ("features_before.csv", "features_after.csv"):
@@ -381,7 +391,7 @@ class TestExportFeatures:
 
 class TestAblateCommand:
     def test_lc_grid_csv(self, tmp_path):
-        cfg = _write_tiny_config(tmp_path / "cfg.json")
+        cfg = write_tiny_config(tmp_path / "cfg.json")
         out = tmp_path / "ab"
         rc = main(["ablate", "--config", str(cfg), "--out", str(out),
                    "--seeds", "2", "--grid", "lc"])
@@ -392,7 +402,7 @@ class TestAblateCommand:
 
     def test_alpha_grid_completes_all_cells(self, tmp_path):
         # no ordering asserted for the alpha sweep, completeness only
-        cfg = _write_tiny_config(tmp_path / "cfg.json")
+        cfg = write_tiny_config(tmp_path / "cfg.json")
         out = tmp_path / "ab"
         rc = main(["ablate", "--config", str(cfg), "--out", str(out),
                    "--seeds", "1", "--grid", "alpha"])
@@ -402,7 +412,7 @@ class TestAblateCommand:
         assert all("alpha=" in line for line in lines[1:])
 
     def test_strategy_grid_has_all_five_cells(self, tmp_path):
-        cfg = _write_tiny_config(tmp_path / "cfg.json")
+        cfg = write_tiny_config(tmp_path / "cfg.json")
         out = tmp_path / "ab"
         rc = main(["ablate", "--config", str(cfg), "--out", str(out),
                    "--seeds", "1", "--grid", "strategy"])

@@ -1,4 +1,3 @@
-import warnings
 
 import numpy as np
 import pytest
@@ -50,13 +49,6 @@ class TestLossConfig:
         assert cfg.alpha == 0.1
         assert cfg.beta == 0.03
         assert cfg.lam == 4000.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            LossConfig()
-
-    def test_alpha_le_beta_flagged(self):
-        with pytest.warns(UserWarning):
-            LossConfig(alpha=0.01, beta=0.03)
 
     def test_invalid_variant(self):
         with pytest.raises(ConfigError):
@@ -158,8 +150,7 @@ class TestPseudoLogitGradient:
 class TestLogitGradient:
     def test_beta_equals_alpha_reference(self):
         # beta = alpha and p_tilde = p_hat: g[n] = p_n * (-a*log p_n - L), L = a*H(p)
-        with pytest.warns(UserWarning):
-            cfg = LossConfig(alpha=0.1, beta=0.1)
+        cfg = LossConfig(alpha=0.1, beta=0.1)
         p = np.array([[0.6, 0.3, 0.1]])
         expected = [[-0.023227206065447346, 0.009180812384074686, 0.014046393681372659]]
         grad_y = joint_loss_rows(p, p, cfg).grad_y

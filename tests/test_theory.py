@@ -120,8 +120,7 @@ class TestEvalRowResidual:
         from conftest import make_trend_config
         from pseudograd.trainer import Report, build_dataset, stage1_supervised, stage2_joint
 
-        cfg = make_trend_config(seed=7)
-        cfg.stage2.rounds = 1
+        cfg = make_trend_config(seed=7).replace({"stage2.rounds": 1})
         split, test = build_dataset(cfg.data, cfg.seed)
         report = Report()
         params = stage1_supervised(cfg, split, test)

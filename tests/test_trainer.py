@@ -1,23 +1,11 @@
-import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pseudograd import theory, trainer
-from pseudograd.config import (
-    ArchSpec,
-    ConfigError,
-    DataSpec,
-    LossConfig,
-    StageOneConfig,
-    StageThreeConfig,
-    StageTwoConfig,
-    TrainConfig,
-    apply_overrides,
-    config_from_dict,
-    load_config,
-)
+from conftest import TINY_DOC, tiny_config, write_tiny_config
+from pseudograd.config import ConfigError, DataSpec, StageTwoConfig, config_from_dict, load_config
 from pseudograd.data import gen_gaussian_blobs, split_per_class
 from pseudograd.numerics import RandomStream
 from pseudograd.trainer import (
@@ -33,22 +21,6 @@ from pseudograd.trainer import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-
-
-def tiny_config(seed=0, **stage2_kw):
-    s2 = dict(epochs=5, rounds=2, lr0=0.05, lr_decay_factor=0.1,
-              batch=60, labeled_fraction_per_batch=0.25)
-    s2.update(stage2_kw)
-    return TrainConfig(
-        data=DataSpec(kind="blobs", n_classes=3, n_per_class=20, dim=2, spread=0.6,
-                      labeled_per_class=4, test_n_per_class=20),
-        arch=ArchSpec(hidden_dims=(8,), activation="relu"),
-        loss=LossConfig(),
-        stage1=StageOneConfig(epochs=5, lr=0.1, wd=0.0, batch=8),
-        stage2=StageTwoConfig(**s2),
-        stage3=StageThreeConfig(epochs=5, lr=0.01, batch=16),
-        seed=seed,
-    )
 
 
 class TestConfigHandling:
@@ -77,11 +49,11 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="line 2"):
             load_config(path)
 
-    def test_override_types(self):
-        cfg = tiny_config()
-        out = apply_overrides(
-            cfg, ["loss.alpha=0.2", "stage2.rounds=5", "data.standardize=true",
-                  "arch.hidden_dims=[64,2]", "data.kind=moons"]
+    def test_override_types(self, tmp_path):
+        out = load_config(
+            write_tiny_config(tmp_path / "cfg.json"),
+            ["loss.alpha=0.2", "stage2.rounds=5", "data.standardize=true",
+             "arch.hidden_dims=[64,2]", "data.kind=moons"],
         )
         assert out.loss.alpha == 0.2
         assert out.stage2.rounds == 5
@@ -89,9 +61,32 @@ class TestConfigHandling:
         assert out.arch.hidden_dims == (64, 2)
         assert out.data.kind == "moons"
 
-    def test_override_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            apply_overrides(tiny_config(), ["loss.gamma=1"])
+    def test_override_unknown_key(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown key loss.gamma"):
+            load_config(write_tiny_config(tmp_path / "cfg.json"), ["loss.gamma=1"])
+
+    def test_replace_checks_the_result_and_names_the_key(self):
+        with pytest.raises(ConfigError, match="stage2.rounds must be >= 1, got 0"):
+            tiny_config({"stage2.rounds": 0})
+
+    def test_replace_leaves_the_receiver_unchanged(self):
+        cfg = tiny_config()
+        out = cfg.replace({"stage2.epochs_per_round": 50, "loss.lambda": 1.0, "seed": 4})
+        assert (out.stage2.epochs, out.loss.lam, out.seed) == (50, 1.0, 4)
+        assert cfg.to_dict() == config_from_dict(TINY_DOC).to_dict()
+
+    def test_replace_whole_section(self):
+        # a section dict replaces the section: keys it leaves out take defaults
+        out = tiny_config({"loss.lambda": 1.0}).replace({"loss": {"alpha": 0.2}})
+        assert out.loss.to_dict() == {**TINY_DOC["loss"], "alpha": 0.2}
+
+    def test_copy_is_an_independent_replace(self):
+        # bench/run.py writes attributes on a copy: no section may be shared
+        cfg = tiny_config()
+        copy = cfg.copy()
+        assert copy == cfg.replace({}) == cfg and copy is not cfg
+        assert not any(getattr(copy, name) is getattr(cfg, name)
+                       for name in ("data", "arch", "loss", "stage1", "stage2", "stage3"))
 
     def test_stage2_epochs_default_to_75(self):
         assert StageTwoConfig().epochs == 75
@@ -188,8 +183,7 @@ def test_pool_fills_a_callers_buffer_like_the_allocating_take():
 
 class TestStages:
     def test_stage1_zero_epochs_returns_init(self):
-        cfg = tiny_config()
-        cfg.stage1.epochs = 0
+        cfg = tiny_config({"stage1.epochs": 0})
         split, test = build_dataset(cfg.data, cfg.seed)
         params = stage1_supervised(cfg, split, test)
         from pseudograd.model import init_params
@@ -199,15 +193,15 @@ class TestStages:
         np.testing.assert_array_equal(params.head_w, fresh.head_w)
 
     def test_stage1_deterministic(self):
-        cfg = tiny_config(seed=3)
+        cfg = tiny_config({"seed": 3})
         split, test = build_dataset(cfg.data, cfg.seed)
         a = stage1_supervised(cfg, split, test)
         b = stage1_supervised(cfg, split, test)
         np.testing.assert_array_equal(a.head_w, b.head_w)
 
     def test_stage2_noop_with_zero_rates(self):
-        cfg = tiny_config(lr0=0.0)
-        cfg.loss = LossConfig(lam=1e-300)  # lambda must be positive; effectively zero
+        # lambda must be positive; 1e-300 is effectively zero
+        cfg = tiny_config({"stage2.lr0": 0.0, "loss.lambda": 1e-300})
         split, test = build_dataset(cfg.data, cfg.seed)
         params = stage1_supervised(cfg, split, test)
         w_before = params.head_w.copy()
@@ -216,8 +210,7 @@ class TestStages:
         np.testing.assert_allclose(table.sum_drift(), 0.0, atol=1e-250)
 
     def test_stage3_zero_epochs_passthrough(self):
-        cfg = tiny_config()
-        cfg.stage3.epochs = 0
+        cfg = tiny_config({"stage3.epochs": 0})
         split, test = build_dataset(cfg.data, cfg.seed)
         params = stage1_supervised(cfg, split, test)
         _, table = stage2_joint(cfg, params.copy(), split, test)
@@ -265,8 +258,7 @@ class TestSharedEval:
     def trend_run(self):
         from conftest import make_trend_config
 
-        cfg = make_trend_config(seed=7)
-        cfg.stage2.rounds = 2  # one reprediction
+        cfg = make_trend_config(seed=7).replace({"stage2.rounds": 2})  # one reprediction
         split, test = build_dataset(cfg.data, cfg.seed)
         report, seen_params, seen_tables = Report(), [], []
         original = trainer._eval_row
@@ -369,7 +361,7 @@ class TestPipeline:
         assert len(result.report.rows) == total
 
     def test_report_bytes_deterministic(self, tmp_path):
-        cfg = tiny_config(seed=5)
+        cfg = tiny_config({"seed": 5})
         run_pipeline(cfg, out_dir=tmp_path / "a")
         run_pipeline(cfg, out_dir=tmp_path / "b")
         assert (tmp_path / "a/report.csv").read_bytes() == (tmp_path / "b/report.csv").read_bytes()

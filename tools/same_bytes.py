@@ -10,7 +10,8 @@ under one temporary directory:
 
 * ``train`` on the moons_ssl, blobs_trend and blobs_convergence fixtures;
 * ``train`` on blobs_trend with ``loss.variant=l2``;
-* ``ablate --grid strategy --seeds 2`` and ``ablate --grid lc --seeds 2`` on
+* ``ablate --grid strategy --seeds 2``, ``ablate --grid lc --seeds 2``,
+  ``ablate --grid alpha --seeds 1`` and ``ablate --grid beta --seeds 1`` on
   blobs_trend;
 * ``verify`` of the blobs_trend run (ReLU) and of the moons_ssl run (tanh);
 * ``gradcheck --trials 5``.
@@ -41,6 +42,8 @@ COMMANDS = (
     ("train_blobs_trend_l2", "train", TREND, ["--override", "loss.variant=l2"]),
     ("ablate_strategy", "ablate", TREND, ["--grid", "strategy", "--seeds", "2"]),
     ("ablate_lc", "ablate", TREND, ["--grid", "lc", "--seeds", "2"]),
+    ("ablate_alpha", "ablate", TREND, ["--grid", "alpha", "--seeds", "1"]),
+    ("ablate_beta", "ablate", TREND, ["--grid", "beta", "--seeds", "1"]),
     ("train_blobs_trend", "verify", TREND, []),
     ("train_moons_ssl", "verify", "configs/moons_ssl.json", []),
     ("gradcheck", "gradcheck", TREND, ["--trials", "5"]),
