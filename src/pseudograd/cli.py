@@ -176,9 +176,9 @@ def run_ablation(cfg: TrainConfig, grid: str, n_seeds: int) -> list[dict]:
         test_errors = []
         pseudo_errors = []
         for k in range(n_seeds):
-            result = run_pipeline(cell.replace({"seed": cfg.seed + k}))
-            test_errors.append(1.0 - result.report.rows[-1].test_acc)
-            s2 = result.report.stage_rows(2)
+            report = run_pipeline(cell.replace({"seed": cfg.seed + k}))
+            test_errors.append(1.0 - report.rows[-1].test_acc)
+            s2 = report.stage_rows(2)
             pseudo_errors.append(1.0 - s2[-1].unlabeled_pseudo_acc if s2 else float("nan"))
         rows.append(
             {
@@ -231,7 +231,7 @@ def cmd_export_features(args, cfg: TrainConfig, out: Path) -> int:
         )
         return EXIT_USAGE
     out.mkdir(parents=True, exist_ok=True)
-    split, test = build_run_data(cfg)
+    split, _ = build_run_data(cfg)
     labeled_mask = np.zeros(split.base.n_examples, dtype=bool)
     labeled_mask[split.labeled_idx] = True
     base = split.base
@@ -248,11 +248,11 @@ def cmd_export_features(args, cfg: TrainConfig, out: Path) -> int:
         }
 
     with stage_errors("stage1"):
-        params = stage1_supervised(cfg, split, test)
+        params = stage1_supervised(cfg, split)
     _export_features_csv(params, base, labeled_mask, out / "features_before.csv")
     before = spreads(params)
     with stage_errors("stage2"):
-        params, _ = stage2_joint(cfg, params, split, test)
+        params, _ = stage2_joint(cfg, params, split)
     _export_features_csv(params, base, labeled_mask, out / "features_after.csv")
     after = spreads(params)
     summary = {

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import InvalidInputError, RandomStream
+from .numerics import InvalidInputError, random_stream
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -137,7 +137,7 @@ def gen_gaussian_blobs(
     if spread <= 0:
         raise InvalidInputError("spread must be > 0")
     centers = _simplex_vertices(n_classes, dim)
-    stream = RandomStream(seed, stream_id=0)
+    stream = random_stream(seed, stream_id=0)
     feats = np.empty((n_classes * n_per_class, dim), dtype=np.float64)
     labels = np.empty(n_classes * n_per_class, dtype=np.int64)
     for k in range(n_classes):
@@ -159,7 +159,7 @@ def gen_two_moons(n_per_class: int, noise: float, seed: int) -> Dataset:
     inner = np.column_stack((1.0 - np.cos(t), 0.5 - np.sin(t)))
     feats = np.vstack((outer, inner))
     if noise > 0:
-        stream = RandomStream(seed, stream_id=0)
+        stream = random_stream(seed, stream_id=0)
         feats = feats + stream.normal(0.0, noise, size=feats.shape)
     labels = np.concatenate(
         (np.zeros(n_per_class, dtype=np.int64), np.ones(n_per_class, dtype=np.int64))
@@ -247,7 +247,7 @@ def split_per_class(ds: Dataset, labeled_per_class: int, seed: int) -> SplitData
     if labeled_per_class < 1:
         raise InvalidInputError("labeled_per_class must be >= 1")
     labeled: list[np.ndarray] = []
-    stream = RandomStream(seed, stream_id=1)
+    stream = random_stream(seed, stream_id=1)
     for k in range(ds.num_classes):
         members = np.flatnonzero(ds.labels == k)
         if members.size < labeled_per_class:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import InvalidInputError, RandomStream, as_float_array, softmax_rows
+from .numerics import InvalidInputError, as_float_array, random_stream, softmax_rows
 
 CHECKPOINT_VERSION = 2
 
@@ -128,7 +128,7 @@ class ForwardTrace:
 
 def init_params(arch: Architecture, seed: int) -> ModelParams:
     """Glorot-uniform weights, zero biases, deterministic per seed."""
-    stream = RandomStream(seed, stream_id=2)
+    stream = random_stream(seed, stream_id=2)
     params = ModelParams(arch, np.zeros(param_count(arch)))
     for w in [*params.layer_weights, params.head_w]:
         bound = np.sqrt(6.0 / sum(w.shape))

@@ -79,36 +79,14 @@ def entropy_rows(m, log_m=None) -> np.ndarray:
     return -row_sum(arr * (clamped_log(arr) if log_m is None else log_m))
 
 
-class RandomStream:
-    """Seeded, stream-addressable RNG.
+def random_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
+    """The seeded generator of stream ``stream_id`` of ``seed``.
 
-    Two streams constructed with the same ``(seed, stream_id)`` produce the
-    same draw sequence on every platform (PCG64 under a fixed seed sequence).
-    Instances are single-owner: never share one across concurrent workers.
+    The same ``(seed, stream_id)`` draws the same sequence on every platform
+    (PCG64 under a fixed seed sequence). A generator has a single owner:
+    never share one across concurrent workers.
     """
-
-    def __init__(self, seed: int, stream_id: int = 0):
-        if seed < 0 or stream_id < 0:
-            raise InvalidInputError("seed and stream_id must be non-negative")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        self.generator = np.random.Generator(np.random.PCG64(ss))
-
-    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
-        return self.generator.uniform(low, high, size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
-        return self.generator.normal(loc, scale, size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self.generator.permutation(n)
-
-    def integers(self, low, high=None, size=None) -> np.ndarray:
-        return self.generator.integers(low, high, size)
-
-    def choice(self, a, size=None, replace=True) -> np.ndarray:
-        return self.generator.choice(a, size=size, replace=replace)
-
-    def __repr__(self) -> str:
-        return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
+    if seed < 0 or stream_id < 0:
+        raise InvalidInputError("seed and stream_id must be non-negative")
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_id),))
+    return np.random.Generator(np.random.PCG64(ss))

@@ -37,13 +37,7 @@ from .model import (
     forward_batch,
     init_params,
 )
-from .numerics import (
-    InvalidInputError,
-    RandomStream,
-    clamped_log,
-    entropy_rows,
-    softmax_rows,
-)
+from .numerics import InvalidInputError, clamped_log, entropy_rows, random_stream, softmax_rows
 from .pseudo_labels import PseudoTable, pseudo_probs_rows
 
 # the note of a link or flatness section that has no rows to judge
@@ -188,7 +182,7 @@ def flatness_bound_check(
     exp(-L/alpha) * p_hat_n^(1-beta/alpha) <= p_hat_n. Returns violation
     counts over ``n_samples`` draws.
     """
-    stream = RandomStream(seed, stream_id=3)
+    stream = random_stream(seed, stream_id=3)
     kl_pred_pseudo = LossConfig(variant=VARIANT_KL_PRED_PSEUDO)  # alpha, beta drawn per row
     sizes = (2, 3, 5, 10)
     per = n_samples // len(sizes)
@@ -197,9 +191,9 @@ def flatness_bound_check(
     checked = 0
     for nc in sizes:
         m = per if nc != sizes[-1] else n_samples - per * (len(sizes) - 1)
-        p_hat = stream.generator.gamma(1.0, 1.0, size=(m, nc))
+        p_hat = stream.gamma(1.0, 1.0, size=(m, nc))
         p_hat /= p_hat.sum(axis=1, keepdims=True)
-        p_tilde = stream.generator.gamma(1.0, 1.0, size=(m, nc))
+        p_tilde = stream.gamma(1.0, 1.0, size=(m, nc))
         p_tilde /= p_tilde.sum(axis=1, keepdims=True)
         alpha = stream.uniform(0.02, 0.5, size=m)
         beta = alpha * stream.uniform(0.0, 0.999, size=m)
@@ -260,7 +254,7 @@ def finite_diff_suite(seed: int, trials: int) -> dict[str, float]:
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
-    stream = RandomStream(seed, stream_id=4)
+    stream = random_stream(seed, stream_id=4)
     worst: dict[str, float] = {}
 
     for variant in VARIANTS:

@@ -135,8 +135,8 @@ class ConvergenceRun:
     def __init__(self):
         t0 = time.perf_counter()
         cfg = make_convergence_config(rounds=1, epochs_per_round=self.MAX_EPOCHS)
-        split, test = build_dataset(cfg.data, cfg.seed)
-        params = stage1_supervised(cfg, split, test)
+        split, _ = build_dataset(cfg.data, cfg.seed)
+        params = stage1_supervised(cfg, split)
         head_grads: list[float] = []
         max_round_drift = [0.0]
         unl = split.unlabeled_idx
@@ -149,7 +149,7 @@ class ConvergenceRun:
             track(t, stats)
             return ep >= self.WARMUP_EPOCHS and stats.head_grad_norm < CONVERGENCE_GATE
 
-        params, table = stage2_joint(cfg, params, split, test, epoch_hook=gated_hook)
+        params, table = stage2_joint(cfg, params, split, epoch_hook=gated_hook)
         self.converged = head_grads[-1] < CONVERGENCE_GATE
         self.gate_head_grad = head_grads[-1]
         # settle phase: repredicted, decayed rounds kill the table's tracking
@@ -158,13 +158,12 @@ class ConvergenceRun:
         settle = make_convergence_config(rounds=4, epochs_per_round=300).replace(
             {"stage2.lr0": 0.01, "stage2.lr_decay_factor": 0.25})
         params, table = stage2_joint(
-            settle, params, split, None,
+            settle, params, split,
             epoch_hook=lambda rnd, ep, p, t, stats: track(t, stats),
             table=table,
         )
         self.cfg = cfg
         self.split = split
-        self.test = test
         self.params = params
         self.table = table
         self.head_grads = head_grads
@@ -178,14 +177,17 @@ def converged_run() -> ConvergenceRun:
 
 
 @pytest.fixture(scope="session")
-def moons_benefit_runs() -> dict[int, tuple[float, float]]:
-    """Seed -> (stage-1 baseline, final) test accuracy of the moons fixture
-    for seeds 7-11, trained once for the benefit tests of both suites."""
-    runs = {}
-    for seed in (7, 8, 9, 10, 11):
-        report = run_pipeline(make_moons_config(seed)).report
-        runs[seed] = (report.stage_rows(1)[-1].test_acc, report.rows[-1].test_acc)
-    return runs
+def moons_reports() -> dict:
+    """Seed -> report of the moons fixture for seeds 7-11, trained once for
+    the benefit tests of both suites and the golden digests."""
+    return {seed: run_pipeline(make_moons_config(seed)) for seed in (7, 8, 9, 10, 11)}
+
+
+@pytest.fixture(scope="session")
+def moons_benefit_runs(moons_reports) -> dict[int, tuple[float, float]]:
+    """Seed -> (stage-1 baseline, final) test accuracy of the moons fixture."""
+    return {seed: (report.stage_rows(1)[-1].test_acc, report.rows[-1].test_acc)
+            for seed, report in moons_reports.items()}
 
 
 @pytest.fixture(scope="session")

@@ -79,12 +79,12 @@ def _l2_stage2_drift() -> float:
     """Worst per-epoch pseudo-logit row-sum drift over the unlabeled rows of
     one 200-epoch `l2` round on the convergence fixture."""
     cfg = make_convergence_config(variant="l2", rounds=1, epochs_per_round=200)
-    split, test = build_dataset(cfg.data, cfg.seed)
-    params = stage1_supervised(cfg, split, test)
+    split, _ = build_dataset(cfg.data, cfg.seed)
+    params = stage1_supervised(cfg, split)
     unl = split.unlabeled_idx
     worst = [0.0]
     stage2_joint(
-        cfg, params, split, test,
+        cfg, params, split,
         epoch_hook=lambda rnd, ep, p, t, st: worst.__setitem__(
             0, max(worst[0], float(t.sum_drift()[unl].max()))
         ),
@@ -176,9 +176,9 @@ def test_criterion_4_flattening_bound(converged_run):
 
 def test_criterion_5_flattening_and_sharpening():
     cfg = make_convergence_config(rounds=1, epochs_per_round=150).replace({"stage2.batch": 256})
-    split, test = build_dataset(cfg.data, cfg.seed)
-    params = stage1_supervised(cfg, split, test)
-    params, table = stage2_joint(cfg, params, split, test)
+    split, _ = build_dataset(cfg.data, cfg.seed)
+    params = stage1_supervised(cfg, split)
+    params, table = stage2_joint(cfg, params, split)
     unl = split.unlabeled_idx
     from pseudograd.model import forward_batch
 
@@ -239,8 +239,8 @@ def test_criterion_8_alpha_beta_requirement():
     def median_pseudo_acc(alpha):
         accs = []
         for seed in (7, 8, 9, 10, 11):
-            result = run_pipeline(make_failure_pair_config(seed, alpha))
-            accs.append(result.report.stage_rows(2)[-1].unlabeled_pseudo_acc)
+            report = run_pipeline(make_failure_pair_config(seed, alpha))
+            accs.append(report.stage_rows(2)[-1].unlabeled_pseudo_acc)
         return float(np.median(accs))
 
     acc_good = median_pseudo_acc(0.1)
@@ -261,7 +261,7 @@ def test_criterion_9_classification_loss_direction():
         for seed in (7, 8, 9, 10, 11):
             cfg = make_trend_config(seed, variant=variant).replace(
                 {"stage2.epochs_per_round": 50, "stage2.labeled_fraction_per_batch": 0.1})
-            errs.append(1.0 - run_pipeline(cfg).report.rows[-1].test_acc)
+            errs.append(1.0 - run_pipeline(cfg).rows[-1].test_acc)
         return float(np.median(errs))
 
     err_pred_pseudo = median_error("kl_pred_pseudo")

@@ -6,8 +6,8 @@ from pseudograd.numerics import (
     LOG_EPS,
     ROWS_PER_COLUMN,
     InvalidInputError,
-    RandomStream,
     entropy_rows,
+    random_stream,
     row_max,
     row_sum,
     softmax_rows,
@@ -147,16 +147,16 @@ class TestKlDivergence:
 
 class TestRandomStream:
     def test_same_seed_same_draws(self):
-        a = RandomStream(42, 3).uniform(size=10_000)
-        b = RandomStream(42, 3).uniform(size=10_000)
+        a = random_stream(42, 3).uniform(size=10_000)
+        b = random_stream(42, 3).uniform(size=10_000)
         np.testing.assert_array_equal(a, b)
 
     def test_different_stream_ids_differ(self):
-        a = RandomStream(42, 0).uniform(size=100)
-        b = RandomStream(42, 1).uniform(size=100)
+        a = random_stream(42, 0).uniform(size=100)
+        b = random_stream(42, 1).uniform(size=100)
         assert not np.array_equal(a, b)
 
     def test_permutation_reproducible(self):
-        a = RandomStream(7, 5).permutation(1000)
-        b = RandomStream(7, 5).permutation(1000)
+        a = random_stream(7, 5).permutation(1000)
+        b = random_stream(7, 5).permutation(1000)
         np.testing.assert_array_equal(a, b)

@@ -105,9 +105,9 @@ class TestResidualDecline:
 
         cfg = make_convergence_config(rounds=1, epochs_per_round=300)
         split, test = build_dataset(cfg.data, cfg.seed)
-        report = Report()
-        params = stage1_supervised(cfg, split, test)
-        stage2_joint(cfg, params, split, test, report)
+        report = Report(split, test, cfg.loss)
+        params = stage1_supervised(cfg, split)
+        stage2_joint(cfg, params, split, report)
         p50 = np.array([r.link_residual_p50 for r in report.stage_rows(2)])
         assert p50[-1] < p50[0]
         assert (np.diff(p50) > 0).mean() <= 0.05
@@ -122,9 +122,9 @@ class TestEvalRowResidual:
 
         cfg = make_trend_config(seed=7).replace({"stage2.rounds": 1})
         split, test = build_dataset(cfg.data, cfg.seed)
-        report = Report()
-        params = stage1_supervised(cfg, split, test)
-        params, table = stage2_joint(cfg, params, split, test, report)
+        report = Report(split, test, cfg.loss)
+        params = stage1_supervised(cfg, split)
+        params, table = stage2_joint(cfg, params, split, report)
         row = report.stage_rows(2)[-1]
         section = theory.check_link_residual(params, table, split, cfg.loss)
         assert (row.link_residual_p50, row.link_residual_p90, row.link_residual_p99) == (
@@ -233,8 +233,8 @@ class TestVerificationReport:
         from pseudograd.trainer import build_dataset, stage1_supervised
 
         cfg = make_trend_config(7)
-        split, test = build_dataset(cfg.data, cfg.seed)
-        params = stage1_supervised(cfg, split, test)
+        split, _ = build_dataset(cfg.data, cfg.seed)
+        params = stage1_supervised(cfg, split)
         table = init_pseudo(split, params)
         rng = np.random.default_rng(33)
         unl = split.unlabeled_idx

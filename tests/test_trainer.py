@@ -7,7 +7,7 @@ from pseudograd import theory, trainer
 from conftest import TINY_DOC, tiny_config, write_tiny_config
 from pseudograd.config import ConfigError, DataSpec, StageTwoConfig, config_from_dict, load_config
 from pseudograd.data import gen_gaussian_blobs, split_per_class
-from pseudograd.numerics import RandomStream
+from pseudograd.numerics import InvalidInputError, random_stream
 from pseudograd.trainer import (
     Report,
     ReportRow,
@@ -169,7 +169,7 @@ def test_pool_fills_a_callers_buffer_like_the_allocating_take():
     # blobs_trend's stage 2: 16 labeled rows from a pool of 9 and 48 of 591
     # unlabeled per batch, both pools drawing from one stream
     def pools():
-        stream = RandomStream(7, stream_id=11)
+        stream = random_stream(7, stream_id=11)
         return _CyclingPool(np.arange(9), stream), _CyclingPool(np.arange(9, 600), stream)
 
     (lab, unl), (lab_ref, unl_ref) = pools(), pools()
@@ -184,8 +184,8 @@ def test_pool_fills_a_callers_buffer_like_the_allocating_take():
 class TestStages:
     def test_stage1_zero_epochs_returns_init(self):
         cfg = tiny_config({"stage1.epochs": 0})
-        split, test = build_dataset(cfg.data, cfg.seed)
-        params = stage1_supervised(cfg, split, test)
+        split, _ = build_dataset(cfg.data, cfg.seed)
+        params = stage1_supervised(cfg, split)
         from pseudograd.model import init_params
         from pseudograd.trainer import resolve_arch
 
@@ -194,56 +194,56 @@ class TestStages:
 
     def test_stage1_deterministic(self):
         cfg = tiny_config({"seed": 3})
-        split, test = build_dataset(cfg.data, cfg.seed)
-        a = stage1_supervised(cfg, split, test)
-        b = stage1_supervised(cfg, split, test)
+        split, _ = build_dataset(cfg.data, cfg.seed)
+        a = stage1_supervised(cfg, split)
+        b = stage1_supervised(cfg, split)
         np.testing.assert_array_equal(a.head_w, b.head_w)
 
     def test_stage2_noop_with_zero_rates(self):
         # lambda must be positive; 1e-300 is effectively zero
         cfg = tiny_config({"stage2.lr0": 0.0, "loss.lambda": 1e-300})
-        split, test = build_dataset(cfg.data, cfg.seed)
-        params = stage1_supervised(cfg, split, test)
+        split, _ = build_dataset(cfg.data, cfg.seed)
+        params = stage1_supervised(cfg, split)
         w_before = params.head_w.copy()
-        params, table = stage2_joint(cfg, params, split, test)
+        params, table = stage2_joint(cfg, params, split)
         np.testing.assert_array_equal(params.head_w, w_before)
         np.testing.assert_allclose(table.sum_drift(), 0.0, atol=1e-250)
 
     def test_stage3_zero_epochs_passthrough(self):
         cfg = tiny_config({"stage3.epochs": 0})
-        split, test = build_dataset(cfg.data, cfg.seed)
-        params = stage1_supervised(cfg, split, test)
-        _, table = stage2_joint(cfg, params.copy(), split, test)
+        split, _ = build_dataset(cfg.data, cfg.seed)
+        params = stage1_supervised(cfg, split)
+        _, table = stage2_joint(cfg, params.copy(), split)
         w_before = params.head_w.copy()
-        out = stage3_finetune(cfg, params, table, split, test)
+        out = stage3_finetune(cfg, params, table, split)
         np.testing.assert_array_equal(out.head_w, w_before)
 
     def test_stage3_oracle_labels_reduce_to_supervised(self):
         # a table whose hard labels equal the ground truth trains exactly like
         # full supervision with the same seed and schedule
         cfg = tiny_config()
-        split, test = build_dataset(cfg.data, cfg.seed)
-        params = stage1_supervised(cfg, split, test)
+        split, _ = build_dataset(cfg.data, cfg.seed)
+        params = stage1_supervised(cfg, split)
         from pseudograd.pseudo_labels import PseudoTable
 
         n = split.base.n_examples
         logits = np.zeros((n, 3))
         logits[np.arange(n), split.base.labels] = 10.0
         oracle_table = PseudoTable(logits, np.zeros(n, bool), logits.sum(axis=1))
-        out = stage3_finetune(cfg, params.copy(), oracle_table, split, test)
+        out = stage3_finetune(cfg, params.copy(), oracle_table, split)
 
         from pseudograd.trainer import _supervised_stage
 
-        ref = _supervised_stage(3, cfg.stage3, 12, params.copy(), split.base.features,
-                                split.base.labels, split, test, None, None, cfg)
+        ref = _supervised_stage(3, cfg.stage3, cfg.seed, 12, params.copy(), split.base.features,
+                                split.base.labels, None, None)
         np.testing.assert_array_equal(out.head_w, ref.head_w)
 
     def test_stage2_emits_epoch_rows(self):
         cfg = tiny_config()
-        report = Report()
         split, test = build_dataset(cfg.data, cfg.seed)
-        params = stage1_supervised(cfg, split, test, report)
-        stage2_joint(cfg, params, split, test, report)
+        report = Report(split, test, cfg.loss)
+        params = stage1_supervised(cfg, split, report)
+        stage2_joint(cfg, params, split, report)
         s2 = report.stage_rows(2)
         assert len(s2) == cfg.stage2.epochs * cfg.stage2.rounds
         assert all(np.isfinite(list(vars(r).values())).all() for r in s2)
@@ -260,11 +260,11 @@ class TestSharedEval:
 
         cfg = make_trend_config(seed=7).replace({"stage2.rounds": 2})  # one reprediction
         split, test = build_dataset(cfg.data, cfg.seed)
-        report, seen_params, seen_tables = Report(), [], []
+        report, seen_params, seen_tables = Report(split, test, cfg.loss), [], []
         original = trainer._eval_row
 
         def recording(*args):
-            seen_params.append(args[6].copy())  # the network the row is evaluated on
+            seen_params.append(args[7].copy())  # the network the row is evaluated on
             return original(*args)
 
         def copy_table(rnd, epoch, params, table, stats):
@@ -272,9 +272,9 @@ class TestSharedEval:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trainer, "_eval_row", recording)
-            params = stage1_supervised(cfg, split, test, report)
-            params, table = stage2_joint(cfg, params, split, test, report, epoch_hook=copy_table)
-            stage3_finetune(cfg, params, table, split, test, report)
+            params = stage1_supervised(cfg, split, report)
+            params, table = stage2_joint(cfg, params, split, report, epoch_hook=copy_table)
+            stage3_finetune(cfg, params, table, split, report)
         return cfg, split, report, seen_params, seen_tables, table
 
     @staticmethod
@@ -347,7 +347,7 @@ class TestSharedEval:
 class TestPipeline:
     def test_full_run_writes_artifacts(self, tmp_path):
         cfg = tiny_config()
-        result = run_pipeline(cfg, out_dir=tmp_path)
+        report = run_pipeline(cfg, out_dir=tmp_path)
         for name in (
             "report.csv",
             "pseudo_table.csv",
@@ -358,7 +358,7 @@ class TestPipeline:
         ):
             assert (tmp_path / name).exists()
         total = cfg.stage1.epochs + cfg.stage2.epochs * cfg.stage2.rounds + cfg.stage3.epochs
-        assert len(result.report.rows) == total
+        assert len(report.rows) == total
 
     def test_report_bytes_deterministic(self, tmp_path):
         cfg = tiny_config({"seed": 5})
@@ -367,15 +367,20 @@ class TestPipeline:
         assert (tmp_path / "a/report.csv").read_bytes() == (tmp_path / "b/report.csv").read_bytes()
 
     def test_report_monotone_rows(self):
-        report = Report()
-        row = dict(lr=0.1, loss_total=1.0, loss_lc=1.0, loss_le=0.0, labeled_acc=1.0,
+        cfg = tiny_config()
+        report = Report(*build_dataset(cfg.data, cfg.seed), cfg.loss)
+        row = dict(stage=1, lr=0.1, loss_total=1.0, loss_lc=1.0, loss_le=0.0, labeled_acc=1.0,
                    unlabeled_pseudo_acc=-1.0, test_acc=0.5, mean_entropy_pred=0.1,
                    mean_entropy_pseudo=-1.0, max_sum_drift=-1.0, link_residual_p50=-1.0,
                    link_residual_p90=-1.0, link_residual_p99=-1.0)
-        report.add(ReportRow(stage=1, epoch=1, **row))
-        report.add(ReportRow(stage=1, epoch=2, **row))
-        with pytest.raises(Exception):
-            report.add(ReportRow(stage=1, epoch=2, **row))
+        report.add(ReportRow(epoch=1, **row))
+        report.add(ReportRow(epoch=2, **row))
+        for bad, match in (({"epoch": 2}, "monotone"),
+                           ({"epoch": 3, "test_acc": float("nan")},
+                            "report field test_acc is not finite")):
+            with pytest.raises(InvalidInputError, match=match):
+                report.add(ReportRow(**{**row, **bad}))
+        assert len(report.rows) == 2
 
     def test_moons_benefit_direction(self, moons_benefit_runs):
         # direction guard at a conservative pinned margin; the full-margin

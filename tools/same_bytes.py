@@ -14,7 +14,8 @@ under one temporary directory:
   ``ablate --grid alpha --seeds 1`` and ``ablate --grid beta --seeds 1`` on
   blobs_trend;
 * ``verify`` of the blobs_trend run (ReLU) and of the moons_ssl run (tanh);
-* ``gradcheck --trials 5``.
+* ``gradcheck --trials 5``;
+* ``export-features`` on moons_ssl with ``arch.hidden_dims=[16,2]``.
 
 It then compares every file the commands wrote (``manifest.json`` without
 its ``git_describe``) and each command's exit code. It prints what differs
@@ -47,6 +48,8 @@ COMMANDS = (
     ("train_blobs_trend", "verify", TREND, []),
     ("train_moons_ssl", "verify", "configs/moons_ssl.json", []),
     ("gradcheck", "gradcheck", TREND, ["--trials", "5"]),
+    ("export_features_moons_ssl", "export-features", "configs/moons_ssl.json",
+     ["--override", "arch.hidden_dims=[16,2]"]),
 )
 
 
