@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import statistics
 import subprocess
@@ -63,6 +64,7 @@ GRIDS = {
 }
 
 
+@functools.cache  # the code a process runs is fixed when it is imported
 def _git_describe() -> str | None:
     try:
         out = subprocess.run(

@@ -37,7 +37,15 @@ from .model import (
     forward_batch,
     init_params,
 )
-from .numerics import InvalidInputError, clamped_log, entropy_rows, random_stream, softmax_rows
+from .numerics import (
+    InvalidInputError,
+    clamped_log,
+    entropy_rows,
+    random_stream,
+    row_max,
+    row_sum,
+    softmax_rows,
+)
 from .pseudo_labels import PseudoTable, pseudo_probs_rows
 
 # the note of a link or flatness section that has no rows to judge
@@ -180,11 +188,13 @@ def flatness_bound_check(
     For random predictions, random pseudo-labels and random alpha > beta the
     loss satisfies L >= -beta*log(p_hat_n), hence
     exp(-L/alpha) * p_hat_n^(1-beta/alpha) <= p_hat_n. Returns violation
-    counts over ``n_samples`` draws.
+    counts over ``n_samples`` draws, at least one per class count.
     """
+    sizes = (2, 3, 5, 10)
+    if n_samples < len(sizes):
+        raise InvalidInputError(f"n_samples must be >= {len(sizes)}, one per class count")
     stream = random_stream(seed, stream_id=3)
     kl_pred_pseudo = LossConfig(variant=VARIANT_KL_PRED_PSEUDO)  # alpha, beta drawn per row
-    sizes = (2, 3, 5, 10)
     per = n_samples // len(sizes)
     violations = 0
     max_excess = -np.inf
@@ -192,14 +202,14 @@ def flatness_bound_check(
     for nc in sizes:
         m = per if nc != sizes[-1] else n_samples - per * (len(sizes) - 1)
         p_hat = stream.gamma(1.0, 1.0, size=(m, nc))
-        p_hat /= p_hat.sum(axis=1, keepdims=True)
+        p_hat /= row_sum(p_hat)[:, None]
         p_tilde = stream.gamma(1.0, 1.0, size=(m, nc))
-        p_tilde /= p_tilde.sum(axis=1, keepdims=True)
+        p_tilde /= row_sum(p_tilde)[:, None]
         alpha = stream.uniform(0.02, 0.5, size=m)
         beta = alpha * stream.uniform(0.0, 0.999, size=m)
         lc, le = loss_terms_rows(p_hat, p_tilde, kl_pred_pseudo)
         total = alpha * lc + beta * le
-        top = p_hat.max(axis=1)
+        top = row_max(p_hat)
         bound = np.exp(-total / alpha) * top ** (1.0 - beta / alpha)
         excess = bound - top - tolerance
         violations += int((excess > 0).sum())
@@ -224,24 +234,26 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric))) / scale
 
 
-def _central_diff(fn, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    g = np.zeros_like(x)
+def _central_diff(loss_rows, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+    """Central differences of a loss at ``x``, from one ``loss_rows`` call.
+
+    ``loss_rows`` maps a ``(2 * x.size, x.size)`` stack of flattened copies
+    of ``x`` to one loss per row: row ``2i`` holds ``x + h`` at entry ``i``
+    and row ``2i + 1`` holds ``x - h``. ``x`` is never written.
+    """
     flat = x.ravel()
-    gf = g.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = fn()
-        flat[i] = orig - h
-        fm = fn()
-        flat[i] = orig
-        gf[i] = (fp - fm) / (2.0 * h)
-    return g
+    idx = np.arange(flat.size)
+    stack = np.repeat(flat[None, :], 2 * flat.size, axis=0)
+    stack[2 * idx, idx] = flat + h
+    stack[2 * idx + 1, idx] = flat - h
+    f = loss_rows(stack)
+    return ((f[0::2] - f[1::2]) / (2.0 * h)).reshape(x.shape)
 
 
-def _loss_total(y_hat: np.ndarray, y_tilde: np.ndarray, cfg: LossConfig) -> float:
+def _loss_total_rows(y_hat: np.ndarray, y_tilde: np.ndarray, cfg: LossConfig) -> np.ndarray:
+    """``alpha * Lc + beta * Le`` of each row pair of logits."""
     lc, le = loss_terms_rows(softmax_rows(y_hat), softmax_rows(y_tilde), cfg)
-    return cfg.alpha * float(lc[0]) + cfg.beta * float(le[0])
+    return cfg.alpha * lc + cfg.beta * le
 
 
 def finite_diff_suite(seed: int, trials: int) -> dict[str, float]:
@@ -271,12 +283,17 @@ def finite_diff_suite(seed: int, trials: int) -> dict[str, float]:
             y_tilde = stream.normal(0.0, 2.0, size=(1, nc))
             loss = joint_loss_rows(softmax_rows(y_hat), softmax_rows(y_tilde), cfg)
 
-            numeric = _central_diff(lambda: _loss_total(y_hat, y_tilde, cfg), y_tilde)
+            # the operand that does not move is repeated to the stack's 2*nc rows
+            numeric = _central_diff(
+                lambda s: _loss_total_rows(np.repeat(y_hat, 2 * nc, axis=0), s, cfg), y_tilde
+            )
             worst[f"pseudo:{variant}"] = max(
                 worst[f"pseudo:{variant}"], _rel_err(loss.grad_pseudo, numeric)
             )
 
-            numeric = _central_diff(lambda: _loss_total(y_hat, y_tilde, cfg), y_hat)
+            numeric = _central_diff(
+                lambda s: _loss_total_rows(s, np.repeat(y_tilde, 2 * nc, axis=0), cfg), y_hat
+            )
             worst[f"logits:{variant}"] = max(
                 worst[f"logits:{variant}"], _rel_err(loss.grad_y, numeric)
             )
@@ -293,10 +310,16 @@ def finite_diff_suite(seed: int, trials: int) -> dict[str, float]:
             y_tilde = stream.normal(0.0, 2.0, size=(3, 3))
             p_tilde = softmax_rows(y_tilde)
 
-            def batch_loss() -> float:
-                p_hat = forward_batch(params, x).p_hat
-                lc, le = loss_terms_rows(p_hat, p_tilde, cfg)
-                return float(np.mean(cfg.alpha * lc + cfg.beta * le))
+            def batch_loss(stack: np.ndarray) -> np.ndarray:
+                # one real forward pass per perturbed vector, through a probe
+                # copy: the network under check is never written
+                probe = params.copy()
+                out = np.empty(stack.shape[0])
+                for k, row in enumerate(stack):
+                    probe.flat[:] = row
+                    lc, le = loss_terms_rows(forward_batch(probe, x).p_hat, p_tilde, cfg)
+                    out[k] = np.mean(cfg.alpha * lc + cfg.beta * le)
+                return out
 
             trace = forward_batch(params, x)
             grad_y = joint_loss_rows(trace.p_hat, p_tilde, cfg).grad_y / x.shape[0]

@@ -1,12 +1,13 @@
 import json
 import shutil
+import subprocess
 import warnings
 from pathlib import Path
 
 import pytest
 
 from conftest import write_tiny_config
-from pseudograd import theory
+from pseudograd import cli, theory
 from pseudograd.cli import main
 from pseudograd.data import gen_gaussian_blobs, split_per_class
 from pseudograd.loss import LossConfig
@@ -291,6 +292,25 @@ class TestTrainCommand:
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["loss"]["alpha"] == 0.2
+
+    def test_git_describe_runs_once_per_process(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fake_run(argv, **kwargs):
+            calls.append(argv)
+            return subprocess.CompletedProcess(argv, 0, stdout="abc1234\n", stderr="")
+
+        cfg = write_tiny_config(tmp_path / "cfg.json")
+        monkeypatch.setattr(cli.subprocess, "run", fake_run)
+        cli._git_describe.cache_clear()
+        try:
+            for name in ("a", "b"):
+                assert main(["train", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+                manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+                assert manifest["git_describe"] == "abc1234"
+        finally:
+            cli._git_describe.cache_clear()
+        assert calls == [["git", "describe", "--always", "--dirty"]]
 
     @pytest.mark.parametrize(
         "loss, override, expected",

@@ -1,4 +1,4 @@
-"""Pinned bits of two fixture artifacts, per numeric environment.
+"""Pinned bits of three fixture artifacts, per numeric environment.
 
 Runs are byte-deterministic on one machine but not across numpy builds or
 BLAS kernels, so golden_digests.json keys each recorded set of SHA-256
@@ -18,10 +18,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import write_tiny_config
+from pseudograd.cli import main
 from pseudograd.pseudo_labels import save_table
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
-ARTIFACTS = ("moons_seed7_report.csv", "converged_run_pseudo_table.json")
+ARTIFACTS = ("moons_seed7_report.csv", "converged_run_pseudo_table.json",
+             "gradcheck_seed0_trials25.json")
 
 
 def openblas_core() -> str | None:
@@ -49,6 +52,9 @@ def digests(moons_reports, converged_run, tmp_path_factory) -> dict[str, str]:
     out = tmp_path_factory.mktemp("golden")
     moons_reports[7].to_csv(out / ARTIFACTS[0])
     save_table(converged_run.table, out / ARTIFACTS[1])
+    config = write_tiny_config(out / "tiny.json")  # seed 0
+    assert main(["gradcheck", "--config", str(config), "--out", str(out), "--trials", "25"]) == 0
+    (out / "gradcheck.json").rename(out / ARTIFACTS[2])
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
 
 

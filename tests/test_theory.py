@@ -6,8 +6,9 @@ from pseudograd import theory
 from pseudograd.config import ConfigError
 from pseudograd.data import gen_gaussian_blobs, split_per_class
 from pseudograd.loss import LossConfig, loss_terms_rows
+from pseudograd.loss import VARIANTS
 from pseudograd.model import Architecture, init_params
-from pseudograd.numerics import clamped_log, softmax_rows
+from pseudograd.numerics import InvalidInputError, clamped_log, softmax_rows
 from pseudograd.pseudo_labels import PseudoTable, init_pseudo
 
 
@@ -74,6 +75,14 @@ class TestFlatnessAlgebra:
         out = theory.flatness_bound_check(20_000, seed=1)
         assert out["violations"] == 0
         assert out["max_excess"] <= 1e-12
+
+    @pytest.mark.parametrize("n_samples", [0, 3])
+    def test_fewer_samples_than_class_counts_rejected(self, n_samples):
+        with pytest.raises(InvalidInputError, match="n_samples must be >= 4"):
+            theory.flatness_bound_check(n_samples, seed=0)
+
+    def test_one_sample_per_class_count(self):
+        assert theory.flatness_bound_check(4, seed=0)["samples"] == 4
 
 
 class TestSumInvariance:
@@ -200,6 +209,88 @@ class TestOneLinkForward:
         sizes = {"gradcheck_trials": 1, "algebraic_samples": 100} if check == "run_verification" else {}
         getattr(theory, check)(params, table, split, LossConfig(), **sizes)
         assert rows.count(split.n_unlabeled) == forwards
+
+
+def _reference_central_diff(fn, x, h=theory.FD_STEP):
+    """One coordinate at a time: move ``x[i]`` in place, call ``fn()`` at
+    each side, restore it."""
+    g = np.zeros_like(x)
+    flat = x.ravel()
+    gf = g.ravel()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = fn()
+        flat[i] = orig - h
+        fm = fn()
+        flat[i] = orig
+        gf[i] = (fp - fm) / (2.0 * h)
+    return g
+
+
+def _loss_total(y_hat, y_tilde, cfg):
+    """One row pair's total loss as a Python float."""
+    lc, le = loss_terms_rows(softmax_rows(y_hat), softmax_rows(y_tilde), cfg)
+    return cfg.alpha * float(lc[0]) + cfg.beta * float(le[0])
+
+
+class TestCentralDiff:
+    """The stacked helper gives the per-coordinate loop's bits and leaves its
+    input alone."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("nc", range(2, 8))
+    def test_row_wise_loss_equals_the_loop(self, variant, nc):
+        rng = np.random.default_rng(nc)
+        for _ in range(5):
+            cfg = LossConfig(alpha=float(rng.uniform(0.05, 0.5)),
+                             beta=float(rng.uniform(0.0, 0.04)), variant=variant)
+            y_hat = rng.normal(0.0, 2.0, size=(1, nc))
+            y_tilde = rng.normal(0.0, 2.0, size=(1, nc))
+            want = _reference_central_diff(lambda: _loss_total(y_hat, y_tilde, cfg), y_tilde)
+            got = theory._central_diff(
+                lambda s: theory._loss_total_rows(np.repeat(y_hat, 2 * nc, axis=0), s, cfg),
+                y_tilde)
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+            want = _reference_central_diff(lambda: _loss_total(y_hat, y_tilde, cfg), y_hat)
+            got = theory._central_diff(
+                lambda s: theory._loss_total_rows(s, np.repeat(y_tilde, 2 * nc, axis=0), cfg),
+                y_hat)
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_looping_loss_equals_the_loop(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 3))
+        w = rng.normal(size=6)
+
+        def loss(v):
+            return float(np.tanh(v) @ w + np.sum(v * v * v))
+
+        want = _reference_central_diff(lambda: loss(x.ravel()), x)
+        got = theory._central_diff(lambda stack: np.array([loss(row) for row in stack]), x)
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_input_is_never_written(self):
+        x = np.random.default_rng(6).normal(size=(1, 5))
+        kept = x.copy()
+        x.flags.writeable = False
+        theory._central_diff(lambda stack: stack.sum(axis=1), x)
+        np.testing.assert_array_equal(_bits(x), _bits(kept))
+
+    def test_params_paths_leave_the_checked_network_unchanged(self, monkeypatch):
+        made = []
+
+        def recording(arch, seed):
+            params = init_params(arch, seed)
+            made.append((params, params.flat.copy()))
+            return params
+
+        monkeypatch.setattr(theory, "init_params", recording)
+        theory.finite_diff_suite(seed=0, trials=20)
+        assert len(made) == 4  # two trials at each depth
+        for params, kept in made:
+            np.testing.assert_array_equal(_bits(params.flat), _bits(kept))
 
 
 class TestFiniteDiffSuite:

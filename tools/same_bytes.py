@@ -14,7 +14,8 @@ under one temporary directory:
   ``ablate --grid alpha --seeds 1`` and ``ablate --grid beta --seeds 1`` on
   blobs_trend;
 * ``verify`` of the blobs_trend run (ReLU) and of the moons_ssl run (tanh);
-* ``gradcheck --trials 5``;
+* ``gradcheck`` at its default of 100 trials, which reaches every class
+  count and several network trials per depth;
 * ``export-features`` on moons_ssl with ``arch.hidden_dims=[16,2]``.
 
 It then compares every file the commands wrote (``manifest.json`` without
@@ -47,7 +48,7 @@ COMMANDS = (
     ("ablate_beta", "ablate", TREND, ["--grid", "beta", "--seeds", "1"]),
     ("train_blobs_trend", "verify", TREND, []),
     ("train_moons_ssl", "verify", "configs/moons_ssl.json", []),
-    ("gradcheck", "gradcheck", TREND, ["--trials", "5"]),
+    ("gradcheck", "gradcheck", TREND, []),
     ("export_features_moons_ssl", "export-features", "configs/moons_ssl.json",
      ["--override", "arch.hidden_dims=[16,2]"]),
 )
