@@ -1,4 +1,4 @@
-"""Pinned bits of three fixture artifacts, per numeric environment.
+"""Pinned bits of four fixture artifacts, per numeric environment.
 
 Runs are byte-deterministic on one machine but not across numpy builds or
 BLAS kernels, so golden_digests.json keys each recorded set of SHA-256
@@ -21,10 +21,11 @@ import pytest
 from conftest import write_tiny_config
 from pseudograd.cli import main
 from pseudograd.pseudo_labels import save_table
+from pseudograd.theory import run_verification
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 ARTIFACTS = ("moons_seed7_report.csv", "converged_run_pseudo_table.json",
-             "gradcheck_seed0_trials25.json")
+             "gradcheck_seed0_trials25.json", "converged_run_verification.json")
 
 
 def openblas_core() -> str | None:
@@ -55,6 +56,11 @@ def digests(moons_reports, converged_run, tmp_path_factory) -> dict[str, str]:
     config = write_tiny_config(out / "tiny.json")  # seed 0
     assert main(["gradcheck", "--config", str(config), "--out", str(out), "--trials", "25"]) == 0
     (out / "gradcheck.json").rename(out / ARTIFACTS[2])
+    # the bytes cmd_verify writes, at its default trials and samples: the one
+    # digest that covers the asserted link and flatness sections
+    run = converged_run
+    doc = run_verification(run.params, run.table, run.split, run.cfg.loss, seed=run.cfg.seed)
+    (out / ARTIFACTS[3]).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
 
 
