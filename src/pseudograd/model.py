@@ -151,27 +151,62 @@ def _activate_grad(post: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - post**2
 
 
-def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardTrace:
-    """Forward pass over a batch; rows are examples.
+def _check_batch(arch: Architecture, x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != arch.input_dim:
+        raise InvalidInputError(f"input must be (batch, {arch.input_dim}), got {x.shape}")
+    return x
+
+
+def _layer_loop(h, weights, biases, head_w, activation: str):
+    """(post-activations, features, y_hat) of the rows ``h``.
 
     Each layer is computed in the one buffer its matmul returns (bias and
     activation in place), which rounds exactly as ``act(h @ w + b)`` does.
+    The tensors may carry a leading stack axis: ``(K, in, out)`` weights and
+    ``(K, 1, out)`` biases, whose matmul computes each slice's product as
+    the 2-D matmul does.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.arch.input_dim:
-        raise InvalidInputError(
-            f"input must be (batch, {params.arch.input_dim}), got {x.shape}"
-        )
-    h = x
     post_acts = []
-    for w, b in zip(params.layer_weights, params.layer_biases):
+    for w, b in zip(weights, biases):
         h = h @ w
         h += b
-        _activate_in_place(h, params.arch.activation)
+        _activate_in_place(h, activation)
         post_acts.append(h)
-    y_hat = h @ params.head_w
-    p_hat = softmax_rows(y_hat)
-    return ForwardTrace(x, post_acts, h, y_hat, p_hat)
+    return post_acts, h, h @ head_w
+
+
+def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardTrace:
+    """Forward pass over a batch; rows are examples."""
+    x = _check_batch(params.arch, x)
+    post_acts, features, y_hat = _layer_loop(
+        x, params.layer_weights, params.layer_biases, params.head_w, params.arch.activation
+    )
+    return ForwardTrace(x, post_acts, features, y_hat, softmax_rows(y_hat))
+
+
+def forward_stack(arch: Architecture, stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``p_hat`` of the batch ``x`` under every row of a ``(K, P)`` stack of
+    flat parameter vectors, as ``(K * B, N)`` rows: row ``k * B + b`` has the
+    bits of ``forward_batch(ModelParams(arch, stack[k]), x).p_hat[b]``.
+
+    Runs forward_batch's layer loop once, on views of the stack laid out by
+    ``param_layout``; the stack is never written.
+    """
+    x = _check_batch(arch, x)
+    if stack.ndim != 2 or stack.shape[1] != param_count(arch):
+        raise InvalidInputError(f"stack must be (K, {param_count(arch)}), got {stack.shape}")
+    k = stack.shape[0]
+    views = {}
+    for slot in param_layout(arch):
+        shape = slot.shape if len(slot.shape) == 2 else (1, *slot.shape)  # a bias spans the rows
+        views[slot.name] = stack[:, slot.start : slot.stop].reshape(k, *shape)
+    hidden = range(len(arch.hidden_dims))
+    _, _, y_hat = _layer_loop(
+        x, [views[f"layer{i}.w"] for i in hidden], [views[f"layer{i}.b"] for i in hidden],
+        views["head.w"], arch.activation,
+    )
+    return softmax_rows(y_hat.reshape(-1, arch.num_classes))
 
 
 def backward(

@@ -35,6 +35,7 @@ from .model import (
     ModelParams,
     backward,
     forward_batch,
+    forward_stack,
     init_params,
 )
 from .numerics import (
@@ -201,9 +202,10 @@ def flatness_bound_check(
     checked = 0
     for nc in sizes:
         m = per if nc != sizes[-1] else n_samples - per * (len(sizes) - 1)
-        p_hat = stream.gamma(1.0, 1.0, size=(m, nc))
+        # Dirichlet(1) rows; the draws of gamma(1.0, 1.0, size), and the same stream state
+        p_hat = stream.standard_exponential(size=(m, nc))
         p_hat /= row_sum(p_hat)[:, None]
-        p_tilde = stream.gamma(1.0, 1.0, size=(m, nc))
+        p_tilde = stream.standard_exponential(size=(m, nc))
         p_tilde /= row_sum(p_tilde)[:, None]
         alpha = stream.uniform(0.02, 0.5, size=m)
         beta = alpha * stream.uniform(0.0, 0.999, size=m)
@@ -212,8 +214,8 @@ def flatness_bound_check(
         top = row_max(p_hat)
         bound = np.exp(-total / alpha) * top ** (1.0 - beta / alpha)
         excess = bound - top - tolerance
-        violations += int((excess > 0).sum())
-        max_excess = max(max_excess, float((bound - top).max()))
+        violations += int((~(excess <= 0)).sum())  # a NaN bound is a violation
+        max_excess = float(np.maximum(max_excess, (bound - top).max()))  # and propagates
         checked += m
     return {
         "samples": checked,
@@ -229,31 +231,82 @@ def flatness_bound_check(
 FD_STEP = 1e-5
 
 
+# trials per loss call of the pseudo and logits paths, so that one call's
+# memory stays bounded at any trial count
+FD_BLOCK_TRIALS = 1024
+
+
 def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Worst absolute error over the numeric gradient's scale; ``inf`` when
+    either side has a non-finite entry (the ratio is then NaN or inf)."""
     scale = max(float(np.max(np.abs(numeric))), 1e-12)
-    return float(np.max(np.abs(analytic - numeric))) / scale
+    err = float(np.max(np.abs(analytic - numeric))) / scale
+    return math.inf if math.isnan(err) else err
 
 
 def _central_diff(loss_rows, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """Central differences of a loss at ``x``, from one ``loss_rows`` call.
+    """Central differences of a loss at each row of ``x``, a ``(n, d)`` stack
+    of independent inputs, from one ``loss_rows`` call.
 
-    ``loss_rows`` maps a ``(2 * x.size, x.size)`` stack of flattened copies
-    of ``x`` to one loss per row: row ``2i`` holds ``x + h`` at entry ``i``
-    and row ``2i + 1`` holds ``x - h``. ``x`` is never written.
+    ``loss_rows`` maps a ``(2 * n * d, d)`` stack of copies of the rows to one
+    loss per row: row ``2 * (r * d + i)`` holds row ``r`` of ``x`` with ``h``
+    added at entry ``i``, and the row after it holds ``h`` subtracted there.
+    Returns the ``(n, d)`` gradients; ``x`` is never written.
     """
-    flat = x.ravel()
-    idx = np.arange(flat.size)
-    stack = np.repeat(flat[None, :], 2 * flat.size, axis=0)
-    stack[2 * idx, idx] = flat + h
-    stack[2 * idx + 1, idx] = flat - h
-    f = loss_rows(stack)
-    return ((f[0::2] - f[1::2]) / (2.0 * h)).reshape(x.shape)
+    n, d = x.shape
+    idx = np.arange(d)
+    stack = np.repeat(x, 2 * d, axis=0)
+    sides = stack.reshape(n, d, 2, d)  # [input, entry moved, side, entry]
+    sides[:, idx, 0, idx] = x + h
+    sides[:, idx, 1, idx] = x - h
+    f = loss_rows(stack).reshape(n, d, 2)
+    return (f[..., 0] - f[..., 1]) / (2.0 * h)
 
 
-def _loss_total_rows(y_hat: np.ndarray, y_tilde: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    """``alpha * Lc + beta * Le`` of each row pair of logits."""
-    lc, le = loss_terms_rows(softmax_rows(y_hat), softmax_rows(y_tilde), cfg)
-    return cfg.alpha * lc + cfg.beta * le
+def _loss_total_rows(
+    y_hat: np.ndarray, y_tilde: np.ndarray, terms: LossConfig, alpha: np.ndarray, beta: np.ndarray
+) -> np.ndarray:
+    """``alpha * Lc + beta * Le`` of each row pair of logits, with the
+    variant of ``terms`` and each row's own ``alpha`` and ``beta``."""
+    lc, le = loss_terms_rows(softmax_rows(y_hat), softmax_rows(y_tilde), terms)
+    return alpha * lc + beta * le
+
+
+def _softmax_paths(stream, variant: str, trials: int):
+    """Worst relative error of the ``pseudo`` and ``logits`` gradients of
+    ``variant`` over ``trials`` random single-row instances.
+
+    Trials are drawn in order, a block at a time; the trials of a block that
+    share a class count get their central differences from one loss call.
+    """
+    worst_pseudo = worst_logits = 0.0
+    terms = LossConfig(variant=variant)  # alpha, beta given per row
+    for start in range(0, trials, FD_BLOCK_TRIALS):
+        groups: dict[int, list] = {}  # class count -> its trials' (cfg, y_hat, y_tilde)
+        for _ in range(min(FD_BLOCK_TRIALS, trials - start)):
+            nc = int(stream.integers(2, 8))
+            cfg = LossConfig(
+                alpha=float(stream.uniform(0.05, 0.5)),
+                beta=float(stream.uniform(0.0, 0.04)),
+                variant=variant,
+            )
+            y_hat = stream.normal(0.0, 2.0, size=(1, nc))
+            groups.setdefault(nc, []).append((cfg, y_hat, stream.normal(0.0, 2.0, size=(1, nc))))
+        for nc, group in groups.items():
+            cfgs, y_hats, y_tildes = zip(*group)
+            y_hat, y_tilde = np.concatenate(y_hats), np.concatenate(y_tildes)
+            alpha = np.repeat([cfg.alpha for cfg in cfgs], 2 * nc)
+            beta = np.repeat([cfg.beta for cfg in cfgs], 2 * nc)
+            # the operand that does not move is repeated to each input's 2*nc rows
+            num_pseudo = _central_diff(lambda s: _loss_total_rows(
+                np.repeat(y_hat, 2 * nc, axis=0), s, terms, alpha, beta), y_tilde)
+            num_logits = _central_diff(lambda s: _loss_total_rows(
+                s, np.repeat(y_tilde, 2 * nc, axis=0), terms, alpha, beta), y_hat)
+            for k, cfg in enumerate(cfgs):
+                loss = joint_loss_rows(softmax_rows(y_hats[k]), softmax_rows(y_tildes[k]), cfg)
+                worst_pseudo = max(worst_pseudo, _rel_err(loss.grad_pseudo, num_pseudo[k : k + 1]))
+                worst_logits = max(worst_logits, _rel_err(loss.grad_y, num_logits[k : k + 1]))
+    return worst_pseudo, worst_logits
 
 
 def finite_diff_suite(seed: int, trials: int) -> dict[str, float]:
@@ -262,69 +315,37 @@ def finite_diff_suite(seed: int, trials: int) -> dict[str, float]:
 
     Paths: `pseudo:<variant>` and `logits:<variant>` probe the loss through
     the softmax; `params:linear` and `params:deep` probe the full network
-    gradient (zero and three hidden layers).
+    gradient (zero and three hidden layers). A non-finite gradient on either
+    side reports ``inf``.
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     stream = random_stream(seed, stream_id=4)
     worst: dict[str, float] = {}
-
     for variant in VARIANTS:
-        worst[f"pseudo:{variant}"] = 0.0
-        worst[f"logits:{variant}"] = 0.0
-        for _ in range(trials):
-            nc = int(stream.integers(2, 8))
-            cfg = LossConfig(
-                alpha=float(stream.uniform(0.05, 0.5)),
-                beta=float(stream.uniform(0.0, 0.04)),
-                variant=variant,
-            )
-            y_hat = stream.normal(0.0, 2.0, size=(1, nc))
-            y_tilde = stream.normal(0.0, 2.0, size=(1, nc))
-            loss = joint_loss_rows(softmax_rows(y_hat), softmax_rows(y_tilde), cfg)
-
-            # the operand that does not move is repeated to the stack's 2*nc rows
-            numeric = _central_diff(
-                lambda s: _loss_total_rows(np.repeat(y_hat, 2 * nc, axis=0), s, cfg), y_tilde
-            )
-            worst[f"pseudo:{variant}"] = max(
-                worst[f"pseudo:{variant}"], _rel_err(loss.grad_pseudo, numeric)
-            )
-
-            numeric = _central_diff(
-                lambda s: _loss_total_rows(s, np.repeat(y_tilde, 2 * nc, axis=0), cfg), y_hat
-            )
-            worst[f"logits:{variant}"] = max(
-                worst[f"logits:{variant}"], _rel_err(loss.grad_y, numeric)
-            )
+        worst[f"pseudo:{variant}"], worst[f"logits:{variant}"] = _softmax_paths(
+            stream, variant, trials)
 
     for label, hidden in (("params:linear", ()), ("params:deep", (6, 5, 4))):
         worst[label] = 0.0
-        n_param_trials = max(1, trials // 10)
-        for t in range(n_param_trials):
-            variant = VARIANTS[t % len(VARIANTS)]
-            cfg = LossConfig(alpha=0.1, beta=0.03, variant=variant)
-            arch = Architecture(4, hidden, 3, activation="tanh")
+        arch = Architecture(4, hidden, 3, activation="tanh")
+        for t in range(max(1, trials // 10)):
+            cfg = LossConfig(alpha=0.1, beta=0.03, variant=VARIANTS[t % len(VARIANTS)])
             params = init_params(arch, seed + t)
             x = stream.normal(0.0, 1.0, size=(3, 4))
-            y_tilde = stream.normal(0.0, 2.0, size=(3, 3))
-            p_tilde = softmax_rows(y_tilde)
+            p_tilde = softmax_rows(stream.normal(0.0, 2.0, size=(3, 3)))
 
             def batch_loss(stack: np.ndarray) -> np.ndarray:
-                # one real forward pass per perturbed vector, through a probe
-                # copy: the network under check is never written
-                probe = params.copy()
-                out = np.empty(stack.shape[0])
-                for k, row in enumerate(stack):
-                    probe.flat[:] = row
-                    lc, le = loss_terms_rows(forward_batch(probe, x).p_hat, p_tilde, cfg)
-                    out[k] = np.mean(cfg.alpha * lc + cfg.beta * le)
-                return out
+                # every perturbed vector in one stacked forward; the mean
+                # loss over the batch per vector
+                lc, le = loss_terms_rows(
+                    forward_stack(arch, stack, x), np.tile(p_tilde, (stack.shape[0], 1)), cfg)
+                return (cfg.alpha * lc + cfg.beta * le).reshape(stack.shape[0], -1).mean(axis=1)
 
             trace = forward_batch(params, x)
             grad_y = joint_loss_rows(trace.p_hat, p_tilde, cfg).grad_y / x.shape[0]
             grads = backward(trace, grad_y, params)
-            numeric = ModelParams(arch, _central_diff(batch_loss, params.flat))
+            numeric = ModelParams(arch, _central_diff(batch_loss, params.flat[None])[0])
             # judged per tensor: one ratio over the whole vector would be looser
             for (_, g), (_, n) in zip(grads.tensors(), numeric.tensors()):
                 worst[label] = max(worst[label], _rel_err(g, n))

@@ -4,6 +4,7 @@ import subprocess
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import write_tiny_config
@@ -11,7 +12,7 @@ from pseudograd import cli, theory
 from pseudograd.cli import main
 from pseudograd.data import gen_gaussian_blobs, split_per_class
 from pseudograd.loss import LossConfig
-from pseudograd.model import Architecture, init_params
+from pseudograd.model import Architecture, ModelParams, init_params
 from pseudograd.pseudo_labels import init_pseudo
 
 FEATURE_ARCH = {"hidden_dims": [8, 2], "activation": "tanh"}
@@ -388,6 +389,16 @@ class TestGradcheckCommand:
         section = json.loads(json.dumps(doc["gradient_oracle"]))
         assert section.pop("asserted") is True
         assert json.loads((out / "gradcheck.json").read_text()) == section
+
+    def test_nan_gradient_exits_1(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(theory, "backward", lambda trace, grad_y, params: ModelParams(
+            params.arch, np.full(params.flat.size, np.nan)))
+        cfg = write_tiny_config(tmp_path / "cfg.json")
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--config", str(cfg), "--out", str(out), "--trials", "5"]) == 1
+        doc = json.loads((out / "gradcheck.json").read_text())
+        assert doc["worst_rel_err"]["params:deep"] == float("inf")
+        assert doc["pass"] is False
 
 
 class TestExportFeatures:

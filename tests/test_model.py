@@ -10,8 +10,10 @@ from pseudograd.model import (
     ModelParams,
     backward,
     forward_batch,
+    forward_stack,
     init_params,
     load_checkpoint,
+    param_count,
     save_checkpoint,
 )
 from pseudograd.numerics import InvalidInputError, softmax_rows
@@ -122,6 +124,34 @@ class TestForward:
         params = init_params(Architecture(4, (5,), 3), seed=0)
         with pytest.raises(InvalidInputError):
             forward_batch(params, np.zeros((1, 5)))
+
+
+class TestForwardStack:
+    """One stacked forward gives every vector's forward_batch bits."""
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("hidden", [(), (5,), (6, 5, 4)])
+    def test_equals_one_forward_per_vector(self, activation, hidden):
+        arch = Architecture(4, hidden, 3, activation=activation)
+        rng = np.random.default_rng(len(hidden))
+        for rows in (1, 3, 64):
+            x = rng.normal(size=(rows, 4))
+            for k in (1, 203):  # 203 * 3 rows cross the column-reduction gate
+                stack = rng.normal(size=(k, param_count(arch)))
+                kept = stack.copy()
+                got = forward_stack(arch, stack, x)
+                want = [forward_batch(ModelParams(arch, v), x).p_hat for v in kept]
+                assert got.shape == (k * rows, 3)
+                np.testing.assert_array_equal(got.view(np.int64),
+                                              np.concatenate(want).view(np.int64))
+                np.testing.assert_array_equal(stack.view(np.int64), kept.view(np.int64))
+
+    def test_shape_mismatch(self):
+        arch = Architecture(4, (5,), 3)
+        with pytest.raises(InvalidInputError, match="stack must be"):
+            forward_stack(arch, np.zeros((2, param_count(arch) - 1)), np.zeros((1, 4)))
+        with pytest.raises(InvalidInputError, match="input must be"):
+            forward_stack(arch, np.zeros((2, param_count(arch))), np.zeros((1, 5)))
 
 
 class TestBackward:

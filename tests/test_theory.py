@@ -7,8 +7,8 @@ from pseudograd.config import ConfigError
 from pseudograd.data import gen_gaussian_blobs, split_per_class
 from pseudograd.loss import LossConfig, loss_terms_rows
 from pseudograd.loss import VARIANTS
-from pseudograd.model import Architecture, init_params
-from pseudograd.numerics import InvalidInputError, clamped_log, softmax_rows
+from pseudograd.model import Architecture, ModelParams, init_params
+from pseudograd.numerics import InvalidInputError, clamped_log, random_stream, softmax_rows
 from pseudograd.pseudo_labels import PseudoTable, init_pseudo
 
 
@@ -21,6 +21,15 @@ def _residual_of(p_hat, p_tilde, cfg):
         - cfg.alpha * float(clamped_log(p_tilde[n : n + 1])[0])
         - total
     )
+
+
+def _nan_backward(trace, grad_y, params):
+    return ModelParams(params.arch, np.full(params.flat.size, np.nan))
+
+
+def _nan_loss_terms(p_hat, p_tilde, cfg, logs=None):
+    nan = np.full(p_hat.shape[0], np.nan)
+    return nan, nan
 
 
 class TestLinkPointOracle:
@@ -83,6 +92,20 @@ class TestFlatnessAlgebra:
 
     def test_one_sample_per_class_count(self):
         assert theory.flatness_bound_check(4, seed=0)["samples"] == 4
+
+    def test_nan_bound_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(theory, "loss_terms_rows", _nan_loss_terms)
+        out = theory.flatness_bound_check(100, seed=0)
+        assert out["violations"] == 100
+        assert np.isnan(out["max_excess"])
+
+    def test_standard_exponential_draws_the_unit_gammas(self):
+        # the bound check's Dirichlet rows: same values, same stream state after
+        a, b = random_stream(3, stream_id=3), random_stream(3, stream_id=3)
+        for shape in [(25_000, 2), (7, 10), (1, 3)]:
+            np.testing.assert_array_equal(_bits(b.standard_exponential(size=shape)),
+                                          _bits(a.gamma(1.0, 1.0, size=shape)))
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestSumInvariance:
@@ -235,44 +258,55 @@ def _loss_total(y_hat, y_tilde, cfg):
 
 
 class TestCentralDiff:
-    """The stacked helper gives the per-coordinate loop's bits and leaves its
-    input alone."""
+    """The stacked helper gives the per-coordinate loop's bits, input by
+    input, and leaves its inputs alone."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("nc", range(2, 8))
     def test_row_wise_loss_equals_the_loop(self, variant, nc):
+        # ten inputs, so that the call on all of them crosses the
+        # column-reduction gate; alpha and beta given per row
         rng = np.random.default_rng(nc)
-        for _ in range(5):
-            cfg = LossConfig(alpha=float(rng.uniform(0.05, 0.5)),
-                             beta=float(rng.uniform(0.0, 0.04)), variant=variant)
-            y_hat = rng.normal(0.0, 2.0, size=(1, nc))
-            y_tilde = rng.normal(0.0, 2.0, size=(1, nc))
-            want = _reference_central_diff(lambda: _loss_total(y_hat, y_tilde, cfg), y_tilde)
-            got = theory._central_diff(
-                lambda s: theory._loss_total_rows(np.repeat(y_hat, 2 * nc, axis=0), s, cfg),
-                y_tilde)
-            np.testing.assert_array_equal(_bits(got), _bits(want))
-            want = _reference_central_diff(lambda: _loss_total(y_hat, y_tilde, cfg), y_hat)
-            got = theory._central_diff(
-                lambda s: theory._loss_total_rows(s, np.repeat(y_tilde, 2 * nc, axis=0), cfg),
-                y_hat)
-            np.testing.assert_array_equal(_bits(got), _bits(want))
+        alpha, beta = rng.uniform(0.05, 0.5, size=10), rng.uniform(0.0, 0.04, size=10)
+        y_hat, y_tilde = rng.normal(0.0, 2.0, size=(2, 10, nc))
+        terms = LossConfig(variant=variant)
+
+        def numeric(rows, wrt_pseudo):
+            a, b = np.repeat(alpha[rows], 2 * nc), np.repeat(beta[rows], 2 * nc)
+            if wrt_pseudo:
+                fixed = np.repeat(y_hat[rows], 2 * nc, axis=0)
+                return theory._central_diff(
+                    lambda s: theory._loss_total_rows(fixed, s, terms, a, b), y_tilde[rows])
+            fixed = np.repeat(y_tilde[rows], 2 * nc, axis=0)
+            return theory._central_diff(
+                lambda s: theory._loss_total_rows(s, fixed, terms, a, b), y_hat[rows])
+
+        for wrt_pseudo in (True, False):
+            each = [numeric([r], wrt_pseudo) for r in range(10)]
+            np.testing.assert_array_equal(_bits(numeric(slice(None), wrt_pseudo)),
+                                          _bits(np.concatenate(each)))
+            for r in range(10):
+                cfg = LossConfig(alpha=float(alpha[r]), beta=float(beta[r]), variant=variant)
+                yh, yt = y_hat[r : r + 1].copy(), y_tilde[r : r + 1].copy()
+                want = _reference_central_diff(lambda: _loss_total(yh, yt, cfg),
+                                               yt if wrt_pseudo else yh)
+                np.testing.assert_array_equal(_bits(each[r]), _bits(want))
 
     def test_looping_loss_equals_the_loop(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 3))
-        w = rng.normal(size=6)
+        w = rng.normal(size=3)
 
         def loss(v):
             return float(np.tanh(v) @ w + np.sum(v * v * v))
 
-        want = _reference_central_diff(lambda: loss(x.ravel()), x)
+        want = [_reference_central_diff(lambda: loss(row), row) for row in x.copy()]
         got = theory._central_diff(lambda stack: np.array([loss(row) for row in stack]), x)
         assert got.shape == x.shape
-        np.testing.assert_array_equal(_bits(got), _bits(want))
+        np.testing.assert_array_equal(_bits(got), _bits(np.stack(want)))
 
     def test_input_is_never_written(self):
-        x = np.random.default_rng(6).normal(size=(1, 5))
+        x = np.random.default_rng(6).normal(size=(3, 5))
         kept = x.copy()
         x.flags.writeable = False
         theory._central_diff(lambda stack: stack.sum(axis=1), x)
@@ -313,6 +347,25 @@ class TestFiniteDiffSuite:
             "params:deep",
         }
         assert set(worst) == expected
+
+    def test_trial_blocks_change_no_bit(self, monkeypatch):
+        want = theory.finite_diff_suite(seed=2, trials=25)
+        monkeypatch.setattr(theory, "FD_BLOCK_TRIALS", 2)
+        got = theory.finite_diff_suite(seed=2, trials=25)
+        assert list(got) == list(want)
+        np.testing.assert_array_equal(_bits(list(got.values())), _bits(list(want.values())))
+
+    @pytest.mark.parametrize("name, nan_fn, failing", [
+        ("backward", _nan_backward, {"params:linear", "params:deep"}),
+        ("loss_terms_rows", _nan_loss_terms, None),  # every path
+    ], ids=["analytic", "numeric"])
+    def test_non_finite_gradient_fails(self, monkeypatch, name, nan_fn, failing):
+        monkeypatch.setattr(theory, name, nan_fn)
+        doc = theory.gradient_oracle(seed=0, trials=10)
+        worst = doc["worst_rel_err"]
+        assert {p for p, err in worst.items() if err == np.inf} == (failing or set(worst))
+        assert all(err < doc["tolerance"][p] for p, err in worst.items() if err != np.inf)
+        assert doc["pass"] is False
 
 
 class TestVerificationReport:

@@ -13,7 +13,9 @@ under one temporary directory:
 * ``ablate --grid strategy --seeds 2``, ``ablate --grid lc --seeds 2``,
   ``ablate --grid alpha --seeds 1`` and ``ablate --grid beta --seeds 1`` on
   blobs_trend;
-* ``verify`` of the blobs_trend run (ReLU) and of the moons_ssl run (tanh);
+* ``verify`` of the blobs_trend run (ReLU), of the moons_ssl run (tanh) and
+  of the blobs_convergence run, the converged ``kl_pred_pseudo`` run whose
+  link and flatness sections are asserted;
 * ``gradcheck`` at its default of 100 trials, which reaches every class
   count and several network trials per depth;
 * ``export-features`` on moons_ssl with ``arch.hidden_dims=[16,2]``.
@@ -48,6 +50,7 @@ COMMANDS = (
     ("ablate_beta", "ablate", TREND, ["--grid", "beta", "--seeds", "1"]),
     ("train_blobs_trend", "verify", TREND, []),
     ("train_moons_ssl", "verify", "configs/moons_ssl.json", []),
+    ("train_blobs_convergence", "verify", "configs/blobs_convergence.json", []),
     ("gradcheck", "gradcheck", TREND, []),
     ("export_features_moons_ssl", "export-features", "configs/moons_ssl.json",
      ["--override", "arch.hidden_dims=[16,2]"]),
