@@ -229,10 +229,9 @@ def flatness_bound_check(
 # Finite-difference gradient oracle
 
 FD_STEP = 1e-5
-
-
 # trials per loss call of the pseudo and logits paths, so that one call's
-# memory stays bounded at any trial count
+# memory stays bounded at any trial count; the draws and every result are
+# the same for any block size
 FD_BLOCK_TRIALS = 1024
 
 
