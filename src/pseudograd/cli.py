@@ -2,12 +2,12 @@
 
 Commands: gen-data, train, verify, gradcheck, ablate, export-features.
 Exit codes: 0 success, 1 runtime/verification failure, 2 usage/config error
-(including verify artifacts that are missing, unreadable, non-finite or
-from another run). verify on a run with no unlabeled rows reports the link
-and flatness checks as informational. train, ablate and export-features
-write a run manifest (config, git describe, seed, status) even when they
-fail, with the failing stage recorded; gen-data, verify and gradcheck write
-none.
+(including an --out path that is, or lies under, an existing file, and
+verify artifacts that are missing, unreadable, non-finite or from another
+run). verify on a run with no unlabeled rows reports the link and flatness
+checks as informational. train, ablate and export-features write a run
+manifest (config, git describe, seed, status) even when they fail, with the
+failing stage recorded; gen-data, verify and gradcheck write none.
 """
 
 from __future__ import annotations
@@ -327,9 +327,21 @@ COMMANDS = {
 MANIFEST_COMMANDS = ("train", "ablate", "export-features")
 
 
+def _file_in_the_way(out: Path) -> Path | None:
+    """The existing non-directory that ``out`` is or lies under, if any."""
+    for path in (out, *out.parents):
+        if path.exists():
+            return None if path.is_dir() else path
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
+    blocker = _file_in_the_way(out)
+    if blocker is not None:
+        print(f"error: --out {out} cannot be a directory: {blocker} is a file", file=sys.stderr)
+        return EXIT_USAGE
     manifest = args.command in MANIFEST_COMMANDS
     try:
         cfg = load_config(args.config, args.override)

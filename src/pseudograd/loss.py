@@ -72,25 +72,39 @@ def joint_loss_rows(p_hat, p_tilde, cfg: LossConfig) -> JointLoss:
     pseudo-logits, so only Lc contributes to ``grad_pseudo``.
     """
     ph, pt = _check_pair(p_hat, p_tilde)
-    alpha, beta = cfg.alpha, cfg.beta
+    return _joint(ph, pt, cfg.variant, cfg.alpha, cfg.beta, cfg.alpha, cfg.beta)
+
+
+def joint_loss_weighted_rows(p_hat, p_tilde, variant: str, alpha, beta) -> JointLoss:
+    """``joint_loss_rows`` with each row's own weights: ``alpha`` and ``beta``
+    are ``(n,)`` arrays, and row k has the bits of ``joint_loss_rows`` on row
+    k alone under ``LossConfig(alpha=alpha[k], beta=beta[k], variant=variant)``."""
+    ph, pt = _check_pair(p_hat, p_tilde)
+    return _joint(ph, pt, variant, alpha, beta, alpha[:, None], beta[:, None])
+
+
+def _joint(ph, pt, variant: str, alpha, beta, alpha_c, beta_c) -> JointLoss:
+    """The one kernel of both entries: ``alpha``/``beta`` weigh the per-row
+    terms and ``alpha_c``/``beta_c`` the gradient rows (the same floats, or
+    each row's weights as a column)."""
     log_ph, log_pt = clamped_log(ph), clamped_log(pt)
-    lc, le = _terms(ph, pt, log_ph, log_pt, cfg.variant)
+    lc, le = _terms(ph, pt, log_ph, log_pt, variant)
     total = alpha * lc + beta * le
-    if cfg.variant == VARIANT_KL_PRED_PSEUDO:
-        grad_y = ph * ((alpha - beta) * log_ph - alpha * log_pt - total[:, None])
-        return JointLoss(lc, le, total, grad_y, alpha * (pt - ph))
+    if variant == VARIANT_KL_PRED_PSEUDO:
+        grad_y = ph * ((alpha_c - beta_c) * log_ph - alpha_c * log_pt - total[:, None])
+        return JointLoss(lc, le, total, grad_y, alpha_c * (pt - ph))
     # shared entropy-term gradient: dLe/dy[n] = -p_hat[n]*(log p_hat[n] + Le)
     le_grad = -ph * (log_ph + le[:, None])
-    if cfg.variant == VARIANT_KL_PSEUDO_PRED:
+    if variant == VARIANT_KL_PSEUDO_PRED:
         lc_grad = ph - pt
         diff = log_pt - log_ph
-        scale = alpha
+        scale = alpha_c
     else:
         diff = pt - ph
         lc_grad = -2.0 * ph * (diff - row_sum(ph * diff)[:, None])
-        scale = 2.0 * alpha
+        scale = 2.0 * alpha_c
     grad_pseudo = scale * pt * (diff - row_sum(pt * diff)[:, None])
-    return JointLoss(lc, le, total, alpha * lc_grad + beta * le_grad, grad_pseudo)
+    return JointLoss(lc, le, total, alpha_c * lc_grad + beta_c * le_grad, grad_pseudo)
 
 
 def grad_wrt_logits_rows(p_hat, p_tilde, cfg: LossConfig) -> np.ndarray:

@@ -28,6 +28,7 @@ from .loss import (
     VARIANTS,
     LossConfig,
     joint_loss_rows,
+    joint_loss_weighted_rows,
     loss_terms_rows,
 )
 from .model import (
@@ -181,6 +182,11 @@ def check_flatness(
     }
 
 
+# rows per step of the flatness bound's arithmetic, so that its temporaries
+# stay small at any sample count; every row keeps its bits for any block size
+FLAT_BLOCK_ROWS = 4096
+
+
 def flatness_bound_check(
     n_samples: int, seed: int, tolerance: float = 1e-12
 ) -> dict:
@@ -190,6 +196,10 @@ def flatness_bound_check(
     loss satisfies L >= -beta*log(p_hat_n), hence
     exp(-L/alpha) * p_hat_n^(1-beta/alpha) <= p_hat_n. Returns violation
     counts over ``n_samples`` draws, at least one per class count.
+
+    Each class count draws all of its ``p_hat``, then all of its ``p_tilde``,
+    into two buffers made once per call; the arithmetic then runs over
+    blocks of ``FLAT_BLOCK_ROWS`` rows.
     """
     sizes = (2, 3, 5, 10)
     if n_samples < len(sizes):
@@ -197,28 +207,31 @@ def flatness_bound_check(
     stream = random_stream(seed, stream_id=3)
     kl_pred_pseudo = LossConfig(variant=VARIANT_KL_PRED_PSEUDO)  # alpha, beta drawn per row
     per = n_samples // len(sizes)
+    counts = [per] * (len(sizes) - 1) + [n_samples - per * (len(sizes) - 1)]
+    largest = max(m * nc for m, nc in zip(counts, sizes))
+    hat_buf, tilde_buf = np.empty(largest), np.empty(largest)
     violations = 0
     max_excess = -np.inf
-    checked = 0
-    for nc in sizes:
-        m = per if nc != sizes[-1] else n_samples - per * (len(sizes) - 1)
+    for m, nc in zip(counts, sizes):
         # Dirichlet(1) rows; the draws of gamma(1.0, 1.0, size), and the same stream state
-        p_hat = stream.standard_exponential(size=(m, nc))
-        p_hat /= row_sum(p_hat)[:, None]
-        p_tilde = stream.standard_exponential(size=(m, nc))
-        p_tilde /= row_sum(p_tilde)[:, None]
+        p_hat = stream.standard_exponential(out=hat_buf[: m * nc].reshape(m, nc))
+        p_tilde = stream.standard_exponential(out=tilde_buf[: m * nc].reshape(m, nc))
         alpha = stream.uniform(0.02, 0.5, size=m)
         beta = alpha * stream.uniform(0.0, 0.999, size=m)
-        lc, le = loss_terms_rows(p_hat, p_tilde, kl_pred_pseudo)
-        total = alpha * lc + beta * le
-        top = row_max(p_hat)
-        bound = np.exp(-total / alpha) * top ** (1.0 - beta / alpha)
-        excess = bound - top - tolerance
-        violations += int((~(excess <= 0)).sum())  # a NaN bound is a violation
-        max_excess = float(np.maximum(max_excess, (bound - top).max()))  # and propagates
-        checked += m
+        for start in range(0, m, FLAT_BLOCK_ROWS):
+            rows = slice(start, start + FLAT_BLOCK_ROWS)
+            ph, pt, a, b = p_hat[rows], p_tilde[rows], alpha[rows], beta[rows]
+            ph /= row_sum(ph)[:, None]
+            pt /= row_sum(pt)[:, None]
+            lc, le = loss_terms_rows(ph, pt, kl_pred_pseudo)
+            total = a * lc + b * le
+            top = row_max(ph)
+            bound = np.exp(-total / a) * top ** (1.0 - b / a)
+            excess = bound - top - tolerance
+            violations += int((~(excess <= 0)).sum())  # a NaN bound is a violation
+            max_excess = float(np.maximum(max_excess, (bound - top).max()))  # and propagates
     return {
-        "samples": checked,
+        "samples": sum(counts),
         "violations": violations,
         "max_excess": max_excess,
         "tolerance": tolerance,
@@ -235,12 +248,15 @@ FD_STEP = 1e-5
 FD_BLOCK_TRIALS = 1024
 
 
-def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Worst absolute error over the numeric gradient's scale; ``inf`` when
-    either side has a non-finite entry (the ratio is then NaN or inf)."""
-    scale = max(float(np.max(np.abs(numeric))), 1e-12)
-    err = float(np.max(np.abs(analytic - numeric))) / scale
-    return math.inf if math.isnan(err) else err
+def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
+    """Each row's worst absolute error over its numeric gradient's scale;
+    ``inf`` where either side has a non-finite entry (the ratio is then NaN
+    or inf)."""
+    scale = np.maximum(np.abs(numeric).max(axis=1), 1e-12)
+    with np.errstate(invalid="ignore"):
+        err = np.abs(analytic - numeric).max(axis=1) / scale
+    err[np.isnan(err)] = math.inf
+    return err
 
 
 def _central_diff(loss_rows, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
@@ -276,35 +292,33 @@ def _softmax_paths(stream, variant: str, trials: int):
     ``variant`` over ``trials`` random single-row instances.
 
     Trials are drawn in order, a block at a time; the trials of a block that
-    share a class count get their central differences from one loss call.
+    share a class count get their central differences from one loss call and
+    their analytic gradients from one ``joint_loss_weighted_rows`` call.
     """
     worst_pseudo = worst_logits = 0.0
     terms = LossConfig(variant=variant)  # alpha, beta given per row
     for start in range(0, trials, FD_BLOCK_TRIALS):
-        groups: dict[int, list] = {}  # class count -> its trials' (cfg, y_hat, y_tilde)
+        groups: dict[int, list] = {}  # class count -> its trials' (alpha, beta, y_hat, y_tilde)
         for _ in range(min(FD_BLOCK_TRIALS, trials - start)):
             nc = int(stream.integers(2, 8))
-            cfg = LossConfig(
-                alpha=float(stream.uniform(0.05, 0.5)),
-                beta=float(stream.uniform(0.0, 0.04)),
-                variant=variant,
-            )
+            alpha, beta = float(stream.uniform(0.05, 0.5)), float(stream.uniform(0.0, 0.04))
             y_hat = stream.normal(0.0, 2.0, size=(1, nc))
-            groups.setdefault(nc, []).append((cfg, y_hat, stream.normal(0.0, 2.0, size=(1, nc))))
+            y_tilde = stream.normal(0.0, 2.0, size=(1, nc))
+            groups.setdefault(nc, []).append((alpha, beta, y_hat, y_tilde))
         for nc, group in groups.items():
-            cfgs, y_hats, y_tildes = zip(*group)
+            alphas, betas, y_hats, y_tildes = zip(*group)
+            alpha, beta = np.array(alphas), np.array(betas)
             y_hat, y_tilde = np.concatenate(y_hats), np.concatenate(y_tildes)
-            alpha = np.repeat([cfg.alpha for cfg in cfgs], 2 * nc)
-            beta = np.repeat([cfg.beta for cfg in cfgs], 2 * nc)
+            a, b = np.repeat(alpha, 2 * nc), np.repeat(beta, 2 * nc)
             # the operand that does not move is repeated to each input's 2*nc rows
             num_pseudo = _central_diff(lambda s: _loss_total_rows(
-                np.repeat(y_hat, 2 * nc, axis=0), s, terms, alpha, beta), y_tilde)
+                np.repeat(y_hat, 2 * nc, axis=0), s, terms, a, b), y_tilde)
             num_logits = _central_diff(lambda s: _loss_total_rows(
-                s, np.repeat(y_tilde, 2 * nc, axis=0), terms, alpha, beta), y_hat)
-            for k, cfg in enumerate(cfgs):
-                loss = joint_loss_rows(softmax_rows(y_hats[k]), softmax_rows(y_tildes[k]), cfg)
-                worst_pseudo = max(worst_pseudo, _rel_err(loss.grad_pseudo, num_pseudo[k : k + 1]))
-                worst_logits = max(worst_logits, _rel_err(loss.grad_y, num_logits[k : k + 1]))
+                s, np.repeat(y_tilde, 2 * nc, axis=0), terms, a, b), y_hat)
+            loss = joint_loss_weighted_rows(
+                softmax_rows(y_hat), softmax_rows(y_tilde), variant, alpha, beta)
+            worst_pseudo = max(worst_pseudo, float(_rel_err(loss.grad_pseudo, num_pseudo).max()))
+            worst_logits = max(worst_logits, float(_rel_err(loss.grad_y, num_logits).max()))
     return worst_pseudo, worst_logits
 
 
@@ -347,7 +361,8 @@ def finite_diff_suite(seed: int, trials: int) -> dict[str, float]:
             numeric = ModelParams(arch, _central_diff(batch_loss, params.flat[None])[0])
             # judged per tensor: one ratio over the whole vector would be looser
             for (_, g), (_, n) in zip(grads.tensors(), numeric.tensors()):
-                worst[label] = max(worst[label], _rel_err(g, n))
+                err = _rel_err(g.reshape(1, -1), n.reshape(1, -1))[0]
+                worst[label] = max(worst[label], float(err))
     return worst
 
 

@@ -191,6 +191,28 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    @pytest.mark.parametrize("command", ["train", "ablate", "gradcheck", "gen-data",
+                                         "export-features"])
+    def test_out_naming_a_file_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       command, under):
+        cfg = write_tiny_config(tmp_path / "cfg.json", arch=FEATURE_ARCH)
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker / "run" if under else blocker
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} started work")
+
+        for target in ("build_run_data", "run_pipeline", "stage1_supervised"):
+            monkeypatch.setattr(cli, target, no_work)
+        monkeypatch.setattr(theory, "gradient_oracle", no_work)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{blocker} is a file" in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "kept\n"
+
     def test_verify_missing_artifacts_exits_2(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
         rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "empty")])

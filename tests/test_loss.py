@@ -5,16 +5,22 @@ import pytest
 from pseudograd.config import ConfigError
 from pseudograd.loss import (
     VARIANTS,
+    JointLoss,
     LossConfig,
     grad_wrt_logits_rows,
     grad_wrt_pseudo_logits_rows,
     joint_loss_rows,
+    joint_loss_weighted_rows,
     loss_terms_rows,
 )
 from pseudograd.numerics import InvalidInputError, entropy_rows, softmax_rows
 
 # a batch of several rows, next to the single-row (1, C) cases
 BATCH_SHAPE = (6, 4)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
 
 
 def _total(y_hat, y_tilde, cfg):
@@ -99,6 +105,24 @@ class TestLossValue:
         np.testing.assert_array_equal(out.total, cfg.alpha * lc + cfg.beta * le)
         np.testing.assert_array_equal(grad_wrt_logits_rows(p, q, cfg), out.grad_y)
         np.testing.assert_array_equal(grad_wrt_pseudo_logits_rows(p, q, cfg), out.grad_pseudo)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("nc", range(2, 8))
+    def test_weighted_rows_equal_one_call_per_row(self, variant, nc):
+        # 20 rows per column, so the weighted call crosses the column-reduction
+        # gate while each one-row call stays on numpy's reduce
+        rng = np.random.default_rng(nc)
+        n = 20 * nc
+        alpha, beta = rng.uniform(0.05, 0.5, size=n), rng.uniform(0.0, 0.04, size=n)
+        p = softmax_rows(rng.normal(0.0, 2.0, size=(n, nc)))
+        q = softmax_rows(rng.normal(0.0, 2.0, size=(n, nc)))
+        got = joint_loss_weighted_rows(p, q, variant, alpha, beta)
+        for k in range(n):
+            cfg = LossConfig(alpha=float(alpha[k]), beta=float(beta[k]), variant=variant)
+            want = joint_loss_rows(p[k : k + 1], q[k : k + 1], cfg)
+            for field, value in zip(JointLoss._fields, want):
+                np.testing.assert_array_equal(
+                    _bits(getattr(got, field)[k : k + 1]), _bits(value), err_msg=field)
 
     def test_dim_mismatch(self):
         with pytest.raises(InvalidInputError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from conftest import solve_link_point
 from pseudograd import theory
 from pseudograd.config import ConfigError
 from pseudograd.data import gen_gaussian_blobs, split_per_class
-from pseudograd.loss import LossConfig, loss_terms_rows
+from pseudograd.loss import JointLoss, LossConfig, loss_terms_rows
 from pseudograd.loss import VARIANTS
 from pseudograd.model import Architecture, ModelParams, init_params
 from pseudograd.numerics import InvalidInputError, clamped_log, random_stream, softmax_rows
@@ -30,6 +32,24 @@ def _nan_backward(trace, grad_y, params):
 def _nan_loss_terms(p_hat, p_tilde, cfg, logs=None):
     nan = np.full(p_hat.shape[0], np.nan)
     return nan, nan
+
+
+def _nan_weighted_loss(p_hat, p_tilde, variant, alpha, beta):
+    nan = np.full(p_hat.shape, np.nan)
+    return JointLoss(nan[:, 0], nan[:, 0], nan[:, 0], nan, nan)
+
+
+def _bound_check_with_state(n_samples, seed, monkeypatch):
+    """The bound check's result and the state its stream is left in."""
+    made = []
+
+    def recording(seed, stream_id=0):
+        made.append(random_stream(seed, stream_id))
+        return made[-1]
+
+    monkeypatch.setattr(theory, "random_stream", recording)
+    out = theory.flatness_bound_check(n_samples, seed)
+    return out, made[0].bit_generator.state
 
 
 class TestLinkPointOracle:
@@ -106,6 +126,28 @@ class TestFlatnessAlgebra:
             np.testing.assert_array_equal(_bits(b.standard_exponential(size=shape)),
                                           _bits(a.gamma(1.0, 1.0, size=shape)))
         assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("n_samples", [4, 5, 999, 100_000])
+    def test_row_blocks_change_no_bit(self, monkeypatch, n_samples, seed):
+        want, want_state = _bound_check_with_state(n_samples, seed, monkeypatch)
+        for block in (1, 7, 10**6):
+            monkeypatch.setattr(theory, "FLAT_BLOCK_ROWS", block)
+            got, state = _bound_check_with_state(n_samples, seed, monkeypatch)
+            assert list(got) == list(want)
+            np.testing.assert_array_equal(_bits(list(got.values())), _bits(list(want.values())))
+            assert state == want_state
+
+    def test_memory_stays_bounded(self):
+        # two draw buffers of the largest class-count block (2 MB each at
+        # 10^5 samples) and one row block's temporaries
+        tracemalloc.start()
+        try:
+            theory.flatness_bound_check(100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestSumInvariance:
@@ -357,8 +399,10 @@ class TestFiniteDiffSuite:
 
     @pytest.mark.parametrize("name, nan_fn, failing", [
         ("backward", _nan_backward, {"params:linear", "params:deep"}),
+        ("joint_loss_weighted_rows", _nan_weighted_loss,
+         {f"{path}:{v}" for path in ("pseudo", "logits") for v in VARIANTS}),
         ("loss_terms_rows", _nan_loss_terms, None),  # every path
-    ], ids=["analytic", "numeric"])
+    ], ids=["analytic", "analytic-softmax", "numeric"])
     def test_non_finite_gradient_fails(self, monkeypatch, name, nan_fn, failing):
         monkeypatch.setattr(theory, name, nan_fn)
         doc = theory.gradient_oracle(seed=0, trials=10)

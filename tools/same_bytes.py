@@ -17,7 +17,9 @@ under one temporary directory:
   of the blobs_convergence run, the converged ``kl_pred_pseudo`` run whose
   link and flatness sections are asserted;
 * ``gradcheck`` at its default of 100 trials, which reaches every class
-  count and several network trials per depth;
+  count and several network trials per depth, and at 2100 trials, three
+  blocks of ``theory.FD_BLOCK_TRIALS``, so every class count is split
+  across block boundaries;
 * ``export-features`` on moons_ssl with ``arch.hidden_dims=[16,2]``.
 
 It then compares every file the commands wrote (``manifest.json`` without
@@ -52,6 +54,7 @@ COMMANDS = (
     ("train_moons_ssl", "verify", "configs/moons_ssl.json", []),
     ("train_blobs_convergence", "verify", "configs/blobs_convergence.json", []),
     ("gradcheck", "gradcheck", TREND, []),
+    ("gradcheck_2100", "gradcheck", TREND, ["--trials", "2100"]),
     ("export_features_moons_ssl", "export-features", "configs/moons_ssl.json",
      ["--override", "arch.hidden_dims=[16,2]"]),
 )
