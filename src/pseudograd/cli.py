@@ -4,10 +4,13 @@ Commands: gen-data, train, verify, gradcheck, ablate, export-features.
 Exit codes: 0 success, 1 runtime/verification failure, 2 usage/config error
 (including an --out path that is, or lies under, an existing file, and
 verify artifacts that are missing, unreadable, non-finite or from another
-run). verify on a run with no unlabeled rows reports the link and flatness
-checks as informational. train, ablate and export-features write a run
-manifest (config, git describe, seed, status) even when they fail, with the
-failing stage recorded; gen-data, verify and gradcheck write none.
+run, and export-features on a split whose labeled or unlabeled rows have
+no class with 2 or more rows, checked before any training). verify on a run
+with no unlabeled rows reports the link and flatness checks as
+informational. train, ablate and export-features write a run manifest
+(config, git describe of the package's checkout, seed, status) even when
+they fail, with the failing stage recorded; gen-data, verify and gradcheck
+write none.
 """
 
 from __future__ import annotations
@@ -66,12 +69,14 @@ GRIDS = {
 
 @functools.cache  # the code a process runs is fixed when it is imported
 def _git_describe() -> str | None:
+    """The checkout holding this package's code, described; None outside one."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True,
             text=True,
             timeout=10,
+            cwd=Path(__file__).resolve().parent,
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
@@ -232,12 +237,18 @@ def cmd_export_features(args, cfg: TrainConfig, out: Path) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    out.mkdir(parents=True, exist_ok=True)
     split, _ = build_run_data(cfg)
     labeled_mask = np.zeros(split.base.n_examples, dtype=bool)
     labeled_mask[split.labeled_idx] = True
     base = split.base
     subsets = {"labeled": split.labeled_idx, "unlabeled": split.unlabeled_idx}
+    keys = {"labeled": "data.labeled_per_class",
+            "unlabeled": "data.n_per_class minus data.labeled_per_class"}
+    for name, idx in subsets.items():  # intra_class_spread needs such a class
+        if np.bincount(base.labels[idx], minlength=2).max() < 2:
+            raise ConfigError(f"export-features measures each class's spread, and no class has "
+                              f"2 or more {name} rows: check {keys[name]}")
+    out.mkdir(parents=True, exist_ok=True)
 
     def spreads(params) -> dict[str, float]:
         return {

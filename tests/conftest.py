@@ -2,16 +2,20 @@
 (each a committed file under configs/ with ``TrainConfig.replace`` changes),
 the converged blobs run used by the stationarity checks, the five moons runs
 of the benefit tests, and a handwritten-digits IDX pair for the 2-D-feature
-reproduction; and the bisection link-point oracle."""
+reproduction; the bisection link-point oracle; and the one Hypothesis
+profile of the property tests."""
 
 from __future__ import annotations
 
 import json
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from pseudograd.config import LossConfig, TrainConfig, config_from_dict, load_config
 from pseudograd.data import Dataset, write_idx
@@ -21,6 +25,25 @@ from pseudograd.trainer import build_dataset, run_pipeline, stage1_supervised, s
 
 CONVERGENCE_GATE = 1e-4
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+# every run draws the same 20 examples per property and keeps no example
+# database; 20 keep the properties' share of the suite's wall time to seconds
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None,
+                          max_examples=20)
+settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    """Hypothesis's own caches (it reads constants from the source while
+    tests are collected) go to a directory removed when the run ends, not to
+    ``.hypothesis/`` in the working directory."""
+    config.hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(config.hypothesis_home.name)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    config.hypothesis_home.cleanup()
 
 # the small blobs run of the unit and command tests
 TINY_DOC = {

@@ -335,6 +335,22 @@ class TestTrainCommand:
             cli._git_describe.cache_clear()
         assert calls == [["git", "describe", "--always", "--dirty"]]
 
+    def test_git_describe_names_the_package_checkout(self, monkeypatch):
+        # not the working directory's: a run may start outside the checkout
+        dirs = []
+
+        def fake_run(argv, **kwargs):
+            dirs.append(kwargs.get("cwd"))
+            return subprocess.CompletedProcess(argv, 0, stdout="abc1234\n", stderr="")
+
+        monkeypatch.setattr(cli.subprocess, "run", fake_run)
+        cli._git_describe.cache_clear()
+        try:
+            assert cli._git_describe() == "abc1234"
+        finally:
+            cli._git_describe.cache_clear()
+        assert dirs == [Path(cli.__file__).resolve().parent]
+
     @pytest.mark.parametrize(
         "loss, override, expected",
         [({"alpha": 0.01, "beta": 0.03}, "loss.alpha=0.2", []),
@@ -429,6 +445,19 @@ class TestExportFeatures:
         rc = main(["export-features", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "2-D" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, subset", [("data.labeled_per_class=1", "labeled"),
+                                                  ("data.n_per_class=4", "unlabeled")])
+    def test_split_without_a_measurable_class_exits_2_before_writing(self, tmp_path, capsys,
+                                                                     override, subset):
+        cfg = write_tiny_config(tmp_path / "cfg.json", arch=FEATURE_ARCH)
+        out = tmp_path / "feat"
+        assert main(["export-features", "--config", str(cfg), "--out", str(out),
+                     "--override", override]) == 2
+        err = capsys.readouterr().err
+        assert f"no class has 2 or more {subset} rows" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_writes_before_after_csvs(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json", arch=FEATURE_ARCH)

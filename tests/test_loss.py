@@ -1,6 +1,11 @@
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import storage_directory
+from hypothesis.extra.numpy import arrays
 
 from pseudograd.config import ConfigError
 from pseudograd.loss import (
@@ -15,8 +20,22 @@ from pseudograd.loss import (
 )
 from pseudograd.numerics import InvalidInputError, entropy_rows, softmax_rows
 
-# a batch of several rows, next to the single-row (1, C) cases
-BATCH_SHAPE = (6, 4)
+# the properties' domain: 1-8 rows of 2-7 classes, |logit| <= 6, alpha in
+# [0.05, 0.5] and beta in [0, 0.04], so alpha > beta
+ALPHA, BETA = st.floats(0.05, 0.5), st.floats(0.0, 0.04)
+SHAPES = st.tuples(st.integers(1, 8), st.integers(2, 7))
+
+
+def logit_arrays(*lead):
+    return SHAPES.flatmap(lambda shape: arrays(np.float64, (*lead, *shape),
+                                               elements=st.floats(-6.0, 6.0)))
+
+
+LOGITS, LOGIT_PAIRS = logit_arrays(), logit_arrays(2)  # a pair unpacks as (y_hat, y_tilde)
+# central differences at h = 1e-6 round to about eps*|L|/h ~ 2e-10, so the
+# 1e-6 relative tolerance can only hold for gradients well above 2e-4; the
+# zero gradient at equal rows is the fixed-point property's
+FD_FLOOR = 1e-3
 
 
 def _bits(a):
@@ -49,6 +68,12 @@ def _fd_grad_pseudo(y_hat, y_tilde, cfg):
     return _fd_grad(lambda y: _total(y_hat, y, cfg), y_tilde)
 
 
+def test_hypothesis_profile_is_deterministic_and_writes_nothing_here():
+    assert settings.default.derandomize and settings.default.database is None
+    home = storage_directory(intent_to_write=False).path
+    assert Path(__file__).resolve().parents[1] not in home.resolve().parents
+
+
 class TestLossConfig:
     def test_defaults(self):
         cfg = LossConfig()
@@ -63,11 +88,12 @@ class TestLossConfig:
 
 class TestLossValue:
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_identical_distributions_zero_lc(self, variant):
-        cfg = LossConfig(variant=variant)
-        p = softmax_rows(np.array([[0.3, -0.1, 0.5]]))
+    @given(y=LOGITS, alpha=ALPHA, beta=BETA)
+    def test_identical_distributions_zero_lc(self, variant, y, alpha, beta):
+        cfg = LossConfig(alpha=alpha, beta=beta, variant=variant)
+        p = softmax_rows(y)
         out = joint_loss_rows(p, p, cfg)
-        assert abs(out.lc[0]) < 1e-12
+        assert np.abs(out.lc).max() < 1e-12
         np.testing.assert_allclose(out.total, cfg.beta * entropy_rows(p), atol=1e-12)
 
     def test_uniform_pair_reference_value(self):
@@ -92,19 +118,18 @@ class TestLossValue:
             )
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_joint_terms_equal_loss_terms_rows(self, variant):
-        # the fused kernel and the loss-only evaluator share one formula
-        rng = np.random.default_rng(16)
-        cfg = LossConfig(variant=variant)
-        p = softmax_rows(rng.normal(size=BATCH_SHAPE) * 2)
-        q = softmax_rows(rng.normal(size=BATCH_SHAPE) * 2)
+    @given(pair=LOGIT_PAIRS, alpha=ALPHA, beta=BETA)
+    def test_joint_terms_equal_loss_terms_rows(self, variant, pair, alpha, beta):
+        # the fused kernel and the loss-only evaluator share one formula,
+        # and its total is alpha*lc + beta*le
+        cfg = LossConfig(alpha=alpha, beta=beta, variant=variant)
+        p, q = map(softmax_rows, pair)
         out = joint_loss_rows(p, q, cfg)
         lc, le = loss_terms_rows(p, q, cfg)
-        np.testing.assert_array_equal(out.lc, lc)
-        np.testing.assert_array_equal(out.le, le)
-        np.testing.assert_array_equal(out.total, cfg.alpha * lc + cfg.beta * le)
-        np.testing.assert_array_equal(grad_wrt_logits_rows(p, q, cfg), out.grad_y)
-        np.testing.assert_array_equal(grad_wrt_pseudo_logits_rows(p, q, cfg), out.grad_pseudo)
+        for got, want in [(out.lc, lc), (out.le, le), (out.total, alpha * lc + beta * le),
+                          (grad_wrt_logits_rows(p, q, cfg), out.grad_y),
+                          (grad_wrt_pseudo_logits_rows(p, q, cfg), out.grad_pseudo)]:
+            np.testing.assert_array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("nc", range(2, 8))
@@ -133,12 +158,37 @@ class TestLossValue:
             joint_loss_rows([0.5, 0.5], [0.5, 0.5], LossConfig())
 
 
-class TestPseudoLogitGradient:
+class _GradientProperties:
+    """One gradient of ``joint_loss_rows``, named by ``FIELD``: its rows sum
+    to zero within ``SUM_TOL``, and it matches the central differences ``FD``
+    of the summed loss."""
+
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_fixed_point_at_equal_distributions(self, variant):
-        cfg = LossConfig(variant=variant)
-        p = softmax_rows(np.array([[1.0, 0.2, -0.4]]))
-        g = joint_loss_rows(p, p, cfg).grad_pseudo
+    @given(pair=LOGIT_PAIRS, alpha=ALPHA, beta=BETA)
+    def test_components_sum_to_zero(self, variant, pair, alpha, beta):
+        cfg = LossConfig(alpha=alpha, beta=beta, variant=variant)
+        grad = getattr(joint_loss_rows(*map(softmax_rows, pair), cfg), self.FIELD)
+        assert np.abs(grad.sum(axis=1)).max() < self.SUM_TOL
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @given(pair=LOGIT_PAIRS, alpha=ALPHA, beta=BETA)
+    def test_matches_finite_differences(self, variant, pair, alpha, beta):
+        cfg = LossConfig(alpha=alpha, beta=beta, variant=variant)
+        numeric = self.FD(*pair, cfg)
+        assume(np.abs(numeric).max() > FD_FLOOR)
+        analytic = getattr(joint_loss_rows(*map(softmax_rows, pair), cfg), self.FIELD)
+        denom = max(np.abs(numeric).max(), 1e-10)
+        assert np.abs(analytic - numeric).max() / denom < 1e-6
+
+
+class TestPseudoLogitGradient(_GradientProperties):
+    FIELD, SUM_TOL, FD = "grad_pseudo", 1e-12, staticmethod(_fd_grad_pseudo)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @given(y=LOGITS, alpha=ALPHA, beta=BETA)
+    def test_fixed_point_at_equal_distributions(self, variant, y, alpha, beta):
+        p = softmax_rows(y)
+        g = joint_loss_rows(p, p, LossConfig(alpha=alpha, beta=beta, variant=variant)).grad_pseudo
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_saturated_prediction_reference(self):
@@ -148,30 +198,10 @@ class TestPseudoLogitGradient:
         g = joint_loss_rows(p_hat, np.array([[0.5, 0.5]]), cfg).grad_pseudo
         np.testing.assert_allclose(g, [[-0.05, 0.05]], atol=1e-12)
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_matches_finite_differences(self, variant):
-        rng = np.random.default_rng(10)
-        cfg = LossConfig(variant=variant)
-        for shape in [(1, 4)] * 30 + [BATCH_SHAPE]:
-            y_hat = rng.normal(size=shape) * 2
-            y_tilde = rng.normal(size=shape) * 2
-            analytic = joint_loss_rows(softmax_rows(y_hat), softmax_rows(y_tilde), cfg)
-            numeric = _fd_grad_pseudo(y_hat, y_tilde, cfg)
-            denom = max(np.abs(numeric).max(), 1e-10)
-            assert np.abs(analytic.grad_pseudo - numeric).max() / denom < 1e-6
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_components_sum_to_zero(self, variant):
-        rng = np.random.default_rng(11)
-        cfg = LossConfig(variant=variant)
-        for shape in [(1, 5)] * 100 + [(8, 5)]:
-            p = softmax_rows(rng.normal(size=shape) * 3)
-            q = softmax_rows(rng.normal(size=shape) * 3)
-            sums = joint_loss_rows(p, q, cfg).grad_pseudo.sum(axis=1)
-            assert np.abs(sums).max() < 1e-12
+class TestLogitGradient(_GradientProperties):
+    FIELD, SUM_TOL, FD = "grad_y", 1e-10, staticmethod(_fd_grad_logits)
 
-
-class TestLogitGradient:
     def test_beta_equals_alpha_reference(self):
         # beta = alpha and p_tilde = p_hat: g[n] = p_n * (-a*log p_n - L), L = a*H(p)
         cfg = LossConfig(alpha=0.1, beta=0.1)
@@ -189,43 +219,17 @@ class TestLogitGradient:
         np.testing.assert_allclose(g, g[0], atol=1e-14)
         np.testing.assert_allclose(g.sum(), 4 * g[0], atol=1e-14)
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_matches_finite_differences(self, variant):
-        rng = np.random.default_rng(12)
-        for shape in [(1, 4)] * 30 + [BATCH_SHAPE]:
-            cfg = LossConfig(
-                alpha=float(rng.uniform(0.05, 0.5)),
-                beta=float(rng.uniform(0.0, 0.04)),
-                variant=variant,
-            )
-            y_hat = rng.normal(size=shape) * 2
-            y_tilde = rng.normal(size=shape) * 2
-            analytic = joint_loss_rows(softmax_rows(y_hat), softmax_rows(y_tilde), cfg)
-            numeric = _fd_grad_logits(y_hat, y_tilde, cfg)
-            denom = max(np.abs(numeric).max(), 1e-10)
-            assert np.abs(analytic.grad_y - numeric).max() / denom < 1e-6
-
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_components_sum_to_zero(self, variant):
-        rng = np.random.default_rng(13)
-        cfg = LossConfig(variant=variant)
-        for shape in [(1, 5)] * 100 + [(8, 5)]:
-            p = softmax_rows(rng.normal(size=shape) * 3)
-            q = softmax_rows(rng.normal(size=shape) * 3)
-            sums = joint_loss_rows(p, q, cfg).grad_y.sum(axis=1)
-            assert np.abs(sums).max() < 1e-10
-
 
 class TestFlatteningBound:
-    def test_loss_dominates_entropy_term(self):
-        # total >= beta * H(p_hat) for the kl_pred_pseudo variant
-        rng = np.random.default_rng(14)
-        cfg = LossConfig()
-        for _ in range(200):
-            p = softmax_rows(rng.normal(size=(1, 4)) * 2)
-            q = softmax_rows(rng.normal(size=(1, 4)) * 2)
-            out = joint_loss_rows(p, q, cfg)
-            assert out.total[0] >= cfg.beta * entropy_rows(p)[0] - 1e-10
+    @given(pair=LOGIT_PAIRS, alpha=ALPHA, beta=BETA)
+    def test_loss_dominates_entropy_term(self, pair, alpha, beta):
+        # kl_pred_pseudo with alpha > beta: L >= beta*H(p_hat) >= -beta*log(p_n),
+        # so each row's top probability obeys exp(-L/a) * p_n^(1-b/a) <= p_n
+        p, q = map(softmax_rows, pair)
+        total = joint_loss_rows(p, q, LossConfig(alpha=alpha, beta=beta)).total
+        assert np.all(total >= beta * entropy_rows(p) - 1e-10)
+        p_n = p.max(axis=1)
+        assert np.all(np.exp(-total / alpha) * p_n ** (1 - beta / alpha) <= p_n + 1e-12)
 
     def test_algebraic_top_probability_bound(self):
         # whenever L >= -beta*log(p_n): exp(-L/a) * p_n^(1-b/a) <= p_n

@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import solve_link_point
 from pseudograd import theory
@@ -53,15 +56,17 @@ def _bound_check_with_state(n_samples, seed, monkeypatch):
 
 
 class TestLinkPointOracle:
-    def test_bisection_solution_has_zero_residual(self):
-        cfg = LossConfig()
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            p_hat = softmax_rows(rng.normal(size=(1, rng.integers(2, 6))) * 2)[0]
-            if p_hat.max() >= 1 - 1e-9:
-                continue
-            p_tilde = solve_link_point(p_hat, cfg)
-            assert abs(_residual_of(p_hat, p_tilde, cfg)) < 1e-8
+    @given(y=arrays(np.float64, st.integers(2, 7), elements=st.floats(-6.0, 6.0)),
+           alpha=st.floats(0.05, 0.5), beta=st.floats(0.0, 0.04))
+    def test_bisection_solution_has_zero_residual(self, y, alpha, beta):
+        # and the link point is flatter at the top: it never exceeds the
+        # prediction's top probability
+        cfg = LossConfig(alpha=alpha, beta=beta)
+        p_hat = softmax_rows(y[None, :])[0]
+        p_tilde = solve_link_point(p_hat, cfg)
+        assert abs(_residual_of(p_hat, p_tilde, cfg)) < 1e-8
+        n = p_hat.argmax()
+        assert p_tilde[n] <= p_hat[n] + 1e-12
 
     def test_solution_is_flatter_at_top(self):
         # the link point never exceeds the prediction's top probability

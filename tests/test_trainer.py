@@ -1,11 +1,17 @@
+import functools
+import math
+import string
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pseudograd import theory, trainer
 from conftest import TINY_DOC, tiny_config, write_tiny_config
 from pseudograd.config import ConfigError, DataSpec, StageTwoConfig, config_from_dict, load_config
+from pseudograd.config import TrainConfig
 from pseudograd.data import gen_gaussian_blobs, split_per_class
 from pseudograd.numerics import InvalidInputError, random_stream
 from pseudograd.trainer import (
@@ -23,12 +29,93 @@ from pseudograd.trainer import (
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
+# (dotted key, attribute path, declaration) of every configurable value
+FIELDS = [(f"{sec.key}.{fd.key}", (sec.name, fd.name), fd)
+          for sec in TrainConfig._SCHEMA if sec.is_section for fd in sec.kind._SCHEMA]
+FIELDS += [(fd.key, (fd.name,), fd) for fd in TrainConfig._SCHEMA if not fd.is_section]
+# DataSpec._cross_check ties these to the tiny config's other data values:
+# 3 blobs classes in 2-D, 20 rows and 4 labeled rows per class, no idx files
+TINY_CROSS_FIELD = {"data.kind": st.sampled_from(["blobs", "moons"]),
+                    "data.n_classes": st.integers(2, 3), "data.dim": st.integers(min_value=2),
+                    "data.n_per_class": st.integers(min_value=4),
+                    "data.labeled_per_class": st.integers(1, 20)}
+TEXT = st.text(string.printable)  # Hypothesis builds no unicode table for it
+WRONG_TYPE = {bool: st.integers() | TEXT, int: st.booleans() | st.floats() | TEXT,
+              float: st.booleans() | TEXT | st.sampled_from([math.nan, math.inf, -math.inf]),
+              str: st.booleans() | st.integers() | st.floats(),
+              tuple: st.integers() | TEXT | st.lists(st.booleans() | st.floats(), min_size=1)}
+
+
+def _numbers(fd, inside):
+    """Numbers inside all of ``fd``'s declared bounds, or past one of them."""
+    floats = fd.kind is float
+    number = (functools.partial(st.floats, allow_nan=False, allow_infinity=False) if floats
+              else st.integers)
+    sides = []
+    for _, text, bound in fd.bounds:  # draw above or below it, with or without it
+        above, holds = (text[0] == ">") == inside, ("=" in text) == inside
+        end = "min" if above else "max"
+        sides.append({f"{end}_value": bound, f"exclude_{end}": not holds} if floats else
+                     {f"{end}_value": bound if holds else bound + (1 if above else -1)})
+    if inside:
+        return number(**{k: v for side in sides for k, v in side.items()})
+    strict = [st.just(bound) for _, text, bound in fd.bounds if "=" not in text]  # just past
+    return st.one_of([number(**side) for side in sides] + strict)
+
+
+def _in_range(key, fd):
+    """Values that ``fd`` accepts on the tiny config."""
+    if key in TINY_CROSS_FIELD:
+        values = TINY_CROSS_FIELD[key]
+    elif fd.choices:
+        values = st.sampled_from(fd.choices)
+    elif fd.kind in (bool, str):
+        values = st.booleans() if fd.kind is bool else TEXT
+    elif fd.kind is tuple:
+        values = st.lists(_numbers(fd, inside=True), max_size=4)
+    else:  # an integral float may come as an int
+        values = _numbers(fd, inside=True).flatmap(
+            lambda v: st.sampled_from([v, int(v)]) if float(v).is_integer() else st.just(v))
+    return st.none() | values if fd.optional else values
+
+
+def _out_of_range(fd):
+    """Of the wrong type, non-finite, outside the choices or past a bound."""
+    bad = [WRONG_TYPE[fd.kind]] + ([] if fd.optional else [st.none()])
+    if fd.choices:
+        bad.append(TEXT.filter(lambda v: v not in fd.choices))
+    if fd.bounds:
+        past = _numbers(fd, inside=False)
+        bad.append(st.lists(past, min_size=1) if fd.kind is tuple else past)
+    return st.one_of(bad)
+
+
 class TestConfigHandling:
-    def test_json_roundtrip(self):
-        cfg = tiny_config()
-        doc = cfg.to_dict()
-        again = config_from_dict(doc)
-        assert again.to_dict() == doc
+    @given(st.tuples(*[_in_range(key, fd) for key, _, fd in FIELDS]))
+    def test_json_roundtrip(self, values):
+        # an in-range value for any one field is stored in its declared type
+        # (an int given for a float as a float), and the config round-trips
+        tiny = tiny_config()
+        for (key, names, fd), value in zip(FIELDS, values):
+            cfg = tiny.replace({key: value})
+            assert config_from_dict(cfg.to_dict()) == cfg
+            got = functools.reduce(getattr, names, cfg)
+            want = None if value is None else fd.kind(value)
+            assert (type(got), got) == (type(want), want), key
+
+    @given(st.tuples(*[_out_of_range(fd) for _, _, fd in FIELDS]))
+    def test_out_of_range_value_rejected_naming_its_key(self, values):
+        # past a declared bound, outside the choices, of the wrong type or non-finite
+        tiny = tiny_config()
+        for (key, _, _), value in zip(FIELDS, values):
+            with pytest.raises(ConfigError) as exc:
+                tiny.replace({key: value})
+            assert str(exc.value).startswith(f"{key} "), (key, value, str(exc.value))
+
+    def test_int_accepted_for_float_and_stored_as_float(self):
+        cfg = config_from_dict({"loss": {"lambda": 4000}, "stage2": {"wd": 0}})
+        assert type(cfg.loss.lam) is float and cfg.loss.lam == 4000.0
+        assert type(cfg.stage2.wd) is float
 
     def test_lambda_key_maps_to_pseudo_lr(self):
         cfg = config_from_dict({"loss": {"lambda": 123.0}})
@@ -111,11 +198,6 @@ class TestConfigHandling:
     def test_wrong_type_or_non_finite_value_rejected(self, doc):
         with pytest.raises(ConfigError):
             config_from_dict(doc)
-
-    def test_int_accepted_for_float_and_stored_as_float(self):
-        cfg = config_from_dict({"loss": {"lambda": 4000}, "stage2": {"wd": 0}})
-        assert type(cfg.loss.lam) is float and cfg.loss.lam == 4000.0
-        assert type(cfg.stage2.wd) is float
 
     def test_unknown_attribute_assignment_raises(self):
         with pytest.raises(AttributeError):
