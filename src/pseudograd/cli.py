@@ -2,15 +2,17 @@
 
 Commands: gen-data, train, verify, gradcheck, ablate, export-features.
 Exit codes: 0 success, 1 runtime/verification failure, 2 usage/config error
-(including an --out path that is, or lies under, an existing file, and
-verify artifacts that are missing, unreadable, non-finite or from another
-run, and export-features on a split whose labeled or unlabeled rows have
-no class with 2 or more rows, checked before any training). verify on a run
-with no unlabeled rows reports the link and flatness checks as
-informational. train, ablate and export-features write a run manifest
-(config, git describe of the package's checkout, seed, status) even when
-they fail, with the failing stage recorded; gen-data, verify and gradcheck
-write none.
+(including an --out path that is, or lies under, an existing file;
+export-features on a split whose labeled or unlabeled rows have no class
+with 2 or more rows, checked before any training; and verify artifacts that
+are not the configured run's, naming the file: missing, not JSON, another
+format version or key set, another architecture, tensor name, class or row
+count or labeled rows, or an entry that is nested otherwise, a string, a
+boolean or not finite). verify on a run with no unlabeled rows reports the
+link and flatness checks as informational. train, ablate and export-features
+write a run manifest (config, git describe of the package's checkout, seed,
+status) even when they fail, with the failing stage recorded; gen-data,
+verify and gradcheck write none.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from . import theory
 from .config import VARIANTS, ConfigError, TrainConfig, load_config, warn_alpha_le_beta
 from .data import Dataset
 from .model import forward_batch, load_checkpoint
+from .numerics import InvalidInputError
 from .pseudo_labels import load_table
 from .trainer import (
     StageError,
@@ -112,35 +115,14 @@ def cmd_train(args, cfg: TrainConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _artifact_mismatch(params, table, split, cfg: TrainConfig) -> str | None:
-    """Why the saved model and pseudo table cannot belong to ``cfg``'s run,
-    or None when their architecture and labeled rows agree with it."""
-    arch = resolve_arch(cfg.arch, split.base)
-    if params.arch != arch:
-        return f"checkpoint architecture {params.arch} != configured {arch}"
-    if table.num_classes != arch.num_classes:
-        return f"pseudo table has {table.num_classes} classes, configured {arch.num_classes}"
-    labeled = np.zeros(split.base.n_examples, dtype=bool)
-    labeled[split.labeled_idx] = True
-    if not np.array_equal(table.frozen, labeled):  # compares shapes, then values
-        return (f"pseudo table's labeled rows ({table.frozen.sum()} of {table.frozen.size}) "
-                f"differ from the split's ({labeled.sum()} of {labeled.size})")
-    return None
-
-
 def cmd_verify(args, cfg: TrainConfig, out: Path) -> int:
-    try:  # a missing or unreadable artifact is a usage error naming the file
-        path = out / "checkpoint_stage2.json"
-        params = load_checkpoint(path)
-        path = out / "pseudo_table.json"
-        table = load_table(path)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        print(f"error: cannot read {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     split, _ = build_run_data(cfg)
-    mismatch = _artifact_mismatch(params, table, split, cfg)
-    if mismatch:
-        print(f"error: artifacts in {out} do not match the config: {mismatch}", file=sys.stderr)
+    arch = resolve_arch(cfg.arch, split.base)
+    try:  # an artifact that is not the configured run's is a usage error naming the file
+        params = load_checkpoint(out / "checkpoint_stage2.json", arch)
+        table = load_table(out / "pseudo_table.json", split.labeled_mask, arch.num_classes)
+    except InvalidInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     doc = theory.run_verification(params, table, split, cfg.loss, seed=cfg.seed)
     (out / "verification.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -238,8 +220,6 @@ def cmd_export_features(args, cfg: TrainConfig, out: Path) -> int:
         )
         return EXIT_USAGE
     split, _ = build_run_data(cfg)
-    labeled_mask = np.zeros(split.base.n_examples, dtype=bool)
-    labeled_mask[split.labeled_idx] = True
     base = split.base
     subsets = {"labeled": split.labeled_idx, "unlabeled": split.unlabeled_idx}
     keys = {"labeled": "data.labeled_per_class",
@@ -262,11 +242,11 @@ def cmd_export_features(args, cfg: TrainConfig, out: Path) -> int:
 
     with stage_errors("stage1"):
         params = stage1_supervised(cfg, split)
-    _export_features_csv(params, base, labeled_mask, out / "features_before.csv")
+    _export_features_csv(params, base, split.labeled_mask, out / "features_before.csv")
     before = spreads(params)
     with stage_errors("stage2"):
         params, _ = stage2_joint(cfg, params, split)
-    _export_features_csv(params, base, labeled_mask, out / "features_after.csv")
+    _export_features_csv(params, base, split.labeled_mask, out / "features_after.csv")
     after = spreads(params)
     summary = {
         "spread_before": before,

@@ -12,13 +12,13 @@ constructors never warn (``warn_alpha_le_beta``).
 """
 
 import json
-import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 from .model import ACTIVATIONS
+from .numerics import read_json
 
 VARIANT_KL_PRED_PSEUDO = "kl_pred_pseudo"
 VARIANT_KL_PSEUDO_PRED = "kl_pseudo_pred"
@@ -77,8 +77,8 @@ class _Field:
         if isinstance(value, bool):
             ok = kind is bool
         elif kind is float and isinstance(value, (int, float)):
-            value = float(value)
-            ok = math.isfinite(value)
+            ok = abs(value) <= sys.float_info.max  # not NaN, inf or an int too large for a float
+            value = float(value) if ok else value
         else:
             ok = isinstance(value, kind)
         if not ok:
@@ -265,7 +265,7 @@ def _override(item: str) -> tuple[str, object]:
         raise ConfigError(f"override {item!r} is not of the form key=value")
     try:
         return key, json.loads(raw)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # not JSON, too deep, or an over-long int
         return key, raw
 
 
@@ -273,18 +273,7 @@ def load_config(path, overrides=()) -> TrainConfig:
     """The config at ``path`` with ``key=value`` overrides applied. The alpha
     <= beta warning is judged on the returned config only, so it is raised
     at most once."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    cfg = config_from_dict(doc)
+    cfg = config_from_dict(read_json(path, "config", ConfigError))
     if overrides:
         cfg = cfg.replace(dict(map(_override, overrides)))
     warn_alpha_le_beta([("", cfg.loss)])

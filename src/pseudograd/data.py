@@ -96,6 +96,13 @@ class SplitDataset:
     def n_unlabeled(self) -> int:
         return self.unlabeled_idx.size
 
+    @property
+    def labeled_mask(self) -> np.ndarray:
+        """True at each labeled row of ``base``."""
+        mask = np.zeros(self.base.n_examples, dtype=bool)
+        mask[self.labeled_idx] = True
+        return mask
+
     def labeled_targets(self) -> np.ndarray:
         """Ground-truth labels of the labeled subset (training-visible)."""
         return self.base.labels[self.labeled_idx]

@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import InvalidInputError, as_float_array, random_stream, softmax_rows
+from .numerics import InvalidInputError, json_array, json_text, random_stream, read_artifact
+from .numerics import softmax_rows
 
 CHECKPOINT_VERSION = 2
 
@@ -31,19 +32,12 @@ class InvalidStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class Architecture:
+    """A network's shape, built from checked values (``config.ArchSpec``), widths as a tuple."""
+
     input_dim: int
     hidden_dims: tuple[int, ...]
     num_classes: int
     activation: str = "relu"
-
-    def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if self.input_dim < 1 or self.num_classes < 2:
-            raise InvalidInputError("input_dim >= 1 and num_classes >= 2 required")
-        if any(h < 1 for h in self.hidden_dims):
-            raise InvalidInputError("hidden dims must be >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise InvalidInputError(f"activation must be one of {ACTIVATIONS}")
 
     @property
     def feature_dim(self) -> int:
@@ -253,17 +247,16 @@ def save_checkpoint(params: ModelParams, path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
-def load_checkpoint(path) -> ModelParams:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise InvalidInputError(
-            f"unsupported checkpoint version {doc.get('format_version')!r}"
-        )
-    arch = Architecture(**doc["arch"])
-    params = ModelParams(arch, np.zeros(param_count(arch)))
-    for name, arr in params.tensors():
-        values = as_float_array(doc["tensors"][name], f"checkpoint tensor {name}")
-        if values.size != arr.size:
-            raise InvalidInputError(f"checkpoint tensor {name} has wrong size")
-        arr[...] = values.reshape(arr.shape)
-    return params
+def load_checkpoint(path, arch: Architecture) -> ModelParams:
+    """The network in the checkpoint file ``path``, which must be the one
+    ``save_checkpoint`` writes for ``arch``: else InvalidInputError."""
+    doc = read_artifact(path, "checkpoint", CHECKPOINT_VERSION, ("arch", "tensors"))
+    saved, want = json_text(doc["arch"]), json_text(asdict(arch))
+    if saved != want:
+        raise InvalidInputError(f"{path}: checkpoint architecture {saved} != configured {want}")
+    layout, tensors = param_layout(arch), doc["tensors"]
+    if not isinstance(tensors, dict) or sorted(tensors) != sorted(s.name for s in layout):
+        raise InvalidInputError(f"{path}: checkpoint tensors are not those of {want}")
+    return ModelParams(arch, np.concatenate([json_array(
+        tensors[s.name], f"{path}: checkpoint tensor {s.name}", {"entries": s.stop - s.start})
+        for s in layout]))

@@ -1,4 +1,5 @@
-"""Shared float64 numerics: row reductions, softmax and entropy, seeded RNG streams.
+"""Shared float64 numerics: row reductions, softmax and entropy, seeded RNG
+streams, and the strict reads of every JSON file a command is given.
 
 Dense matrices and probability rows are plain ``numpy.ndarray`` objects in
 float64, row-major. Validation helpers enforce finiteness at API boundaries
@@ -9,6 +10,10 @@ are never clamped.
 """
 
 from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -27,11 +32,47 @@ class InvalidInputError(ValueError):
     """An argument violates a documented precondition."""
 
 
-def as_float_array(v, name: str = "input") -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise InvalidInputError(f"{name} contains non-finite values")
-    return arr
+def read_json(path, what: str, error: type[ValueError] = InvalidInputError):
+    """The JSON document in the file ``path``, or ``error`` naming the file."""
+    if not Path(path).exists():
+        raise error(f"{what} file not found: {path}")
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # a directory, not UTF-8, not JSON
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def json_text(value) -> str:
+    """Canonical JSON text, which tells ``1``, ``1.0`` and ``true`` apart."""
+    return json.dumps(value, sort_keys=True)
+
+
+def read_artifact(path, what: str, version: int, keys: tuple[str, ...]) -> dict:
+    """The object in the artifact file ``path``, of ``version`` with ``keys``."""
+    doc = read_json(path, what)
+    if not isinstance(doc, dict) or sorted(doc) != sorted(("format_version", *keys)):
+        raise InvalidInputError(f"{path}: a {what} has the keys format_version, {', '.join(keys)}")
+    saved = json_text(doc["format_version"])
+    if saved != json_text(version):
+        raise InvalidInputError(f"{path}: unsupported {what} version {saved}")
+    return doc
+
+
+def json_array(value, name: str, shape: dict[str, int]) -> np.ndarray:
+    """Nested lists of finite numbers as a float64 array of ``shape``, which
+    names each axis, outermost first: ``{"rows": 60, "classes": 3}``."""
+    items = [value]
+    for unit, n in shape.items():
+        for v in items:
+            if not isinstance(v, list):
+                raise InvalidInputError(f"{name} is not a list of {n} {unit}: {v!r:.40}")
+            if len(v) != n:
+                raise InvalidInputError(f"{name} has {len(v)} {unit}, configured {n}")
+        items = [x for v in items for x in v]
+    # not a bool or string, nor NaN, inf or an int too large for a float
+    if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in items):
+        raise InvalidInputError(f"{name} holds an entry that is not a finite number")
+    return np.array(items, dtype=np.float64).reshape(tuple(shape.values()))
 
 
 def _by_columns(m: np.ndarray) -> bool:
@@ -58,9 +99,9 @@ def row_sum(m: np.ndarray) -> np.ndarray:
 
 def softmax_rows(m) -> np.ndarray:
     """Row-wise stable softmax of a 2-D array."""
-    arr = as_float_array(m, "softmax input")
-    if arr.ndim != 2:
-        raise InvalidInputError("softmax_rows expects a 2-D array")
+    arr = np.asarray(m, dtype=np.float64)
+    if arr.ndim != 2 or not np.isfinite(arr).all():
+        raise InvalidInputError("softmax_rows expects a 2-D array of finite values")
     e = arr - row_max(arr)[:, None]
     np.exp(e, out=e)
     e /= row_sum(e)[:, None]

@@ -10,6 +10,7 @@ property of the kl_pred_pseudo update can be asserted at runtime.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,9 +18,11 @@ import numpy as np
 
 from .data import SplitDataset
 from .model import ModelParams, forward_batch
-from .numerics import InvalidInputError, as_float_array, row_sum, softmax_rows
+from .numerics import InvalidInputError, json_array, json_text, read_artifact, row_sum
+from .numerics import softmax_rows
 
 INIT_K = 10.0  # the logit K of a labeled row's frozen K * one-hot
+TABLE_VERSION = 1
 
 
 @dataclass
@@ -27,14 +30,6 @@ class PseudoTable:
     logits: np.ndarray  # (examples, num_classes)
     frozen: np.ndarray  # (examples,) bool
     init_sum: np.ndarray  # (examples,)
-
-    def __post_init__(self):
-        self.logits = np.asarray(self.logits, dtype=np.float64)
-        self.frozen = np.asarray(self.frozen, dtype=bool)
-        self.init_sum = np.asarray(self.init_sum, dtype=np.float64)
-        rows = self.logits.shape[:1]
-        if self.logits.ndim != 2 or self.frozen.shape != rows or self.init_sum.shape != rows:
-            raise InvalidInputError("logits must be 2-D, with one frozen/init_sum entry per row")
 
     @property
     def n_examples(self) -> int:
@@ -60,13 +55,10 @@ def init_pseudo(split: SplitDataset, params: ModelParams) -> PseudoTable:
             f"model has {params.arch.num_classes} classes, dataset has {n_classes}"
         )
     logits = np.zeros((split.base.n_examples, n_classes))
-    frozen = np.zeros(split.base.n_examples, dtype=bool)
-    labels = split.labeled_targets()
-    logits[split.labeled_idx, labels] = INIT_K
-    frozen[split.labeled_idx] = True
+    logits[split.labeled_idx, split.labeled_targets()] = INIT_K
     unl = split.unlabeled_idx
     logits[unl] = forward_batch(params, split.base.features[unl]).y_hat
-    return PseudoTable(logits, frozen, logits.sum(axis=1))
+    return PseudoTable(logits, split.labeled_mask, logits.sum(axis=1))
 
 
 def repredict(table: PseudoTable, split: SplitDataset, params: ModelParams) -> PseudoTable:
@@ -107,10 +99,8 @@ def export_csv(table: PseudoTable, path) -> None:
 
 def save_table(table: PseudoTable, path) -> None:
     """Full-state JSON checkpoint (logits + frozen + init_sum), bit-exact."""
-    import json
-
     doc = {
-        "format_version": 1,
+        "format_version": TABLE_VERSION,
         "logits": table.logits.tolist(),
         "frozen": table.frozen.astype(int).tolist(),
         "init_sum": table.init_sum.tolist(),
@@ -118,14 +108,13 @@ def save_table(table: PseudoTable, path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
-def load_table(path) -> PseudoTable:
-    import json
-
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format_version") != 1:
-        raise InvalidInputError("unsupported pseudo-table checkpoint version")
-    return PseudoTable(
-        as_float_array(doc["logits"], "pseudo-table logits"),
-        np.asarray(doc["frozen"], dtype=bool),
-        as_float_array(doc["init_sum"], "pseudo-table init_sum"),
-    )
+def load_table(path, frozen: np.ndarray, num_classes: int) -> PseudoTable:
+    """The pseudo table in the file ``path``, which must be the one ``save_table`` writes
+    for ``num_classes`` and a split whose labeled rows are ``frozen``: else InvalidInputError."""
+    doc = read_artifact(path, "pseudo table", TABLE_VERSION, ("logits", "frozen", "init_sum"))
+    n = frozen.size
+    logits = json_array(doc["logits"], f"{path}: pseudo table", {"rows": n, "classes": num_classes})
+    init_sum = json_array(doc["init_sum"], f"{path}: pseudo table init_sum", {"rows": n})
+    if json_text(doc["frozen"]) != json_text(frozen.astype(int).tolist()):
+        raise InvalidInputError(f"{path}: labeled rows are not the split's {frozen.sum()} of {n}")
+    return PseudoTable(logits, frozen.copy(), init_sum)

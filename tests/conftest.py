@@ -3,10 +3,12 @@
 the converged blobs run used by the stationarity checks, the five moons runs
 of the benefit tests, and a handwritten-digits IDX pair for the 2-D-feature
 reproduction; the bisection link-point oracle; and the one Hypothesis
-profile of the property tests."""
+profile of the property tests, with the JSON documents that the readers'
+properties draw."""
 
 from __future__ import annotations
 
+import copy
 import json
 import tempfile
 import time
@@ -15,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from pseudograd.config import LossConfig, TrainConfig, config_from_dict, load_config
@@ -44,6 +47,38 @@ def pytest_configure(config):
 def pytest_unconfigure(config):
     set_hypothesis_home_dir(None)
     config.hypothesis_home.cleanup()
+
+
+# any JSON value: every leaf type, an int too large for a float, and nesting
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+# which value of a document to damage: None is the whole document
+DOCUMENT_SLOTS = st.none() | st.integers(min_value=0)
+
+
+def damaged(doc, slot: int | None, value):
+    """``value`` when ``slot`` is None; else a copy of the JSON document
+    ``doc`` whose ``slot``-th value, counted in document order modulo the
+    number of values, is replaced by ``value``."""
+    if slot is None:
+        return value
+    doc = copy.deepcopy(doc)
+    slots = []
+
+    def walk(node):
+        if isinstance(node, (dict, list)):
+            for key in node if isinstance(node, dict) else range(len(node)):
+                slots.append((node, key))
+                walk(node[key])
+
+    walk(doc)
+    node, key = slots[slot % len(slots)]
+    node[key] = value
+    return doc
 
 # the small blobs run of the unit and command tests
 TINY_DOC = {

@@ -41,7 +41,7 @@ class TestDataFailures:
         cfg = write_tiny_config(tmp_path / "cfg.json", data=_missing_idx_data(tmp_path),
                                 arch=FEATURE_ARCH)
         out = tmp_path / "run"
-        if command == "verify":  # verify reads the artifacts before the data
+        if command == "verify":  # artifacts that exist: the data alone fails verify
             tiny = write_tiny_config(tmp_path / "tiny.json", arch=FEATURE_ARCH)
             assert main(["train", "--config", str(tiny), "--out", str(out)]) == 0
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
@@ -103,7 +103,9 @@ class TestExitCodes:
          "data.take_first=-10", "data.holdout=-3",
          "arch.hidden_dims=[0]",
          "stage1.lr=-1", "stage1.lr=nan", "stage2.wd=-1", "stage3.wd=-1",
-         "stage2.lr0=inf", "loss.alpha=nan", "loss.lambda=inf"],
+         "stage2.lr0=inf", "loss.alpha=nan", "loss.lambda=inf",
+         pytest.param("loss.lambda=1" + "0" * 400, id="loss.lambda=1e400_as_an_int"),
+         pytest.param("data.take_first=" + "[" * 10**5, id="data.take_first=nested_too_deep")],
     )
     def test_out_of_range_stage_override_exits_2_before_training(self, tmp_path, override):
         cfg = write_tiny_config(tmp_path / "cfg.json")
@@ -123,8 +125,9 @@ class TestExitCodes:
         assert f"unknown key {override.partition('=')[0]}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("make", [Path.mkdir, lambda path: path.write_bytes(b"\xff\xfe{")],
-                             ids=["directory", "not_utf8"])
+    @pytest.mark.parametrize("make", [Path.mkdir, lambda path: path.write_bytes(b"\xff\xfe{"),
+                                      lambda path: path.write_text("[" * 10**5)],
+                             ids=["directory", "not_utf8", "nested_too_deep"])
     def test_unreadable_config_exits_2_naming_it(self, tmp_path, capsys, make):
         path = tmp_path / "cfg.json"
         make(path)
@@ -220,12 +223,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "damage, name",
-        [(damage, name) for damage in ("truncated", "next_version", "missing_key", "nan")
+        [(damage, name)
+         for damage in ("truncated", "next_version", "missing_key", "nan", "list_document")
          for name in ("checkpoint_stage2.json", "pseudo_table.json")]
-        + [("flat_logits", "pseudo_table.json"), ("two_columns", "pseudo_table.json")],
+        + [(damage, "checkpoint_stage2.json") for damage in (
+            "float_width", "nested_tensor", "string_entries", "unknown_tensor", "extra_arch_key")]
+        + [(damage, "pseudo_table.json") for damage in (
+            "flat_logits", "two_columns", "string_frozen", "string_init_sum", "bool_version",
+            "ragged_logits")],
         ids=lambda v: v,
     )
     def test_verify_unreadable_artifact_exits_2(self, trained, tmp_path, capsys, damage, name):
+        # each damage gives a document that the configured run's writer does not write
         cfg, run = trained
         out = shutil.copytree(run, tmp_path / "run")
         text = (out / name).read_text()
@@ -233,14 +242,33 @@ class TestExitCodes:
         values = doc["tensors"]["head.w"] if name.startswith("checkpoint") else doc["logits"][-1]
         if damage == "next_version":
             doc["format_version"] += 1
+        elif damage == "bool_version":  # true == 1 in Python, but not in JSON
+            doc["format_version"] = True
         elif damage == "missing_key":
             del doc["tensors" if name.startswith("checkpoint") else "logits"]
         elif damage == "nan":
             values[0] = float("nan")
+        elif damage == "list_document":
+            doc = [doc]
+        elif damage == "float_width":
+            doc["arch"]["hidden_dims"] = [float(h) for h in doc["arch"]["hidden_dims"]]
+        elif damage == "extra_arch_key":
+            doc["arch"]["head_bias"] = False
+        elif damage == "nested_tensor":
+            doc["tensors"]["head.w"] = [values]
+        elif damage == "string_entries":
+            doc["tensors"]["head.w"] = [repr(v) for v in values]
+        elif damage == "unknown_tensor":
+            doc["tensors"]["head.b"] = [0.0] * 3
         elif damage == "flat_logits":  # one value per row: 1-D
             doc["logits"] = [row[0] for row in doc["logits"]]
         elif damage == "two_columns":  # a 2-class table for the 3-class config
             doc["logits"] = [row[:2] for row in doc["logits"]]
+        elif damage == "ragged_logits":
+            values.pop()
+        elif damage in ("string_frozen", "string_init_sum"):
+            key = damage.partition("_")[2]
+            doc[key] = [str(v) for v in doc[key]]
         (out / name).write_text(text[: len(text) // 2] if damage == "truncated" else json.dumps(doc))
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err

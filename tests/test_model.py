@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+
+from conftest import DOCUMENT_SLOTS, JSON_VALUES, damaged
 
 from pseudograd.model import (
     ACTIVATIONS,
@@ -284,14 +287,14 @@ class TestCheckpoint:
         assert [(k, len(v)) for k, v in doc["tensors"].items()] == [
             ("layer0.w", 28), ("layer0.b", 7), ("layer1.w", 35),
             ("layer1.b", 5), ("head.w", 15)]
-        loaded = load_checkpoint(tmp_path / "ckpt.json")
+        loaded = load_checkpoint(tmp_path / "ckpt.json", arch)
         assert loaded.arch == params.arch
         np.testing.assert_array_equal(loaded.flat, params.flat)
 
     def test_version_check(self, tmp_path):
         (tmp_path / "bad.json").write_text('{"format_version": 99}')
         with pytest.raises(InvalidInputError):
-            load_checkpoint(tmp_path / "bad.json")
+            load_checkpoint(tmp_path / "bad.json", Architecture(2, (1,), 2))
 
     def test_refuses_version_1_document_with_head_bias(self, tmp_path):
         arch = {"input_dim": 2, "hidden_dims": [1], "num_classes": 2,
@@ -301,4 +304,16 @@ class TestCheckpoint:
         doc = {"format_version": 1, "arch": arch, "tensors": tensors}
         (tmp_path / "v1.json").write_text(json.dumps(doc))
         with pytest.raises(InvalidInputError, match="version 1"):
-            load_checkpoint(tmp_path / "v1.json")
+            load_checkpoint(tmp_path / "v1.json", Architecture(2, (1,), 2))
+
+    @given(DOCUMENT_SLOTS, JSON_VALUES)
+    @example(None, [])
+    def test_any_json_document_loads_or_is_refused_by_name(self, tmp_path_factory, slot, value):
+        arch = Architecture(2, (2,), 2, activation="tanh")
+        path = tmp_path_factory.getbasetemp() / "checkpoint_property.json"
+        save_checkpoint(init_params(arch, seed=0), path)
+        path.write_text(json.dumps(damaged(json.loads(path.read_text()), slot, value)))
+        try:
+            load_checkpoint(path, arch)
+        except InvalidInputError as exc:
+            assert str(path) in str(exc)

@@ -1,10 +1,15 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+
+from conftest import DOCUMENT_SLOTS, JSON_VALUES, damaged
 
 from pseudograd.data import gen_gaussian_blobs, split_per_class
 from pseudograd.loss import LossConfig, joint_loss_rows
 from pseudograd.model import Architecture, forward_batch, init_params
-from pseudograd.numerics import softmax_rows
+from pseudograd.numerics import InvalidInputError, softmax_rows
 from pseudograd.optimizer import pseudo_step
 from pseudograd.pseudo_labels import (
     PseudoTable,
@@ -165,7 +170,20 @@ class TestSerialization:
     def test_json_roundtrip_bit_exact(self, small_split, small_params, tmp_path):
         table = init_pseudo(small_split, small_params)
         save_table(table, tmp_path / "table.json")
-        loaded = load_table(tmp_path / "table.json")
+        loaded = load_table(tmp_path / "table.json", table.frozen, table.num_classes)
         np.testing.assert_array_equal(loaded.logits, table.logits)
         np.testing.assert_array_equal(loaded.frozen, table.frozen)
         np.testing.assert_array_equal(loaded.init_sum, table.init_sum)
+
+    @given(DOCUMENT_SLOTS, JSON_VALUES)
+    @example(None, [])
+    def test_any_json_document_loads_or_is_refused_by_name(self, tmp_path_factory, slot, value):
+        split = split_per_class(gen_gaussian_blobs(2, 3, 2, 0.5, seed=1), 1, seed=2)
+        table = init_pseudo(split, init_params(Architecture(2, (), 2), seed=3))
+        path = tmp_path_factory.getbasetemp() / "pseudo_table_property.json"
+        save_table(table, path)
+        path.write_text(json.dumps(damaged(json.loads(path.read_text()), slot, value)))
+        try:
+            load_table(path, table.frozen, table.num_classes)
+        except InvalidInputError as exc:
+            assert str(path) in str(exc)

@@ -5,11 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pseudograd import theory, trainer
-from conftest import TINY_DOC, tiny_config, write_tiny_config
+from conftest import DOCUMENT_SLOTS, JSON_VALUES, TINY_DOC, damaged, tiny_config
+from conftest import write_tiny_config
 from pseudograd.config import ConfigError, DataSpec, StageTwoConfig, config_from_dict, load_config
 from pseudograd.config import TrainConfig
 from pseudograd.data import gen_gaussian_blobs, split_per_class
@@ -111,6 +112,19 @@ class TestConfigHandling:
             with pytest.raises(ConfigError) as exc:
                 tiny.replace({key: value})
             assert str(exc.value).startswith(f"{key} "), (key, value, str(exc.value))
+
+    @given(DOCUMENT_SLOTS, JSON_VALUES)
+    @example(None, [])
+    @example(None, {"loss": {"lambda": 10**400}})
+    def test_any_json_document_loads_or_raises_config_error(self, slot, value):
+        try:
+            config_from_dict(damaged(TINY_DOC, slot, value))
+        except ConfigError:
+            pass
+
+    def test_int_too_large_for_a_float_rejected_naming_its_key(self):
+        with pytest.raises(ConfigError, match="loss.lambda must be a finite number"):
+            config_from_dict({"loss": {"lambda": 10**400}})
 
     def test_int_accepted_for_float_and_stored_as_float(self):
         cfg = config_from_dict({"loss": {"lambda": 4000}, "stage2": {"wd": 0}})

@@ -15,7 +15,8 @@ under one temporary directory:
   blobs_trend;
 * ``verify`` of the blobs_trend run (ReLU), of the moons_ssl run (tanh) and
   of the blobs_convergence run, the converged ``kl_pred_pseudo`` run whose
-  link and flatness sections are asserted;
+  link and flatness sections are asserted; and ``verify`` of the blobs_trend
+  run under the moons_ssl config, which refuses the run's artifacts (exit 2);
 * ``gradcheck`` at its default of 100 trials, which reaches every class
   count and several network trials per depth, and at 2100 trials, three
   blocks of ``theory.FD_BLOCK_TRIALS``, so every class count is split
@@ -53,6 +54,7 @@ COMMANDS = (
     ("train_blobs_trend", "verify", TREND, []),
     ("train_moons_ssl", "verify", "configs/moons_ssl.json", []),
     ("train_blobs_convergence", "verify", "configs/blobs_convergence.json", []),
+    ("train_blobs_trend", "verify", "configs/moons_ssl.json", []),
     ("gradcheck", "gradcheck", TREND, []),
     ("gradcheck_2100", "gradcheck", TREND, ["--trials", "2100"]),
     ("export_features_moons_ssl", "export-features", "configs/moons_ssl.json",
@@ -68,8 +70,9 @@ def run_all(tree: Path, out: Path) -> dict[str, int]:
         argv = [sys.executable, "-m", "pseudograd.cli", command, "--config",
                 str(tree / config), "--out", str(out / out_name), *extra]
         done = subprocess.run(argv, env=env, capture_output=True, text=True)
-        codes[f"{command} {out_name}"] = done.returncode
-        print(f"{tree.name}: {command} {out_name} exited {done.returncode}", file=sys.stderr)
+        label = f"{command} {out_name} {config}"  # one run dir is verified under two configs
+        codes[label] = done.returncode
+        print(f"{tree.name}: {label} exited {done.returncode}", file=sys.stderr)
     return codes
 
 
