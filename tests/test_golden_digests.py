@@ -1,21 +1,15 @@
-"""Pinned bits of four fixture artifacts, per numeric environment.
-
-Runs are byte-deterministic on one machine but not across numpy builds or
-BLAS kernels, so golden_digests.json keys each recorded set of SHA-256
-digests by the environment that wrote it: the numpy version, the BLAS build
-numpy links, and the kernel OpenBLAS picked at load time. A digest that
-differs fails and names its artifact. An environment with no entry skips,
-naming itself and the digests it wrote, which is the entry to add for it.
-"""
+"""Pinned bits of four fixture artifacts, per numeric environment: the entry
+of golden_digests.json whose key is ``environment()`` of tools/same_bytes.py.
+A digest that differs fails and names its artifact. An environment with no
+entry skips, naming itself and the digests it wrote."""
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import write_tiny_config
@@ -23,29 +17,12 @@ from pseudograd.cli import main
 from pseudograd.pseudo_labels import save_table
 from pseudograd.theory import run_verification
 
-GOLDEN = Path(__file__).with_name("golden_digests.json")
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_bytes.py"
+spec = importlib.util.spec_from_file_location("same_bytes", TOOL)
+same_bytes = importlib.util.module_from_spec(spec)  # environment() is the entry key
+spec.loader.exec_module(same_bytes)
 ARTIFACTS = ("moons_seed7_report.csv", "converged_run_pseudo_table.json",
              "gradcheck_seed0_trials25.json", "converged_run_verification.json")
-
-
-def openblas_core() -> str | None:
-    """The OpenBLAS kernel name (e.g. SkylakeX) of numpy's bundled library,
-    or None when numpy bundles no such library or it lacks the symbol."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
-        try:
-            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            return None
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return None
-
-
-def environment() -> dict:
-    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": blas.get("name"),
-            "blas_version": blas.get("version"), "openblas_core": openblas_core()}
 
 
 @pytest.fixture(scope="module")
@@ -66,14 +43,39 @@ def digests(moons_reports, converged_run, tmp_path_factory) -> dict[str, str]:
 
 @pytest.fixture(scope="module")
 def recorded(digests) -> dict[str, str]:
-    env = environment()
-    for entry in json.loads(GOLDEN.read_text()):
-        if entry["environment"] == env:
-            return entry["digests"]
-    pytest.skip(f"no golden digests recorded for {json.dumps(env)}; "
-                f"this environment writes {json.dumps(digests)}")
+    entry = same_bytes.recorded_entry()
+    if entry is None or entry["digests"] is None:
+        pytest.skip(f"no golden digests recorded for {json.dumps(same_bytes.environment())}; "
+                    f"this environment writes {json.dumps(digests)}")
+    return entry["digests"]
 
 
 @pytest.mark.parametrize("artifact", ARTIFACTS)
 def test_artifact_bits_match_the_recorded_digest(artifact, digests, recorded):
     assert digests[artifact] == recorded[artifact], f"{artifact} bits moved"
+
+
+def test_same_bytes_names_each_difference_but_not_the_git_describe(tmp_path):
+    run = tmp_path / "train_run"
+    run.mkdir()
+    for name, text in (("report.csv", "epoch\n1\n"), ("pseudo_table.json", "{}\n")):
+        (run / name).write_text(text)
+    (run / "manifest.json").write_text(json.dumps({"git_describe": "abc1234", "seed": 7}))
+    recorded = {"train run": {"exit": 0, "files": same_bytes.file_digests(tmp_path)}}
+    assert same_bytes.differences(recorded, recorded) == []
+
+    (run / "report.csv").write_text("epoch\n2\n")
+    (run / "pseudo_table.json").unlink()
+    (run / "extra.csv").write_text("x\n")
+    (run / "manifest.json").write_text(json.dumps({"git_describe": "abc1234-dirty", "seed": 7}))
+    written = {"train run": {"exit": 1, "files": same_bytes.file_digests(tmp_path)}}
+    assert same_bytes.differences(recorded, written) == [
+        "exit code of train run: 0 -> 1",
+        "extra: train_run/extra.csv",
+        "missing: train_run/pseudo_table.json",
+        "differs: train_run/report.csv",
+    ]
+
+    (run / "manifest.json").write_text(json.dumps({"git_describe": "abc1234", "seed": 8}))
+    written["train run"]["files"] = same_bytes.file_digests(tmp_path)
+    assert "differs: train_run/manifest.json" in same_bytes.differences(recorded, written)

@@ -1,36 +1,18 @@
-"""Check that two source trees write byte-identical artifacts.
+"""Check that this checkout writes the output bytes recorded for its environment.
 
-Usage, from anywhere:
-
-    python3 tools/same_bytes.py PARENT_TREE CHANGE_TREE
-
-Each tree is a checkout of this repository (its ``src/`` and ``configs/``).
-The script runs the same commands with each tree's own program and configs,
-under one temporary directory:
-
-* ``train`` on the moons_ssl, blobs_trend and blobs_convergence fixtures;
-* ``train`` on blobs_trend with ``loss.variant=l2``;
-* ``ablate --grid strategy --seeds 2``, ``ablate --grid lc --seeds 2``,
-  ``ablate --grid alpha --seeds 1`` and ``ablate --grid beta --seeds 1`` on
-  blobs_trend;
-* ``verify`` of the blobs_trend run (ReLU), of the moons_ssl run (tanh) and
-  of the blobs_convergence run, the converged ``kl_pred_pseudo`` run whose
-  link and flatness sections are asserted; and ``verify`` of the blobs_trend
-  run under the moons_ssl config, which refuses the run's artifacts (exit 2);
-* ``gradcheck`` at its default of 100 trials, which reaches every class
-  count and several network trials per depth, and at 2100 trials, three
-  blocks of ``theory.FD_BLOCK_TRIALS``, so every class count is split
-  across block boundaries;
-* ``export-features`` on moons_ssl with ``arch.hidden_dims=[16,2]``.
-
-It then compares every file the commands wrote (``manifest.json`` without
-its ``git_describe``) and each command's exit code. It prints what differs
-and exits 1 if anything does, 0 if nothing does.
+``python3 tools/same_bytes.py`` runs COMMANDS with this checkout's program
+and configs. It compares each exit code and the SHA-256 of every file each
+command writes (``manifest.json`` without its ``git_describe``) with this
+environment's entry in ``tests/golden_digests.json``, prints each exit code
+or file that differs, is missing or is extra, and exits 1 if any does. It
+then prints the entry this checkout writes: to record the bytes, put that
+entry in place of the old one.
 """
 
 from __future__ import annotations
 
-import argparse
+import ctypes
+import hashlib
 import json
 import os
 import subprocess
@@ -38,10 +20,16 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden_digests.json"
 TREND = "configs/blobs_trend.json"
 
-# (output directory, command, config, extra arguments); commands run in order
-# and verify reads the train run that shares its output directory
+# (output directory, command, config, extra arguments), run in order. verify
+# reads the run in its directory, the converged run with asserted link and
+# flatness sections among them; the moons config refuses the trend run (exit
+# 2). 2100 gradcheck trials split each class count across FD_BLOCK_TRIALS blocks.
 COMMANDS = (
     ("train_moons_ssl", "train", "configs/moons_ssl.json", []),
     ("train_blobs_trend", "train", TREND, []),
@@ -62,58 +50,93 @@ COMMANDS = (
 )
 
 
-def run_all(tree: Path, out: Path) -> dict[str, int]:
-    """Run every command with ``tree``'s program; exit code per command."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    codes = {}
+def openblas_core() -> str | None:
+    """The OpenBLAS kernel name (e.g. SkylakeX) of numpy's bundled library,
+    or None when numpy bundles no such library or it lacks the symbol."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    try:
+        path = sorted(libs.glob("libscipy_openblas64_*.so"))[0]
+        corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def environment() -> dict:
+    """The key of an entry in golden_digests.json. Runs are byte-deterministic
+    on one machine but not across numpy builds or BLAS kernels."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"), "openblas_core": openblas_core()}
+
+
+def recorded_entry() -> dict | None:
+    """This environment's entry in golden_digests.json, or None."""
+    env = environment()
+    return next((e for e in json.loads(GOLDEN.read_text()) if e["environment"] == env), None)
+
+
+def file_digests(root: Path) -> dict[str, str]:
+    """SHA-256 of every file under ``root``, by path relative to it."""
+    digests = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "manifest.json":  # the same run from another commit
+                data = json.dumps({**json.loads(data), "git_describe": None}).encode()
+            digests[path.relative_to(root).as_posix()] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def run_all(out: Path) -> dict[str, dict]:
+    """Run every command with this checkout's program; per command, its exit
+    code and the digests of the files it wrote or rewrote."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    record, before = {}, {}
     for out_name, command, config, extra in COMMANDS:
         argv = [sys.executable, "-m", "pseudograd.cli", command, "--config",
-                str(tree / config), "--out", str(out / out_name), *extra]
-        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+                str(ROOT / config), "--out", str(out / out_name), *extra]
+        code = subprocess.run(argv, env=env, capture_output=True).returncode
         label = f"{command} {out_name} {config}"  # one run dir is verified under two configs
-        codes[label] = done.returncode
-        print(f"{tree.name}: {label} exited {done.returncode}", file=sys.stderr)
-    return codes
+        print(f"{label} exited {code}", file=sys.stderr)
+        after = file_digests(out)
+        record[label] = {"exit": code,
+                         "files": {f: d for f, d in after.items() if before.get(f) != d}}
+        before = after
+    return record
 
 
-def artifact_bytes(path: Path) -> bytes:
-    if path.name != "manifest.json":
-        return path.read_bytes()
-    doc = json.loads(path.read_text())
-    doc.pop("git_describe", None)
-    return json.dumps(doc, sort_keys=True).encode()
-
-
-def differences(parent: Path, change: Path) -> list[str]:
-    """Relative paths of files that differ or exist on one side only."""
-    files = {p.relative_to(root) for root in (parent, change)
-             for p in root.rglob("*") if p.is_file()}
+def differences(recorded: dict, written: dict) -> list[str]:
+    """Each exit code and file of ``written`` that differs from ``recorded``,
+    or is missing or extra; both map a command to its "exit" and "files"."""
     out = []
-    for rel in sorted(files):
-        a, b = parent / rel, change / rel
-        if not (a.is_file() and b.is_file()):
-            out.append(f"{rel} (only in {'parent' if a.is_file() else 'change'})")
-        elif artifact_bytes(a) != artifact_bytes(b):
-            out.append(str(rel))
+    for label in dict.fromkeys([*recorded, *written]):
+        was, now = recorded.get(label, {}), written.get(label, {})
+        if was.get("exit") != now.get("exit"):
+            out.append(f"exit code of {label}: {was.get('exit')} -> {now.get('exit')}")
+        old, new = was.get("files", {}), now.get("files", {})
+        out += [f"{'missing' if f not in new else 'extra' if f not in old else 'differs'}: {f}"
+                for f in sorted(old.keys() | new.keys()) if old.get(f) != new.get(f)]
     return out
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("parent", type=Path, help="checkout of the parent commit")
-    p.add_argument("change", type=Path, help="checkout of the change")
-    args = p.parse_args(argv)
+def main() -> int:
+    entry = recorded_entry()
     with tempfile.TemporaryDirectory(prefix="same_bytes-") as tmp:
-        outs = Path(tmp) / "parent", Path(tmp) / "change"
-        codes = [run_all(tree.resolve(), out) for tree, out in zip((args.parent, args.change), outs)]
-        diffs = [f"exit code of {cmd}: {codes[0][cmd]} -> {codes[1][cmd]}"
-                 for cmd in codes[0] if codes[0][cmd] != codes[1][cmd]]
-        diffs += differences(*outs)
-        n_files = sum(1 for f in outs[1].rglob("*") if f.is_file())
+        written = run_all(Path(tmp))
+    diffs = differences((entry or {}).get("commands", {}), written)
     for line in diffs:
-        print(f"differs: {line}")
+        print(line)
+    n_files = sum(len(command["files"]) for command in written.values())
     print(f"{len(diffs)} differences over {len(COMMANDS)} commands and {n_files} files")
-    return 1 if diffs else 0
+    if not diffs:
+        return 0
+    print("the entry this checkout writes, to record in place of this environment's "
+          "(a new environment's null digests are the ones its Tier-1 skip prints):")
+    print(json.dumps({"environment": environment(), "digests": entry and entry["digests"],
+                      "commands": written}, indent=2))
+    return 1
 
 
 if __name__ == "__main__":
