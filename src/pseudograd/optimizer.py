@@ -32,12 +32,6 @@ class OptState:
     decay: np.ndarray = field(default_factory=lambda: np.zeros(0))  # per flat entry
     scratch: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)))  # step temporaries
 
-    def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise InvalidInputError("momentum must be in [0, 1)")
-        if self.lr < 0.0 or self.weight_decay < 0.0:
-            raise InvalidInputError("lr and weight_decay must be >= 0")
-
 
 def init_opt_state(
     params: ModelParams, lr: float, momentum: float = 0.9, weight_decay: float = 0.0
