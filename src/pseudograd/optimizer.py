@@ -75,9 +75,9 @@ def pseudo_step(
 
     ``pseudo_grads`` aligns with ``rows`` (all rows when omitted). Frozen rows
     are never touched regardless of the gradients supplied. No momentum, no
-    weight decay. The update is a fancy-index assignment, so a row listed
-    twice in ``rows`` takes only its last gradient row, not the sum of both:
-    with repeated rows this is not gradient descent on the batch loss.
+    weight decay. A row listed twice in ``rows`` moves by the sum of its
+    gradient rows, as ``backward`` sums both into the network step, so this
+    is gradient descent on the batch loss.
     """
     grads = np.asarray(pseudo_grads, dtype=np.float64)
     if rows is None:
@@ -88,7 +88,7 @@ def pseudo_step(
             f"pseudo_grads shape {grads.shape} != ({rows.size}, {table.num_classes})"
         )
     live = ~table.frozen[rows]
-    table.logits[rows[live]] -= lam * grads[live]
+    np.subtract.at(table.logits, rows[live], lam * grads[live])
     return table
 
 

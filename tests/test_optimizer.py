@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pseudograd.model import Architecture, ModelParams, init_params
 from pseudograd.numerics import InvalidInputError, softmax_rows
@@ -126,6 +129,22 @@ class TestPseudoStep:
         np.testing.assert_array_equal(table.logits[0], [0.0, 0.0])
         np.testing.assert_array_equal(table.logits[1], [-0.5, -0.5])
         np.testing.assert_array_equal(table.logits[3], [-0.5, -0.5])
+
+    @given(data=st.data(), n=st.integers(1, 5), k=st.integers(2, 4), lam=st.floats(0.1, 10.0))
+    def test_repeated_rows_move_by_their_summed_gradients(self, data, n, k, lam):
+        # n + 1 or more rows drawn from n repeat at least one
+        rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n + 1,
+                                           max_size=3 * n)))
+        frozen = data.draw(arrays(bool, n))
+        grads = data.draw(arrays(np.float64, (rows.size, k), elements=st.floats(-1.0, 1.0)))
+        logits = data.draw(arrays(np.float64, (n, k), elements=st.floats(-5.0, 5.0)))
+        table = PseudoTable(logits.copy(), frozen, logits.sum(axis=1))
+        expected = logits.copy()
+        for row, grad in zip(rows, grads):
+            if not frozen[row]:
+                expected[row] -= lam * grad
+        pseudo_step(table, grads, lam, rows)
+        np.testing.assert_allclose(table.logits, expected, rtol=0, atol=1e-12)
 
 
 class TestDecayLr:
