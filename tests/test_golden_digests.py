@@ -1,7 +1,6 @@
-"""Pinned bits of four fixture artifacts, per numeric environment: the entry
-of golden_digests.json whose key is ``environment()`` of tools/same_bytes.py.
-A digest that differs fails and names its artifact. An environment with no
-entry skips, naming itself and the digests it wrote."""
+"""Pinned bits of four fixture artifacts, per numeric environment (the key is
+``environment()`` of tools/same_bytes.py): a moved digest fails and names its
+artifact; an environment with no entry skips, naming itself and its digests."""
 
 from __future__ import annotations
 

@@ -116,8 +116,10 @@ def differences(recorded: dict, written: dict) -> list[str]:
         if was.get("exit") != now.get("exit"):
             out.append(f"exit code of {label}: {was.get('exit')} -> {now.get('exit')}")
         old, new = was.get("files", {}), now.get("files", {})
-        out += [f"{'missing' if f not in new else 'extra' if f not in old else 'differs'}: {f}"
-                for f in sorted(old.keys() | new.keys()) if old.get(f) != new.get(f)]
+        for name in sorted(old.keys() | new.keys()):
+            if old.get(name) != new.get(name):
+                kind = "missing" if name not in new else "extra" if name not in old else "differs"
+                out.append(f"{kind}: {name}")
     return out
 
 
@@ -132,8 +134,7 @@ def main() -> int:
     print(f"{len(diffs)} differences over {len(COMMANDS)} commands and {n_files} files")
     if not diffs:
         return 0
-    print("the entry this checkout writes, to record in place of this environment's "
-          "(a new environment's null digests are the ones its Tier-1 skip prints):")
+    print("the entry to record for this environment (null digests: see the Tier-1 skip):")
     print(json.dumps({"environment": environment(), "digests": entry and entry["digests"],
                       "commands": written}, indent=2))
     return 1
