@@ -115,12 +115,9 @@ class SplitDataset:
 def _simplex_vertices(k: int, dim: int) -> np.ndarray:
     """k points in R^dim with equal pairwise distances, deterministic layout.
 
-    Requires dim >= k - 1; the simplex lives in the first k-1 coordinates.
+    Requires dim >= k - 1 (``DataSpec`` checks it); the simplex lives in the
+    first k-1 coordinates.
     """
-    if dim < k - 1:
-        raise InvalidInputError(
-            f"need dim >= n_classes - 1 to place {k} separated centers in {dim}-D"
-        )
     # Unit-radius regular simplex: |v_i| = 1, v_i.v_j = -1/(k-1) for i != j.
     verts = np.zeros((k, dim), dtype=np.float64)
     for i in range(k - 1):
@@ -137,12 +134,6 @@ def gen_gaussian_blobs(
     n_classes: int, n_per_class: int, dim: int, spread: float, seed: int
 ) -> Dataset:
     """Isotropic Gaussian clusters at deterministic simplex-vertex centers."""
-    if n_classes < 2:
-        raise InvalidInputError("n_classes must be >= 2")
-    if n_per_class < 1:
-        raise InvalidInputError("n_per_class must be >= 1")
-    if spread <= 0:
-        raise InvalidInputError("spread must be > 0")
     centers = _simplex_vertices(n_classes, dim)
     stream = random_stream(seed, stream_id=0)
     feats = np.empty((n_classes * n_per_class, dim), dtype=np.float64)
@@ -157,10 +148,6 @@ def gen_gaussian_blobs(
 
 def gen_two_moons(n_per_class: int, noise: float, seed: int) -> Dataset:
     """Two interleaved half-circles with Gaussian perturbation."""
-    if n_per_class < 1:
-        raise InvalidInputError("n_per_class must be >= 1")
-    if noise < 0:
-        raise InvalidInputError("noise must be >= 0")
     t = np.linspace(0.0, np.pi, n_per_class)
     outer = np.column_stack((np.cos(t), np.sin(t)))
     inner = np.column_stack((1.0 - np.cos(t), 0.5 - np.sin(t)))
@@ -251,8 +238,6 @@ def write_idx(dataset: Dataset, images_path, labels_path, side: int | None = Non
 
 def split_per_class(ds: Dataset, labeled_per_class: int, seed: int) -> SplitDataset:
     """Uniform per-class sample without replacement; remainder is unlabeled."""
-    if labeled_per_class < 1:
-        raise InvalidInputError("labeled_per_class must be >= 1")
     labeled: list[np.ndarray] = []
     stream = random_stream(seed, stream_id=1)
     for k in range(ds.num_classes):

@@ -123,11 +123,13 @@ def entropy_rows(m, log_m=None) -> np.ndarray:
 def random_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """The seeded generator of stream ``stream_id`` of ``seed``.
 
+    The streams in use: 0 dataset generation, 1 split sampling, 2 parameter
+    init, 3 ``theory.flatness_bound_check``, 4 ``theory.finite_diff_suite``,
+    10/11/12 the batch order of stages 1/2/3.
+
     The same ``(seed, stream_id)`` draws the same sequence on every platform
     (PCG64 under a fixed seed sequence). A generator has a single owner:
     never share one across concurrent workers.
     """
-    if seed < 0 or stream_id < 0:
-        raise InvalidInputError("seed and stream_id must be non-negative")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_id),))
     return np.random.Generator(np.random.PCG64(ss))

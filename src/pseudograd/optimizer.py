@@ -69,19 +69,17 @@ def pseudo_step(
     table: PseudoTable,
     pseudo_grads: np.ndarray,
     lam: float,
-    rows: np.ndarray | None = None,
+    rows: np.ndarray,
 ) -> PseudoTable:
     """One descent step on pseudo-logits: y~[rows] <- y~[rows] - lam * grad.
 
-    ``pseudo_grads`` aligns with ``rows`` (all rows when omitted). Frozen rows
-    are never touched regardless of the gradients supplied. No momentum, no
-    weight decay. A row listed twice in ``rows`` moves by the sum of its
-    gradient rows, as ``backward`` sums both into the network step, so this
-    is gradient descent on the batch loss.
+    ``rows`` (required) lists the batch's table rows; ``pseudo_grads`` aligns
+    with it. Frozen rows are never touched regardless of the gradients
+    supplied. No momentum, no weight decay. A row listed twice in ``rows``
+    moves by the sum of its gradient rows, as ``backward`` sums both into
+    the network step, so this is gradient descent on the batch loss.
     """
     grads = np.asarray(pseudo_grads, dtype=np.float64)
-    if rows is None:
-        rows = np.arange(table.n_examples)
     rows = np.asarray(rows, dtype=np.int64)
     if grads.shape != (rows.size, table.num_classes):
         raise InvalidInputError(
@@ -98,7 +96,5 @@ def decay_lr(state: OptState, factor: float) -> OptState:
     The pseudo-logit learning rate is out of scope here: it stays fixed for a
     whole run.
     """
-    if not 0.0 < factor < 1.0:
-        raise InvalidInputError("decay factor must be in (0, 1)")
     state.lr *= factor
     return state

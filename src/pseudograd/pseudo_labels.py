@@ -50,10 +50,6 @@ class PseudoTable:
 def init_pseudo(split: SplitDataset, params: ModelParams) -> PseudoTable:
     """Labeled rows: K * one-hot(truth), frozen. Unlabeled rows: head activation."""
     n_classes = split.base.num_classes
-    if params.arch.num_classes != n_classes:
-        raise InvalidInputError(
-            f"model has {params.arch.num_classes} classes, dataset has {n_classes}"
-        )
     logits = np.zeros((split.base.n_examples, n_classes))
     logits[split.labeled_idx, split.labeled_targets()] = INIT_K
     unl = split.unlabeled_idx

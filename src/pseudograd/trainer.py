@@ -12,10 +12,9 @@ test set and the loss config, it gathers the rows its report rows read; a
 stage given one adds a row per epoch through ``_eval_row``. The stages never
 see the test set.
 
-Derived RNG streams (all from the one run seed): 0 dataset generation,
-1 split sampling, 2 parameter init, 10/11/12 per-stage batch shuffling.
-Synthetic test sets use seed+1 so the train set matches the bare generator
-call for the same seed.
+Every draw comes from a stream of the one run seed; ``numerics.random_stream``
+lists the streams. Synthetic test sets use seed+1 so the train set matches
+the bare generator call for the same seed.
 """
 
 from __future__ import annotations
@@ -226,8 +225,6 @@ class _CyclingPool:
 
 
 def accuracy(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
-    if x.shape[0] == 0:
-        return float("nan")
     pred = forward_batch(params, x).p_hat.argmax(axis=1)
     return float(np.count_nonzero(pred == y) / y.size)  # the bits of (pred == y).mean()
 
@@ -302,8 +299,6 @@ def stage1_supervised(
     cfg: TrainConfig, split: SplitDataset, report: Report | None = None
 ) -> ModelParams:
     """Supervised warmup on the labeled subset only."""
-    if split.n_labeled == 0:
-        raise InvalidInputError("stage 1 requires a non-empty labeled set")
     params = init_params(resolve_arch(cfg.arch, split.base), cfg.seed)
     feats = split.base.features[split.labeled_idx]
     return _supervised_stage(1, cfg.stage1, cfg.seed, 10, params, feats,
@@ -325,8 +320,6 @@ def _mixed_batch_plan(
     n_batches = max(1, math.ceil(n_total / batch))
     if split.n_unlabeled == 0:
         return n_batches, batch, 0
-    if split.n_labeled == 0:
-        return n_batches, 0, batch
     lab_quota = int(round(batch * frac))
     lab_quota = min(max(lab_quota, 1), batch - 1)
     return n_batches, lab_quota, batch - lab_quota
@@ -350,12 +343,12 @@ def _joint_epoch(
     opt,
     batch: int,
     frac: float,
-    lab_pool: _CyclingPool | None,
-    unl_pool: _CyclingPool | None,
+    lab_pool: _CyclingPool,
+    unl_pool: _CyclingPool,
     grads: ModelParams,
 ) -> StageTwoStats:
     """One epoch of joint steps; ``grads`` is the stage's gradient buffer."""
-    n_batches, lab_q, unl_q = _mixed_batch_plan(split, batch, frac)  # 0 when the pool is None
+    n_batches, lab_q, unl_q = _mixed_batch_plan(split, batch, frac)
     feats = split.base.features
     # one batch's rows, inputs and pseudo-logits, refilled every step
     rows = np.empty(lab_q + unl_q, dtype=np.int64)
@@ -364,10 +357,8 @@ def _joint_epoch(
     tot = lc_s = le_s = hn = 0.0
     n_seen = 0
     for _ in range(n_batches):
-        if lab_q:
-            lab_pool.take(rows[:lab_q])
-        if unl_q:
-            unl_pool.take(rows[lab_q:])
+        lab_pool.take(rows[:lab_q])
+        unl_pool.take(rows[lab_q:])
         np.take(feats, rows, axis=0, out=x)
         np.take(table.logits, rows, axis=0, out=logits)
         trace = forward_batch(params, x)
@@ -408,8 +399,8 @@ def stage2_joint(
     stream = random_stream(cfg.seed, stream_id=11)
     if table is None:
         table = init_pseudo(split, params)
-    lab_pool = _CyclingPool(split.labeled_idx, stream) if split.n_labeled else None
-    unl_pool = _CyclingPool(split.unlabeled_idx, stream) if split.n_unlabeled else None
+    lab_pool = _CyclingPool(split.labeled_idx, stream)
+    unl_pool = _CyclingPool(split.unlabeled_idx, stream)  # draws nothing when empty
     grads = ModelParams(params.arch, np.empty_like(params.flat))
     epoch_global = 0
     for rnd in range(s2.rounds):

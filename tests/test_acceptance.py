@@ -62,7 +62,7 @@ def test_criterion_2_sum_invariance(converged_run):
     table = PseudoTable(logits.copy(), np.array([False]), logits.sum(axis=1))
     p_hat = softmax_rows(np.array([[2.0, 0.0, -1.0]]))
     grads = joint_loss_rows(p_hat, pseudo_probs_rows(table, [0]), LossConfig()).grad_pseudo
-    pseudo_step(table, grads, lam=4000.0)
+    pseudo_step(table, grads, 4000.0, [0])
     step_drift = float(table.sum_drift().max())
 
     stage_drift = converged_run.max_round_drift

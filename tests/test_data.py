@@ -35,16 +35,6 @@ class TestGaussianBlobs:
         ]
         np.testing.assert_allclose(dists, dists[0], rtol=1e-9)
 
-    def test_rejects_bad_args(self):
-        with pytest.raises(InvalidInputError):
-            gen_gaussian_blobs(1, 10, 2, 0.5, 0)
-        with pytest.raises(InvalidInputError):
-            gen_gaussian_blobs(3, 0, 2, 0.5, 0)
-        with pytest.raises(InvalidInputError):
-            gen_gaussian_blobs(3, 10, 2, -1.0, 0)
-        with pytest.raises(InvalidInputError):
-            gen_gaussian_blobs(4, 10, 2, 0.5, 0)  # 4 centers need >= 3 dims
-
 
 class TestTwoMoons:
     def test_zero_noise_on_unit_half_circles(self):

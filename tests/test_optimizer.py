@@ -91,7 +91,7 @@ class TestNesterovStep:
 class TestPseudoStep:
     def test_fixed_point_unchanged(self):
         table = PseudoTable(np.array([[1.0, -1.0]]), np.array([False]), np.array([0.0]))
-        pseudo_step(table, np.zeros((1, 2)), lam=4000.0)
+        pseudo_step(table, np.zeros((1, 2)), 4000.0, [0])
         np.testing.assert_array_equal(table.logits, [[1.0, -1.0]])
 
     def test_saturated_reference_update(self):
@@ -100,7 +100,7 @@ class TestPseudoStep:
         table = PseudoTable(np.zeros((1, 2)), np.array([False]), np.array([0.0]))
         p_hat = softmax_rows(np.array([[300.0, 0.0]]))
         grad = 0.1 * (softmax_rows(table.logits) - p_hat)
-        pseudo_step(table, grad, lam=4000.0)
+        pseudo_step(table, grad, 4000.0, [0])
         np.testing.assert_allclose(table.logits[0], [200.0, -200.0], atol=1e-9)
 
     def test_row_sum_conserved_per_step(self):
@@ -110,7 +110,7 @@ class TestPseudoStep:
         p_hat = np.exp(rng.normal(size=(5, 3)))
         p_hat /= p_hat.sum(axis=1, keepdims=True)
         grads = 0.1 * (np.exp(logits) / np.exp(logits).sum(1, keepdims=True) - p_hat)
-        pseudo_step(table, grads, lam=4000.0)
+        pseudo_step(table, grads, 4000.0, np.arange(5))
         assert table.sum_drift().max() < 1e-12
 
     def test_frozen_rows_ignored(self):
@@ -119,13 +119,13 @@ class TestPseudoStep:
             np.array([True, False]),
             np.array([5.0, 5.0]),
         )
-        pseudo_step(table, np.ones((2, 2)), lam=1.0)
+        pseudo_step(table, np.ones((2, 2)), 1.0, [0, 1])
         np.testing.assert_array_equal(table.logits[0], [5.0, 0.0])
         np.testing.assert_array_equal(table.logits[1], [-1.0, 4.0])
 
     def test_subset_rows(self):
         table = PseudoTable(np.zeros((4, 2)), np.zeros(4, bool), np.zeros(4))
-        pseudo_step(table, np.ones((2, 2)), lam=0.5, rows=np.array([1, 3]))
+        pseudo_step(table, np.ones((2, 2)), 0.5, [1, 3])
         np.testing.assert_array_equal(table.logits[0], [0.0, 0.0])
         np.testing.assert_array_equal(table.logits[1], [-0.5, -0.5])
         np.testing.assert_array_equal(table.logits[3], [-0.5, -0.5])
@@ -163,13 +163,6 @@ class TestDecayLr:
         decay_lr(state, 0.5)
         np.testing.assert_array_equal(state.velocity, vel_before)
 
-    def test_factor_range_enforced(self):
-        state = OptState(lr=1.0)
-        with pytest.raises(InvalidInputError):
-            decay_lr(state, 1.0)
-        with pytest.raises(InvalidInputError):
-            decay_lr(state, 0.0)
-
     def test_pseudo_lr_not_touched(self):
         # decay acts on the network lr only; the pseudo-logit rate lives in
         # LossConfig and is never part of OptState
@@ -188,6 +181,6 @@ class TestNoOpStage:
         for _ in range(10):
             grads = _grads_like(params, fill=float(rng.normal()))
             sgd_nesterov_step(params, grads, state)
-            pseudo_step(table, rng.normal(size=(2, 2)), lam=0.0)
+            pseudo_step(table, rng.normal(size=(2, 2)), 0.0, [0, 1])
         np.testing.assert_array_equal(params.flat, before)
         np.testing.assert_array_equal(table.logits, np.ones((2, 2)))
