@@ -18,9 +18,7 @@ verify and gradcheck write none.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
 import statistics
 import subprocess
 import sys
@@ -32,7 +30,7 @@ from . import theory
 from .config import VARIANTS, ConfigError, TrainConfig, load_config, warn_alpha_le_beta
 from .data import Dataset
 from .model import forward_batch, load_checkpoint
-from .numerics import InvalidInputError
+from .numerics import InvalidInputError, write_csv, write_json
 from .pseudo_labels import load_table
 from .trainer import (
     StageError,
@@ -89,15 +87,14 @@ def _git_describe() -> str | None:
 def _write_manifest(out_dir: Path, cfg: TrainConfig, command: str, status: str,
                     failure_stage: str | None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = {
+    write_json(out_dir / "manifest.json", {
         "command": command,
         "config": cfg.to_dict(),
         "git_describe": _git_describe(),
         "seed": cfg.seed,
         "status": status,
         "failure_stage": failure_stage,
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def cmd_gen_data(args, cfg: TrainConfig, out: Path) -> int:
@@ -125,7 +122,7 @@ def cmd_verify(args, cfg: TrainConfig, out: Path) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     doc = theory.run_verification(params, table, split, cfg.loss, seed=cfg.seed)
-    (out / "verification.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(out / "verification.json", doc)
     for name, entry in doc.items():
         if isinstance(entry, dict):
             mark = "PASS" if entry["pass"] else "FAIL"
@@ -137,7 +134,7 @@ def cmd_verify(args, cfg: TrainConfig, out: Path) -> int:
 def cmd_gradcheck(args, cfg: TrainConfig, out: Path) -> int:
     doc = theory.gradient_oracle(cfg.seed, args.trials)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "gradcheck.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(out / "gradcheck.json", doc)
     worst, tol = doc["worst_rel_err"], doc["tolerance"]
     for path in sorted(worst):
         mark = "PASS" if worst[path] < tol[path] else "FAIL"
@@ -187,13 +184,7 @@ def run_ablation(cfg: TrainConfig, grid: str, n_seeds: int) -> list[dict]:
 def cmd_ablate(args, cfg: TrainConfig, out: Path) -> int:
     rows = run_ablation(cfg, args.grid, args.seeds)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / "ablation.csv").open("w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()}
-            )
+    write_csv(out / "ablation.csv", list(rows[0]), [list(row.values()) for row in rows])
     for row in rows:
         print(
             f"{row['cell']}: median test error {row['median_test_error']:.4f} "
@@ -204,11 +195,9 @@ def cmd_ablate(args, cfg: TrainConfig, out: Path) -> int:
 
 def _export_features_csv(params, ds: Dataset, labeled_mask: np.ndarray, path: Path) -> None:
     feats = forward_batch(params, ds.features).features
-    with path.open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["x", "y", "label", "is_labeled"])
-        for row, lab, is_lab in zip(feats, ds.labels, labeled_mask):
-            writer.writerow([repr(float(row[0])), repr(float(row[1])), int(lab), int(is_lab)])
+    rows = zip(feats.tolist(), ds.labels.tolist(), labeled_mask.tolist())
+    header = ["x", "y", "label", "is_labeled"]
+    write_csv(path, header, ([*xy, lab, is_lab] for xy, lab, is_lab in rows))
 
 
 def cmd_export_features(args, cfg: TrainConfig, out: Path) -> int:
@@ -255,7 +244,7 @@ def cmd_export_features(args, cfg: TrainConfig, out: Path) -> int:
             k: after[k] / before[k] for k in before
         },
     }
-    (out / "export_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(out / "export_summary.json", summary)
     for k in ("labeled", "unlabeled"):
         print(f"{k} compaction ratio (after/before): {summary['compaction_ratio'][k]:.4f}")
     return EXIT_OK

@@ -192,8 +192,8 @@ class StageTwoConfig(_Section):
     rounds: int = setting(3, ge=1)
     lr0: float = setting(0.05, ge=0)
     lr_decay_factor: float = setting(0.1, gt=0, lt=1)
-    batch: int = setting(128, ge=1)
-    labeled_fraction_per_batch: float = setting(0.5, ge=0, le=1)
+    batch: int = setting(128, ge=2)  # room for a labeled and an unlabeled row
+    labeled_fraction_per_batch: float = setting(0.5, gt=0, lt=1)
     wd: float = setting(0.0, ge=0)
     repredict_between_rounds: bool = True
     decay_between_rounds: bool = True

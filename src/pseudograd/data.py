@@ -7,14 +7,14 @@ read labels through ``SplitDataset.labeled_targets``.
 
 from __future__ import annotations
 
-import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .numerics import InvalidInputError, random_stream
+from .numerics import InvalidInputError, random_stream, write_csv
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -62,12 +62,9 @@ class Dataset:
 
     def to_csv(self, path) -> None:
         """Write `x0,...,x{D-1},label` rows."""
-        path = Path(path)
-        with path.open("w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow([f"x{i}" for i in range(self.input_dim)] + ["label"])
-            for row, lab in zip(self.features, self.labels):
-                writer.writerow([repr(float(v)) for v in row] + [int(lab)])
+        header = [*(f"x{i}" for i in range(self.input_dim)), "label"]
+        rows = zip(self.features.tolist(), self.labels.tolist())
+        write_csv(path, header, ([*row, lab] for row, lab in rows))
 
 
 @dataclass
@@ -168,47 +165,34 @@ def _read_be_u32(f, path: Path, what: str) -> int:
     return struct.unpack(">I", raw)[0]
 
 
+def _read_idx(path, magic: int, kind: str, dims: tuple[str, ...]) -> tuple[list[int], np.ndarray]:
+    """The header sizes named ``dims`` and the uint8 payload of the IDX file
+    ``path`` of ``kind`` ("image" or "label"), which must start with ``magic``."""
+    path = Path(path)
+    with path.open("rb") as f:
+        found = _read_be_u32(f, path, "magic")
+        if found != magic:
+            raise IdxFormatError(f"{path}: bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
+        sizes = [_read_be_u32(f, path, name) for name in dims]
+        n = math.prod(sizes)
+        raw = f.read(n)
+    if len(raw) != n:
+        raise IdxFormatError(f"{path}: truncated {kind} data ({len(raw)} bytes, expected {n})")
+    return sizes, np.frombuffer(raw, dtype=np.uint8)
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image/label file pair (big-endian, magic 2051/2049).
 
     Pixels are scaled to [0, 1]; label values are taken as class indices.
     """
-    images_path = Path(images_path)
-    labels_path = Path(labels_path)
-    with images_path.open("rb") as f:
-        magic = _read_be_u32(f, images_path, "magic")
-        if magic != IDX_IMAGE_MAGIC:
-            raise IdxFormatError(
-                f"{images_path}: bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}"
-            )
-        count = _read_be_u32(f, images_path, "count")
-        rows = _read_be_u32(f, images_path, "rows")
-        cols = _read_be_u32(f, images_path, "cols")
-        raw = f.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise IdxFormatError(
-                f"{images_path}: truncated pixel data "
-                f"({len(raw)} bytes, expected {count * rows * cols})"
-            )
-        pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    with labels_path.open("rb") as f:
-        magic = _read_be_u32(f, labels_path, "magic")
-        if magic != IDX_LABEL_MAGIC:
-            raise IdxFormatError(
-                f"{labels_path}: bad label magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}"
-            )
-        lcount = _read_be_u32(f, labels_path, "count")
-        raw = f.read(lcount)
-        if len(raw) != lcount:
-            raise IdxFormatError(
-                f"{labels_path}: truncated label data ({len(raw)} of {lcount})"
-            )
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image",
+                                            ("count", "rows", "cols"))
+    (lcount,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", ("count",))
     if lcount != count:
-        raise IdxFormatError(
-            f"image/label count mismatch: {count} images vs {lcount} labels"
-        )
-    feats = pixels.astype(np.float64) / 255.0
+        raise IdxFormatError(f"image/label count mismatch: {count} images vs {lcount} labels")
+    feats = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    labels = labels.astype(np.int64)
     num_classes = int(labels.max()) + 1 if labels.size else 2
     return Dataset(feats, labels, max(num_classes, 2))
 

@@ -10,16 +10,14 @@ exponential link the stationarity checks rely on is derived for that head.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .numerics import InvalidInputError, json_array, json_text, random_stream, read_artifact
-from .numerics import softmax_rows
+from .numerics import softmax_rows, write_artifact
 
 CHECKPOINT_VERSION = 2
 
@@ -239,12 +237,8 @@ def backward(
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Versioned JSON checkpoint; float64 round-trips are bit-exact."""
-    doc = {
-        "format_version": CHECKPOINT_VERSION,
-        "arch": asdict(params.arch),
-        "tensors": {name: arr.ravel().tolist() for name, arr in params.tensors()},
-    }
-    Path(path).write_text(json.dumps(doc))
+    write_artifact(path, CHECKPOINT_VERSION, arch=asdict(params.arch),
+                   tensors={name: arr.ravel().tolist() for name, arr in params.tensors()})
 
 
 def load_checkpoint(path, arch: Architecture) -> ModelParams:

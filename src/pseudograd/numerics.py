@@ -1,5 +1,6 @@
 """Shared float64 numerics: row reductions, softmax and entropy, seeded RNG
-streams, and the strict reads of every JSON file a command is given.
+streams, the strict reads of every JSON file a command is given, and the
+writes of every CSV and JSON file a command produces.
 
 Dense matrices and probability rows are plain ``numpy.ndarray`` objects in
 float64, row-major. Validation helpers enforce finiteness at API boundaries
@@ -11,6 +12,7 @@ are never clamped.
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
 from pathlib import Path
@@ -56,6 +58,33 @@ def read_artifact(path, what: str, version: int, keys: tuple[str, ...]) -> dict:
     if saved != json_text(version):
         raise InvalidInputError(f"{path}: unsupported {what} version {saved}")
     return doc
+
+
+def write_artifact(path, version: int, **fields) -> None:
+    """Compact JSON of ``fields`` after ``format_version``: what ``read_artifact`` reads."""
+    Path(path).write_text(json.dumps({"format_version": version, **fields}))
+
+
+def write_json(path, doc) -> None:
+    """``doc`` as JSON with 2-space indents, sorted keys and a trailing newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _csv_cell(v):
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return v if isinstance(v, str) else int(v)
+
+
+def write_csv(path, header, rows) -> None:
+    """A header and rows as CSV. Text is written as itself, a float (numpy's
+    too) as ``repr(float(v))``, which round-trips its bits, and any other
+    value as ``int(v)``, so a boolean is 0 or 1. Pass rows as lists
+    (``.tolist()``): a cell that is a numpy scalar costs more to format."""
+    with Path(path).open("w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
 
 
 def json_array(value, name: str, shape: dict[str, int]) -> np.ndarray:

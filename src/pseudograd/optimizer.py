@@ -27,7 +27,6 @@ from .pseudo_labels import PseudoTable
 class OptState:
     lr: float
     momentum: float = 0.9
-    weight_decay: float = 0.0
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(0))
     decay: np.ndarray = field(default_factory=lambda: np.zeros(0))  # per flat entry
     scratch: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)))  # step temporaries
@@ -36,7 +35,7 @@ class OptState:
 def init_opt_state(
     params: ModelParams, lr: float, momentum: float = 0.9, weight_decay: float = 0.0
 ) -> OptState:
-    state = OptState(lr, momentum, weight_decay)
+    state = OptState(lr, momentum)
     state.velocity = np.zeros_like(params.flat)
     state.decay = weight_decay * weight_mask(params.arch)
     state.scratch = np.empty((2, params.flat.size))

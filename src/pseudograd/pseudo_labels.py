@@ -9,17 +9,14 @@ property of the kl_pred_pseudo update can be asserted at runtime.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .data import SplitDataset
 from .model import ModelParams, forward_batch
 from .numerics import InvalidInputError, json_array, json_text, read_artifact, row_sum
-from .numerics import softmax_rows
+from .numerics import softmax_rows, write_artifact, write_csv
 
 INIT_K = 10.0  # the logit K of a labeled row's frozen K * one-hot
 TABLE_VERSION = 1
@@ -82,26 +79,15 @@ def hard_labels(table: PseudoTable) -> np.ndarray:
 
 def export_csv(table: PseudoTable, path) -> None:
     """Write `example_id,frozen,y0..y{N-1}` rows for post-hoc analysis."""
-    with Path(path).open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["example_id", "frozen"] + [f"y{i}" for i in range(table.num_classes)]
-        )
-        for i in range(table.n_examples):
-            writer.writerow(
-                [i, int(table.frozen[i])] + [repr(float(v)) for v in table.logits[i]]
-            )
+    header = ["example_id", "frozen", *(f"y{i}" for i in range(table.num_classes))]
+    rows = zip(table.frozen.tolist(), table.logits.tolist())
+    write_csv(path, header, ([i, frozen, *logits] for i, (frozen, logits) in enumerate(rows)))
 
 
 def save_table(table: PseudoTable, path) -> None:
     """Full-state JSON checkpoint (logits + frozen + init_sum), bit-exact."""
-    doc = {
-        "format_version": TABLE_VERSION,
-        "logits": table.logits.tolist(),
-        "frozen": table.frozen.astype(int).tolist(),
-        "init_sum": table.init_sum.tolist(),
-    }
-    Path(path).write_text(json.dumps(doc))
+    write_artifact(path, TABLE_VERSION, logits=table.logits.tolist(),
+                   frozen=table.frozen.astype(int).tolist(), init_sum=table.init_sum.tolist())
 
 
 def load_table(path, frozen: np.ndarray, num_classes: int) -> PseudoTable:

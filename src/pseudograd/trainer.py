@@ -19,7 +19,6 @@ the bare generator call for the same seed.
 
 from __future__ import annotations
 
-import csv
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -41,6 +40,7 @@ from .model import (
     init_params,
 )
 from .numerics import InvalidInputError, clamped_log, entropy_rows, random_stream, softmax_rows
+from .numerics import write_csv
 from .optimizer import decay_lr, init_opt_state, pseudo_step, sgd_nesterov_step
 from .pseudo_labels import PseudoTable, hard_labels, init_pseudo, repredict
 
@@ -56,7 +56,6 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, original: BaseException):
         super().__init__(f"{stage} failed: {original}")
         self.stage = stage
-        self.original = original
 
 
 @contextmanager
@@ -147,12 +146,8 @@ class Report:
         self.rows.append(row)
 
     def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(REPORT_COLUMNS)
-            for row in self.rows:
-                metrics = (repr(float(getattr(row, c))) for c in REPORT_COLUMNS[2:])
-                writer.writerow([row.stage, row.epoch, *metrics])
+        rows = ([getattr(row, c) for c in REPORT_COLUMNS] for row in self.rows)
+        write_csv(path, REPORT_COLUMNS, rows)
 
     def stage_rows(self, stage: int) -> list[ReportRow]:
         return [r for r in self.rows if r.stage == stage]
@@ -314,7 +309,9 @@ def _mixed_batch_plan(
     quota drawn from its own cycling pool, so an epoch need not reach every
     unlabeled row: the median stage-2 epoch draws 768 distinct of 992
     unlabeled rows on moons_ssl, 422 of 591 on blobs_trend and 396 of 570
-    on blobs_convergence.
+    on blobs_convergence. The schema keeps ``batch >= 2`` and ``frac`` in
+    (0, 1), so the clamp of the labeled quota to [1, batch - 1] acts only on
+    rounding, e.g. 0.01 of 16 rows.
     """
     n_total = split.base.n_examples
     n_batches = max(1, math.ceil(n_total / batch))

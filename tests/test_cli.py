@@ -95,7 +95,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "override",
-        ["stage1.batch=0", "stage2.batch=0", "stage3.batch=0", "stage3.epochs=-3",
+        ["stage1.batch=0", "stage2.batch=0", "stage2.batch=1", "stage3.batch=0",
+         "stage2.labeled_fraction_per_batch=0", "stage2.labeled_fraction_per_batch=1",
+         "stage3.epochs=-3",
          "arch.activation=gelu", "stage2.lr_decay_factor=1.5", "seed=-1",
          "data.n_classes=0", "data.labeled_per_class=0", "data.spread=-1",
          "data.n_per_class=1", "data.dim=0", "data.dim=1", "data.test_n_per_class=0",

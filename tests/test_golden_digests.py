@@ -13,6 +13,7 @@ import pytest
 
 from conftest import write_tiny_config
 from pseudograd.cli import main
+from pseudograd.numerics import write_json
 from pseudograd.pseudo_labels import save_table
 from pseudograd.theory import run_verification
 
@@ -36,7 +37,7 @@ def digests(moons_reports, converged_run, tmp_path_factory) -> dict[str, str]:
     # digest that covers the asserted link and flatness sections
     run = converged_run
     doc = run_verification(run.params, run.table, run.split, run.cfg.loss, seed=run.cfg.seed)
-    (out / ARTIFACTS[3]).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(out / ARTIFACTS[3], doc)
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
 
 

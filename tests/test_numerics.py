@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import JSON_VALUES
 from pseudograd.loss import LossConfig, loss_terms_rows
 from pseudograd.numerics import (
     LOG_EPS,
     ROWS_PER_COLUMN,
     InvalidInputError,
     entropy_rows,
+    json_text,
     random_stream,
+    read_artifact,
     row_max,
     row_sum,
     softmax_rows,
+    write_artifact,
+    write_csv,
 )
 
 
@@ -160,3 +167,27 @@ class TestRandomStream:
         a = random_stream(7, 5).permutation(1000)
         b = random_stream(7, 5).permutation(1000)
         np.testing.assert_array_equal(a, b)
+
+
+class TestWriters:
+    def test_write_csv_writes_each_cell_kind(self, tmp_path):
+        floats = [0.1, -0.0, 1e-300, float("nan"), float("inf"),
+                  np.float64(-0.0), np.float64(1e-300), np.float64("nan"), np.float32(0.5)]
+        others = [7, np.int64(-3), True, False, np.bool_(True), np.bool_(False), "text"]
+        write_csv(tmp_path / "cells.csv", ["a", "b"], [floats, others])
+        assert (tmp_path / "cells.csv").read_bytes() == (
+            b"a,b\r\n"
+            b"0.1,-0.0,1e-300,nan,inf,-0.0,1e-300,nan,0.5\r\n"
+            b"7,-3,1,0,1,0,text\r\n"
+        )
+
+    @given(version=st.integers(0, 2**31), fields=st.dictionaries(
+        st.from_regex(r"[a-z_][a-z0-9_]{0,7}", fullmatch=True).filter(
+            lambda k: k != "format_version"),
+        JSON_VALUES, max_size=4))
+    def test_read_artifact_returns_the_fields_write_artifact_wrote(
+            self, tmp_path_factory, version, fields):
+        path = tmp_path_factory.mktemp("artifact") / "doc.json"
+        write_artifact(path, version, **fields)
+        doc = read_artifact(path, "artifact", version, tuple(fields))
+        assert json_text(doc) == json_text({"format_version": version, **fields})  # NaN too

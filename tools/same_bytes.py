@@ -26,11 +26,13 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden_digests.json"
 TREND = "configs/blobs_trend.json"
 
-# (output directory, command, config, extra arguments), run in order. verify
-# reads the run in its directory, the converged run with asserted link and
-# flatness sections among them; the moons config refuses the trend run (exit
-# 2). 2100 gradcheck trials split each class count across FD_BLOCK_TRIALS blocks.
+# (output directory, command, config, extra arguments), run in order. gen-data
+# is the one command that writes Dataset.to_csv's files. verify reads the run
+# in its directory, the converged run with asserted link and flatness sections
+# among them; the moons config refuses the trend run (exit 2). 2100 gradcheck
+# trials split each class count across FD_BLOCK_TRIALS blocks.
 COMMANDS = (
+    ("gen_data_moons_ssl", "gen-data", "configs/moons_ssl.json", []),
     ("train_moons_ssl", "train", "configs/moons_ssl.json", []),
     ("train_blobs_trend", "train", TREND, []),
     ("train_blobs_convergence", "train", "configs/blobs_convergence.json", []),
