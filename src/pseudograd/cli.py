@@ -12,7 +12,9 @@ boolean or not finite). verify on a run with no unlabeled rows reports the
 link and flatness checks as informational. train, ablate and export-features
 write a run manifest (config, git describe of the package's checkout, seed,
 status) even when they fail, with the failing stage recorded; gen-data,
-verify and gradcheck write none.
+verify and gradcheck write none. An output file that cannot be written (say,
+a directory stands at its path) exits 1 naming the file and the OS reason,
+recorded in the manifest as the stage "output".
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import theory
 from .config import VARIANTS, ConfigError, TrainConfig, load_config, warn_alpha_le_beta
 from .data import Dataset
 from .model import forward_batch, load_checkpoint
-from .numerics import InvalidInputError, write_csv, write_json
+from .numerics import InvalidInputError, WriteError, write_csv, write_json
 from .pseudo_labels import load_table
 from .trainer import (
     StageError,
@@ -326,17 +328,24 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.override)
         rc = COMMANDS[args.command](args, cfg, out)
+        if manifest and rc == EXIT_OK:
+            _write_manifest(out, cfg, args.command, "ok", None)
+        return rc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StageError as exc:
-        if manifest:
-            _write_manifest(out, cfg, args.command, "failed", exc.stage)
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    if manifest and rc == EXIT_OK:
-        _write_manifest(out, cfg, args.command, "ok", None)
-    return rc
+        failure_stage = exc.stage
+    except WriteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        failure_stage = None if exc.path == out / "manifest.json" else "output"
+    if manifest and failure_stage is not None:
+        try:
+            _write_manifest(out, cfg, args.command, "failed", failure_stage)
+        except WriteError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+    return EXIT_FAILURE
 
 
 if __name__ == "__main__":

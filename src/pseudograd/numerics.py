@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,23 @@ ROWS_PER_COLUMN = 16
 
 class InvalidInputError(ValueError):
     """An argument violates a documented precondition."""
+
+
+class WriteError(RuntimeError):
+    """An output file could not be written: names the file and the OS reason."""
+
+    def __init__(self, path, exc: OSError):
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
+        self.path = Path(path)
+
+
+@contextmanager
+def _writing(path):
+    """Re-raise an ``OSError`` of the block as a WriteError naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise WriteError(path, exc) from exc
 
 
 def read_json(path, what: str, error: type[ValueError] = InvalidInputError):
@@ -62,12 +80,14 @@ def read_artifact(path, what: str, version: int, keys: tuple[str, ...]) -> dict:
 
 def write_artifact(path, version: int, **fields) -> None:
     """Compact JSON of ``fields`` after ``format_version``: what ``read_artifact`` reads."""
-    Path(path).write_text(json.dumps({"format_version": version, **fields}))
+    with _writing(path):
+        Path(path).write_text(json.dumps({"format_version": version, **fields}))
 
 
 def write_json(path, doc) -> None:
     """``doc`` as JSON with 2-space indents, sorted keys and a trailing newline."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with _writing(path):
+        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _csv_cell(v):
@@ -81,7 +101,7 @@ def write_csv(path, header, rows) -> None:
     too) as ``repr(float(v))``, which round-trips its bits, and any other
     value as ``int(v)``, so a boolean is 0 or 1. Pass rows as lists
     (``.tolist()``): a cell that is a numpy scalar costs more to format."""
-    with Path(path).open("w", newline="") as f:
+    with _writing(path), Path(path).open("w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows([_csv_cell(v) for v in row] for row in rows)

@@ -182,9 +182,10 @@ def check_flatness(
     }
 
 
-# rows per step of the flatness bound's arithmetic, so that its temporaries
-# stay small at any sample count; every row keeps its bits for any block size
-FLAT_BLOCK_ROWS = 4096
+# rows per step of the flatness bound's arithmetic and per p_tilde draw, so
+# that its temporaries stay small at any sample count; every row keeps its
+# bits, and the stream its state, for any block size
+FLAT_BLOCK_ROWS = 2048
 
 
 def flatness_bound_check(
@@ -197,9 +198,12 @@ def flatness_bound_check(
     exp(-L/alpha) * p_hat_n^(1-beta/alpha) <= p_hat_n. Returns violation
     counts over ``n_samples`` draws, at least one per class count.
 
-    Each class count draws all of its ``p_hat``, then all of its ``p_tilde``,
-    into two buffers made once per call; the arithmetic then runs over
-    blocks of ``FLAT_BLOCK_ROWS`` rows.
+    One draw buffer holds ``p_hat``: each class count draws all of its rows
+    into it. ``p_tilde`` enters a row only through that row's ``lc`` and
+    ``le``, so it is drawn a block of ``FLAT_BLOCK_ROWS`` rows at a time into
+    one block buffer and folded into those two terms at once. alpha and beta
+    are drawn after all of ``p_tilde``, as one draw of each, and the bound
+    then runs over the same blocks.
     """
     sizes = (2, 3, 5, 10)
     if n_samples < len(sizes):
@@ -208,24 +212,27 @@ def flatness_bound_check(
     kl_pred_pseudo = LossConfig(variant=VARIANT_KL_PRED_PSEUDO)  # alpha, beta drawn per row
     per = n_samples // len(sizes)
     counts = [per] * (len(sizes) - 1) + [n_samples - per * (len(sizes) - 1)]
-    largest = max(m * nc for m, nc in zip(counts, sizes))
-    hat_buf, tilde_buf = np.empty(largest), np.empty(largest)
+    hat_buf = np.empty(max(m * nc for m, nc in zip(counts, sizes)))
+    tilde_buf = np.empty(min(FLAT_BLOCK_ROWS, max(counts)) * max(sizes))
     violations = 0
     max_excess = -np.inf
     for m, nc in zip(counts, sizes):
         # Dirichlet(1) rows; the draws of gamma(1.0, 1.0, size), and the same stream state
         p_hat = stream.standard_exponential(out=hat_buf[: m * nc].reshape(m, nc))
-        p_tilde = stream.standard_exponential(out=tilde_buf[: m * nc].reshape(m, nc))
-        alpha = stream.uniform(0.02, 0.5, size=m)
-        beta = alpha * stream.uniform(0.0, 0.999, size=m)
-        for start in range(0, m, FLAT_BLOCK_ROWS):
-            rows = slice(start, start + FLAT_BLOCK_ROWS)
-            ph, pt, a, b = p_hat[rows], p_tilde[rows], alpha[rows], beta[rows]
+        blocks = [slice(start, start + FLAT_BLOCK_ROWS) for start in range(0, m, FLAT_BLOCK_ROWS)]
+        lc, le = np.empty(m), np.empty(m)
+        for rows in blocks:
+            ph = p_hat[rows]
+            pt = stream.standard_exponential(out=tilde_buf[: ph.size].reshape(ph.shape))
             ph /= row_sum(ph)[:, None]
             pt /= row_sum(pt)[:, None]
-            lc, le = loss_terms_rows(ph, pt, kl_pred_pseudo)
-            total = a * lc + b * le
-            top = row_max(ph)
+            lc[rows], le[rows] = loss_terms_rows(ph, pt, kl_pred_pseudo)
+        alpha = stream.uniform(0.02, 0.5, size=m)
+        beta = alpha * stream.uniform(0.0, 0.999, size=m)
+        for rows in blocks:
+            a, b = alpha[rows], beta[rows]
+            total = a * lc[rows] + b * le[rows]
+            top = row_max(p_hat[rows])
             bound = np.exp(-total / a) * top ** (1.0 - b / a)
             excess = bound - top - tolerance
             violations += int((~(excess <= 0)).sum())  # a NaN bound is a violation

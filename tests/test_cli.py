@@ -81,6 +81,43 @@ class TestManifest:
         assert not (out / "manifest.json").exists()
 
 
+class TestOutputFailures:
+    """An output file that cannot be written exits 1 naming the file and the
+    OS reason, never a bare traceback; a manifest command records the stage
+    "output". Each test puts a directory where the file goes."""
+
+    @pytest.mark.parametrize("command, name", [
+        ("train", "report.csv"), ("verify", "verification.json"),
+        ("gradcheck", "gradcheck.json"), ("ablate", "ablation.csv")])
+    def test_unwritable_output_names_its_file(self, trained, tmp_path, capsys, command, name):
+        cfg, run = trained
+        out = shutil.copytree(run, tmp_path / "run") if command == "verify" else tmp_path / "out"
+        (out / "manifest.json").unlink(missing_ok=True)
+        (out / name).mkdir(parents=True)
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        argv += {"gradcheck": ["--trials", "3"], "ablate": ["--grid", "lc", "--seeds", "1"]}.get(
+            command, [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out / name}: Is a directory" in err
+        assert "Traceback" not in err
+        if command in cli.MANIFEST_COMMANDS:
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert (manifest["status"], manifest["failure_stage"]) == ("failed", "output")
+        else:
+            assert not (out / "manifest.json").exists()
+
+    def test_unwritable_manifest_is_not_written_twice(self, trained, tmp_path, capsys):
+        cfg, _ = trained
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: cannot write") == 1
+        assert f"{out / 'manifest.json'}: Is a directory" in err
+        assert (out / "report.csv").is_file()
+
+
 class TestExitCodes:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])

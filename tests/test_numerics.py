@@ -9,6 +9,7 @@ from pseudograd.numerics import (
     LOG_EPS,
     ROWS_PER_COLUMN,
     InvalidInputError,
+    WriteError,
     entropy_rows,
     json_text,
     random_stream,
@@ -18,6 +19,7 @@ from pseudograd.numerics import (
     softmax_rows,
     write_artifact,
     write_csv,
+    write_json,
 )
 
 
@@ -180,6 +182,15 @@ class TestWriters:
             b"0.1,-0.0,1e-300,nan,inf,-0.0,1e-300,nan,0.5\r\n"
             b"7,-3,1,0,1,0,text\r\n"
         )
+
+    @pytest.mark.parametrize("write", [
+        lambda p: write_csv(p, ["a"], [[1]]), lambda p: write_json(p, {"a": 1}),
+        lambda p: write_artifact(p, 1, a=1)], ids=["csv", "json", "artifact"])
+    def test_a_failed_write_names_its_file(self, tmp_path, write):
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(WriteError, match="^cannot write .*taken: Is a directory$") as err:
+            write(tmp_path / "taken")
+        assert err.value.path == tmp_path / "taken"
 
     @given(version=st.integers(0, 2**31), fields=st.dictionaries(
         st.from_regex(r"[a-z_][a-z0-9_]{0,7}", fullmatch=True).filter(

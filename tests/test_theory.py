@@ -143,16 +143,38 @@ class TestFlatnessAlgebra:
             np.testing.assert_array_equal(_bits(list(got.values())), _bits(list(want.values())))
             assert state == want_state
 
-    def test_memory_stays_bounded(self):
-        # two draw buffers of the largest class-count block (2 MB each at
-        # 10^5 samples) and one row block's temporaries
+    @given(n_samples=st.integers(4, 400), block=st.integers(1, 500),
+           seed=st.integers(0, 2**31))
+    def test_any_block_size_changes_no_bit(self, n_samples, block, seed):
+        # tail blocks, and blocks larger than a class count's rows
+        with pytest.MonkeyPatch.context() as mp:
+            want, want_state = _bound_check_with_state(n_samples, seed, mp)
+            mp.setattr(theory, "FLAT_BLOCK_ROWS", block)
+            got, state = _bound_check_with_state(n_samples, seed, mp)
+        np.testing.assert_array_equal(_bits(list(got.values())), _bits(list(want.values())))
+        assert state == want_state
+
+    @staticmethod
+    def _traced_peak(n_samples):
         tracemalloc.start()
         try:
-            theory.flatness_bound_check(100_000, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
+            theory.flatness_bound_check(n_samples, seed=0)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7e6, f"traced peak {peak / 1e6:.1f} MB"
+
+    def test_memory_stays_bounded(self):
+        # one draw buffer, p_hat of the largest class count (2 MB at 10^5
+        # samples), that class count's per-row terms and weights, and one row
+        # block's p_tilde and temporaries
+        peak = self._traced_peak(100_000)
+        assert peak <= 4.5e6, f"traced peak {peak / 1e6:.2f} MB"
+
+    def test_memory_grows_by_one_draw_buffer(self):
+        # 10^5 more samples add 2 MB of p_hat and under 1 MB of per-row
+        # vectors; a second O(n_samples) draw buffer would add 2 MB more
+        growth = self._traced_peak(200_000) - self._traced_peak(100_000)
+        assert growth < 3.5e6, f"traced peak grew by {growth / 1e6:.2f} MB"
 
 
 class TestSumInvariance:
