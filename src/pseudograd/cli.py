@@ -12,9 +12,10 @@ boolean or not finite). verify on a run with no unlabeled rows reports the
 link and flatness checks as informational. train, ablate and export-features
 write a run manifest (config, git describe of the package's checkout, seed,
 status) even when they fail, with the failing stage recorded; gen-data,
-verify and gradcheck write none. An output file that cannot be written (say,
-a directory stands at its path) exits 1 naming the file and the OS reason,
-recorded in the manifest as the stage "output".
+verify and gradcheck write none. An output file or directory that cannot be
+written (say, a directory stands at the file's path, or the parent directory
+is read-only) exits 1 naming the path and the OS reason, recorded in the
+manifest as the stage "output" unless the manifest or its directory failed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import theory
 from .config import VARIANTS, ConfigError, TrainConfig, load_config, warn_alpha_le_beta
 from .data import Dataset
 from .model import forward_batch, load_checkpoint
-from .numerics import InvalidInputError, WriteError, write_csv, write_json
+from .numerics import InvalidInputError, WriteError, make_dir, write_csv, write_json
 from .pseudo_labels import load_table
 from .trainer import (
     StageError,
@@ -88,7 +89,7 @@ def _git_describe() -> str | None:
 
 def _write_manifest(out_dir: Path, cfg: TrainConfig, command: str, status: str,
                     failure_stage: str | None) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     write_json(out_dir / "manifest.json", {
         "command": command,
         "config": cfg.to_dict(),
@@ -100,7 +101,7 @@ def _write_manifest(out_dir: Path, cfg: TrainConfig, command: str, status: str,
 
 
 def cmd_gen_data(args, cfg: TrainConfig, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out)
     split, test = build_run_data(cfg)
     split.base.to_csv(out / "train.csv")
     test.to_csv(out / "test.csv")
@@ -135,7 +136,7 @@ def cmd_verify(args, cfg: TrainConfig, out: Path) -> int:
 
 def cmd_gradcheck(args, cfg: TrainConfig, out: Path) -> int:
     doc = theory.gradient_oracle(cfg.seed, args.trials)
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out)
     write_json(out / "gradcheck.json", doc)
     worst, tol = doc["worst_rel_err"], doc["tolerance"]
     for path in sorted(worst):
@@ -185,7 +186,7 @@ def run_ablation(cfg: TrainConfig, grid: str, n_seeds: int) -> list[dict]:
 
 def cmd_ablate(args, cfg: TrainConfig, out: Path) -> int:
     rows = run_ablation(cfg, args.grid, args.seeds)
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out)
     write_csv(out / "ablation.csv", list(rows[0]), [list(row.values()) for row in rows])
     for row in rows:
         print(
@@ -219,7 +220,7 @@ def cmd_export_features(args, cfg: TrainConfig, out: Path) -> int:
         if np.bincount(base.labels[idx], minlength=2).max() < 2:
             raise ConfigError(f"export-features measures each class's spread, and no class has "
                               f"2 or more {name} rows: check {keys[name]}")
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out)
 
     def spreads(params) -> dict[str, float]:
         return {
@@ -339,7 +340,8 @@ def main(argv=None) -> int:
         failure_stage = exc.stage
     except WriteError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        failure_stage = None if exc.path == out / "manifest.json" else "output"
+        # no manifest when the manifest or the directory it goes in failed
+        failure_stage = None if exc.path in (out, out / "manifest.json") else "output"
     if manifest and failure_stage is not None:
         try:
             _write_manifest(out, cfg, args.command, "failed", failure_stage)

@@ -78,6 +78,12 @@ def read_artifact(path, what: str, version: int, keys: tuple[str, ...]) -> dict:
     return doc
 
 
+def make_dir(path) -> None:
+    """The output directory ``path`` and its parents, or a WriteError naming it."""
+    with _writing(path):
+        Path(path).mkdir(parents=True, exist_ok=True)
+
+
 def write_artifact(path, version: int, **fields) -> None:
     """Compact JSON of ``fields`` after ``format_version``: what ``read_artifact`` reads."""
     with _writing(path):

@@ -40,7 +40,7 @@ from .model import (
     init_params,
 )
 from .numerics import InvalidInputError, clamped_log, entropy_rows, random_stream, softmax_rows
-from .numerics import write_csv
+from .numerics import make_dir, write_csv
 from .optimizer import decay_lr, init_opt_state, pseudo_step, sgd_nesterov_step
 from .pseudo_labels import PseudoTable, hard_labels, init_pseudo, repredict
 
@@ -458,7 +458,7 @@ def run_pipeline(cfg: TrainConfig, out_dir=None) -> Report:
     with stage_errors("stage1"):
         params = stage1_supervised(cfg, split, report)
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
+        make_dir(out)
         save_checkpoint(params, out / "checkpoint_stage1.json")
     with stage_errors("stage2"):
         params, table = stage2_joint(cfg, params, split, report)

@@ -40,7 +40,6 @@ def test_quartiles_are_numpys_linear_rule():
     values = [3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.0]
     np.testing.assert_allclose(bench_pairs.quartiles(values),
                                np.percentile(values, [25, 50, 75]), rtol=0, atol=1e-15)
-    assert bench_pairs.quartiles([2.5]) == (2.5, 2.5, 2.5)
 
 
 def test_nine_wins_and_a_gap_beyond_the_base_iqr_hold():
@@ -67,6 +66,14 @@ def test_eight_wins_of_ten_do_not_hold():
     s = _summary(BASE, head)["peak_rss_mb"]
     assert (s["wins"], s["losses"]) == (8, 2)
     assert s["median_gap"] > s["base_iqr"] and not s["gain_rule_holds"]
+
+
+def test_fewer_than_ten_pairs_do_not_hold():
+    head = [(43.8, op) for _, op in BASE]
+    s = _summary(BASE[:9], head[:9])["peak_rss_mb"]
+    assert s["wins"] == 9 and s["median_gap"] > s["base_iqr"] and not s["gain_rule_holds"]
+    s = _summary(BASE[:3], head[:3])["peak_rss_mb"]
+    assert s["wins"] == 3 and not s["gain_rule_holds"]
 
 
 def test_ten_wins_inside_the_base_iqr_do_not_hold():

@@ -82,9 +82,10 @@ class TestManifest:
 
 
 class TestOutputFailures:
-    """An output file that cannot be written exits 1 naming the file and the
-    OS reason, never a bare traceback; a manifest command records the stage
-    "output". Each test puts a directory where the file goes."""
+    """An output file or directory that cannot be written exits 1 naming its
+    path and the OS reason, never a bare traceback; a manifest command records
+    the stage "output". Each test but the last puts a directory where the file
+    goes; the last refuses to make the output directory."""
 
     @pytest.mark.parametrize("command, name", [
         ("train", "report.csv"), ("verify", "verification.json"),
@@ -116,6 +117,29 @@ class TestOutputFailures:
         assert err.count("error: cannot write") == 1
         assert f"{out / 'manifest.json'}: Is a directory" in err
         assert (out / "report.csv").is_file()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "gradcheck", "ablate"])
+    def test_output_directory_that_cannot_be_made_is_named(self, trained, tmp_path, capsys,
+                                                           monkeypatch, command):
+        cfg, _ = trained
+        out = tmp_path / "out"
+        make = Path.mkdir
+
+        def refuse(self, *args, **kwargs):  # what a read-only parent directory does
+            if self == out:
+                raise PermissionError(13, "Permission denied")
+            return make(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", refuse)
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        argv += {"gradcheck": ["--trials", "3"], "ablate": ["--grid", "lc", "--seeds", "1"]}.get(
+            command, [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: cannot write") == 1  # no manifest is tried in no directory
+        assert f"error: cannot write {out}: Permission denied" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestExitCodes:

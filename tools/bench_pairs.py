@@ -4,19 +4,20 @@
 
 Each revision is exported with ``git archive`` into its own temporary
 directory, removed on every exit path (an error, Ctrl-C or SIGTERM too).
-``--workload`` takes several names, each measured in ``--pairs`` pairs. Pair
-``i`` (from 0) runs ``bench/run.py --workload W --seconds S --trace 0`` once
-per side, the base first when ``i`` is even and the head first when it is
-odd, so drift on the host falls on both sides alike. Every run must report
-``correct``.
+``--workload`` takes several names, each measured in ten pairs, the fewest
+the gain rule below accepts. Pair ``i`` (from 0) runs ``bench/run.py
+--workload W --seconds S --trace 0`` once per side, with ``S`` the
+``run_seconds`` of ``BENCHMARK.json``, the base first when ``i`` is even and
+the head first when it is odd, so drift on the host falls on both sides
+alike. Every run must report ``correct``.
 
 For each end-to-end metric of ``BENCHMARK.json`` the summary gives each
 side's median and quartiles (numpy's linear rule), the pairs the head wins,
 loses and ties in the metric's ``better`` direction, whether the head's
 median is within the metric's bound (its share of the base median), and
-whether the gain rule holds: the head wins at least nine tenths of all
-pairs, and its median beats the base median by more than the distance
-between the base's quartiles. ``--json`` also writes every run's metrics.
+whether the gain rule holds: at least ten pairs were run, the head wins at
+least nine tenths of them, and its median beats the base median by more
+than the distance between the base's quartiles. ``--json`` also writes every run's metrics.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10  # per workload: the fewest pairs the gain rule accepts
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """(q1, median, q3) by numpy's linear rule; one value is all three."""
-    if len(values) == 1:
-        return values[0], values[0], values[0]
+    """(q1, median, q3) by numpy's linear rule."""
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
 
@@ -68,19 +68,20 @@ def summarize(base: list[dict], head: list[dict], end_to_end: list[dict]) -> dic
             "median_gap": gap,
             "base_iqr": bq3 - bq1,
             "within_bound": -gap <= spec["bound"] * abs(bmed),
-            "gain_rule_holds": 10 * wins >= 9 * len(gains) and gap > bq3 - bq1,
+            "gain_rule_holds": (len(gains) >= PAIRS and 10 * wins >= 9 * len(gains)
+                                and gap > bq3 - bq1),
         }
     return out
 
 
-def report_lines(summary: dict, pairs: int) -> list[str]:
+def report_lines(summary: dict) -> list[str]:
     lines = []
     for name, s in summary.items():
         b, h = s["base"], s["head"]
         lines.append(
             f"{name} ({s['better']} is better): base {b['median']:.6g} [{b['q1']:.6g}, "
             f"{b['q3']:.6g}], head {h['median']:.6g} [{h['q1']:.6g}, {h['q3']:.6g}]; "
-            f"head wins {s['wins']}, loses {s['losses']}, ties {s['ties']} of {pairs}; "
+            f"head wins {s['wins']}, loses {s['losses']}, ties {s['ties']}; "
             f"median gap {s['median_gap']:.6g} vs base IQR {s['base_iqr']:.6g}; "
             f"within bound: {'yes' if s['within_bound'] else 'NO'}; "
             f"gain rule: {'holds' if s['gain_rule_holds'] else 'does not hold'}")
@@ -124,15 +125,10 @@ def main(argv=None) -> int:
     p.add_argument("--base", required=True, help="parent revision")
     p.add_argument("--head", default="HEAD", help="changed revision")
     p.add_argument("--workload", required=True, nargs="+", help="run in the order given")
-    p.add_argument("--pairs", type=int, default=10, help="pairs per workload")
-    p.add_argument("--seconds", type=float, help="measuring time per run "
-                   "(default: BENCHMARK.json's run_seconds)")
     p.add_argument("--json", type=Path, help="also write the runs and the summaries here")
     args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error("--pairs must be >= 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    args.seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     signal.signal(signal.SIGTERM, _terminate)
     revs = {side: subprocess.run(["git", "rev-parse", "--short", getattr(args, side)], cwd=ROOT,
                                  capture_output=True, text=True, check=True).stdout.strip()
@@ -143,16 +139,16 @@ def main(argv=None) -> int:
         for side, tree in trees.items():
             export(revs[side], tree)
         for workload, sides in runs.items():
-            for i in range(args.pairs):
-                print(f"{workload}: pair {i + 1} of {args.pairs}", flush=True)
+            for i in range(PAIRS):
+                print(f"{workload}: pair {i + 1} of {PAIRS}", flush=True)
                 for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
-                    sides[side].append(run_bench(trees[side], workload, args.seconds))
+                    sides[side].append(run_bench(trees[side], workload, seconds))
     summaries = {w: summarize(sides["base"], sides["head"], spec["end_to_end"])
                  for w, sides in runs.items()}
     for workload, summary in summaries.items():
-        print("\n".join([f"{workload}:", *report_lines(summary, args.pairs)]))
+        print("\n".join([f"{workload}:", *report_lines(summary)]))
     if args.json is not None:
-        doc = {"revisions": revs, "seconds": args.seconds, "pairs": args.pairs,
+        doc = {"revisions": revs, "seconds": seconds, "pairs": PAIRS,
                "order": "base first in pairs 0, 2, 4, ...",
                "workloads": {w: {"runs": runs[w], "summary": summaries[w]} for w in runs}}
         args.json.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
