@@ -2,7 +2,8 @@
 
 Commands: gen-data, train, verify, gradcheck, ablate, export-features.
 Exit codes: 0 success, 1 runtime/verification failure, 2 usage/config error
-(including an --out path that is, or lies under, an existing file;
+(including an --out path that is empty, is or lies under an existing file,
+or that the OS refuses to look up, say for a name that is too long;
 export-features on a split whose labeled or unlabeled rows have no class
 with 2 or more rows, checked before any training; and verify artifacts that
 are not the configured run's, naming the file: missing, not JSON, another
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import stat
 import statistics
 import subprocess
 import sys
@@ -310,21 +312,32 @@ COMMANDS = {
 MANIFEST_COMMANDS = ("train", "ablate", "export-features")
 
 
-def _file_in_the_way(out: Path) -> Path | None:
-    """The existing non-directory that ``out`` is or lies under, if any."""
-    for path in (out, *out.parents):
-        if path.exists():
-            return None if path.is_dir() else path
+def _out_error(out: str) -> str | None:
+    """Why ``out`` cannot be the output directory, if it cannot: it is empty
+    (``Path("")`` is the working directory), it is or lies under an existing
+    file, or the OS refuses to look it up, say for a name that is too long."""
+    if not out:
+        return "--out is empty: name an output directory"
+    for path in (Path(out), *Path(out).parents):
+        try:
+            mode = path.stat().st_mode
+        except (FileNotFoundError, NotADirectoryError):
+            continue
+        except OSError as exc:
+            return f"--out {out} cannot be a directory: {exc.strerror}"
+        if stat.S_ISDIR(mode):
+            return None
+        return f"--out {out} cannot be a directory: {path} is a file"
     return None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = Path(args.out)
-    blocker = _file_in_the_way(out)
-    if blocker is not None:
-        print(f"error: --out {out} cannot be a directory: {blocker} is a file", file=sys.stderr)
+    problem = _out_error(args.out)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE
+    out = Path(args.out)
     manifest = args.command in MANIFEST_COMMANDS
     try:
         cfg = load_config(args.config, args.override)

@@ -197,29 +197,6 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(feats, labels, max(num_classes, 2))
 
 
-def write_idx(dataset: Dataset, images_path, labels_path, side: int | None = None) -> None:
-    """Serialize a dataset into an IDX image/label pair (inverse of load_idx).
-
-    Features must be in [0, 1]; they are quantized to uint8. ``side`` is the
-    image edge length; defaults to sqrt(input_dim), which must be integral.
-    """
-    if side is None:
-        side = int(round(np.sqrt(dataset.input_dim)))
-    if side * side != dataset.input_dim:
-        raise InvalidInputError(
-            f"input_dim {dataset.input_dim} is not a square image; pass side explicitly"
-        )
-    if dataset.features.min() < 0.0 or dataset.features.max() > 1.0:
-        raise InvalidInputError("features must lie in [0, 1] to quantize to uint8")
-    pixels = np.round(dataset.features * 255.0).astype(np.uint8)
-    with Path(images_path).open("wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, dataset.n_examples, side, side))
-        f.write(pixels.tobytes())
-    with Path(labels_path).open("wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, dataset.n_examples))
-        f.write(dataset.labels.astype(np.uint8).tobytes())
-
-
 def split_per_class(ds: Dataset, labeled_per_class: int, seed: int) -> SplitDataset:
     """Uniform per-class sample without replacement; remainder is unlabeled."""
     labeled: list[np.ndarray] = []

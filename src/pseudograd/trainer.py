@@ -249,34 +249,76 @@ def _eval_row(report: Report, stage: int, epoch: int, lr: float, loss_total: flo
                      test_acc, mean_ent_pred, mean_ent_pseudo, drift, p50, p90, p99)
 
 
+class StagePlan(NamedTuple):
+    """A supervised stage: ``epochs`` epochs of ``batches`` batches of
+    ``batch`` rows, the last one short when ``batch`` does not divide them."""
+    epochs: int
+    batches: int
+    batch: int
+
+
+class JointPlan(NamedTuple):
+    """Stage 2: ``rounds`` rounds of ``epochs`` epochs of ``batches`` batches
+    of ``labeled`` then ``unlabeled`` rows, each quota from its own cycling
+    pool. The table is re-predicted before the rounds in ``repredict``, and
+    the learning rate decays after those in ``decay``."""
+    rounds: int
+    epochs: int
+    batches: int
+    labeled: int
+    unlabeled: int
+    repredict: tuple[int, ...]
+    decay: tuple[int, ...]
+
+
+class RunPlan(NamedTuple):
+    stage1: StagePlan
+    stage2: JointPlan
+    stage3: StagePlan
+
+
+def plan(cfg: TrainConfig, split: SplitDataset) -> RunPlan:
+    """The run's schedule, derived here once; the stage loops run it. A
+    stage-2 epoch is ``ceil(n_examples / batch)`` batches, at least one, with
+    fixed quotas, so it need not reach every unlabeled row; without unlabeled
+    rows a batch is all labeled. The schema keeps ``batch >= 2`` and the
+    fraction in (0, 1), so the labeled quota's clamp to [1, batch - 1] acts
+    only on rounding."""
+    s1, s2, s3 = cfg.stage1, cfg.stage2, cfg.stage3
+    n = split.base.n_examples
+    frac = s2.labeled_fraction_per_batch
+    lab = min(max(round(s2.batch * frac), 1), s2.batch - 1) if split.n_unlabeled else s2.batch
+    rounds = tuple(range(s2.rounds))
+    return RunPlan(
+        StagePlan(s1.epochs, math.ceil(split.n_labeled / s1.batch), s1.batch),
+        JointPlan(s2.rounds, s2.epochs, max(1, math.ceil(n / s2.batch)), lab, s2.batch - lab,
+                  rounds[1:] if s2.repredict_between_rounds else (),
+                  rounds[:-1] if s2.decay_between_rounds else ()),
+        StagePlan(s3.epochs, math.ceil(n / s3.batch), s3.batch),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Stages
 
 
-def _supervised_stage(
-    stage: int,
-    stage_cfg: StageOneConfig,
-    seed: int,
-    stream_id: int,
-    params: ModelParams,
-    features: np.ndarray,
-    targets: np.ndarray,
-    table: PseudoTable | None,
-    report: Report | None,
-) -> ModelParams:
-    """Cross-entropy epochs over a fixed example set (stages 1 and 3), with
-    one report row per epoch when ``report`` is given."""
+def _supervised_stage(stage: int, stage_cfg: StageOneConfig, p: StagePlan, seed: int,
+                      stream_id: int, params: ModelParams, features: np.ndarray,
+                      targets: np.ndarray, table: PseudoTable | None,
+                      report: Report | None) -> ModelParams:
+    """Cross-entropy epochs over a fixed example set (stages 1 and 3) as
+    ``p`` plans them, with one report row per epoch when ``report`` is given."""
     opt = init_opt_state(params, stage_cfg.lr, MOMENTUM, stage_cfg.wd)
     grads = ModelParams(params.arch, np.empty_like(params.flat))
     stream = random_stream(seed, stream_id=stream_id)
     if report is not None:  # the table is read-only here: its fields are read once
         pseudo = report.pseudo_eval(table) if table is not None else None
     n = features.shape[0]
-    for ep in range(stage_cfg.epochs):
+    for ep in range(p.epochs):
         order = stream.permutation(n)
         ce_sum = 0.0
-        for lo in range(0, n, stage_cfg.batch):
-            rows = order[lo : lo + stage_cfg.batch]
+        for b in range(p.batches):
+            rows = order[b * p.batch : (b + 1) * p.batch]
             trace = forward_batch(params, features[rows])
             g = trace.p_hat  # becomes the cross-entropy gradient in place
             picked = (np.arange(rows.size), targets[rows])
@@ -290,36 +332,13 @@ def _supervised_stage(
     return params
 
 
-def stage1_supervised(
-    cfg: TrainConfig, split: SplitDataset, report: Report | None = None
-) -> ModelParams:
+def stage1_supervised(cfg: TrainConfig, split: SplitDataset,
+                      report: Report | None = None) -> ModelParams:
     """Supervised warmup on the labeled subset only."""
     params = init_params(resolve_arch(cfg.arch, split.base), cfg.seed)
     feats = split.base.features[split.labeled_idx]
-    return _supervised_stage(1, cfg.stage1, cfg.seed, 10, params, feats,
-                             split.labeled_targets(), None, report)
-
-
-def _mixed_batch_plan(
-    split: SplitDataset, batch: int, frac: float
-) -> tuple[int, int, int]:
-    """(batches per epoch, labeled quota, unlabeled quota) for stage-2 epochs.
-
-    An epoch is ``ceil(n_examples / batch)`` batches with fixed quotas, each
-    quota drawn from its own cycling pool, so an epoch need not reach every
-    unlabeled row: the median stage-2 epoch draws 768 distinct of 992
-    unlabeled rows on moons_ssl, 422 of 591 on blobs_trend and 396 of 570
-    on blobs_convergence. The schema keeps ``batch >= 2`` and ``frac`` in
-    (0, 1), so the clamp of the labeled quota to [1, batch - 1] acts only on
-    rounding, e.g. 0.01 of 16 rows.
-    """
-    n_total = split.base.n_examples
-    n_batches = max(1, math.ceil(n_total / batch))
-    if split.n_unlabeled == 0:
-        return n_batches, batch, 0
-    lab_quota = int(round(batch * frac))
-    lab_quota = min(max(lab_quota, 1), batch - 1)
-    return n_batches, lab_quota, batch - lab_quota
+    return _supervised_stage(1, cfg.stage1, plan(cfg, split).stage1, cfg.seed, 10, params,
+                             feats, split.labeled_targets(), None, report)
 
 
 @dataclass
@@ -332,30 +351,18 @@ class StageTwoStats:
     head_grad_norm: float  # epoch mean of the batch head-weight gradient norm
 
 
-def _joint_epoch(
-    params: ModelParams,
-    table: PseudoTable,
-    split: SplitDataset,
-    lcfg: LossConfig,
-    opt,
-    batch: int,
-    frac: float,
-    lab_pool: _CyclingPool,
-    unl_pool: _CyclingPool,
-    grads: ModelParams,
-) -> StageTwoStats:
-    """One epoch of joint steps; ``grads`` is the stage's gradient buffer."""
-    n_batches, lab_q, unl_q = _mixed_batch_plan(split, batch, frac)
+def _joint_epoch(params: ModelParams, table: PseudoTable, split: SplitDataset,
+                 lcfg: LossConfig, opt, p: JointPlan, lab_pool: _CyclingPool,
+                 unl_pool: _CyclingPool, grads: ModelParams, batch) -> StageTwoStats:
+    """One epoch of joint steps as ``p`` plans them. ``grads`` is the stage's
+    gradient buffer and ``batch`` its buffers of one batch's rows, inputs and
+    pseudo-logits, refilled every step."""
     feats = split.base.features
-    # one batch's rows, inputs and pseudo-logits, refilled every step
-    rows = np.empty(lab_q + unl_q, dtype=np.int64)
-    x = np.empty((rows.size, feats.shape[1]))
-    logits = np.empty((rows.size, table.num_classes))
+    rows, x, logits = batch
     tot = lc_s = le_s = hn = 0.0
-    n_seen = 0
-    for _ in range(n_batches):
-        lab_pool.take(rows[:lab_q])
-        unl_pool.take(rows[lab_q:])
+    for _ in range(p.batches):
+        lab_pool.take(rows[: p.labeled])
+        unl_pool.take(rows[p.labeled :])
         np.take(feats, rows, axis=0, out=x)
         np.take(table.logits, rows, axis=0, out=logits)
         trace = forward_batch(params, x)
@@ -363,7 +370,6 @@ def _joint_epoch(
         lc_s += float(loss.lc.sum())
         le_s += float(loss.le.sum())
         tot += float(loss.total.sum())
-        n_seen += rows.size
         # joint step from one shared forward pass; gradients of the batch-mean loss
         for grad in (loss.grad_y, loss.grad_pseudo):
             grad /= rows.size
@@ -371,27 +377,23 @@ def _joint_epoch(
         hn += float(np.linalg.norm(grads.head_w))
         sgd_nesterov_step(params, grads, opt)
         pseudo_step(table, loss.grad_pseudo, lcfg.lam, rows)
-    return StageTwoStats(tot / n_seen, lc_s / n_seen, le_s / n_seen, hn / n_batches)
+    n_seen = p.batches * rows.size
+    return StageTwoStats(tot / n_seen, lc_s / n_seen, le_s / n_seen, hn / p.batches)
 
 
-def stage2_joint(
-    cfg: TrainConfig,
-    params: ModelParams,
-    split: SplitDataset,
-    report: Report | None = None,
-    epoch_hook=None,
-    table: PseudoTable | None = None,
-) -> tuple[ModelParams, PseudoTable]:
-    """Joint optimization of weights and pseudo-logits with the round schedule.
+def stage2_joint(cfg: TrainConfig, params: ModelParams, split: SplitDataset,
+                 report: Report | None = None, epoch_hook=None,
+                 table: PseudoTable | None = None) -> tuple[ModelParams, PseudoTable]:
+    """Joint optimization of weights and pseudo-logits in the planned rounds.
 
-    Each round: (re)predict pseudo-logits, train ``epochs`` epochs, then decay
-    the network learning rate. The first round's prediction is the table
+    Each round: (re)predict pseudo-logits, train its epochs, then decay the
+    network learning rate. The first round's prediction is the table
     initialization itself; passing an existing ``table`` continues a previous
     joint-training run instead. ``epoch_hook(round, epoch, params, table,
     stats)`` runs after every epoch, before report emission; a truthy return
     value stops the stage early (used for convergence-gated training).
     """
-    s2 = cfg.stage2
+    s2, p = cfg.stage2, plan(cfg, split).stage2
     opt = init_opt_state(params, s2.lr0, MOMENTUM, s2.wd)
     stream = random_stream(cfg.seed, stream_id=11)
     if table is None:
@@ -399,13 +401,16 @@ def stage2_joint(
     lab_pool = _CyclingPool(split.labeled_idx, stream)
     unl_pool = _CyclingPool(split.unlabeled_idx, stream)  # draws nothing when empty
     grads = ModelParams(params.arch, np.empty_like(params.flat))
+    rows = np.empty(p.labeled + p.unlabeled, dtype=np.int64)
+    batch = (rows, np.empty((rows.size, split.base.input_dim)),
+             np.empty((rows.size, table.num_classes)))
     epoch_global = 0
-    for rnd in range(s2.rounds):
-        if rnd > 0 and s2.repredict_between_rounds:
+    for rnd in range(p.rounds):
+        if rnd in p.repredict:
             table = repredict(table, split, params)
-        for _ in range(s2.epochs):
-            stats = _joint_epoch(params, table, split, cfg.loss, opt, s2.batch,
-                                 s2.labeled_fraction_per_batch, lab_pool, unl_pool, grads)
+        for _ in range(p.epochs):
+            stats = _joint_epoch(params, table, split, cfg.loss, opt, p, lab_pool, unl_pool,
+                                 grads, batch)
             epoch_global += 1
             stop = epoch_hook(rnd, epoch_global, params, table, stats) if epoch_hook else None
             if report is not None:
@@ -413,23 +418,18 @@ def stage2_joint(
                                      stats.loss_lc, stats.loss_le, params, table))
             if stop:
                 return params, table
-        if s2.decay_between_rounds and rnd < s2.rounds - 1:
+        if rnd in p.decay:
             decay_lr(opt, s2.lr_decay_factor)
     return params, table
 
 
-def stage3_finetune(
-    cfg: TrainConfig,
-    params: ModelParams,
-    table: PseudoTable,
-    split: SplitDataset,
-    report: Report | None = None,
-) -> ModelParams:
+def stage3_finetune(cfg: TrainConfig, params: ModelParams, table: PseudoTable,
+                    split: SplitDataset, report: Report | None = None) -> ModelParams:
     """Hard-target finetune on all examples; the pseudo table is read-only."""
     targets = hard_labels(table)
     targets[split.labeled_idx] = split.labeled_targets()
-    return _supervised_stage(3, cfg.stage3, cfg.seed, 12, params, split.base.features,
-                             targets, table, report)
+    return _supervised_stage(3, cfg.stage3, plan(cfg, split).stage3, cfg.seed, 12, params,
+                             split.base.features, targets, table, report)
 
 
 def resolve_arch(spec: ArchSpec, ds: Dataset) -> Architecture:

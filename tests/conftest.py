@@ -2,14 +2,16 @@
 (each a committed file under configs/ with ``TrainConfig.replace`` changes),
 the converged blobs run used by the stationarity checks, the five moons runs
 of the benefit tests, and a handwritten-digits IDX pair for the 2-D-feature
-reproduction; the bisection link-point oracle; and the one Hypothesis
-profile of the property tests, with the JSON documents that the readers'
-properties draw."""
+reproduction, written by the suite's IDX writer; the bisection link-point
+oracle; the calls a run plan makes; and the one Hypothesis profile of the
+property tests, with the JSON documents that the readers' properties draw."""
 
 from __future__ import annotations
 
 import copy
 import json
+import math
+import struct
 import tempfile
 import time
 from pathlib import Path
@@ -21,10 +23,11 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from pseudograd.config import LossConfig, TrainConfig, config_from_dict, load_config
-from pseudograd.data import Dataset, write_idx
+from pseudograd.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, Dataset
 from pseudograd.loss import loss_terms_rows
 from pseudograd.numerics import clamped_log
-from pseudograd.trainer import build_dataset, run_pipeline, stage1_supervised, stage2_joint
+from pseudograd.trainer import RunPlan, build_dataset, run_pipeline, stage1_supervised
+from pseudograd.trainer import stage2_joint
 
 CONVERGENCE_GATE = 1e-4
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -92,6 +95,32 @@ TINY_DOC = {
     "stage3": {"epochs": 5, "lr": 0.01, "batch": 16},
     "seed": 0,
 }
+
+
+def plan_counts(plan: RunPlan) -> dict[str, int]:
+    """The calls a ``run_pipeline`` that follows ``plan`` makes, by the name
+    ``trainer`` binds each function to."""
+    s1, s2, s3 = plan
+    epochs2 = s2.rounds * s2.epochs
+    steps2 = epochs2 * s2.batches
+    steps = s1.epochs * s1.batches + steps2 + s3.epochs * s3.batches
+    return {"sgd_nesterov_step": steps, "backward": steps, "pseudo_step": steps2,
+            "_joint_epoch": epochs2, "_eval_row": s1.epochs + epochs2 + s3.epochs,
+            "repredict": len(s2.repredict), "decay_lr": len(s2.decay)}
+
+
+def write_idx(dataset: Dataset, images_path, labels_path, side: int | None = None) -> None:
+    """Serialize ``dataset`` as the IDX image/label pair that
+    ``data.load_idx`` reads: features in [0, 1], quantized to uint8, as
+    square images of edge ``side`` (by default the root of the input dim)."""
+    side = side or math.isqrt(dataset.input_dim)
+    assert side * side == dataset.input_dim, "not a square image: pass side"
+    assert 0.0 <= dataset.features.min() and dataset.features.max() <= 1.0
+    pixels = np.round(dataset.features * 255.0).astype(np.uint8)
+    head = struct.pack(">IIII", IDX_IMAGE_MAGIC, dataset.n_examples, side, side)
+    Path(images_path).write_bytes(head + pixels.tobytes())
+    head = struct.pack(">II", IDX_LABEL_MAGIC, dataset.n_examples)
+    Path(labels_path).write_bytes(head + dataset.labels.astype(np.uint8).tobytes())
 
 
 def tiny_config(changes: dict | None = None) -> TrainConfig:

@@ -80,3 +80,28 @@ def test_one_traced_op_has_the_derived_counts(bench_run, tmp_path, name):
     finally:
         tracer.uninstall()
     assert (len(stats.op_s), stats.failed) == (1, 0)
+
+
+# the benchmark's span names of the calls that trainer.plan fixes
+PLANNED_SPANS = {"optimizer.sgd_nesterov_step": "sgd_nesterov_step", "model.backward": "backward",
+                 "optimizer.pseudo_step": "pseudo_step", "trainer.joint_epoch": "_joint_epoch",
+                 "trainer.eval": "_eval_row", "pseudo_labels.repredict": "repredict"}
+
+
+@pytest.mark.parametrize("config", ["moons_ssl", "blobs_trend", "blobs_convergence"])
+def test_plan_counts_equal_the_benchmarks_derived_counts(bench_run, config):
+    # the benchmark derives each pipeline's counts from the config on its
+    # own; the trainer's plan must agree on every strategy cell, so that the
+    # benchmark can read the plan instead
+    from conftest import plan_counts
+    from pseudograd.cli import GRIDS
+    from pseudograd.trainer import build_dataset, load_config, plan
+
+    cfg = load_config(BENCH.parent / "configs" / f"{config}.json")
+    split, _ = build_dataset(cfg.data, cfg.seed)
+    for name, changes in GRIDS["strategy"].items():
+        cell = cfg.replace(changes)
+        counts = plan_counts(plan(cell, split))
+        derived = bench_run.pipeline_counts(cell, split.n_labeled, split.base.n_examples)
+        assert {span: counts[fn] for span, fn in PLANNED_SPANS.items()} == \
+            {span: derived[span] for span in PLANNED_SPANS}, name

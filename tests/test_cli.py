@@ -257,6 +257,15 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @staticmethod
+    def _forbid_work(monkeypatch, command):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} started work")
+
+        for target in ("build_run_data", "run_pipeline", "stage1_supervised"):
+            monkeypatch.setattr(cli, target, no_work)
+        monkeypatch.setattr(theory, "gradient_oracle", no_work)
+
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
     @pytest.mark.parametrize("command", ["train", "ablate", "gradcheck", "gen-data",
                                          "export-features"])
@@ -266,18 +275,34 @@ class TestExitCodes:
         blocker = tmp_path / "taken"
         blocker.write_text("kept\n")
         out = blocker / "run" if under else blocker
-
-        def no_work(*args, **kwargs):
-            raise AssertionError(f"{command} started work")
-
-        for target in ("build_run_data", "run_pipeline", "stage1_supervised"):
-            monkeypatch.setattr(cli, target, no_work)
-        monkeypatch.setattr(theory, "gradient_oracle", no_work)
+        self._forbid_work(monkeypatch, command)
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{blocker} is a file" in err
         assert "Traceback" not in err
         assert blocker.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["train", "verify", "gradcheck"])
+    def test_out_with_a_name_too_long_exits_2_before_any_work(self, tmp_path, capsys,
+                                                              monkeypatch, command):
+        # the OS refuses to look up a 300-character name (ENAMETOOLONG)
+        cfg = write_tiny_config(tmp_path / "cfg.json")
+        out = tmp_path / ("x" * 300)
+        self._forbid_work(monkeypatch, command)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out} cannot be a directory: File name too long")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "verify", "gradcheck"])
+    def test_empty_out_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        # Path("") is ".", so an empty --out would write into the working directory
+        cfg = write_tiny_config(tmp_path / "cfg.json")
+        monkeypatch.chdir(tmp_path)
+        self._forbid_work(monkeypatch, command)
+        assert main([command, "--config", str(cfg), "--out", ""]) == 2
+        assert capsys.readouterr().err == "error: --out is empty: name an output directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_verify_missing_artifacts_exits_2(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")

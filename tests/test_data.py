@@ -10,9 +10,9 @@ from pseudograd.data import (
     gen_two_moons,
     load_idx,
     split_per_class,
-    write_idx,
     _simplex_vertices,
 )
+from conftest import write_idx
 from pseudograd.numerics import InvalidInputError
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pseudograd import theory, trainer
 from conftest import DOCUMENT_SLOTS, JSON_VALUES, TINY_DOC, damaged, tiny_config
-from conftest import write_tiny_config
+from conftest import plan_counts, write_idx, write_tiny_config
 from pseudograd.config import ConfigError, DataSpec, StageTwoConfig, config_from_dict, load_config
 from pseudograd.config import TrainConfig
 from pseudograd.data import gen_gaussian_blobs, split_per_class
@@ -19,8 +19,8 @@ from pseudograd.trainer import (
     Report,
     ReportRow,
     _CyclingPool,
-    _mixed_batch_plan,
     build_dataset,
+    plan,
     run_pipeline,
     stage1_supervised,
     stage2_joint,
@@ -233,24 +233,71 @@ class TestConfigHandling:
 
 
 class TestBatchPlan:
+    @staticmethod
+    def _stage2(split, batch, frac):
+        cfg = tiny_config({"stage2.batch": batch, "stage2.labeled_fraction_per_batch": frac})
+        return plan(cfg, split).stage2
+
     def test_mixing_fraction(self):
         ds = gen_gaussian_blobs(3, 40, 2, 0.5, seed=0)
         split = split_per_class(ds, 4, seed=0)
-        n_batches, lab, unl = _mixed_batch_plan(split, batch=32, frac=0.5)
-        assert lab == 16 and unl == 16
-        assert n_batches == int(np.ceil(120 / 32))
+        p = self._stage2(split, batch=32, frac=0.5)
+        assert p.labeled == 16 and p.unlabeled == 16
+        assert p.batches == 4  # 120 rows in batches of 32, the last one short
 
     def test_no_unlabeled(self):
         ds = gen_gaussian_blobs(2, 5, 2, 0.5, seed=0)
         split = split_per_class(ds, 5, seed=0)
-        _, lab, unl = _mixed_batch_plan(split, batch=8, frac=0.5)
-        assert (lab, unl) == (8, 0)
+        p = self._stage2(split, batch=8, frac=0.5)
+        assert (p.labeled, p.unlabeled) == (8, 0)
 
     def test_labeled_quota_at_least_one(self):
         ds = gen_gaussian_blobs(2, 50, 2, 0.5, seed=0)
         split = split_per_class(ds, 1, seed=0)
-        _, lab, unl = _mixed_batch_plan(split, batch=16, frac=0.01)
-        assert lab == 1 and unl == 15
+        p = self._stage2(split, batch=16, frac=0.01)
+        assert p.labeled == 1 and p.unlabeled == 15
+
+
+# the stage functions bind these names in trainer and call them through it
+COUNTED = ("sgd_nesterov_step", "backward", "pseudo_step", "_joint_epoch", "_eval_row",
+           "repredict", "decay_lr")
+
+
+@st.composite
+def tiny_schedules(draw):
+    """The tiny run with drawn epochs, rounds, R2 flags, batch sizes and
+    labeled fraction, on 1-6 rows per class of which 1 to all are labeled."""
+    n = draw(st.integers(1, 6))
+    epochs = st.integers(0, 3)
+    return tiny_config({
+        "data.n_per_class": n, "data.labeled_per_class": draw(st.integers(1, n)),
+        "data.test_n_per_class": 2,
+        "stage1.epochs": draw(epochs), "stage1.batch": draw(st.integers(1, 8)),
+        "stage2.epochs_per_round": draw(epochs), "stage2.rounds": draw(st.integers(1, 3)),
+        "stage2.repredict_between_rounds": draw(st.booleans()),
+        "stage2.decay_between_rounds": draw(st.booleans()),
+        "stage2.batch": draw(st.integers(2, 20)),
+        "stage2.labeled_fraction_per_batch": draw(st.floats(0.01, 0.99)),
+        "stage3.epochs": draw(epochs), "stage3.batch": draw(st.integers(1, 20)),
+    })
+
+
+@given(tiny_schedules())
+def test_a_run_makes_the_calls_its_plan_derives(cfg):
+    calls = dict.fromkeys(COUNTED, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in COUNTED:
+            mp.setattr(trainer, name, counting(name, getattr(trainer, name)))
+        run_pipeline(cfg)
+    split, _ = build_dataset(cfg.data, cfg.seed)
+    assert calls == plan_counts(plan(cfg, split))
 
 
 def _allocating_take(pool, k):
@@ -337,8 +384,8 @@ class TestStages:
 
         from pseudograd.trainer import _supervised_stage
 
-        ref = _supervised_stage(3, cfg.stage3, cfg.seed, 12, params.copy(), split.base.features,
-                                split.base.labels, None, None)
+        ref = _supervised_stage(3, cfg.stage3, plan(cfg, split).stage3, cfg.seed, 12,
+                                params.copy(), split.base.features, split.base.labels, None, None)
         np.testing.assert_array_equal(out.head_w, ref.head_w)
 
     def test_stage2_emits_epoch_rows(self):
@@ -348,7 +395,7 @@ class TestStages:
         params = stage1_supervised(cfg, split, report)
         stage2_joint(cfg, params, split, report)
         s2 = report.stage_rows(2)
-        assert len(s2) == cfg.stage2.epochs * cfg.stage2.rounds
+        assert len(s2) == plan_counts(plan(cfg, split))["_joint_epoch"]
         assert all(np.isfinite(list(vars(r).values())).all() for r in s2)
 
 
@@ -418,7 +465,7 @@ class TestSharedEval:
     def test_stage2_pseudo_columns_follow_the_table_every_epoch(self, trend_run):
         cfg, split, report, seen_params, seen_tables, _ = trend_run
         rows = self._stage_rows_and_params(report, seen_params, 2)
-        assert len(rows) == len(seen_tables) == cfg.stage2.rounds * cfg.stage2.epochs
+        assert len(rows) == len(seen_tables) == plan_counts(plan(cfg, split))["_joint_epoch"]
         for (row, params), table in zip(rows, seen_tables):
             assert self._row_pseudo_columns(row) == self._pseudo_columns(table, split), row.epoch
             self._assert_fresh_residual(row, params, table, split, cfg)
@@ -460,8 +507,8 @@ class TestPipeline:
             "checkpoint_stage3.json",
         ):
             assert (tmp_path / name).exists()
-        total = cfg.stage1.epochs + cfg.stage2.epochs * cfg.stage2.rounds + cfg.stage3.epochs
-        assert len(report.rows) == total
+        split, _ = build_dataset(cfg.data, cfg.seed)
+        assert len(report.rows) == plan_counts(plan(cfg, split))["_eval_row"]
 
     def test_report_bytes_deterministic(self, tmp_path):
         cfg = tiny_config({"seed": 5})
@@ -492,7 +539,7 @@ class TestPipeline:
         assert np.median(finals) >= np.median(stage1s) + 0.02
 
     def test_idx_holdout_split(self, tmp_path):
-        from pseudograd.data import Dataset, write_idx
+        from pseudograd.data import Dataset
 
         rng = np.random.default_rng(0)
         ds = Dataset(rng.uniform(0, 1, (50, 4)), rng.integers(0, 2, 50), 2)
