@@ -243,7 +243,7 @@ class TestBatchPlan:
         split = split_per_class(ds, 4, seed=0)
         p = self._stage2(split, batch=32, frac=0.5)
         assert p.labeled == 16 and p.unlabeled == 16
-        assert p.batches == 4  # 120 rows in batches of 32, the last one short
+        assert p.batches == 4  # ceil(120 rows / 32)
 
     def test_no_unlabeled(self):
         ds = gen_gaussian_blobs(2, 5, 2, 0.5, seed=0)
