@@ -22,12 +22,12 @@ import numpy as np
 
 LOG_EPS = 1e-12
 
-# The class-axis reductions loop over the columns of an array narrower than
-# 8 columns with at least ROWS_PER_COLUMN rows per column. From 8 entries on,
-# numpy reduces a row in another order (its sum is pairwise, and its max
-# breaks ties of signed zeros otherwise), and on shorter arrays a call per
-# column costs more than numpy's reduce saves.
-MAX_COLUMN_WIDTH = 7
+# The class-axis reductions loop over the columns of an array of at most
+# MAX_COLUMN_WIDTH columns with at least ROWS_PER_COLUMN rows per column: on
+# shorter arrays a call per column costs more than numpy's reduce saves, and
+# from 16 columns on a loop in numpy's sum order is slower than numpy's reduce
+# (README, Hot paths).
+MAX_COLUMN_WIDTH = 15
 ROWS_PER_COLUMN = 16
 
 
@@ -135,21 +135,45 @@ def _by_columns(m: np.ndarray) -> bool:
     return 0 < cols <= MAX_COLUMN_WIDTH and rows >= ROWS_PER_COLUMN * cols
 
 
-def _reduce_columns(ufunc, out: np.ndarray, m: np.ndarray) -> np.ndarray:
-    for j in range(1, m.shape[1]):
+def _reduce_columns(ufunc, out: np.ndarray, m: np.ndarray, start: int = 1) -> np.ndarray:
+    for j in range(start, m.shape[1]):
         ufunc(out, m[:, j], out=out)
     return out
 
 
 def row_max(m: np.ndarray) -> np.ndarray:
     """``m.max(axis=1)`` of a 2-D array, with its bits."""
-    return _reduce_columns(np.maximum, m[:, 0].copy(), m) if _by_columns(m) else m.max(axis=1)
+    if not _by_columns(m):
+        return m.max(axis=1)
+    out = _reduce_columns(np.maximum, m[:, 0].copy(), m)
+    # From 8 columns on, numpy's vectorised max may return the other zero of
+    # a tie (at widths 9, 17, 25, ...), or another NaN of the row.
+    if m.shape[1] < 8 or (np.abs(out) > 0).all():
+        return out
+    return m.max(axis=1)
 
 
 def row_sum(m: np.ndarray) -> np.ndarray:
     """``m.sum(axis=1)`` of a 2-D array, with its bits: numpy starts from
     +0.0, so a row of -0.0 sums to +0.0."""
-    return _reduce_columns(np.add, m[:, 0] + 0.0, m) if _by_columns(m) else m.sum(axis=1)
+    if not _by_columns(m):
+        return m.sum(axis=1)
+    if m.shape[1] < 8:
+        return _reduce_columns(np.add, m[:, 0] + 0.0, m)
+    if m.strides[1] != m.itemsize:  # numpy sums an F-ordered row left to right
+        return m.sum(axis=1)
+    # numpy's pairwise order on a unit-stride row of 8 to 15 entries:
+    # ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)), then each further entry in turn,
+    # then that sum added to numpy's +0.0 start
+    out = np.add(m[:, 0], m[:, 1])
+    t = np.add(m[:, 2], m[:, 3])
+    out += t
+    np.add(m[:, 4], m[:, 5], out=t)
+    t += np.add(m[:, 6], m[:, 7])
+    out += t
+    out = _reduce_columns(np.add, out, m, start=8)
+    out += 0.0
+    return out
 
 
 def softmax_rows(m) -> np.ndarray:

@@ -261,7 +261,9 @@ class JointPlan(NamedTuple):
     """Stage 2: ``rounds`` rounds of ``epochs`` epochs of ``batches`` batches
     of ``labeled`` then ``unlabeled`` rows, each quota from its own cycling
     pool. The table is re-predicted before the rounds in ``repredict``, and
-    the learning rate decays after those in ``decay``."""
+    the learning rate decays after those in ``decay``. Both are empty when a
+    round has no epochs: the weights never move, so a re-prediction would
+    rewrite the table it was given, and a decay would precede no step."""
     rounds: int
     epochs: int
     batches: int
@@ -288,7 +290,7 @@ def plan(cfg: TrainConfig, split: SplitDataset) -> RunPlan:
     n = split.base.n_examples
     frac = s2.labeled_fraction_per_batch
     lab = min(max(round(s2.batch * frac), 1), s2.batch - 1) if split.n_unlabeled else s2.batch
-    rounds = tuple(range(s2.rounds))
+    rounds = tuple(range(s2.rounds)) if s2.epochs else ()
     return RunPlan(
         StagePlan(s1.epochs, math.ceil(split.n_labeled / s1.batch), s1.batch),
         JointPlan(s2.rounds, s2.epochs, max(1, math.ceil(n / s2.batch)), lab, s2.batch - lab,

@@ -33,6 +33,39 @@ def _gate_row_counts(cols):
     return (1, gate - 1, gate, 3 * gate)
 
 
+SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -1e-310])
+
+
+def _draw_with_specials(rng, rows, cols):
+    """Rows of scaled normals, a quarter of them negative, each entry swapped
+    for a special value with the row's own probability in [0, 1]."""
+    m = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-8, 9, size=(rows, cols))
+    neg = rng.random(rows) < 0.25  # rows whose maximum can be a zero
+    m[neg] = -np.abs(m[neg])
+    special = rng.random((rows, cols)) < rng.random((rows, 1))
+    m[special] = rng.choice(SPECIAL_VALUES, size=int(special.sum()))
+    return m
+
+
+def _layouts(rng, rows, cols):
+    """The same reduction shape in C and F order, with strided columns,
+    sliced rows, and a negative row or column stride."""
+    m = _draw_with_specials(rng, rows, cols)
+    yield "C", m
+    yield "F", np.asfortranarray(m)
+    yield "column-strided", _draw_with_specials(rng, rows, 2 * cols)[:, ::2]
+    yield "row-sliced", _draw_with_specials(rng, 2 * rows, cols)[::2]
+    yield "negative row stride", m[::-1]
+    yield "negative column stride", m[:, ::-1]
+
+
+def _assert_same_bits(got, want, what):
+    """NaN rows by position, every other row by its bits."""
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan, err_msg=what)
+    np.testing.assert_array_equal(_bits(got)[~nan], _bits(want)[~nan], err_msg=what)
+
+
 class TestRowReductions:
     """``row_max`` and ``row_sum`` have numpy's bits on both sides of the
     column gate. A numpy that changes its short-row sum order fails here."""
@@ -54,7 +87,17 @@ class TestRowReductions:
             np.testing.assert_array_equal(_bits(row_max(m)), _bits(m.max(axis=1)))
             np.testing.assert_array_equal(_bits(row_sum(m)), _bits(m.sum(axis=1)))
 
-    @pytest.mark.parametrize("cols", [1, 2, 3, 7, 8, 16])
+    @pytest.mark.parametrize("cols", range(1, 33))
+    def test_every_layout_and_special_value(self, cols):
+        rng = np.random.default_rng(300 + cols)
+        with np.errstate(invalid="ignore"):  # inf - inf in a row's sum
+            for rows in _gate_row_counts(cols):
+                for layout, m in _layouts(rng, rows, cols):
+                    what = f"{rows} rows, {layout}"
+                    _assert_same_bits(row_max(m), m.max(axis=1), f"row_max, {what}")
+                    _assert_same_bits(row_sum(m), m.sum(axis=1), f"row_sum, {what}")
+
+    @pytest.mark.parametrize("cols", [1, 2, 3, 7, 8, 10, 16])
     def test_softmax_and_entropy_keep_the_numpy_reduce_bits(self, cols):
         # the expressions as written on numpy's reductions
         def softmax_ref(m):

@@ -251,6 +251,15 @@ class TestBatchPlan:
         p = self._stage2(split, batch=8, frac=0.5)
         assert (p.labeled, p.unlabeled) == (8, 0)
 
+    def test_rounds_without_epochs_neither_repredict_nor_decay(self):
+        split = split_per_class(gen_gaussian_blobs(3, 40, 2, 0.5, seed=0), 4, seed=0)
+        on = {"stage2.rounds": 3, "stage2.repredict_between_rounds": True,
+              "stage2.decay_between_rounds": True}
+        p = plan(tiny_config({**on, "stage2.epochs_per_round": 1}), split).stage2
+        assert (p.repredict, p.decay) == ((1, 2), (0, 1))
+        p = plan(tiny_config({**on, "stage2.epochs_per_round": 0}), split).stage2
+        assert (p.rounds, p.repredict, p.decay) == (3, (), ())
+
     def test_labeled_quota_at_least_one(self):
         ds = gen_gaussian_blobs(2, 50, 2, 0.5, seed=0)
         split = split_per_class(ds, 1, seed=0)
