@@ -171,7 +171,7 @@ def row_sum(m: np.ndarray) -> np.ndarray:
     np.add(m[:, 4], m[:, 5], out=t)
     t += np.add(m[:, 6], m[:, 7])
     out += t
-    out = _reduce_columns(np.add, out, m, start=8)
+    _reduce_columns(np.add, out, m, start=8)
     out += 0.0
     return out
 

@@ -31,7 +31,7 @@ TREND_10 = ["--override", "data.n_classes=10", "--override", "data.dim=9"]
 # is the one command that writes Dataset.to_csv's files. verify reads the run
 # in its directory, the converged run with asserted link and flatness sections
 # among them; the moons config refuses the trend run (exit 2). The 10-class
-# trend run's eval arrays and verify's flatness rows are wider than 7 columns.
+# trend run's eval arrays and its table's rows are wider than 7 columns.
 # 2100 gradcheck trials split each class count across FD_BLOCK_TRIALS blocks.
 COMMANDS = (
     ("gen_data_moons_ssl", "gen-data", "configs/moons_ssl.json", []),
