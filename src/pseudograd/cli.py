@@ -1,22 +1,22 @@
 """Command-line entry point.
 
 Commands: gen-data, train, verify, gradcheck, ablate, export-features.
-Exit codes: 0 success, 1 runtime/verification failure, 2 usage/config error
-(including an --out path that is empty, is or lies under an existing file,
-or that the OS refuses to look up, say for a name that is too long;
-export-features on a split whose labeled or unlabeled rows have no class
-with 2 or more rows, checked before any training; and verify artifacts that
-are not the configured run's, naming the file: missing, not JSON, another
-format version or key set, another architecture, tensor name, class or row
-count or labeled rows, or an entry that is nested otherwise, a string, a
-boolean or not finite). verify on a run with no unlabeled rows reports the
-link and flatness checks as informational. train, ablate and export-features
-write a run manifest (config, git describe of the package's checkout, seed,
-status) even when they fail, with the failing stage recorded; gen-data,
-verify and gradcheck write none. An output file or directory that cannot be
-written (say, a directory stands at the file's path, or the parent directory
-is read-only) exits 1 naming the path and the OS reason, recorded in the
-manifest as the stage "output" unless the manifest or its directory failed.
+Commands only raise; ``main`` alone turns a failure into its exit code and
+its last stderr line:
+- 2, ``config error: ...``: a config rule, checked before any work (among
+  them export-features on a penultimate layer that is not 2-D, or on a split
+  whose labeled or unlabeled rows have no class with 2 or more rows);
+- 2, ``error: ...``: an --out path that is empty, is or lies under an
+  existing file, or that the OS refuses to look up (say, a name too long),
+  and verify artifacts that are not the configured run's, naming the file;
+- 1, ``error: <stage> failed: ...``: a runtime failure, verify's checks
+  among them; ``error: cannot write <path>: <reason>``: an output file or
+  directory that cannot be written.
+verify and gradcheck also exit 1, with a FAIL line on stdout, on a failed
+check. train, ablate and export-features write a run manifest (config, git
+describe of the package's checkout, seed, status) even when they fail, with
+the failing stage recorded ("output" for a write, unless the manifest or its
+directory failed); gen-data, verify and gradcheck write none.
 """
 
 from __future__ import annotations
@@ -120,13 +120,11 @@ def cmd_train(args, cfg: TrainConfig, out: Path) -> int:
 def cmd_verify(args, cfg: TrainConfig, out: Path) -> int:
     split, _ = build_run_data(cfg)
     arch = resolve_arch(cfg.arch, split.base)
-    try:  # an artifact that is not the configured run's is a usage error naming the file
-        params = load_checkpoint(out / "checkpoint_stage2.json", arch)
-        table = load_table(out / "pseudo_table.json", split.labeled_mask, arch.num_classes)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    doc = theory.run_verification(params, table, split, cfg.loss, seed=cfg.seed)
+    # an artifact that is not the configured run's raises InvalidInputError naming the file
+    params = load_checkpoint(out / "checkpoint_stage2.json", arch)
+    table = load_table(out / "pseudo_table.json", split.labeled_mask, arch.num_classes)
+    with stage_errors("verify"):  # say, a forward that overflows on finite weights
+        doc = theory.run_verification(params, table, split, cfg.loss, seed=cfg.seed)
     write_json(out / "verification.json", doc)
     for name, entry in doc.items():
         if isinstance(entry, dict):
@@ -207,12 +205,8 @@ def _export_features_csv(params, ds: Dataset, labeled_mask: np.ndarray, path: Pa
 
 def cmd_export_features(args, cfg: TrainConfig, out: Path) -> int:
     if not cfg.arch.hidden_dims or cfg.arch.hidden_dims[-1] != 2:
-        print(
-            "error: export-features needs a 2-D penultimate layer "
-            f"(hidden_dims={list(cfg.arch.hidden_dims)})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ConfigError("export-features needs a 2-D penultimate layer "
+                          f"(hidden_dims={list(cfg.arch.hidden_dims)})")
     split, _ = build_run_data(cfg)
     base = split.base
     subsets = {"labeled": split.labeled_idx, "unlabeled": split.unlabeled_idx}
@@ -242,13 +236,9 @@ def cmd_export_features(args, cfg: TrainConfig, out: Path) -> int:
         params, _ = stage2_joint(cfg, params, split)
     _export_features_csv(params, base, split.labeled_mask, out / "features_after.csv")
     after = spreads(params)
-    summary = {
-        "spread_before": before,
-        "spread_after": after,
-        "compaction_ratio": {
-            k: after[k] / before[k] for k in before
-        },
-    }
+    with stage_errors("export"):  # no ratio to a spread of 0, say when every unit is dead
+        ratio = {k: after[k] / before[k] for k in before}
+    summary = {"spread_before": before, "spread_after": after, "compaction_ratio": ratio}
     write_json(out / "export_summary.json", summary)
     for k in ("labeled", "unlabeled"):
         print(f"{k} compaction ratio (after/before): {summary['compaction_ratio'][k]:.4f}")
@@ -312,34 +302,30 @@ COMMANDS = {
 MANIFEST_COMMANDS = ("train", "ablate", "export-features")
 
 
-def _out_error(out: str) -> str | None:
-    """Why ``out`` cannot be the output directory, if it cannot: it is empty
-    (``Path("")`` is the working directory), it is or lies under an existing
-    file, or the OS refuses to look it up, say for a name that is too long."""
+def _check_out(out: str) -> None:
+    """Raise InvalidInputError if ``out`` cannot be the output directory: it
+    is empty (``Path("")`` is the working directory), it is or lies under an
+    existing file, or the OS refuses to look it up, say for a name too long."""
     if not out:
-        return "--out is empty: name an output directory"
+        raise InvalidInputError("--out is empty: name an output directory")
     for path in (Path(out), *Path(out).parents):
         try:
             mode = path.stat().st_mode
         except (FileNotFoundError, NotADirectoryError):
             continue
         except OSError as exc:
-            return f"--out {out} cannot be a directory: {exc.strerror}"
+            raise InvalidInputError(f"--out {out} cannot be a directory: {exc.strerror}") from None
         if stat.S_ISDIR(mode):
-            return None
-        return f"--out {out} cannot be a directory: {path} is a file"
-    return None
+            return
+        raise InvalidInputError(f"--out {out} cannot be a directory: {path} is a file")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    problem = _out_error(args.out)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
     out = Path(args.out)
     manifest = args.command in MANIFEST_COMMANDS
     try:
+        _check_out(args.out)
         cfg = load_config(args.config, args.override)
         rc = COMMANDS[args.command](args, cfg, out)
         if manifest and rc == EXIT_OK:
@@ -347,6 +333,9 @@ def main(argv=None) -> int:
         return rc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except InvalidInputError as exc:  # --out, or a verify artifact naming its file
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)

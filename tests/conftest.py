@@ -3,8 +3,9 @@
 the converged blobs run used by the stationarity checks, the five moons runs
 of the benefit tests, and a handwritten-digits IDX pair for the 2-D-feature
 reproduction, written by the suite's IDX writer; the bisection link-point
-oracle; the calls a run plan makes; and the one Hypothesis profile of the
-property tests, with the JSON documents that the readers' properties draw."""
+oracle; the calls a run plan makes; the config schema's configurable values;
+and the one Hypothesis profile of the property tests, with the JSON documents
+that the readers' properties draw."""
 
 from __future__ import annotations
 
@@ -82,6 +83,11 @@ def damaged(doc, slot: int | None, value):
     node, key = slots[slot % len(slots)]
     node[key] = value
     return doc
+
+# (dotted key, attribute path, declaration) of every configurable value
+FIELDS = [(f"{sec.key}.{fd.key}", (sec.name, fd.name), fd)
+          for sec in TrainConfig._SCHEMA if sec.is_section for fd in sec.kind._SCHEMA]
+FIELDS += [(fd.key, (fd.name,), fd) for fd in TrainConfig._SCHEMA if not fd.is_section]
 
 # the small blobs run of the unit and command tests
 TINY_DOC = {

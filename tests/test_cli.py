@@ -1,13 +1,17 @@
+import io
 import json
 import shutil
 import subprocess
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import write_tiny_config
+from conftest import CONFIG_DIR, DOCUMENT_SLOTS, FIELDS, JSON_VALUES, damaged, write_tiny_config
 from pseudograd import cli, theory
 from pseudograd.cli import main
 from pseudograd.data import gen_gaussian_blobs, split_per_class
@@ -30,6 +34,15 @@ def trained(tmp_path_factory):
     cfg = write_tiny_config(root / "cfg.json")
     assert main(["train", "--config", str(cfg), "--out", str(root / "run")]) == 0
     return cfg, root / "run"
+
+
+def _overflow_head(run: Path) -> None:
+    """Set every head.w entry of the run's checkpoint to 1e308: each entry is
+    finite, so the reader keeps it, but the logits overflow."""
+    path = run / "checkpoint_stage2.json"
+    doc = json.loads(path.read_text())
+    doc["tensors"]["head.w"] = [1e308] * len(doc["tensors"]["head.w"])
+    path.write_text(json.dumps(doc))
 
 
 class TestDataFailures:
@@ -365,6 +378,79 @@ class TestExitCodes:
         assert not (out / "verification.json").exists()
 
 
+# each committed synthetic config is shrunk to a tiny run; the blobs configs
+# then have the trained fixture's data and architecture, so verify checks it
+SHRINK = ["data.n_per_class=20", "data.labeled_per_class=4", "data.test_n_per_class=10",
+          "stage1.epochs=1", "stage2.epochs_per_round=1", "stage2.rounds=2", "stage3.epochs=1",
+          "seed=0"]
+# override values in and out of the schema's ranges, and of other types
+OVERRIDE_VALUES = st.integers(-1, 6).map(str) | st.sampled_from(
+    ["0.5", "1.5", "1e308", "nan", "inf", "true", "null", "[0]", "[4, 2]", "abc", "idx", "moons",
+     "l2", "tanh"])
+# each command's own options, too small to start long runs
+COMMAND_ARGS = {
+    **{command: st.just([]) for command in cli.COMMANDS},
+    "gradcheck": st.integers(1, 3).map(lambda n: ["--trials", str(n)]),
+    "ablate": st.tuples(st.sampled_from(list(cli.GRIDS)), st.integers(1, 2)).map(
+        lambda drawn: ["--grid", drawn[0], "--seeds", str(drawn[1])]),
+}
+# verify's artifacts: intact, with an overflowing head.w, or with one value replaced
+DAMAGE = st.none() | st.just("overflow") | st.tuples(
+    st.sampled_from(["checkpoint_stage2.json", "pseudo_table.json"]), DOCUMENT_SLOTS, JSON_VALUES)
+
+
+@given(command=st.sampled_from(list(cli.COMMANDS)).flatmap(
+           lambda c: st.tuples(st.just(c), COMMAND_ARGS[c])),
+       config=st.sampled_from(["blobs_trend", "blobs_convergence", "moons_ssl"]),
+       hidden=st.sampled_from(["[8]", "[4, 2]"]),
+       overrides=st.lists(st.tuples(st.sampled_from([key for key, _, _ in FIELDS]),
+                                    OVERRIDE_VALUES), max_size=3),
+       shape=st.just("fresh") | st.sampled_from(["file", "under_file", "long", "empty",
+                                                  "unmakeable"]),
+       damage=DAMAGE)
+def test_every_input_ends_in_an_exit_code_naming_its_cause(trained, tmp_path_factory, command,
+                                                           config, hidden, overrides, shape,
+                                                           damage):
+    # exit 0, 1 or 2 and no exception; a non-zero code ends stderr with a named
+    # cause, unless verify or gradcheck printed a FAIL verdict and nothing else
+    (command, extra), root = command, tmp_path_factory.mktemp("argv")
+    blocker = root / "taken"
+    blocker.write_text("kept\n")
+    out = {"fresh": root / "a" / "run", "file": blocker, "under_file": blocker / "run",
+           "long": root / ("x" * 300), "empty": "", "unmakeable": root / "denied"}[shape]
+    if command == "verify" and shape == "fresh":
+        shutil.copytree(trained[1], out)
+        if damage == "overflow":
+            _overflow_head(out)
+        elif damage is not None:
+            name, slot, value = damage
+            (out / name).write_text(json.dumps(damaged(json.loads((out / name).read_text()),
+                                                       slot, value)))
+    argv = [command, "--config", str(CONFIG_DIR / f"{config}.json"), "--out", str(out), *extra]
+    for item in [*SHRINK, f"arch.hidden_dims={hidden}", *(f"{k}={v}" for k, v in overrides)]:
+        argv += ["--override", item]
+    make = Path.mkdir
+
+    def refuse(self, *args, **kwargs):  # what a read-only parent directory does
+        if self == out:
+            raise PermissionError(13, "Permission denied")
+        return make(self, *args, **kwargs)
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True),
+          redirect_stdout(stdout), redirect_stderr(stderr)):
+        mp.chdir(root)  # an empty --out must not write here either
+        if shape == "unmakeable":
+            mp.setattr(Path, "mkdir", refuse)
+        rc = main(argv)
+    err = stderr.getvalue().splitlines()
+    assert rc in (0, 1, 2), argv
+    verdict = (rc == 1 and command in ("verify", "gradcheck") and not err
+               and any(line.startswith("FAIL ") for line in stdout.getvalue().splitlines()))
+    assert rc == 0 or verdict or (err and err[-1].startswith(("error:", "config error:"))), (
+        argv, err)
+
+
 class TestVerifyRefusesMismatchedArtifacts:
     """verify exits 2, writing nothing, when the artifacts were not trained
     under the given config's architecture and split."""
@@ -394,6 +480,17 @@ class TestVerifyRefusesMismatchedArtifacts:
         copy = shutil.copytree(run, tmp_path / "run")
         assert main(["verify", "--config", str(cfg), "--out", str(copy)]) in (0, 1)
         assert (copy / "verification.json").exists()
+
+
+def test_verify_overflowing_forward_exits_1_naming_verify(trained, tmp_path, capsys):
+    cfg, run = trained
+    out = shutil.copytree(run, tmp_path / "run")
+    _overflow_head(out)
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: verify failed:")
+    assert "Traceback" not in err
+    assert not (out / "verification.json").exists()
 
 
 def test_verify_all_labeled_run_reports_link_checks_as_informational(tmp_path):
@@ -561,6 +658,7 @@ class TestExportFeatures:
         rc = main(["export-features", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "2-D" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("override, subset", [("data.labeled_per_class=1", "labeled"),
                                                   ("data.n_per_class=4", "unlabeled")])
@@ -574,6 +672,17 @@ class TestExportFeatures:
         assert f"no class has 2 or more {subset} rows" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_spread_of_zero_exits_1_naming_export(self, tmp_path, capsys, monkeypatch):
+        # every class's features coincide, as when a stage kills every unit
+        monkeypatch.setattr(cli, "intra_class_spread", lambda *args: 0.0)
+        cfg = write_tiny_config(tmp_path / "cfg.json", arch=FEATURE_ARCH)
+        out = tmp_path / "feat"
+        assert main(["export-features", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: export failed: float division by zero\n"
+        assert json.loads((out / "manifest.json").read_text())["failure_stage"] == "export"
+        assert not (out / "export_summary.json").exists()
 
     def test_writes_before_after_csvs(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json", arch=FEATURE_ARCH)

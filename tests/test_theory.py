@@ -136,7 +136,9 @@ class TestFlatnessAlgebra:
     @pytest.mark.parametrize("n_samples", [4, 5, 999, 100_000])
     def test_row_blocks_change_no_bit(self, monkeypatch, n_samples, seed):
         want, want_state = _bound_check_with_state(n_samples, seed, monkeypatch)
-        for block in (1, 7, 10**6):
+        # a one-row block's bits do not depend on the sample count, and its
+        # pass is the slow one: it runs at the three small counts only
+        for block in (1, 7, 10**6) if n_samples < 100_000 else (7, 10**6):
             monkeypatch.setattr(theory, "FLAT_BLOCK_ROWS", block)
             got, state = _bound_check_with_state(n_samples, seed, monkeypatch)
             assert list(got) == list(want)

@@ -9,10 +9,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pseudograd import theory, trainer
-from conftest import DOCUMENT_SLOTS, JSON_VALUES, TINY_DOC, damaged, tiny_config
+from conftest import DOCUMENT_SLOTS, FIELDS, JSON_VALUES, TINY_DOC, damaged, tiny_config
 from conftest import plan_counts, write_idx, write_tiny_config
 from pseudograd.config import ConfigError, DataSpec, StageTwoConfig, config_from_dict, load_config
-from pseudograd.config import TrainConfig
 from pseudograd.data import gen_gaussian_blobs, split_per_class
 from pseudograd.numerics import InvalidInputError, random_stream
 from pseudograd.trainer import (
@@ -29,11 +28,6 @@ from pseudograd.trainer import (
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
-
-# (dotted key, attribute path, declaration) of every configurable value
-FIELDS = [(f"{sec.key}.{fd.key}", (sec.name, fd.name), fd)
-          for sec in TrainConfig._SCHEMA if sec.is_section for fd in sec.kind._SCHEMA]
-FIELDS += [(fd.key, (fd.name,), fd) for fd in TrainConfig._SCHEMA if not fd.is_section]
 
 
 def test_schema_holds_the_37_configurable_values_roadmap_counts():
