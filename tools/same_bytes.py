@@ -26,11 +26,13 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden_digests.json"
 TREND = "configs/blobs_trend.json"
 TREND_10 = ["--override", "data.n_classes=10", "--override", "data.dim=9"]
+TREND_L2 = ["--override", "loss.variant=l2"]
 
 # (output directory, command, config, extra arguments), run in order. gen-data
 # is the one command that writes Dataset.to_csv's files. verify reads the run
 # in its directory, the converged run with asserted link and flatness sections
-# among them; the moons config refuses the trend run (exit 2). The 10-class
+# among them, and the l2 run whose link, flatness and sum sections are
+# informational; the moons config refuses the trend run (exit 2). The 10-class
 # trend run's eval arrays and its table's rows are wider than 7 columns.
 # 2100 gradcheck trials split each class count across FD_BLOCK_TRIALS blocks.
 COMMANDS = (
@@ -38,7 +40,7 @@ COMMANDS = (
     ("train_moons_ssl", "train", "configs/moons_ssl.json", []),
     ("train_blobs_trend", "train", TREND, []),
     ("train_blobs_convergence", "train", "configs/blobs_convergence.json", []),
-    ("train_blobs_trend_l2", "train", TREND, ["--override", "loss.variant=l2"]),
+    ("train_blobs_trend_l2", "train", TREND, TREND_L2),
     ("train_blobs_trend_10", "train", TREND, TREND_10),
     ("ablate_strategy", "ablate", TREND, ["--grid", "strategy", "--seeds", "2"]),
     ("ablate_lc", "ablate", TREND, ["--grid", "lc", "--seeds", "2"]),
@@ -48,6 +50,7 @@ COMMANDS = (
     ("train_moons_ssl", "verify", "configs/moons_ssl.json", []),
     ("train_blobs_convergence", "verify", "configs/blobs_convergence.json", []),
     ("train_blobs_trend_10", "verify", TREND, TREND_10),
+    ("train_blobs_trend_l2", "verify", TREND, TREND_L2),
     ("train_blobs_trend", "verify", "configs/moons_ssl.json", []),
     ("gradcheck", "gradcheck", TREND, []),
     ("gradcheck_2100", "gradcheck", TREND, ["--trials", "2100"]),
