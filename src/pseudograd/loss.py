@@ -66,7 +66,7 @@ def joint_loss_rows(p_hat, p_tilde, cfg: LossConfig) -> JointLoss:
     """The loss terms and both gradients from one pass over the batch.
 
     For the kl_pred_pseudo variant the head gradient is the closed form
-    g[n] = p_hat[n] * ((alpha-beta)*log p_hat[n] - alpha*log p_tilde[n] - L),
+    g = p_hat * link_residual_matrix(log p_hat, log p_tilde, L, alpha, beta),
     so dL/dw_n = g[n] * f. The other variants differentiate their Lc through
     the softmax plus the shared entropy term. Le does not depend on the
     pseudo-logits, so only Lc contributes to ``grad_pseudo``.
@@ -83,6 +83,15 @@ def joint_loss_weighted_rows(p_hat, p_tilde, variant: str, alpha, beta) -> Joint
     return _joint(ph, pt, variant, alpha, beta, alpha[:, None], beta[:, None])
 
 
+def link_residual_matrix(log_ph, log_pt, total, alpha, beta) -> np.ndarray:
+    """``(alpha - beta) * log p_hat - alpha * log p_tilde - L`` at every class
+    of every row: the per-class factor of the kl_pred_pseudo head gradient,
+    ``grad_y = p_hat * link_residual_matrix(...)``. At the predicted class it
+    is the exponential link's residual r, so the link holds where this
+    factor is 0. ``alpha`` and ``beta`` are floats or ``(n, 1)`` columns."""
+    return (alpha - beta) * log_ph - alpha * log_pt - total[:, None]
+
+
 def _joint(ph, pt, variant: str, alpha, beta, alpha_c, beta_c) -> JointLoss:
     """The one kernel of both entries: ``alpha``/``beta`` weigh the per-row
     terms and ``alpha_c``/``beta_c`` the gradient rows (the same floats, or
@@ -91,7 +100,7 @@ def _joint(ph, pt, variant: str, alpha, beta, alpha_c, beta_c) -> JointLoss:
     lc, le = _terms(ph, pt, log_ph, log_pt, variant)
     total = alpha * lc + beta * le
     if variant == VARIANT_KL_PRED_PSEUDO:
-        grad_y = ph * ((alpha_c - beta_c) * log_ph - alpha_c * log_pt - total[:, None])
+        grad_y = ph * link_residual_matrix(log_ph, log_pt, total, alpha_c, beta_c)
         return JointLoss(lc, le, total, grad_y, alpha_c * (pt - ph))
     # shared entropy-term gradient: dLe/dy[n] = -p_hat[n]*(log p_hat[n] + Le)
     le_grad = -ph * (log_ph + le[:, None])

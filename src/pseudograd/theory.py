@@ -4,8 +4,8 @@ Checks provided:
 
 * exponential link: at weight-stationarity the top pseudo-label probability
   approaches exp(-L/alpha) * p_hat_n^(1-beta/alpha), equivalently the
-  residual r = (alpha-beta)*log(p_hat_n) - alpha*log(p_tilde_n) - L vanishes
-  (n = argmax of the prediction, L the per-example loss);
+  residual r, ``loss.link_residual_matrix`` at the predicted class n,
+  vanishes (L the per-example loss);
 * flattening: wherever the link holds, p_tilde_n <= p_hat_n, so optimized
   pseudo-labels are never sharper than the predictions;
 * sum conservation: the kl_pred_pseudo pseudo-logit update preserves each
@@ -29,6 +29,7 @@ from .loss import (
     LossConfig,
     joint_loss_rows,
     joint_loss_weighted_rows,
+    link_residual_matrix,
     loss_terms_rows,
 )
 from .model import (
@@ -49,6 +50,17 @@ from .numerics import (
     softmax_rows,
 )
 from .pseudo_labels import PseudoTable, pseudo_probs_rows
+
+# what verify judges by, each read where a section records it and judges by it
+LINK_TOLERANCE = 1e-2  # |r| below which a row satisfies the exponential link
+LINK_PASS_FRACTION = 0.9  # share of unlabeled rows within LINK_TOLERANCE to pass
+FLATNESS_TOLERANCE = 1e-6  # allowed p_tilde_n - p_hat_n on link-satisfying rows
+BOUND_TOLERANCE = 1e-12  # allowed excess of the algebraic flattening bound
+SUM_DRIFT_TOLERANCE = 1e-6  # allowed |sum(y~) - init_sum| of a kl_pred_pseudo row
+GRADIENT_TOLERANCE = 1e-6  # worst relative error of each gradient path but one
+DEEP_GRADIENT_TOLERANCE = 1e-5  # params:deep's, whose differences are noisier
+VERIFY_GRADIENT_TRIALS = 25  # gradient oracle instances per path
+VERIFY_BOUND_SAMPLES = 100_000  # draws of the algebraic flattening bound
 
 # the note of a link or flatness section that has no rows to judge
 NO_LIVE_ROWS = "no unlabeled, unfrozen rows: nothing to check"
@@ -74,40 +86,36 @@ def link_residual_rows(
     p_hat: np.ndarray, p_tilde: np.ndarray, logs: tuple[np.ndarray, np.ndarray], cfg: LossConfig
 ) -> np.ndarray:
     """Residual r of each prediction row against its pseudo-label row, from
-    the rows and their clamped logs ``logs = (log p_hat, log p_tilde)``.
+    the rows and their clamped logs ``logs = (log p_hat, log p_tilde)``: the
+    predicted-class column of ``link_residual_matrix``.
 
     Uses each example's own loss value, not a batch mean: the stationarity
     argument is per-example.
     """
-    log_ph, log_pt = logs
     lc, le = loss_terms_rows(p_hat, p_tilde, cfg, logs)
     total = cfg.alpha * lc + cfg.beta * le
     n = p_hat.argmax(axis=1)
-    rows = np.arange(p_hat.shape[0])
-    return (cfg.alpha - cfg.beta) * log_ph[rows, n] - cfg.alpha * log_pt[rows, n] - total
+    return link_residual_matrix(*logs, total, cfg.alpha, cfg.beta)[np.arange(n.size), n]
 
 
 def check_link_residual(
-    params: ModelParams,
-    table: PseudoTable,
-    split: SplitDataset,
-    cfg: LossConfig,
-    tolerance: float = 1e-2,
+    params: ModelParams, table: PseudoTable, split: SplitDataset, cfg: LossConfig
 ) -> dict:
     """The ``link_residual`` section: quantiles of |r| over the unlabeled
-    rows; it passes when at least 90% of them lie within ``tolerance``."""
+    rows; it passes when at least ``LINK_PASS_FRACTION`` of them lie within
+    ``LINK_TOLERANCE``."""
     if cfg.variant != VARIANT_KL_PRED_PSEUDO:
         raise ConfigError("the exponential link is proved for the kl_pred_pseudo loss only")
     _, _, r = link_residuals(params, table, split, cfg)
     if r.size == 0:
         return {"asserted": False, "pass": True, "note": NO_LIVE_ROWS}
-    within = float((np.abs(r) < tolerance).mean())
+    within = float((np.abs(r) < LINK_TOLERANCE).mean())
     return {
         **residual_quantiles(r),
         "fraction_within": within,
-        "tolerance": tolerance,
+        "tolerance": LINK_TOLERANCE,
         "asserted": True,
-        "pass": within >= 0.9,
+        "pass": within >= LINK_PASS_FRACTION,
     }
 
 
@@ -149,26 +157,22 @@ def residual_quantiles(r: np.ndarray) -> dict[str, float]:
 
 
 def check_flatness(
-    params: ModelParams,
-    table: PseudoTable,
-    split: SplitDataset,
-    cfg: LossConfig,
-    tolerance: float = 1e-6,
-    link_tolerance: float = 1e-2,
+    params: ModelParams, table: PseudoTable, split: SplitDataset, cfg: LossConfig
 ) -> dict:
-    """The ``flatness`` section: violations of p_tilde_n <= p_hat_n among
-    link-satisfying examples; it passes when there are none.
+    """The ``flatness`` section: violations of p_tilde_n <= p_hat_n, beyond
+    ``FLATNESS_TOLERANCE``, among link-satisfying examples; it passes when
+    there are none.
 
     The flattening statement is conditional on the link holding, so rows with
-    residual magnitude >= ``link_tolerance`` are excluded.
+    residual magnitude >= ``LINK_TOLERANCE`` are excluded.
     """
     p_hat, p_tilde, r = link_residuals(params, table, split, cfg)
     if r.size == 0:
         return {"asserted": False, "pass": True, "note": NO_LIVE_ROWS}
-    mask = np.abs(r) < link_tolerance
+    mask = np.abs(r) < LINK_TOLERANCE
     n = p_hat.argmax(axis=1)
     rows = np.arange(r.size)
-    excess = p_tilde[rows, n][mask] - p_hat[rows, n][mask] - tolerance
+    excess = p_tilde[rows, n][mask] - p_hat[rows, n][mask] - FLATNESS_TOLERANCE
     violations = int((excess > 0).sum())
     return {
         "checked": int(mask.sum()),
@@ -176,7 +180,7 @@ def check_flatness(
         "max_violation": float(excess.max()) if excess.size else 0.0,
         "mean_entropy_pred": float(entropy_rows(p_hat).mean()),
         "mean_entropy_pseudo": float(entropy_rows(p_tilde).mean()),
-        "tolerance": tolerance,
+        "tolerance": FLATNESS_TOLERANCE,
         "asserted": True,
         "pass": violations == 0,
     }
@@ -188,15 +192,14 @@ def check_flatness(
 FLAT_BLOCK_ROWS = 2048
 
 
-def flatness_bound_check(
-    n_samples: int, seed: int, tolerance: float = 1e-12
-) -> dict:
+def flatness_bound_check(n_samples: int, seed: int) -> dict:
     """Random algebraic check of the flattening bound.
 
     For random predictions, random pseudo-labels and random alpha > beta the
     loss satisfies L >= -beta*log(p_hat_n), hence
     exp(-L/alpha) * p_hat_n^(1-beta/alpha) <= p_hat_n. Returns violation
-    counts over ``n_samples`` draws, at least one per class count.
+    counts, beyond ``BOUND_TOLERANCE``, over ``n_samples`` draws, at least one
+    per class count.
 
     One draw buffer holds ``p_hat``: each class count draws all of its rows
     into it. ``p_tilde`` enters a row only through that row's ``lc`` and
@@ -234,14 +237,14 @@ def flatness_bound_check(
             total = a * lc[rows] + b * le[rows]
             top = row_max(p_hat[rows])
             bound = np.exp(-total / a) * top ** (1.0 - b / a)
-            excess = bound - top - tolerance
+            excess = bound - top - BOUND_TOLERANCE
             violations += int((~(excess <= 0)).sum())  # a NaN bound is a violation
             max_excess = float(np.maximum(max_excess, (bound - top).max()))  # and propagates
     return {
         "samples": sum(counts),
         "violations": violations,
         "max_excess": max_excess,
-        "tolerance": tolerance,
+        "tolerance": BOUND_TOLERANCE,
     }
 
 
@@ -266,23 +269,23 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
     return err
 
 
-def _central_diff(loss_rows, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+def _central_diff(loss_rows, x: np.ndarray) -> np.ndarray:
     """Central differences of a loss at each row of ``x``, a ``(n, d)`` stack
     of independent inputs, from one ``loss_rows`` call.
 
     ``loss_rows`` maps a ``(2 * n * d, d)`` stack of copies of the rows to one
-    loss per row: row ``2 * (r * d + i)`` holds row ``r`` of ``x`` with ``h``
-    added at entry ``i``, and the row after it holds ``h`` subtracted there.
-    Returns the ``(n, d)`` gradients; ``x`` is never written.
+    loss per row: row ``2 * (r * d + i)`` holds row ``r`` of ``x`` with
+    ``FD_STEP`` added at entry ``i``, and the row after it holds it
+    subtracted there. Returns the ``(n, d)`` gradients; ``x`` is never written.
     """
     n, d = x.shape
     idx = np.arange(d)
     stack = np.repeat(x, 2 * d, axis=0)
     sides = stack.reshape(n, d, 2, d)  # [input, entry moved, side, entry]
-    sides[:, idx, 0, idx] = x + h
-    sides[:, idx, 1, idx] = x - h
+    sides[:, idx, 0, idx] = x + FD_STEP
+    sides[:, idx, 1, idx] = x - FD_STEP
     f = loss_rows(stack).reshape(n, d, 2)
-    return (f[..., 0] - f[..., 1]) / (2.0 * h)
+    return (f[..., 0] - f[..., 1]) / (2.0 * FD_STEP)
 
 
 def _loss_total_rows(
@@ -375,10 +378,11 @@ def finite_diff_suite(seed: int, trials: int) -> dict[str, float]:
 
 def gradient_oracle(seed: int, trials: int) -> dict:
     """The gradient verdict: each path's worst relative error against its
-    tolerance (1e-5 for the deep network, whose differences are noisier;
-    1e-6 for every other path)."""
+    tolerance, ``DEEP_GRADIENT_TOLERANCE`` for params:deep and
+    ``GRADIENT_TOLERANCE`` for every other path."""
     worst = finite_diff_suite(seed, trials)
-    tol = {path: (1e-5 if path == "params:deep" else 1e-6) for path in worst}
+    tol = {path: DEEP_GRADIENT_TOLERANCE if path == "params:deep" else GRADIENT_TOLERANCE
+           for path in worst}
     return {"worst_rel_err": worst, "tolerance": tol, "pass": all(worst[p] < tol[p] for p in worst)}
 
 
@@ -387,13 +391,7 @@ def gradient_oracle(seed: int, trials: int) -> dict:
 
 
 def run_verification(
-    params: ModelParams,
-    table: PseudoTable,
-    split: SplitDataset,
-    cfg: LossConfig,
-    gradcheck_trials: int = 25,
-    algebraic_samples: int = 100_000,
-    seed: int = 0,
+    params: ModelParams, table: PseudoTable, split: SplitDataset, cfg: LossConfig, seed: int = 0
 ) -> dict:
     """All checks as one JSON-ready document: {check: {stats, pass, tolerance}}.
 
@@ -401,7 +399,8 @@ def run_verification(
     live unlabeled rows to judge, reports ``asserted: false`` and never fails
     the run.
     """
-    doc: dict = {"gradient_oracle": {**gradient_oracle(seed, gradcheck_trials), "asserted": True}}
+    doc: dict = {"gradient_oracle": {**gradient_oracle(seed, VERIFY_GRADIENT_TRIALS),
+                                     "asserted": True}}
     link_ok = cfg.variant == VARIANT_KL_PRED_PSEUDO
     if link_ok:
         doc["link_residual"] = check_link_residual(params, table, split, cfg)
@@ -411,16 +410,16 @@ def run_verification(
                                 "note": f"link check defined for kl_pred_pseudo, variant is {cfg.variant}"}
         doc["flatness"] = {"asserted": False, "pass": True}
 
-    alg = flatness_bound_check(algebraic_samples, seed)
+    alg = flatness_bound_check(VERIFY_BOUND_SAMPLES, seed)
     doc["flatness_algebraic"] = {**alg, "asserted": True, "pass": alg["violations"] == 0}
 
     # asserted only for kl_pred_pseudo; informational for the other variants
     drift = float(table.sum_drift().max())
     doc["sum_invariance"] = {
         "max_drift": drift,
-        "tolerance": 1e-6,
+        "tolerance": SUM_DRIFT_TOLERANCE,
         "asserted": link_ok,
-        "pass": (drift < 1e-6) if link_ok else True,
+        "pass": (drift < SUM_DRIFT_TOLERANCE) if link_ok else True,
     }
     doc["all_pass"] = all(v["pass"] for k, v in doc.items() if isinstance(v, dict))
     return doc

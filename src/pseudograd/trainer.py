@@ -32,17 +32,11 @@ from .config import ArchSpec, ConfigError, DataSpec, LossConfig, StageOneConfig,
 from .config import load_config  # noqa: F401  (re-exported with build_dataset)
 from .data import Dataset, SplitDataset, gen_gaussian_blobs, gen_two_moons, load_idx, split_per_class
 from .loss import joint_loss_rows
-from .model import (
-    Architecture,
-    ModelParams,
-    backward,
-    forward_batch,
-    init_params,
-)
+from .model import Architecture, ModelParams, backward, forward_batch, init_params, save_checkpoint
 from .numerics import InvalidInputError, clamped_log, entropy_rows, random_stream, softmax_rows
 from .numerics import make_dir, write_csv
 from .optimizer import decay_lr, init_opt_state, pseudo_step, sgd_nesterov_step
-from .pseudo_labels import PseudoTable, hard_labels, init_pseudo, repredict
+from .pseudo_labels import PseudoTable, export_csv, hard_labels, init_pseudo, repredict, save_table
 
 MOMENTUM = 0.9
 
@@ -451,9 +445,6 @@ def run_pipeline(cfg: TrainConfig, out_dir=None) -> Report:
     pseudo_table.json. The whole run is deterministic per (config, seed).
     Stage failures are re-raised as StageError with the stage name.
     """
-    from .model import save_checkpoint
-    from .pseudo_labels import export_csv, save_table
-
     split, test = build_run_data(cfg)
     report = Report(split, test, cfg.loss)
     out = Path(out_dir) if out_dir is not None else None

@@ -121,8 +121,7 @@ def test_criterion_2_negative_control_l2_drift(monkeypatch):
 
 def test_criterion_3_exponential_link(converged_run):
     link = theory.check_link_residual(
-        converged_run.params, converged_run.table, converged_run.split,
-        converged_run.cfg.loss, tolerance=1e-2,
+        converged_run.params, converged_run.table, converged_run.split, converged_run.cfg.loss,
     )
     # independent oracle: bisection-solved link point has zero residual
     rng = np.random.default_rng(3)
@@ -142,6 +141,7 @@ def test_criterion_3_exponential_link(converged_run):
         oracle_worst = max(oracle_worst, abs(r))
     ok = (
         converged_run.converged
+        and link["tolerance"] == theory.LINK_TOLERANCE == 1e-2
         and link["fraction_within"] >= 0.9
         and oracle_worst < 1e-8
         and converged_run.runtime_s < 300.0
@@ -150,7 +150,7 @@ def test_criterion_3_exponential_link(converged_run):
         3,
         ok,
         f"trained to head-grad {converged_run.gate_head_grad:.2e} < {CONVERGENCE_GATE}; "
-        f"{link['fraction_within']:.1%} of unlabeled within 1e-2 (need 90%); "
+        f"{link['fraction_within']:.1%} of unlabeled within {link['tolerance']} (need 90%); "
         f"bisection oracle residual {oracle_worst:.1e} < 1e-8; "
         f"fixture runtime {converged_run.runtime_s:.0f}s < 300s",
     )
@@ -158,18 +158,24 @@ def test_criterion_3_exponential_link(converged_run):
 
 def test_criterion_4_flattening_bound(converged_run):
     flat = theory.check_flatness(
-        converged_run.params, converged_run.table, converged_run.split,
-        converged_run.cfg.loss, tolerance=1e-6, link_tolerance=1e-2,
+        converged_run.params, converged_run.table, converged_run.split, converged_run.cfg.loss,
     )
     t0 = time.perf_counter()
     alg = theory.flatness_bound_check(100_000, seed=4)
     elapsed = time.perf_counter() - t0
-    ok = flat["violations"] == 0 and alg["violations"] == 0 and elapsed < 10.0
+    ok = (
+        flat["tolerance"] == theory.FLATNESS_TOLERANCE == 1e-6
+        and theory.LINK_TOLERANCE == 1e-2
+        and flat["violations"] == 0
+        and alg["violations"] == 0
+        and elapsed < 10.0
+    )
     _criterion(
         4,
         ok,
         f"{flat['violations']} violations among {flat['checked']} link-satisfying "
-        f"examples (tol 1e-6); algebraic check {alg['violations']} violations "
+        f"examples (|r| < {theory.LINK_TOLERANCE}, tol {flat['tolerance']}); "
+        f"algebraic check {alg['violations']} violations "
         f"over {alg['samples']} samples in {elapsed:.1f}s < 10s",
     )
 

@@ -632,11 +632,11 @@ class TestGradcheckCommand:
     def test_json_equals_the_verify_gradient_section(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json", seed=3)
         out = tmp_path / "gc"
-        assert main(["gradcheck", "--config", str(cfg), "--out", str(out), "--trials", "4"]) == 0
+        trials = str(theory.VERIFY_GRADIENT_TRIALS)
+        assert main(["gradcheck", "--config", str(cfg), "--out", str(out), "--trials", trials]) == 0
         split = split_per_class(gen_gaussian_blobs(2, 10, 2, 0.5, seed=0), 2, seed=0)
         params = init_params(Architecture(2, (), 2), seed=0)
-        doc = theory.run_verification(params, init_pseudo(split, params), split, LossConfig(),
-                                      gradcheck_trials=4, algebraic_samples=100, seed=3)
+        doc = theory.run_verification(params, init_pseudo(split, params), split, LossConfig(), seed=3)
         section = json.loads(json.dumps(doc["gradient_oracle"]))
         assert section.pop("asserted") is True
         assert json.loads((out / "gradcheck.json").read_text()) == section

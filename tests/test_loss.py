@@ -16,9 +16,10 @@ from pseudograd.loss import (
     grad_wrt_pseudo_logits_rows,
     joint_loss_rows,
     joint_loss_weighted_rows,
+    link_residual_matrix,
     loss_terms_rows,
 )
-from pseudograd.numerics import InvalidInputError, entropy_rows, softmax_rows
+from pseudograd.numerics import InvalidInputError, clamped_log, entropy_rows, softmax_rows
 
 # the properties' domain: 1-8 rows of 2-7 classes, |logit| <= 6, alpha in
 # [0.05, 0.5] and beta in [0, 0.04], so alpha > beta
@@ -218,6 +219,29 @@ class TestLogitGradient(_GradientProperties):
         g = joint_loss_rows(p, p, cfg).grad_y[0]
         np.testing.assert_allclose(g, g[0], atol=1e-14)
         np.testing.assert_allclose(g.sum(), 4 * g[0], atol=1e-14)
+
+
+class TestLinkResidualMatrix:
+    """The kl_pred_pseudo head gradient is p_hat times the link residual at
+    every class: both gradient entries have the bits of that one formula."""
+
+    @given(pair=LOGIT_PAIRS, alpha=ALPHA, beta=BETA)
+    def test_head_gradient_is_p_hat_times_the_residuals(self, pair, alpha, beta):
+        p, q = map(softmax_rows, pair)
+        out = joint_loss_rows(p, q, LossConfig(alpha=alpha, beta=beta))
+        want = p * link_residual_matrix(clamped_log(p), clamped_log(q), out.total, alpha, beta)
+        np.testing.assert_array_equal(_bits(out.grad_y), _bits(want))
+
+    @pytest.mark.parametrize("nc", [2, 3, 5, 10])  # the flatness bound's class counts
+    def test_weighted_head_gradient_is_p_hat_times_the_residuals(self, nc):
+        rng = np.random.default_rng(nc)
+        n = 20 * nc
+        alpha, beta = rng.uniform(0.05, 0.5, size=n), rng.uniform(0.0, 0.04, size=n)
+        p, q = softmax_rows(rng.normal(0.0, 2.0, size=(2 * n, nc))).reshape(2, n, nc)
+        out = joint_loss_weighted_rows(p, q, "kl_pred_pseudo", alpha, beta)
+        want = p * link_residual_matrix(
+            clamped_log(p), clamped_log(q), out.total, alpha[:, None], beta[:, None])
+        np.testing.assert_array_equal(_bits(out.grad_y), _bits(want))
 
 
 class TestFlatteningBound:

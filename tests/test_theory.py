@@ -10,7 +10,7 @@ from conftest import solve_link_point
 from pseudograd import theory
 from pseudograd.config import ConfigError
 from pseudograd.data import gen_gaussian_blobs, split_per_class
-from pseudograd.loss import JointLoss, LossConfig, loss_terms_rows
+from pseudograd.loss import JointLoss, LossConfig, link_residual_matrix, loss_terms_rows
 from pseudograd.loss import VARIANTS
 from pseudograd.model import Architecture, ModelParams, init_params
 from pseudograd.numerics import InvalidInputError, clamped_log, random_stream, softmax_rows
@@ -96,6 +96,21 @@ class TestLinkPointOracle:
         cfg = LossConfig(variant="l2")
         with pytest.raises(ConfigError):
             theory.check_link_residual(params, table, split, cfg)
+
+
+class TestLinkResidualRows:
+    @given(pair=arrays(np.float64, st.tuples(st.just(2), st.integers(1, 40), st.integers(2, 10)),
+                       elements=st.floats(-6.0, 6.0)),
+           alpha=st.floats(0.05, 0.5), beta=st.floats(0.0, 0.04))
+    def test_the_residual_is_the_matrix_at_the_predicted_class(self, pair, alpha, beta):
+        cfg = LossConfig(alpha=alpha, beta=beta)
+        p_hat, p_tilde = softmax_rows(pair[0]), softmax_rows(pair[1])
+        logs = (clamped_log(p_hat), clamped_log(p_tilde))
+        lc, le = loss_terms_rows(p_hat, p_tilde, cfg)
+        matrix = link_residual_matrix(*logs, alpha * lc + beta * le, alpha, beta)
+        want = matrix[np.arange(p_hat.shape[0]), p_hat.argmax(axis=1)]
+        got = theory.link_residual_rows(p_hat, p_tilde, logs, cfg)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 class TestFlatnessAlgebra:
@@ -303,8 +318,7 @@ class TestOneLinkForward:
             return forward(p, x)
 
         monkeypatch.setattr(theory, "forward_batch", counting)
-        sizes = {"gradcheck_trials": 1, "algebraic_samples": 100} if check == "run_verification" else {}
-        getattr(theory, check)(params, table, split, LossConfig(), **sizes)
+        getattr(theory, check)(params, table, split, LossConfig())
         assert rows.count(split.n_unlabeled) == forwards
 
 
@@ -459,18 +473,39 @@ class TestVerificationReport:
         rng = np.random.default_rng(33)
         unl = split.unlabeled_idx
         table.logits[unl] = rng.normal(size=(unl.size, 3)) * 200.0
-        doc = theory.run_verification(
-            params, table, split, cfg.loss,
-            gradcheck_trials=3, algebraic_samples=1000,
-        )
+        doc = theory.run_verification(params, table, split, cfg.loss)
         assert not doc["link_residual"]["pass"]
         assert not doc["all_pass"]
+
+    def test_link_tolerance_moves_the_link_and_flatness_sections(self, converged_run, monkeypatch):
+        run = converged_run
+        _, _, r = theory.link_residuals(run.params, run.table, run.split, run.cfg.loss)
+        before = theory.run_verification(run.params, run.table, run.split, run.cfg.loss)
+        tolerance = float(np.median(np.abs(r)))
+        monkeypatch.setattr(theory, "LINK_TOLERANCE", tolerance)
+        after = theory.run_verification(run.params, run.table, run.split, run.cfg.loss)
+        within = np.abs(r) < tolerance
+        assert before["link_residual"]["tolerance"] == 1e-2
+        assert after["link_residual"]["tolerance"] == tolerance
+        assert after["link_residual"]["fraction_within"] == within.mean()
+        assert after["flatness"]["checked"] == within.sum()
+        assert before["link_residual"]["fraction_within"] != within.mean()
+        assert before["flatness"]["checked"] != within.sum()
+
+    def test_sum_drift_tolerance_moves_the_sum_section(self, converged_run, monkeypatch):
+        run = converged_run
+        drift = float(run.table.sum_drift().max())
+        before = theory.run_verification(run.params, run.table, run.split, run.cfg.loss)
+        monkeypatch.setattr(theory, "SUM_DRIFT_TOLERANCE", drift)
+        after = theory.run_verification(run.params, run.table, run.split, run.cfg.loss)
+        assert before["sum_invariance"]["tolerance"] == 1e-6
+        assert before["sum_invariance"]["pass"] is True
+        assert after["sum_invariance"]["tolerance"] == drift
+        assert after["sum_invariance"]["pass"] is False  # drift < drift fails
 
     def test_l2_variant_sum_check_informational(self, converged_run):
         cfg = LossConfig(variant="l2")
         doc = theory.run_verification(
-            converged_run.params, converged_run.table, converged_run.split, cfg,
-            gradcheck_trials=3, algebraic_samples=1000,
-        )
+            converged_run.params, converged_run.table, converged_run.split, cfg)
         assert not doc["sum_invariance"]["asserted"]
         assert doc["sum_invariance"]["pass"]
