@@ -78,11 +78,17 @@ class SplitDataset:
     def __post_init__(self):
         self.labeled_idx = np.asarray(self.labeled_idx, dtype=np.int64)
         self.unlabeled_idx = np.asarray(self.unlabeled_idx, dtype=np.int64)
-        lab = set(self.labeled_idx.tolist())
-        unl = set(self.unlabeled_idx.tolist())
-        if lab & unl:
+        n = self.base.n_examples
+        rows = np.concatenate((self.labeled_idx, self.unlabeled_idx))
+        # counted, not np.unique'd: its first sort adds 0.5-1.6 MB of RSS to the process
+        counts = np.bincount(rows[(rows >= 0) & (rows < n)], minlength=n)
+        if (counts > 1).any():
+            row = np.flatnonzero(counts > 1)[0]
+            for name, idx in (("labeled", self.labeled_idx), ("unlabeled", self.unlabeled_idx)):
+                if np.count_nonzero(idx == row) > 1:
+                    raise InvalidInputError(f"{name} index {row} appears more than once")
             raise InvalidInputError("labeled and unlabeled index sets overlap")
-        if lab | unl != set(range(self.base.n_examples)):
+        if rows.size != n or not counts.all():  # a row missing, or one outside [0, n)
             raise InvalidInputError("split does not cover all examples")
 
     @property

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import VARIANT_KL_PRED_PSEUDO, VARIANT_KL_PSEUDO_PRED, LossConfig
 from .config import VARIANTS  # noqa: F401  (re-exported with the loss functions)
-from .numerics import InvalidInputError, clamped_log, row_sum
+from .numerics import InvalidInputError, clamped_log, entropy_rows, row_sum
 
 
 class JointLoss(NamedTuple):
@@ -51,7 +51,7 @@ def _terms(ph, pt, log_ph, log_pt, variant: str):
         lc = row_sum(pt * (log_pt - log_ph))
     else:
         lc = row_sum((pt - ph) ** 2)
-    return lc, -row_sum(ph * log_ph)
+    return lc, entropy_rows(ph, log_ph)
 
 
 def loss_terms_rows(p_hat, p_tilde, cfg: LossConfig, logs=None):

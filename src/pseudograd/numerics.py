@@ -22,13 +22,12 @@ import numpy as np
 
 LOG_EPS = 1e-12
 
-# The class-axis reductions loop over the columns of an array of at most
-# MAX_COLUMN_WIDTH columns with at least ROWS_PER_COLUMN rows per column: on
-# shorter arrays a call per column costs more than numpy's reduce saves, and
-# from 16 columns on a loop in numpy's sum order is slower than numpy's reduce
-# (README, Hot paths).
+# The class-axis reductions loop over the columns of arrays of at most
+# MAX_COLUMN_WIDTH columns and at least ROW_MAX_GATE or ROW_SUM_GATE rows per
+# column, where that loop overtakes numpy's reduce (README, Hot paths).
 MAX_COLUMN_WIDTH = 15
-ROWS_PER_COLUMN = 16
+ROW_MAX_GATE = 16
+ROW_SUM_GATE = 32
 
 
 class InvalidInputError(ValueError):
@@ -130,9 +129,9 @@ def json_array(value, name: str, shape: dict[str, int]) -> np.ndarray:
     return np.array(items, dtype=np.float64).reshape(tuple(shape.values()))
 
 
-def _by_columns(m: np.ndarray) -> bool:
+def _by_columns(m: np.ndarray, gate: int) -> bool:
     rows, cols = m.shape
-    return 0 < cols <= MAX_COLUMN_WIDTH and rows >= ROWS_PER_COLUMN * cols
+    return 0 < cols <= MAX_COLUMN_WIDTH and rows >= gate * cols
 
 
 def _reduce_columns(ufunc, out: np.ndarray, m: np.ndarray, start: int = 1) -> np.ndarray:
@@ -143,7 +142,7 @@ def _reduce_columns(ufunc, out: np.ndarray, m: np.ndarray, start: int = 1) -> np
 
 def row_max(m: np.ndarray) -> np.ndarray:
     """``m.max(axis=1)`` of a 2-D array, with its bits."""
-    if not _by_columns(m):
+    if not _by_columns(m, ROW_MAX_GATE):
         return m.max(axis=1)
     out = _reduce_columns(np.maximum, m[:, 0].copy(), m)
     # From 8 columns on, numpy's vectorised max may return the other zero of
@@ -156,7 +155,7 @@ def row_max(m: np.ndarray) -> np.ndarray:
 def row_sum(m: np.ndarray) -> np.ndarray:
     """``m.sum(axis=1)`` of a 2-D array, with its bits: numpy starts from
     +0.0, so a row of -0.0 sums to +0.0."""
-    if not _by_columns(m):
+    if not _by_columns(m, ROW_SUM_GATE):
         return m.sum(axis=1)
     if m.shape[1] < 8:
         return _reduce_columns(np.add, m[:, 0] + 0.0, m)

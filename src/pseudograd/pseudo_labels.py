@@ -44,32 +44,34 @@ class PseudoTable:
         return np.abs(row_sum(self.logits) - self.init_sum)
 
 
+def _predict_unfrozen(table: PseudoTable, split: SplitDataset, params: ModelParams) -> PseudoTable:
+    """``table`` with the head activation and its sums written into its unfrozen rows."""
+    unfrozen = np.flatnonzero(~table.frozen)
+    y_hat = forward_batch(params, split.base.features[unfrozen]).y_hat
+    table.logits[unfrozen] = y_hat
+    table.init_sum[unfrozen] = row_sum(y_hat)
+    return table
+
+
 def init_pseudo(split: SplitDataset, params: ModelParams) -> PseudoTable:
-    """Labeled rows: K * one-hot(truth), frozen. Unlabeled rows: head activation."""
-    n_classes = split.base.num_classes
-    logits = np.zeros((split.base.n_examples, n_classes))
+    """Labeled rows: K * one-hot(truth), frozen. Unlabeled rows: head activation,
+    written as ``repredict`` writes it, so the first prediction is a reprediction."""
+    logits = np.zeros((split.base.n_examples, split.base.num_classes))
     logits[split.labeled_idx, split.labeled_targets()] = INIT_K
-    unl = split.unlabeled_idx
-    logits[unl] = forward_batch(params, split.base.features[unl]).y_hat
-    return PseudoTable(logits, split.labeled_mask, logits.sum(axis=1))
+    table = PseudoTable(logits, split.labeled_mask, row_sum(logits))
+    return _predict_unfrozen(table, split, params)
 
 
 def repredict(table: PseudoTable, split: SplitDataset, params: ModelParams) -> PseudoTable:
-    """Overwrite unfrozen rows with the current head activation; re-record sums.
-
-    Frozen rows are copied bit-identically. Idempotent when the model has not
-    changed between calls.
-    """
-    out = table.copy()
-    unfrozen = np.flatnonzero(~table.frozen)
-    trace = forward_batch(params, split.base.features[unfrozen])
-    out.logits[unfrozen] = trace.y_hat
-    out.init_sum[unfrozen] = trace.y_hat.sum(axis=1)
-    return out
+    """A copy of ``table`` whose unfrozen rows and sums the current head activation
+    overwrites; frozen rows keep their bits. Idempotent while the model is unchanged."""
+    return _predict_unfrozen(table.copy(), split, params)
 
 
-def pseudo_probs_rows(table: PseudoTable, idx) -> np.ndarray:
-    return softmax_rows(table.logits[np.asarray(idx, dtype=np.int64)])
+def pseudo_probs_rows(table: PseudoTable, idx, out=None) -> np.ndarray:
+    """The pseudo-label probabilities of the rows ``idx``, gathered into ``out``
+    if given: every read of the table's rows as probabilities."""
+    return softmax_rows(np.take(table.logits, np.asarray(idx, dtype=np.int64), axis=0, out=out))
 
 
 def hard_labels(table: PseudoTable) -> np.ndarray:

@@ -33,10 +33,11 @@ from .config import load_config  # noqa: F401  (re-exported with build_dataset)
 from .data import Dataset, SplitDataset, gen_gaussian_blobs, gen_two_moons, load_idx, split_per_class
 from .loss import joint_loss_rows
 from .model import Architecture, ModelParams, backward, forward_batch, init_params, save_checkpoint
-from .numerics import InvalidInputError, clamped_log, entropy_rows, random_stream, softmax_rows
-from .numerics import make_dir, write_csv
+from .numerics import InvalidInputError, clamped_log, entropy_rows, make_dir, random_stream
+from .numerics import write_csv
 from .optimizer import decay_lr, init_opt_state, pseudo_step, sgd_nesterov_step
-from .pseudo_labels import PseudoTable, export_csv, hard_labels, init_pseudo, repredict, save_table
+from .pseudo_labels import PseudoTable, export_csv, hard_labels, init_pseudo, pseudo_probs_rows
+from .pseudo_labels import repredict, save_table
 
 MOMENTUM = 0.9
 
@@ -88,8 +89,7 @@ REPORT_COLUMNS = [f.name for f in fields(ReportRow)]
 
 
 class PseudoEval(NamedTuple):
-    """The report fields read off the pseudo table, with the unlabeled rows'
-    pseudo-label probabilities and their clamped logs."""
+    """``Report.pseudo_eval``: the table's report fields, ``p_tilde`` and its clamped log."""
 
     acc: float
     mean_entropy: float
@@ -117,16 +117,13 @@ class Report:
         """The table's fields over the unlabeled rows; None without any."""
         if not self.unl.size:
             return None
-        logits = np.take(table.logits, self.unl, axis=0)
-        p_tilde = softmax_rows(logits)
+        p_tilde = pseudo_probs_rows(table, self.unl)
         log_p_tilde = clamped_log(p_tilde)
         return PseudoEval(
-            float(np.count_nonzero(logits.argmax(axis=1) == self.y_unl) / self.unl.size),
+            float(np.count_nonzero(hard_labels(table)[self.unl] == self.y_unl) / self.unl.size),
             float(entropy_rows(p_tilde, log_p_tilde).mean()),
             float(table.sum_drift()[self.unl].max()),
-            p_tilde,
-            log_p_tilde,
-        )
+            p_tilde, log_p_tilde)
 
     def add(self, row: ReportRow) -> None:
         for name in REPORT_COLUMNS:
@@ -220,12 +217,8 @@ def accuracy(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
 
 def _eval_row(report: Report, stage: int, epoch: int, lr: float, loss_total: float,
               loss_lc: float, loss_le: float, params: ModelParams,
-              pseudo: PseudoTable | PseudoEval | None) -> ReportRow:
-    """One row of ``report``. ``pseudo`` is the pseudo table, its
-    ``pseudo_eval`` when the table is read-only for the whole stage, or None
-    before stage 2."""
-    if isinstance(pseudo, PseudoTable):
-        pseudo = report.pseudo_eval(pseudo)
+              pseudo: PseudoEval | None) -> ReportRow:
+    """One row of ``report``; ``pseudo`` is ``report.pseudo_eval(table)`` or None before stage 2."""
     labeled_acc = accuracy(params, report.x_lab, report.y_lab)
     test_acc = accuracy(params, report.test.features, report.test.labels)
     mean_ent_pred = pseudo_acc = mean_ent_pseudo = drift = p50 = p90 = p99 = NA
@@ -300,15 +293,13 @@ def plan(cfg: TrainConfig, split: SplitDataset) -> RunPlan:
 
 def _supervised_stage(stage: int, stage_cfg: StageOneConfig, p: StagePlan, seed: int,
                       stream_id: int, params: ModelParams, features: np.ndarray,
-                      targets: np.ndarray, table: PseudoTable | None,
+                      targets: np.ndarray, pseudo: PseudoEval | None,
                       report: Report | None) -> ModelParams:
-    """Cross-entropy epochs over a fixed example set (stages 1 and 3) as
-    ``p`` plans them, with one report row per epoch when ``report`` is given."""
+    """Cross-entropy epochs over a fixed example set (stages 1 and 3) as ``p`` plans
+    them; with a ``report``, one row per epoch, each reading ``pseudo``."""
     opt = init_opt_state(params, stage_cfg.lr, MOMENTUM, stage_cfg.wd)
     grads = ModelParams(params.arch, np.empty_like(params.flat))
     stream = random_stream(seed, stream_id=stream_id)
-    if report is not None:  # the table is read-only here: its fields are read once
-        pseudo = report.pseudo_eval(table) if table is not None else None
     n = features.shape[0]
     for ep in range(p.epochs):
         order = stream.permutation(n)
@@ -360,9 +351,8 @@ def _joint_epoch(params: ModelParams, table: PseudoTable, split: SplitDataset,
         lab_pool.take(rows[: p.labeled])
         unl_pool.take(rows[p.labeled :])
         np.take(feats, rows, axis=0, out=x)
-        np.take(table.logits, rows, axis=0, out=logits)
         trace = forward_batch(params, x)
-        loss = joint_loss_rows(trace.p_hat, softmax_rows(logits), lcfg)
+        loss = joint_loss_rows(trace.p_hat, pseudo_probs_rows(table, rows, out=logits), lcfg)
         lc_s += float(loss.lc.sum())
         le_s += float(loss.le.sum())
         tot += float(loss.total.sum())
@@ -411,7 +401,8 @@ def stage2_joint(cfg: TrainConfig, params: ModelParams, split: SplitDataset,
             stop = epoch_hook(rnd, epoch_global, params, table, stats) if epoch_hook else None
             if report is not None:
                 report.add(_eval_row(report, 2, epoch_global, opt.lr, stats.loss_total,
-                                     stats.loss_lc, stats.loss_le, params, table))
+                                     stats.loss_lc, stats.loss_le, params,
+                                     report.pseudo_eval(table)))
             if stop:
                 return params, table
         if rnd in p.decay:
@@ -424,8 +415,9 @@ def stage3_finetune(cfg: TrainConfig, params: ModelParams, table: PseudoTable,
     """Hard-target finetune on all examples; the pseudo table is read-only."""
     targets = hard_labels(table)
     targets[split.labeled_idx] = split.labeled_targets()
+    pseudo = report.pseudo_eval(table) if report is not None else None
     return _supervised_stage(3, cfg.stage3, plan(cfg, split).stage3, cfg.seed, 12, params,
-                             split.base.features, targets, table, report)
+                             split.base.features, targets, pseudo, report)
 
 
 def resolve_arch(spec: ArchSpec, ds: Dataset) -> Architecture:

@@ -6,6 +6,7 @@ import pytest
 from pseudograd.data import (
     Dataset,
     IdxFormatError,
+    SplitDataset,
     gen_gaussian_blobs,
     gen_two_moons,
     load_idx,
@@ -141,6 +142,31 @@ class TestSplitPerClass:
         a = split_per_class(ds, 4, seed=5)
         b = split_per_class(ds, 4, seed=5)
         np.testing.assert_array_equal(a.labeled_idx, b.labeled_idx)
+
+
+class TestSplitDataset:
+    """Each row is in exactly one of the two index sets, or the split is refused by name."""
+
+    def test_repeated_labeled_index_is_refused_by_name(self):
+        with pytest.raises(InvalidInputError, match="labeled index 0 appears more than once"):
+            SplitDataset(gen_two_moons(5, 0.0, 0), [0, 0, 1], range(2, 10))
+
+    def test_repeated_unlabeled_index_is_refused_by_name(self):
+        with pytest.raises(InvalidInputError, match="^unlabeled index 7 appears more than once"):
+            SplitDataset(gen_two_moons(5, 0.0, 0), [0, 1], [*range(2, 10), 7])
+
+    def test_overlap_is_refused(self):
+        with pytest.raises(InvalidInputError, match="index sets overlap"):
+            SplitDataset(gen_two_moons(5, 0.0, 0), [0, 1, 2], range(2, 10))
+
+    def test_uncovered_or_foreign_row_is_refused(self):
+        for unlabeled in (range(2, 9), [*range(2, 10), 10], [*range(2, 10), -1]):
+            with pytest.raises(InvalidInputError, match="does not cover all examples"):
+                SplitDataset(gen_two_moons(5, 0.0, 0), [0, 1], unlabeled)
+
+    def test_a_partition_in_any_order_is_accepted(self):
+        split = SplitDataset(gen_two_moons(5, 0.0, 0), [9, 0], [5, 1, 2, 3, 4, 6, 7, 8])
+        assert (split.n_labeled, split.n_unlabeled) == (2, 8)
 
 
 class TestCsvExport:

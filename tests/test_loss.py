@@ -19,7 +19,8 @@ from pseudograd.loss import (
     link_residual_matrix,
     loss_terms_rows,
 )
-from pseudograd.numerics import InvalidInputError, clamped_log, entropy_rows, softmax_rows
+from pseudograd.numerics import ROW_SUM_GATE, InvalidInputError, clamped_log, entropy_rows
+from pseudograd.numerics import softmax_rows
 
 # the properties' domain: 1-8 rows of 2-7 classes, |logit| <= 6, alpha in
 # [0.05, 0.5] and beta in [0, 0.04], so alpha > beta
@@ -135,10 +136,10 @@ class TestLossValue:
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("nc", range(2, 8))
     def test_weighted_rows_equal_one_call_per_row(self, variant, nc):
-        # 20 rows per column, so the weighted call crosses the column-reduction
-        # gate while each one-row call stays on numpy's reduce
+        # the weighted call crosses the row-sum column gate while each one-row
+        # call stays on numpy's reduce
         rng = np.random.default_rng(nc)
-        n = 20 * nc
+        n = ROW_SUM_GATE * nc
         alpha, beta = rng.uniform(0.05, 0.5, size=n), rng.uniform(0.0, 0.04, size=n)
         p = softmax_rows(rng.normal(0.0, 2.0, size=(n, nc)))
         q = softmax_rows(rng.normal(0.0, 2.0, size=(n, nc)))

@@ -7,7 +7,8 @@ from conftest import JSON_VALUES
 from pseudograd.loss import LossConfig, loss_terms_rows
 from pseudograd.numerics import (
     LOG_EPS,
-    ROWS_PER_COLUMN,
+    ROW_MAX_GATE,
+    ROW_SUM_GATE,
     InvalidInputError,
     WriteError,
     entropy_rows,
@@ -28,9 +29,9 @@ def _bits(a):
 
 
 def _gate_row_counts(cols):
-    """Row counts on both sides of the column gate, and a 1-row input."""
-    gate = ROWS_PER_COLUMN * cols
-    return (1, gate - 1, gate, 3 * gate)
+    """Row counts on both sides of each reduction's column gate, and a 1-row input."""
+    gates = (ROW_MAX_GATE * cols, ROW_SUM_GATE * cols)
+    return sorted({1, *(n for gate in gates for n in (gate - 1, gate, 3 * gate))})
 
 
 SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -1e-310])
@@ -67,8 +68,8 @@ def _assert_same_bits(got, want, what):
 
 
 class TestRowReductions:
-    """``row_max`` and ``row_sum`` have numpy's bits on both sides of the
-    column gate. A numpy that changes its short-row sum order fails here."""
+    """``row_max`` and ``row_sum`` have numpy's bits on both sides of each
+    one's column gate. A numpy that changes its short-row sum order fails here."""
 
     @pytest.mark.parametrize("cols", range(1, 17))
     def test_same_bits_as_numpy(self, cols):

@@ -73,6 +73,16 @@ class TestRepredict:
         np.testing.assert_array_equal(once.logits, twice.logits)
         np.testing.assert_array_equal(once.init_sum, twice.init_sum)
 
+    # 3 classes: every row sum on numpy's reduce; 10 classes: on the column path
+    @pytest.mark.parametrize("n_classes, n_per_class", [(3, 20), (10, 40)])
+    def test_first_prediction_is_a_reprediction(self, n_classes, n_per_class):
+        split = split_per_class(gen_gaussian_blobs(n_classes, n_per_class, 9, 0.5, 1), 4, 2)
+        params = init_params(Architecture(9, (8,), n_classes), seed=3)
+        table = init_pseudo(split, params)
+        again = repredict(table, split, params)
+        for got, want in ((again.logits, table.logits), (again.init_sum, table.init_sum)):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_frozen_rows_bit_identical(self, small_split, small_params):
         table = init_pseudo(small_split, small_params)
         before = table.logits[small_split.labeled_idx].copy()

@@ -13,7 +13,8 @@ from pseudograd.data import gen_gaussian_blobs, split_per_class
 from pseudograd.loss import JointLoss, LossConfig, link_residual_matrix, loss_terms_rows
 from pseudograd.loss import VARIANTS
 from pseudograd.model import Architecture, ModelParams, init_params
-from pseudograd.numerics import InvalidInputError, clamped_log, random_stream, softmax_rows
+from pseudograd.numerics import ROW_SUM_GATE, InvalidInputError, clamped_log, random_stream
+from pseudograd.numerics import softmax_rows
 from pseudograd.pseudo_labels import PseudoTable, init_pseudo
 
 
@@ -352,11 +353,12 @@ class TestCentralDiff:
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("nc", range(2, 8))
     def test_row_wise_loss_equals_the_loop(self, variant, nc):
-        # ten inputs, so that the call on all of them crosses the
-        # column-reduction gate; alpha and beta given per row
+        # enough inputs that the call on all of them, 2 * nc rows per input,
+        # crosses both column-reduction gates; alpha and beta given per row
+        n = ROW_SUM_GATE // 2
         rng = np.random.default_rng(nc)
-        alpha, beta = rng.uniform(0.05, 0.5, size=10), rng.uniform(0.0, 0.04, size=10)
-        y_hat, y_tilde = rng.normal(0.0, 2.0, size=(2, 10, nc))
+        alpha, beta = rng.uniform(0.05, 0.5, size=n), rng.uniform(0.0, 0.04, size=n)
+        y_hat, y_tilde = rng.normal(0.0, 2.0, size=(2, n, nc))
         terms = LossConfig(variant=variant)
 
         def numeric(rows, wrt_pseudo):
@@ -370,10 +372,10 @@ class TestCentralDiff:
                 lambda s: theory._loss_total_rows(s, fixed, terms, a, b), y_hat[rows])
 
         for wrt_pseudo in (True, False):
-            each = [numeric([r], wrt_pseudo) for r in range(10)]
+            each = [numeric([r], wrt_pseudo) for r in range(n)]
             np.testing.assert_array_equal(_bits(numeric(slice(None), wrt_pseudo)),
                                           _bits(np.concatenate(each)))
-            for r in range(10):
+            for r in range(n):
                 cfg = LossConfig(alpha=float(alpha[r]), beta=float(beta[r]), variant=variant)
                 yh, yt = y_hat[r : r + 1].copy(), y_tilde[r : r + 1].copy()
                 want = _reference_central_diff(lambda: _loss_total(yh, yt, cfg),
