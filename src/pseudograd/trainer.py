@@ -7,10 +7,11 @@ fixed number of epochs, then decay the network learning rate. Stage 3
 finetunes on all examples with hard targets taken from the final pseudo
 table.
 
-A ``Report`` owns evaluation. Built once per pipeline from the split, the
-test set and the loss config, it gathers the rows its report rows read; a
-stage given one adds a row per epoch through ``_eval_row``. The stages never
-see the test set.
+Each stage passes every epoch to one ``Sink``. A ``Report`` is the
+pipeline's sink and owns evaluation: built once per pipeline from the split,
+the test set and the loss config, it gathers the rows its report rows read
+and adds a row per epoch through ``_eval_row``. The stages never see the test
+set.
 
 Every draw comes from a stream of the one run seed; ``numerics.random_stream``
 lists the streams. Synthetic test sets use seed+1 so the train set matches
@@ -23,7 +24,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -98,14 +99,33 @@ class PseudoEval(NamedTuple):
     log_p_tilde: np.ndarray
 
 
+class EpochStats(NamedTuple):
+    """One epoch's means, loss columns first; stages 1 and 3 pass ``(ce, ce, 0.0, NA)``."""
+
+    loss_total: float
+    loss_lc: float
+    loss_le: float
+    head_grad_norm: float  # epoch mean of the batch head-weight gradient norm
+
+
+# sink(stage, epoch, lr, stats, params, table) sees every epoch of every stage; the
+# table is None in stage 1, live in stage 2 and read-only in stage 3
+Sink = Callable[[int, int, float, EpochStats, ModelParams, PseudoTable | None], object]
+
+
+def _no_sink(stage, epoch, lr, stats, params, table) -> None:
+    """The default sink: it observes nothing and never stops stage 2."""
+
+
 class Report:
     """Per-epoch metric rows of one pipeline; -1.0 marks fields not
     applicable to a stage. It gathers the rows its evaluations read once:
     the labeled rows and labels, the unlabeled rows and their hidden truth,
-    and the test set; ``loss`` is the run's loss config."""
+    and the test set; ``loss`` is the run's loss config. It is a ``Sink``."""
 
     def __init__(self, split: SplitDataset, test: Dataset, loss: LossConfig):
         self.rows: list[ReportRow] = []
+        self._pseudo: PseudoEval | None = None
         self.test, self.loss = test, loss
         self.x_lab = split.base.features[split.labeled_idx]
         self.y_lab = split.labeled_targets()
@@ -124,6 +144,14 @@ class Report:
             float(entropy_rows(p_tilde, log_p_tilde).mean()),
             float(table.sum_drift()[self.unl].max()),
             p_tilde, log_p_tilde)
+
+    def __call__(self, stage: int, epoch: int, lr: float, stats: EpochStats,
+                 params: ModelParams, table: PseudoTable | None) -> None:
+        """Add the epoch's row. The table is read on every stage-2 epoch and
+        on stage 3's first only: it is read-only there."""
+        if stage != 3 or epoch == 1:
+            self._pseudo = None if table is None else self.pseudo_eval(table)
+        self.add(_eval_row(self, stage, epoch, lr, stats, params, self._pseudo))
 
     def add(self, row: ReportRow) -> None:
         for name in REPORT_COLUMNS:
@@ -153,9 +181,8 @@ def build_dataset(spec: DataSpec, seed: int) -> tuple[SplitDataset, Dataset]:
     on the first ``take_first`` rows and tests on the last ``holdout`` rows."""
     if spec.kind == "blobs":
         train = gen_gaussian_blobs(spec.n_classes, spec.n_per_class, spec.dim, spec.spread, seed)
-        test = gen_gaussian_blobs(
-            spec.n_classes, spec.test_n_per_class, spec.dim, spec.spread, seed + 1
-        )
+        test = gen_gaussian_blobs(spec.n_classes, spec.test_n_per_class, spec.dim, spec.spread,
+                                  seed + 1)
     elif spec.kind == "moons":
         train = gen_two_moons(spec.n_per_class, spec.noise, seed)
         test = gen_two_moons(spec.test_n_per_class, spec.noise, seed + 1)
@@ -215,9 +242,8 @@ def accuracy(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.count_nonzero(pred == y) / y.size)  # the bits of (pred == y).mean()
 
 
-def _eval_row(report: Report, stage: int, epoch: int, lr: float, loss_total: float,
-              loss_lc: float, loss_le: float, params: ModelParams,
-              pseudo: PseudoEval | None) -> ReportRow:
+def _eval_row(report: Report, stage: int, epoch: int, lr: float, stats: EpochStats,
+              params: ModelParams, pseudo: PseudoEval | None) -> ReportRow:
     """One row of ``report``; ``pseudo`` is ``report.pseudo_eval(table)`` or None before stage 2."""
     labeled_acc = accuracy(params, report.x_lab, report.y_lab)
     test_acc = accuracy(params, report.test.features, report.test.labels)
@@ -232,8 +258,8 @@ def _eval_row(report: Report, stage: int, epoch: int, lr: float, loss_total: flo
             logs = (log_p_hat, pseudo.log_p_tilde)
             res = theory.link_residual_rows(p_hat, pseudo.p_tilde, logs, report.loss)
             p50, p90, p99 = theory.residual_quantiles(res).values()
-    return ReportRow(stage, epoch, lr, loss_total, loss_lc, loss_le, labeled_acc, pseudo_acc,
-                     test_acc, mean_ent_pred, mean_ent_pseudo, drift, p50, p90, p99)
+    return ReportRow(stage, epoch, lr, *stats[:3], labeled_acc, pseudo_acc, test_acc,
+                     mean_ent_pred, mean_ent_pseudo, drift, p50, p90, p99)
 
 
 class StagePlan(NamedTuple):
@@ -293,10 +319,9 @@ def plan(cfg: TrainConfig, split: SplitDataset) -> RunPlan:
 
 def _supervised_stage(stage: int, stage_cfg: StageOneConfig, p: StagePlan, seed: int,
                       stream_id: int, params: ModelParams, features: np.ndarray,
-                      targets: np.ndarray, pseudo: PseudoEval | None,
-                      report: Report | None) -> ModelParams:
-    """Cross-entropy epochs over a fixed example set (stages 1 and 3) as ``p`` plans
-    them; with a ``report``, one row per epoch, each reading ``pseudo``."""
+                      targets: np.ndarray, table: PseudoTable | None, sink: Sink) -> ModelParams:
+    """Cross-entropy epochs over a fixed example set (stages 1 and 3) as ``p``
+    plans them, each passed to ``sink`` with ``table``."""
     opt = init_opt_state(params, stage_cfg.lr, MOMENTUM, stage_cfg.wd)
     grads = ModelParams(params.arch, np.empty_like(params.flat))
     stream = random_stream(seed, stream_id=stream_id)
@@ -313,34 +338,23 @@ def _supervised_stage(stage: int, stage_cfg: StageOneConfig, p: StagePlan, seed:
             g[picked] -= 1.0
             g /= rows.size
             sgd_nesterov_step(params, backward(trace, g, params, out=grads), opt)
-        if report is not None:
-            ce = ce_sum / n
-            report.add(_eval_row(report, stage, ep + 1, opt.lr, ce, ce, 0.0, params, pseudo))
+        ce = ce_sum / n
+        sink(stage, ep + 1, opt.lr, EpochStats(ce, ce, 0.0, NA), params, table)
     return params
 
 
 def stage1_supervised(cfg: TrainConfig, split: SplitDataset,
-                      report: Report | None = None) -> ModelParams:
+                      sink: Sink = _no_sink) -> ModelParams:
     """Supervised warmup on the labeled subset only."""
     params = init_params(resolve_arch(cfg.arch, split.base), cfg.seed)
     feats = split.base.features[split.labeled_idx]
     return _supervised_stage(1, cfg.stage1, plan(cfg, split).stage1, cfg.seed, 10, params,
-                             feats, split.labeled_targets(), None, report)
-
-
-@dataclass
-class StageTwoStats:
-    """Per-epoch aggregates from one joint-training epoch."""
-
-    loss_total: float
-    loss_lc: float
-    loss_le: float
-    head_grad_norm: float  # epoch mean of the batch head-weight gradient norm
+                             feats, split.labeled_targets(), None, sink)
 
 
 def _joint_epoch(params: ModelParams, table: PseudoTable, split: SplitDataset,
                  lcfg: LossConfig, opt, p: JointPlan, lab_pool: _CyclingPool,
-                 unl_pool: _CyclingPool, grads: ModelParams, batch) -> StageTwoStats:
+                 unl_pool: _CyclingPool, grads: ModelParams, batch) -> EpochStats:
     """One epoch of joint steps as ``p`` plans them. ``grads`` is the stage's
     gradient buffer and ``batch`` its buffers of one batch's rows, inputs and
     pseudo-logits, refilled every step."""
@@ -364,21 +378,17 @@ def _joint_epoch(params: ModelParams, table: PseudoTable, split: SplitDataset,
         sgd_nesterov_step(params, grads, opt)
         pseudo_step(table, loss.grad_pseudo, lcfg.lam, rows)
     n_seen = p.batches * rows.size
-    return StageTwoStats(tot / n_seen, lc_s / n_seen, le_s / n_seen, hn / p.batches)
+    return EpochStats(tot / n_seen, lc_s / n_seen, le_s / n_seen, hn / p.batches)
 
 
-def stage2_joint(cfg: TrainConfig, params: ModelParams, split: SplitDataset,
-                 report: Report | None = None, epoch_hook=None,
+def stage2_joint(cfg: TrainConfig, params: ModelParams, split: SplitDataset, sink: Sink = _no_sink,
                  table: PseudoTable | None = None) -> tuple[ModelParams, PseudoTable]:
     """Joint optimization of weights and pseudo-logits in the planned rounds.
 
     Each round: (re)predict pseudo-logits, train its epochs, then decay the
     network learning rate. The first round's prediction is the table
     initialization itself; passing an existing ``table`` continues a previous
-    joint-training run instead. ``epoch_hook(round, epoch, params, table,
-    stats)`` runs after every epoch, before report emission; a truthy return
-    value stops the stage early (used for convergence-gated training).
-    """
+    joint-training run instead. A truthy return of ``sink`` stops the stage."""
     s2, p = cfg.stage2, plan(cfg, split).stage2
     opt = init_opt_state(params, s2.lr0, MOMENTUM, s2.wd)
     stream = random_stream(cfg.seed, stream_id=11)
@@ -398,12 +408,7 @@ def stage2_joint(cfg: TrainConfig, params: ModelParams, split: SplitDataset,
             stats = _joint_epoch(params, table, split, cfg.loss, opt, p, lab_pool, unl_pool,
                                  grads, batch)
             epoch_global += 1
-            stop = epoch_hook(rnd, epoch_global, params, table, stats) if epoch_hook else None
-            if report is not None:
-                report.add(_eval_row(report, 2, epoch_global, opt.lr, stats.loss_total,
-                                     stats.loss_lc, stats.loss_le, params,
-                                     report.pseudo_eval(table)))
-            if stop:
+            if sink(2, epoch_global, opt.lr, stats, params, table):
                 return params, table
         if rnd in p.decay:
             decay_lr(opt, s2.lr_decay_factor)
@@ -411,22 +416,17 @@ def stage2_joint(cfg: TrainConfig, params: ModelParams, split: SplitDataset,
 
 
 def stage3_finetune(cfg: TrainConfig, params: ModelParams, table: PseudoTable,
-                    split: SplitDataset, report: Report | None = None) -> ModelParams:
+                    split: SplitDataset, sink: Sink = _no_sink) -> ModelParams:
     """Hard-target finetune on all examples; the pseudo table is read-only."""
     targets = hard_labels(table)
     targets[split.labeled_idx] = split.labeled_targets()
-    pseudo = report.pseudo_eval(table) if report is not None else None
     return _supervised_stage(3, cfg.stage3, plan(cfg, split).stage3, cfg.seed, 12, params,
-                             split.base.features, targets, pseudo, report)
+                             split.base.features, targets, table, sink)
 
 
 def resolve_arch(spec: ArchSpec, ds: Dataset) -> Architecture:
-    return Architecture(
-        input_dim=ds.input_dim,
-        hidden_dims=spec.hidden_dims,
-        num_classes=ds.num_classes,
-        activation=spec.activation,
-    )
+    return Architecture(input_dim=ds.input_dim, hidden_dims=spec.hidden_dims,
+                        num_classes=ds.num_classes, activation=spec.activation)
 
 
 def run_pipeline(cfg: TrainConfig, out_dir=None) -> Report:

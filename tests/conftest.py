@@ -234,15 +234,15 @@ class ConvergenceRun:
         max_round_drift = [0.0]
         unl = split.unlabeled_idx
 
-        def track(t, stats):
+        def track(stage, epoch, lr, stats, params, table):
             head_grads.append(stats.head_grad_norm)
-            max_round_drift[0] = max(max_round_drift[0], float(t.sum_drift()[unl].max()))
+            max_round_drift[0] = max(max_round_drift[0], float(table.sum_drift()[unl].max()))
 
-        def gated_hook(rnd, ep, p, t, stats):
-            track(t, stats)
-            return ep >= self.WARMUP_EPOCHS and stats.head_grad_norm < CONVERGENCE_GATE
+        def gated(stage, epoch, lr, stats, params, table):
+            track(stage, epoch, lr, stats, params, table)
+            return epoch >= self.WARMUP_EPOCHS and stats.head_grad_norm < CONVERGENCE_GATE
 
-        params, table = stage2_joint(cfg, params, split, epoch_hook=gated_hook)
+        params, table = stage2_joint(cfg, params, split, gated)
         self.converged = head_grads[-1] < CONVERGENCE_GATE
         self.gate_head_grad = head_grads[-1]
         # settle phase: repredicted, decayed rounds kill the table's tracking
@@ -250,11 +250,7 @@ class ConvergenceRun:
         # each round boundary is what clears residual overshoot)
         settle = make_convergence_config(rounds=4, epochs_per_round=300).replace(
             {"stage2.lr0": 0.01, "stage2.lr_decay_factor": 0.25})
-        params, table = stage2_joint(
-            settle, params, split,
-            epoch_hook=lambda rnd, ep, p, t, stats: track(t, stats),
-            table=table,
-        )
+        params, table = stage2_joint(settle, params, split, track, table=table)
         self.cfg = cfg
         self.split = split
         self.params = params

@@ -27,12 +27,7 @@ from pseudograd.cli import main, run_ablation
 from pseudograd.loss import LossConfig, joint_loss_rows, loss_terms_rows
 from pseudograd.numerics import clamped_log, entropy_rows, softmax_rows
 from pseudograd.pseudo_labels import pseudo_probs_rows, repredict
-from pseudograd.trainer import (
-    build_dataset,
-    run_pipeline,
-    stage1_supervised,
-    stage2_joint,
-)
+from pseudograd.trainer import build_dataset, run_pipeline, stage1_supervised, stage2_joint
 
 
 def _criterion(n: int, ok: bool, detail: str) -> None:
@@ -67,12 +62,8 @@ def test_criterion_2_sum_invariance(converged_run):
 
     stage_drift = converged_run.max_round_drift
     ok = step_drift < 1e-12 and stage_drift < 1e-6
-    _criterion(
-        2,
-        ok,
-        f"single-step drift {step_drift:.2e} < 1e-12; "
-        f"max per-round drift {stage_drift:.2e} < 1e-6",
-    )
+    _criterion(2, ok, f"single-step drift {step_drift:.2e} < 1e-12; "
+                      f"max per-round drift {stage_drift:.2e} < 1e-6")
 
 
 def _l2_stage2_drift() -> float:
@@ -81,15 +72,13 @@ def _l2_stage2_drift() -> float:
     cfg = make_convergence_config(variant="l2", rounds=1, epochs_per_round=200)
     split, _ = build_dataset(cfg.data, cfg.seed)
     params = stage1_supervised(cfg, split)
-    unl = split.unlabeled_idx
-    worst = [0.0]
-    stage2_joint(
-        cfg, params, split,
-        epoch_hook=lambda rnd, ep, p, t, st: worst.__setitem__(
-            0, max(worst[0], float(t.sum_drift()[unl].max()))
-        ),
-    )
-    return worst[0]
+    unl, drifts = split.unlabeled_idx, []
+
+    def sink(stage, epoch, lr, stats, params, table):
+        drifts.append(float(table.sum_drift()[unl].max()))
+
+    stage2_joint(cfg, params, split, sink)
+    return max(drifts)
 
 
 def test_criterion_2_negative_control_l2_drift(monkeypatch):
@@ -98,7 +87,7 @@ def test_criterion_2_negative_control_l2_drift(monkeypatch):
     The `l2` pseudo-logit gradient 2*alpha*p~*(d - <p~, d>), d = p~ - p^, is
     a softmax-Jacobian image, so each row sums to zero and the `l2` run must
     stay below the 1e-6 drift threshold like every other variant. To show that
-    the same hook and threshold do fire on an update that is not conserving,
+    the same sink and threshold do fire on an update that is not conserving,
     the run is repeated with the centring term dropped, 2*alpha*p~*(p~ - p^),
     whose rows do not sum to zero; its drift must exceed 1e-6.
     """
@@ -111,12 +100,8 @@ def test_criterion_2_negative_control_l2_drift(monkeypatch):
     monkeypatch.setattr(trainer, "joint_loss_rows", uncentred)
     uncentred_drift = _l2_stage2_drift()
     ok = l2_drift < 1e-6 and uncentred_drift > 1e-6
-    _criterion(
-        2,
-        ok,
-        f"negative control: l2 drift {l2_drift:.2e} < 1e-6 (conserved); "
-        f"uncentred-gradient drift {uncentred_drift:.2e} > 1e-6 (control fires)",
-    )
+    _criterion(2, ok, f"negative control: l2 drift {l2_drift:.2e} < 1e-6 (conserved); "
+                      f"uncentred-gradient drift {uncentred_drift:.2e} > 1e-6 (control fires)")
 
 
 def test_criterion_3_exponential_link(converged_run):
@@ -146,14 +131,11 @@ def test_criterion_3_exponential_link(converged_run):
         and oracle_worst < 1e-8
         and converged_run.runtime_s < 300.0
     )
-    _criterion(
-        3,
-        ok,
-        f"trained to head-grad {converged_run.gate_head_grad:.2e} < {CONVERGENCE_GATE}; "
-        f"{link['fraction_within']:.1%} of unlabeled within {link['tolerance']} (need 90%); "
-        f"bisection oracle residual {oracle_worst:.1e} < 1e-8; "
-        f"fixture runtime {converged_run.runtime_s:.0f}s < 300s",
-    )
+    _criterion(3, ok, f"trained to head-grad {converged_run.gate_head_grad:.2e} "
+                      f"< {CONVERGENCE_GATE}; {link['fraction_within']:.1%} of unlabeled "
+                      f"within {link['tolerance']} (need 90%); "
+                      f"bisection oracle residual {oracle_worst:.1e} < 1e-8; "
+                      f"fixture runtime {converged_run.runtime_s:.0f}s < 300s")
 
 
 def test_criterion_4_flattening_bound(converged_run):
@@ -170,14 +152,10 @@ def test_criterion_4_flattening_bound(converged_run):
         and alg["violations"] == 0
         and elapsed < 10.0
     )
-    _criterion(
-        4,
-        ok,
-        f"{flat['violations']} violations among {flat['checked']} link-satisfying "
-        f"examples (|r| < {theory.LINK_TOLERANCE}, tol {flat['tolerance']}); "
-        f"algebraic check {alg['violations']} violations "
-        f"over {alg['samples']} samples in {elapsed:.1f}s < 10s",
-    )
+    _criterion(4, ok, f"{flat['violations']} violations among {flat['checked']} link-satisfying "
+                      f"examples (|r| < {theory.LINK_TOLERANCE}, tol {flat['tolerance']}); "
+                      f"algebraic check {alg['violations']} violations "
+                      f"over {alg['samples']} samples in {elapsed:.1f}s < 10s")
 
 
 def test_criterion_5_flattening_and_sharpening():
@@ -193,13 +171,9 @@ def test_criterion_5_flattening_and_sharpening():
     table2 = repredict(table, split, params)
     ent_pseudo_after = float(entropy_rows(pseudo_probs_rows(table2, unl)).mean())
     ok = (ent_pseudo_before >= ent_pred - 1e-3) and (ent_pseudo_after < ent_pseudo_before)
-    _criterion(
-        5,
-        ok,
-        f"end of no-reprediction run: H(pseudo)={ent_pseudo_before:.6f} >= "
-        f"H(pred)={ent_pred:.6f} - 1e-3; reprediction drops H(pseudo) to "
-        f"{ent_pseudo_after:.6f} (strict decrease)",
-    )
+    _criterion(5, ok, f"end of no-reprediction run: H(pseudo)={ent_pseudo_before:.6f} >= "
+                      f"H(pred)={ent_pred:.6f} - 1e-3; reprediction drops H(pseudo) to "
+                      f"{ent_pseudo_after:.6f} (strict decrease)")
 
 
 def test_criterion_6_ssl_benefit_on_moons(moons_benefit_runs):
@@ -217,12 +191,8 @@ def test_criterion_6_ssl_benefit_on_moons(moons_benefit_runs):
     margin = float(np.median(finals) - np.median(baselines))
     ok = all(f > b for f, b in zip(finals, baselines))
     pairs = ", ".join(f"{s}: {b:.3f}->{f:.3f}" for s, b, f in zip(seeds, baselines, finals))
-    _criterion(
-        6,
-        ok,
-        f"final > stage-1 baseline on every seed (sign test, p = 1/32): {pairs}; "
-        f"median margin {margin:+.3f}",
-    )
+    _criterion(6, ok, f"final > stage-1 baseline on every seed (sign test, p = 1/32): {pairs}; "
+                      f"median margin {margin:+.3f}")
 
 
 def test_criterion_7_strategy_trend():
@@ -233,12 +203,9 @@ def test_criterion_7_strategy_trend():
         and med["full_schedule"] < med["single_round"]
         and med["full_schedule"] < med["repeat"]
     )
-    _criterion(
-        7,
-        ok,
-        f"median errors over 5 seeds: plain {med['single_round']:.4f} >= "
-        f"repeat {med['repeat']:.4f} >= full {med['full_schedule']:.4f}, full strictly best",
-    )
+    _criterion(7, ok, f"median errors over 5 seeds: plain {med['single_round']:.4f} >= "
+                      f"repeat {med['repeat']:.4f} >= full {med['full_schedule']:.4f}, "
+                      "full strictly best")
 
 
 def test_criterion_8_alpha_beta_requirement():
@@ -253,12 +220,8 @@ def test_criterion_8_alpha_beta_requirement():
     acc_bad = median_pseudo_acc(0.01)
     # pinned margin: the alpha < beta run collapses by >= 0.2 on this fixture
     ok = acc_bad <= acc_good - 0.2
-    _criterion(
-        8,
-        ok,
-        f"final unlabeled pseudo-label accuracy: alpha=0.1 -> {acc_good:.3f}, "
-        f"alpha=0.01 -> {acc_bad:.3f} (pinned margin 0.2)",
-    )
+    _criterion(8, ok, f"final unlabeled pseudo-label accuracy: alpha=0.1 -> {acc_good:.3f}, "
+                      f"alpha=0.01 -> {acc_bad:.3f} (pinned margin 0.2)")
 
 
 def test_criterion_9_classification_loss_direction():
@@ -273,12 +236,8 @@ def test_criterion_9_classification_loss_direction():
     err_pred_pseudo = median_error("kl_pred_pseudo")
     err_pseudo_pred = median_error("kl_pseudo_pred")
     ok = err_pred_pseudo <= err_pseudo_pred
-    _criterion(
-        9,
-        ok,
-        f"median error kl_pred_pseudo {err_pred_pseudo:.4f} <= "
-        f"kl_pseudo_pred {err_pseudo_pred:.4f} over 5 seeds",
-    )
+    _criterion(9, ok, f"median error kl_pred_pseudo {err_pred_pseudo:.4f} <= "
+                      f"kl_pseudo_pred {err_pseudo_pred:.4f} over 5 seeds")
 
 
 def test_criterion_10_two_d_feature_compaction(digits_idx, tmp_path):
@@ -300,13 +259,9 @@ def test_criterion_10_two_d_feature_compaction(digits_idx, tmp_path):
         and n_train == n_after > 0
         and elapsed < 1200.0
     )
-    _criterion(
-        10,
-        ok,
-        f"{digits_idx['source']}: intra-class 2-D spread ratio after/before: "
-        f"labeled {ratios['labeled']:.3f}, unlabeled {ratios['unlabeled']:.3f} "
-        f"(both < 1); {n_train} rows per CSV; runtime {elapsed:.0f}s < 1200s",
-    )
+    _criterion(10, ok, f"{digits_idx['source']}: intra-class 2-D spread ratio after/before: "
+                       f"labeled {ratios['labeled']:.3f}, unlabeled {ratios['unlabeled']:.3f} "
+                       f"(both < 1); {n_train} rows per CSV; runtime {elapsed:.0f}s < 1200s")
 
 
 def test_criterion_11_determinism(tmp_path):

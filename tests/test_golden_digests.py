@@ -7,6 +7,9 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,6 +56,17 @@ def recorded(digests) -> dict[str, str]:
 @pytest.mark.parametrize("artifact", ARTIFACTS)
 def test_artifact_bits_match_the_recorded_digest(artifact, digests, recorded):
     assert digests[artifact] == recorded[artifact], f"{artifact} bits moved"
+
+
+def test_a_lower_numpy_dispatch_level_is_another_environment():
+    # a level that moves exp and log must not share an entry, or it reads as "bits moved"
+    if "X86_V4" not in same_bytes.numpy_dispatch().split():
+        pytest.skip("X86_V4 is not active, so it cannot be turned off")
+    code = f"import json, runpy; print(json.dumps(runpy.run_path({str(TOOL)!r})['environment']()))"
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                           check=True)
+    assert json.loads(child.stdout) != same_bytes.environment()
 
 
 def test_same_bytes_names_each_difference_but_not_the_git_describe(tmp_path):

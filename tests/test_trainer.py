@@ -303,6 +303,18 @@ def test_a_run_makes_the_calls_its_plan_derives(cfg):
     assert calls == plan_counts(plan(cfg, split))
 
 
+@given(tiny_schedules())
+def test_the_report_reads_the_table_each_stage2_epoch_and_once_in_stage3(cfg):
+    reads, original = [], Report.pseudo_eval  # per read, the index of the row it is for
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Report, "pseudo_eval",
+                   lambda self, table: reads.append(len(self.rows)) or original(self, table))
+        report = run_pipeline(cfg)
+    split, _ = build_dataset(cfg.data, cfg.seed)
+    stage2, stage3 = plan_counts(plan(cfg, split))["_joint_epoch"], min(cfg.stage3.epochs, 1)
+    assert [report.rows[i].stage for i in reads] == [2] * stage2 + [3] * stage3
+
+
 def _allocating_take(pool, k):
     """The pool's take as it was, returning a new array (the reference)."""
     out = np.empty(k, dtype=np.int64)
@@ -385,11 +397,26 @@ class TestStages:
         oracle_table = PseudoTable(logits, np.zeros(n, bool), logits.sum(axis=1))
         out = stage3_finetune(cfg, params.copy(), oracle_table, split)
 
-        from pseudograd.trainer import _supervised_stage
+        from pseudograd.trainer import _no_sink, _supervised_stage
 
-        ref = _supervised_stage(3, cfg.stage3, plan(cfg, split).stage3, cfg.seed, 12,
-                                params.copy(), split.base.features, split.base.labels, None, None)
+        ref = _supervised_stage(3, cfg.stage3, plan(cfg, split).stage3, cfg.seed, 12, params.copy(),
+                                split.base.features, split.base.labels, None, _no_sink)
         np.testing.assert_array_equal(out.head_w, ref.head_w)
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_a_truthy_sink_ends_stage2_as_a_shorter_round_does(self, k):
+        from conftest import make_trend_config
+
+        cfg = make_trend_config(seed=7).replace({"stage2.rounds": 1})
+        split, _ = build_dataset(cfg.data, cfg.seed)
+        params = stage1_supervised(cfg, split)
+        got, got_table = stage2_joint(cfg, params.copy(), split,
+                                      lambda stage, epoch, *_: epoch == k)
+        short = cfg.replace({"stage2.epochs_per_round": k})
+        want, want_table = stage2_joint(short, params.copy(), split)
+        np.testing.assert_array_equal(got.flat, want.flat)
+        for name in ("logits", "frozen", "init_sum"):
+            np.testing.assert_array_equal(getattr(got_table, name), getattr(want_table, name))
 
     def test_stage2_emits_epoch_rows(self):
         cfg = tiny_config()
@@ -414,20 +441,16 @@ class TestSharedEval:
         cfg = make_trend_config(seed=7).replace({"stage2.rounds": 2})  # one reprediction
         split, test = build_dataset(cfg.data, cfg.seed)
         report, seen_params, seen_tables = Report(split, test, cfg.loss), [], []
-        original = trainer._eval_row
 
-        def recording(*args):
-            seen_params.append(args[7].copy())  # the network the row is evaluated on
-            return original(*args)
+        def recording(stage, epoch, lr, stats, params, table):
+            seen_params.append(params.copy())  # the network the row is evaluated on
+            if stage == 2:
+                seen_tables.append(table.copy())
+            return report(stage, epoch, lr, stats, params, table)
 
-        def copy_table(rnd, epoch, params, table, stats):
-            seen_tables.append(table.copy())  # runs before the epoch's row
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(trainer, "_eval_row", recording)
-            params = stage1_supervised(cfg, split, report)
-            params, table = stage2_joint(cfg, params, split, report, epoch_hook=copy_table)
-            stage3_finetune(cfg, params, table, split, report)
+        params = stage1_supervised(cfg, split, recording)
+        params, table = stage2_joint(cfg, params, split, recording)
+        stage3_finetune(cfg, params, table, split, recording)
         return cfg, split, report, seen_params, seen_tables, table
 
     @staticmethod

@@ -72,12 +72,23 @@ def openblas_core() -> str | None:
     return corename().decode()
 
 
+def numpy_dispatch() -> str:
+    """numpy's active runtime dispatch targets, which move the bits of exp,
+    log and tanh; "unknown" where numpy lacks the private names that list them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+        return " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+    except (ImportError, AttributeError):
+        return "unknown"
+
+
 def environment() -> dict:
     """The key of an entry in golden_digests.json. Runs are byte-deterministic
-    on one machine but not across numpy builds or BLAS kernels."""
+    on one machine but not across numpy builds, dispatch levels or BLAS kernels."""
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": blas.get("name"),
-            "blas_version": blas.get("version"), "openblas_core": openblas_core()}
+    return {"numpy": np.__version__, "numpy_dispatch": numpy_dispatch(),
+            "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "openblas_core": openblas_core()}
 
 
 def recorded_entry() -> dict | None:
