@@ -38,6 +38,7 @@ from .model import forward_batch, load_checkpoint
 from .numerics import InvalidInputError, WriteError, make_dir, write_csv, write_json
 from .pseudo_labels import load_table
 from .trainer import (
+    NA,
     StageError,
     build_run_data,
     intra_class_spread,
@@ -168,7 +169,8 @@ def run_ablation(cfg: TrainConfig, grid: str, n_seeds: int) -> list[dict]:
             report = run_pipeline(cell.replace({"seed": cfg.seed + k}))
             test_errors.append(1.0 - report.rows[-1].test_acc)
             s2 = report.stage_rows(2)
-            pseudo_errors.append(1.0 - s2[-1].unlabeled_pseudo_acc if s2 else float("nan"))
+            acc = s2[-1].unlabeled_pseudo_acc if s2 else NA  # NA too without unlabeled rows
+            pseudo_errors.append(float("nan") if acc == NA else 1.0 - acc)
         rows.append(
             {
                 "grid": grid,

@@ -139,14 +139,9 @@ def gen_gaussian_blobs(
     """Isotropic Gaussian clusters at deterministic simplex-vertex centers."""
     centers = _simplex_vertices(n_classes, dim)
     stream = random_stream(seed, stream_id=0)
-    feats = np.empty((n_classes * n_per_class, dim), dtype=np.float64)
-    labels = np.empty(n_classes * n_per_class, dtype=np.int64)
-    for k in range(n_classes):
-        lo = k * n_per_class
-        noise = stream.normal(0.0, spread, size=(n_per_class, dim))
-        feats[lo : lo + n_per_class] = centers[k] + noise
-        labels[lo : lo + n_per_class] = k
-    return Dataset(feats, labels, n_classes)
+    noise = stream.normal(0.0, spread, size=(n_classes * n_per_class, dim))
+    feats = np.repeat(centers, n_per_class, axis=0) + noise
+    return Dataset(feats, np.repeat(np.arange(n_classes), n_per_class), n_classes)
 
 
 def gen_two_moons(n_per_class: int, noise: float, seed: int) -> Dataset:

@@ -54,12 +54,12 @@ def _terms(ph, pt, log_ph, log_pt, variant: str):
     return lc, entropy_rows(ph, log_ph)
 
 
-def loss_terms_rows(p_hat, p_tilde, cfg: LossConfig, logs=None):
-    """Per-row (lc, le), without the gradients; ``logs`` is the pair's
-    clamped logs when the caller has them."""
+def loss_terms_rows(p_hat, p_tilde, variant: str, logs=None):
+    """Per-row (lc, le) of the Lc ``variant``, without the gradients; ``logs``
+    is the pair's clamped logs when the caller has them."""
     ph, pt = _check_pair(p_hat, p_tilde)
     log_ph, log_pt = (clamped_log(ph), clamped_log(pt)) if logs is None else logs
-    return _terms(ph, pt, log_ph, log_pt, cfg.variant)
+    return _terms(ph, pt, log_ph, log_pt, variant)
 
 
 def joint_loss_rows(p_hat, p_tilde, cfg: LossConfig) -> JointLoss:

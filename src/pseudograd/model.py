@@ -103,9 +103,6 @@ class ModelParams:
         for slot in param_layout(self.arch):
             yield slot.name, self.flat[slot.start : slot.stop].reshape(slot.shape)
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.arch, self.flat.copy())
-
 
 @dataclass
 class ForwardTrace:

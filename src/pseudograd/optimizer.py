@@ -22,29 +22,27 @@ from .model import ModelParams, weight_mask
 from .numerics import InvalidInputError
 from .pseudo_labels import PseudoTable
 
+MOMENTUM = 0.9  # mu of every network step
+
 
 @dataclass
 class OptState:
     lr: float
-    momentum: float = 0.9
+    momentum: float = MOMENTUM
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(0))
     decay: np.ndarray = field(default_factory=lambda: np.zeros(0))  # per flat entry
     scratch: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)))  # step temporaries
 
 
-def init_opt_state(
-    params: ModelParams, lr: float, momentum: float = 0.9, weight_decay: float = 0.0
-) -> OptState:
-    state = OptState(lr, momentum)
+def init_opt_state(params: ModelParams, lr: float, weight_decay: float = 0.0) -> OptState:
+    state = OptState(lr)
     state.velocity = np.zeros_like(params.flat)
     state.decay = weight_decay * weight_mask(params.arch)
     state.scratch = np.empty((2, params.flat.size))
     return state
 
 
-def sgd_nesterov_step(
-    params: ModelParams, grads: ModelParams, state: OptState
-) -> tuple[ModelParams, OptState]:
+def sgd_nesterov_step(params: ModelParams, grads: ModelParams, state: OptState) -> None:
     """One in-place Nesterov SGD step over the flat parameter vector."""
     theta = params.flat
     if not grads.flat.size == state.velocity.size == state.scratch.shape[1] == theta.size:
@@ -61,15 +59,9 @@ def sgd_nesterov_step(
     np.multiply(state.velocity, state.momentum, out=move)
     move -= lr_g
     theta += move
-    return params, state
 
 
-def pseudo_step(
-    table: PseudoTable,
-    pseudo_grads: np.ndarray,
-    lam: float,
-    rows: np.ndarray,
-) -> PseudoTable:
+def pseudo_step(table: PseudoTable, pseudo_grads: np.ndarray, lam: float, rows: np.ndarray) -> None:
     """One descent step on pseudo-logits: y~[rows] <- y~[rows] - lam * grad.
 
     ``rows`` (required) lists the batch's table rows; ``pseudo_grads`` aligns
@@ -86,14 +78,12 @@ def pseudo_step(
         )
     live = ~table.frozen[rows]
     np.subtract.at(table.logits, rows[live], lam * grads[live])
-    return table
 
 
-def decay_lr(state: OptState, factor: float) -> OptState:
+def decay_lr(state: OptState, factor: float) -> None:
     """Multiply the network learning rate; the velocity is preserved.
 
     The pseudo-logit learning rate is out of scope here: it stays fixed for a
     whole run.
     """
     state.lr *= factor
-    return state

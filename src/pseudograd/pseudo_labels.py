@@ -29,10 +29,6 @@ class PseudoTable:
     init_sum: np.ndarray  # (examples,)
 
     @property
-    def n_examples(self) -> int:
-        return self.logits.shape[0]
-
-    @property
     def num_classes(self) -> int:
         return self.logits.shape[1]
 

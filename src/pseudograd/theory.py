@@ -92,7 +92,7 @@ def link_residual_rows(
     Uses each example's own loss value, not a batch mean: the stationarity
     argument is per-example.
     """
-    lc, le = loss_terms_rows(p_hat, p_tilde, cfg, logs)
+    lc, le = loss_terms_rows(p_hat, p_tilde, cfg.variant, logs)
     total = cfg.alpha * lc + cfg.beta * le
     n = p_hat.argmax(axis=1)
     return link_residual_matrix(*logs, total, cfg.alpha, cfg.beta)[np.arange(n.size), n]
@@ -212,7 +212,6 @@ def flatness_bound_check(n_samples: int, seed: int) -> dict:
     if n_samples < len(sizes):
         raise InvalidInputError(f"n_samples must be >= {len(sizes)}, one per class count")
     stream = random_stream(seed, stream_id=3)
-    kl_pred_pseudo = LossConfig(variant=VARIANT_KL_PRED_PSEUDO)  # alpha, beta drawn per row
     per = n_samples // len(sizes)
     counts = [per] * (len(sizes) - 1) + [n_samples - per * (len(sizes) - 1)]
     hat_buf = np.empty(max(m * nc for m, nc in zip(counts, sizes)))
@@ -229,7 +228,7 @@ def flatness_bound_check(n_samples: int, seed: int) -> dict:
             pt = stream.standard_exponential(out=tilde_buf[: ph.size].reshape(ph.shape))
             ph /= row_sum(ph)[:, None]
             pt /= row_sum(pt)[:, None]
-            lc[rows], le[rows] = loss_terms_rows(ph, pt, kl_pred_pseudo)
+            lc[rows], le[rows] = loss_terms_rows(ph, pt, VARIANT_KL_PRED_PSEUDO)
         alpha = stream.uniform(0.02, 0.5, size=m)
         beta = alpha * stream.uniform(0.0, 0.999, size=m)
         for rows in blocks:
@@ -289,11 +288,11 @@ def _central_diff(loss_rows, x: np.ndarray) -> np.ndarray:
 
 
 def _loss_total_rows(
-    y_hat: np.ndarray, y_tilde: np.ndarray, terms: LossConfig, alpha: np.ndarray, beta: np.ndarray
+    y_hat: np.ndarray, y_tilde: np.ndarray, variant: str, alpha: np.ndarray, beta: np.ndarray
 ) -> np.ndarray:
-    """``alpha * Lc + beta * Le`` of each row pair of logits, with the
-    variant of ``terms`` and each row's own ``alpha`` and ``beta``."""
-    lc, le = loss_terms_rows(softmax_rows(y_hat), softmax_rows(y_tilde), terms)
+    """``alpha * Lc + beta * Le`` of each row pair of logits, with the Lc
+    ``variant`` and each row's own ``alpha`` and ``beta``."""
+    lc, le = loss_terms_rows(softmax_rows(y_hat), softmax_rows(y_tilde), variant)
     return alpha * lc + beta * le
 
 
@@ -306,7 +305,6 @@ def _softmax_paths(stream, variant: str, trials: int):
     their analytic gradients from one ``joint_loss_weighted_rows`` call.
     """
     worst_pseudo = worst_logits = 0.0
-    terms = LossConfig(variant=variant)  # alpha, beta given per row
     for start in range(0, trials, FD_BLOCK_TRIALS):
         groups: dict[int, list] = {}  # class count -> its trials' (alpha, beta, y_hat, y_tilde)
         for _ in range(min(FD_BLOCK_TRIALS, trials - start)):
@@ -322,9 +320,9 @@ def _softmax_paths(stream, variant: str, trials: int):
             a, b = np.repeat(alpha, 2 * nc), np.repeat(beta, 2 * nc)
             # the operand that does not move is repeated to each input's 2*nc rows
             num_pseudo = _central_diff(lambda s: _loss_total_rows(
-                np.repeat(y_hat, 2 * nc, axis=0), s, terms, a, b), y_tilde)
+                np.repeat(y_hat, 2 * nc, axis=0), s, variant, a, b), y_tilde)
             num_logits = _central_diff(lambda s: _loss_total_rows(
-                s, np.repeat(y_tilde, 2 * nc, axis=0), terms, a, b), y_hat)
+                s, np.repeat(y_tilde, 2 * nc, axis=0), variant, a, b), y_hat)
             loss = joint_loss_weighted_rows(
                 softmax_rows(y_hat), softmax_rows(y_tilde), variant, alpha, beta)
             worst_pseudo = max(worst_pseudo, float(_rel_err(loss.grad_pseudo, num_pseudo).max()))
@@ -361,8 +359,8 @@ def finite_diff_suite(seed: int, trials: int) -> dict[str, float]:
             def batch_loss(stack: np.ndarray) -> np.ndarray:
                 # every perturbed vector in one stacked forward; the mean
                 # loss over the batch per vector
-                lc, le = loss_terms_rows(
-                    forward_stack(arch, stack, x), np.tile(p_tilde, (stack.shape[0], 1)), cfg)
+                lc, le = loss_terms_rows(forward_stack(arch, stack, x),
+                                         np.tile(p_tilde, (stack.shape[0], 1)), cfg.variant)
                 return (cfg.alpha * lc + cfg.beta * le).reshape(stack.shape[0], -1).mean(axis=1)
 
             trace = forward_batch(params, x)

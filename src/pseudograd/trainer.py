@@ -40,8 +40,6 @@ from .optimizer import decay_lr, init_opt_state, pseudo_step, sgd_nesterov_step
 from .pseudo_labels import PseudoTable, export_csv, hard_labels, init_pseudo, pseudo_probs_rows
 from .pseudo_labels import repredict, save_table
 
-MOMENTUM = 0.9
-
 # Report sentinel for "not applicable in this stage" (rows must stay finite).
 NA = -1.0
 
@@ -56,9 +54,12 @@ class StageError(RuntimeError):
 
 @contextmanager
 def stage_errors(stage: str):
-    """Re-raise any exception of the block as a StageError naming ``stage``."""
+    """Re-raise any exception of the block as a StageError naming ``stage``.
+    Overflow warnings are off inside it: an overflowed value either fails a
+    finite check that raises by name, or leaves the block."""
     try:
-        yield
+        with np.errstate(over="ignore"):
+            yield
     except Exception as exc:
         raise StageError(stage, exc) from exc
 
@@ -322,7 +323,7 @@ def _supervised_stage(stage: int, stage_cfg: StageOneConfig, p: StagePlan, seed:
                       targets: np.ndarray, table: PseudoTable | None, sink: Sink) -> ModelParams:
     """Cross-entropy epochs over a fixed example set (stages 1 and 3) as ``p``
     plans them, each passed to ``sink`` with ``table``."""
-    opt = init_opt_state(params, stage_cfg.lr, MOMENTUM, stage_cfg.wd)
+    opt = init_opt_state(params, stage_cfg.lr, stage_cfg.wd)
     grads = ModelParams(params.arch, np.empty_like(params.flat))
     stream = random_stream(seed, stream_id=stream_id)
     n = features.shape[0]
@@ -390,7 +391,7 @@ def stage2_joint(cfg: TrainConfig, params: ModelParams, split: SplitDataset, sin
     initialization itself; passing an existing ``table`` continues a previous
     joint-training run instead. A truthy return of ``sink`` stops the stage."""
     s2, p = cfg.stage2, plan(cfg, split).stage2
-    opt = init_opt_state(params, s2.lr0, MOMENTUM, s2.wd)
+    opt = init_opt_state(params, s2.lr0, s2.wd)
     stream = random_stream(cfg.seed, stream_id=11)
     if table is None:
         table = init_pseudo(split, params)

@@ -64,6 +64,12 @@ JSON_VALUES = st.recursive(
 DOCUMENT_SLOTS = st.none() | st.integers(min_value=0)
 
 
+def bits(values) -> np.ndarray:
+    """The int64 bit patterns of float64 ``values``, an array or a list: two
+    results compare equal exactly when every float has the same bits."""
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
 def damaged(doc, slot: int | None, value):
     """``value`` when ``slot`` is None; else a copy of the JSON document
     ``doc`` whose ``slot``-th value, counted in document order modulo the
@@ -193,7 +199,7 @@ def solve_link_point(p_hat: np.ndarray, cfg: LossConfig, iters: int = 200) -> np
         return p_tilde
 
     def residual(t: float) -> float:
-        lc, le = loss_terms_rows(p_hat[None, :], point(t)[None, :], cfg)
+        lc, le = loss_terms_rows(p_hat[None, :], point(t)[None, :], cfg.variant)
         total = cfg.alpha * float(lc[0]) + cfg.beta * float(le[0])
         return (
             (cfg.alpha - cfg.beta) * float(clamped_log(p_hat[n : n + 1])[0])

@@ -115,7 +115,7 @@ def test_criterion_3_exponential_link(converged_run):
     for _ in range(20):
         p_hat = softmax_rows(rng.normal(size=(1, 3)) * 2)[0]
         p_tilde = solve_link_point(p_hat, cfg)
-        lc, le = loss_terms_rows(p_hat[None, :], p_tilde[None, :], cfg)
+        lc, le = loss_terms_rows(p_hat[None, :], p_tilde[None, :], cfg.variant)
         total = cfg.alpha * float(lc[0]) + cfg.beta * float(le[0])
         n = int(p_hat.argmax())
         r = (

@@ -1,10 +1,11 @@
-"""The summary arithmetic of tools/bench_pairs.py on fabricated result lines;
-no benchmark runs."""
+"""The summary arithmetic and the run check of tools/bench_pairs.py on
+fabricated result lines; no benchmark runs."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,22 @@ def test_worse_by_more_than_the_bound_is_out_of_bound():
 
 def test_a_result_that_failed_its_check_has_no_metrics():
     assert bench_pairs.result_metrics(_stdout(46.5, 0.04, correct=False)) is None
+
+
+def test_a_run_that_is_not_correct_stops_naming_its_side_and_workload(monkeypatch):
+    # what a traced run that breaks the count gate gives: exit 0, correct false
+    calls = []
+
+    def fake_run(argv, **kwargs):
+        calls.append(argv)
+        return subprocess.CompletedProcess(argv, 0, stdout=_stdout(46.5, 0.04, correct=False),
+                                           stderr="op 2 failed: trainer.eval 231 != 230\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    with pytest.raises(RuntimeError, match=r"(?s)^head: train_moons: .*trainer\.eval 231 != 230"):
+        bench_pairs.run_bench(Path("trees") / "head", "train_moons", 0, trace=1)
+    assert calls[0][1:] == ["bench/run.py", "--workload", "train_moons", "--seconds", "0",
+                            "--trace", "1"]
 
 
 def test_metrics_no_run_reports_are_left_out():

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import CONFIG_DIR, DOCUMENT_SLOTS, FIELDS, JSON_VALUES, damaged, write_tiny_config
+from conftest import CONFIG_DIR, DOCUMENT_SLOTS, FIELDS, JSON_VALUES, damaged, tiny_config
+from conftest import write_tiny_config
 from pseudograd import cli, theory
 from pseudograd.cli import main
 from pseudograd.data import gen_gaussian_blobs, split_per_class
@@ -482,15 +483,47 @@ class TestVerifyRefusesMismatchedArtifacts:
         assert (copy / "verification.json").exists()
 
 
+def _main_recording_warnings(argv: list[str]) -> tuple[int, list]:
+    """``main(argv)``'s exit code and every warning it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, caught
+
+
 def test_verify_overflowing_forward_exits_1_naming_verify(trained, tmp_path, capsys):
     cfg, run = trained
     out = shutil.copytree(run, tmp_path / "run")
     _overflow_head(out)
-    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    rc, caught = _main_recording_warnings(["verify", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("error: verify failed:")
     assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]  # the error alone
     assert not (out / "verification.json").exists()
+
+
+def test_train_overflowing_stage1_exits_1_naming_stage1_without_a_warning(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path / "cfg.json")
+    rc, caught = _main_recording_warnings(["train", "--config", str(cfg), "--out",
+                                           str(tmp_path / "run"), "--override", "stage1.lr=1e30"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: stage1 failed: softmax_rows expects a 2-D array of "
+                                "finite values"]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("changes, applies", [
+    ({}, True),
+    ({"data.labeled_per_class": 20}, False),  # every row labeled: stage 2 has no pseudo accuracy
+    ({"stage2.epochs_per_round": 0}, False),  # no stage-2 row at all
+], ids=["unlabeled_rows", "all_labeled", "no_stage2_epoch"])
+def test_ablate_pseudo_error_is_nan_where_no_run_has_a_pseudo_accuracy(changes, applies):
+    errors = [row["median_pseudo_error"] for row in cli.run_ablation(tiny_config(changes),
+                                                                     "strategy", 1)]
+    assert all(0.0 <= e <= 1.0 for e in errors) if applies else all(map(np.isnan, errors)), errors
 
 
 def test_verify_all_labeled_run_reports_link_checks_as_informational(tmp_path):
@@ -573,10 +606,8 @@ class TestTrainCommand:
     )
     def test_alpha_le_beta_warning_judges_final_config(self, tmp_path, loss, override, expected):
         cfg = write_tiny_config(tmp_path / "cfg.json", loss=loss)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
-                       "--override", override])
+        rc, caught = _main_recording_warnings(["train", "--config", str(cfg), "--out",
+                                               str(tmp_path / "run"), "--override", override])
         assert rc == 0
         flagged = [str(w.message).split(":")[0] for w in caught if "<= beta" in str(w.message)]
         assert flagged == expected
@@ -585,19 +616,17 @@ class TestTrainCommand:
         # the loaded config crosses, so load_config warns once; the sweep
         # names no cell, and neither replace nor the constructors warn
         cfg = write_tiny_config(tmp_path / "cfg.json", loss={"alpha": 0.02, "beta": 0.03})
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab"),
-                       "--grid", "lc", "--seeds", "2"])
+        rc, caught = _main_recording_warnings(["ablate", "--config", str(cfg), "--out",
+                                               str(tmp_path / "ab"), "--grid", "lc",
+                                               "--seeds", "2"])
         assert rc == 0
         assert sum("alpha=0.02 <= beta=0.03" in str(w.message) for w in caught) == 1
 
     def test_ablate_names_the_cells_a_grid_moves_to_alpha_le_beta(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json", loss={"alpha": 0.5, "beta": 0.15})
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab"),
-                       "--grid", "alpha", "--seeds", "1"])
+        rc, caught = _main_recording_warnings(["ablate", "--config", str(cfg), "--out",
+                                               str(tmp_path / "ab"), "--grid", "alpha",
+                                               "--seeds", "1"])
         assert rc == 0
         flagged = [str(w.message).split(": ")[0] for w in caught if "<= beta" in str(w.message)]
         assert flagged == ["cell alpha=0.1 has alpha=0.1 <= beta=0.15"]

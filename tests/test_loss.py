@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import storage_directory
 from hypothesis.extra.numpy import arrays
 
+from conftest import bits
 from pseudograd.config import ConfigError
 from pseudograd.loss import (
     VARIANTS,
@@ -40,14 +41,10 @@ LOGITS, LOGIT_PAIRS = logit_arrays(), logit_arrays(2)  # a pair unpacks as (y_ha
 FD_FLOOR = 1e-3
 
 
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.int64)
-
-
 def _total(y_hat, y_tilde, cfg):
     """Summed loss of logit rows; rows are independent, so its gradient
     holds each row's own gradient."""
-    lc, le = loss_terms_rows(softmax_rows(y_hat), softmax_rows(y_tilde), cfg)
+    lc, le = loss_terms_rows(softmax_rows(y_hat), softmax_rows(y_tilde), cfg.variant)
     return float(np.sum(cfg.alpha * lc + cfg.beta * le))
 
 
@@ -104,8 +101,7 @@ class TestLossValue:
         np.testing.assert_allclose(out.total, [0.020794415416798359], atol=1e-12)
 
     def test_l2_antipodal(self):
-        cfg = LossConfig(variant="l2")
-        lc, _ = loss_terms_rows([[0.0, 1.0]], [[1.0, 0.0]], cfg)
+        lc, _ = loss_terms_rows([[0.0, 1.0]], [[1.0, 0.0]], "l2")
         np.testing.assert_allclose(lc, [2.0], atol=1e-12)
 
     def test_breakdown_identity(self):
@@ -127,11 +123,11 @@ class TestLossValue:
         cfg = LossConfig(alpha=alpha, beta=beta, variant=variant)
         p, q = map(softmax_rows, pair)
         out = joint_loss_rows(p, q, cfg)
-        lc, le = loss_terms_rows(p, q, cfg)
+        lc, le = loss_terms_rows(p, q, variant)
         for got, want in [(out.lc, lc), (out.le, le), (out.total, alpha * lc + beta * le),
                           (grad_wrt_logits_rows(p, q, cfg), out.grad_y),
                           (grad_wrt_pseudo_logits_rows(p, q, cfg), out.grad_pseudo)]:
-            np.testing.assert_array_equal(_bits(got), _bits(want))
+            np.testing.assert_array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("nc", range(2, 8))
@@ -149,11 +145,11 @@ class TestLossValue:
             want = joint_loss_rows(p[k : k + 1], q[k : k + 1], cfg)
             for field, value in zip(JointLoss._fields, want):
                 np.testing.assert_array_equal(
-                    _bits(getattr(got, field)[k : k + 1]), _bits(value), err_msg=field)
+                    bits(getattr(got, field)[k : k + 1]), bits(value), err_msg=field)
 
     def test_dim_mismatch(self):
         with pytest.raises(InvalidInputError):
-            loss_terms_rows([[0.5, 0.5]], [[0.3, 0.3, 0.4]], LossConfig())
+            loss_terms_rows([[0.5, 0.5]], [[0.3, 0.3, 0.4]], "kl_pred_pseudo")
 
     def test_rejects_one_dimensional_input(self):
         with pytest.raises(InvalidInputError):
@@ -231,7 +227,7 @@ class TestLinkResidualMatrix:
         p, q = map(softmax_rows, pair)
         out = joint_loss_rows(p, q, LossConfig(alpha=alpha, beta=beta))
         want = p * link_residual_matrix(clamped_log(p), clamped_log(q), out.total, alpha, beta)
-        np.testing.assert_array_equal(_bits(out.grad_y), _bits(want))
+        np.testing.assert_array_equal(bits(out.grad_y), bits(want))
 
     @pytest.mark.parametrize("nc", [2, 3, 5, 10])  # the flatness bound's class counts
     def test_weighted_head_gradient_is_p_hat_times_the_residuals(self, nc):
@@ -242,7 +238,7 @@ class TestLinkResidualMatrix:
         out = joint_loss_weighted_rows(p, q, "kl_pred_pseudo", alpha, beta)
         want = p * link_residual_matrix(
             clamped_log(p), clamped_log(q), out.total, alpha[:, None], beta[:, None])
-        np.testing.assert_array_equal(_bits(out.grad_y), _bits(want))
+        np.testing.assert_array_equal(bits(out.grad_y), bits(want))
 
 
 class TestFlatteningBound:

@@ -62,7 +62,7 @@ class TestInitParams:
 
     def test_named_tensors_are_views_and_copy_does_not_alias(self):
         params = init_params(Architecture(4, (7, 5), 3), seed=0)
-        clone = params.copy()
+        clone = ModelParams(params.arch, params.flat.copy())
         params.head_w[...] = 9.0
         np.testing.assert_array_equal(params.flat[-15:], np.full(15, 9.0))
         params.flat[:28] = 2.0

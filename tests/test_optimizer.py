@@ -32,7 +32,8 @@ class TestNesterovStep:
         params = init_params(Architecture(3, (), 2), seed=1)
         before = params.head_w.copy()
         g = _grads_like(params, fill=0.5)
-        state = init_opt_state(params, lr=0.2, momentum=0.0, weight_decay=0.0)
+        state = init_opt_state(params, lr=0.2)
+        state.momentum = 0.0
         sgd_nesterov_step(params, g, state)
         np.testing.assert_allclose(params.head_w, before - 0.2 * 0.5, atol=1e-15)
 
@@ -41,7 +42,7 @@ class TestNesterovStep:
         arch = Architecture(1, (), 2)
         params = init_params(arch, seed=0)
         params.head_w[...] = np.array([[1.0, 1.0]])
-        state = init_opt_state(params, lr=0.1, momentum=0.9)
+        state = init_opt_state(params, lr=0.1)
 
         theta_ref, v_ref = 1.0, 0.0
         for _ in range(25):
@@ -57,7 +58,7 @@ class TestNesterovStep:
     def test_in_place_step_has_the_reference_bits(self):
         # the recurrence as written with a new array per term
         params = init_params(Architecture(3, (4, 5), 2), seed=3)
-        state = init_opt_state(params, lr=0.05, momentum=0.9, weight_decay=0.01)
+        state = init_opt_state(params, lr=0.05, weight_decay=0.01)
         theta, v = params.flat.copy(), np.zeros_like(params.flat)
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -73,7 +74,8 @@ class TestNesterovStep:
         params = init_params(Architecture(3, (4, 5), 2), seed=2)
         params.layer_biases[0][...] = 1.0
         params.layer_biases[1][...] = 1.0
-        state = init_opt_state(params, lr=0.5, momentum=0.0, weight_decay=0.1)
+        state = init_opt_state(params, lr=0.5, weight_decay=0.1)
+        state.momentum = 0.0
         w_before = params.head_w.copy()
         sgd_nesterov_step(params, _grads_like(params), state)
         np.testing.assert_array_equal(params.layer_biases[0], np.ones(4))
@@ -156,7 +158,7 @@ class TestDecayLr:
 
     def test_velocity_preserved(self):
         params = init_params(Architecture(3, (), 2), seed=0)
-        state = init_opt_state(params, lr=0.1, momentum=0.9)
+        state = init_opt_state(params, lr=0.1)
         grads = _grads_like(params, fill=1.0)
         sgd_nesterov_step(params, grads, state)
         vel_before = state.velocity.copy()
@@ -175,7 +177,7 @@ class TestNoOpStage:
     def test_zero_rates_freeze_everything(self):
         params = init_params(Architecture(3, (4,), 2), seed=5)
         before = params.flat.copy()
-        state = init_opt_state(params, lr=0.0, momentum=0.9)
+        state = init_opt_state(params, lr=0.0)
         table = PseudoTable(np.ones((2, 2)), np.zeros(2, bool), np.full(2, 2.0))
         rng = np.random.default_rng(0)
         for _ in range(10):

@@ -146,7 +146,7 @@ class TestFreezeAndConservation:
         table = init_pseudo(small_split, small_params)
         frozen_before = table.logits[small_split.labeled_idx].copy()
         rng = np.random.default_rng(0)
-        rows = np.arange(table.n_examples)
+        rows = np.arange(table.logits.shape[0])
         for _ in range(50):
             p_hat = softmax_rows(rng.normal(size=table.logits.shape))
             p_tilde = pseudo_probs_rows(table, rows)
@@ -175,7 +175,7 @@ class TestSerialization:
         export_csv(table, tmp_path / "table.csv")
         lines = (tmp_path / "table.csv").read_text().strip().splitlines()
         assert lines[0] == "example_id,frozen,y0,y1,y2"
-        assert len(lines) == 1 + table.n_examples
+        assert len(lines) == 1 + table.logits.shape[0]
 
     def test_json_roundtrip_bit_exact(self, small_split, small_params, tmp_path):
         table = init_pseudo(small_split, small_params)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import solve_link_point
+from conftest import bits, solve_link_point
 from pseudograd import theory
 from pseudograd.config import ConfigError
 from pseudograd.data import gen_gaussian_blobs, split_per_class
@@ -19,7 +19,7 @@ from pseudograd.pseudo_labels import PseudoTable, init_pseudo
 
 
 def _residual_of(p_hat, p_tilde, cfg):
-    lc, le = loss_terms_rows(p_hat[None, :], p_tilde[None, :], cfg)
+    lc, le = loss_terms_rows(p_hat[None, :], p_tilde[None, :], cfg.variant)
     total = cfg.alpha * float(lc[0]) + cfg.beta * float(le[0])
     n = int(np.argmax(p_hat))
     return (
@@ -33,7 +33,7 @@ def _nan_backward(trace, grad_y, params):
     return ModelParams(params.arch, np.full(params.flat.size, np.nan))
 
 
-def _nan_loss_terms(p_hat, p_tilde, cfg, logs=None):
+def _nan_loss_terms(p_hat, p_tilde, variant, logs=None):
     nan = np.full(p_hat.shape[0], np.nan)
     return nan, nan
 
@@ -107,11 +107,11 @@ class TestLinkResidualRows:
         cfg = LossConfig(alpha=alpha, beta=beta)
         p_hat, p_tilde = softmax_rows(pair[0]), softmax_rows(pair[1])
         logs = (clamped_log(p_hat), clamped_log(p_tilde))
-        lc, le = loss_terms_rows(p_hat, p_tilde, cfg)
+        lc, le = loss_terms_rows(p_hat, p_tilde, cfg.variant)
         matrix = link_residual_matrix(*logs, alpha * lc + beta * le, alpha, beta)
         want = matrix[np.arange(p_hat.shape[0]), p_hat.argmax(axis=1)]
         got = theory.link_residual_rows(p_hat, p_tilde, logs, cfg)
-        np.testing.assert_array_equal(_bits(got), _bits(want))
+        np.testing.assert_array_equal(bits(got), bits(want))
 
 
 class TestFlatnessAlgebra:
@@ -144,8 +144,8 @@ class TestFlatnessAlgebra:
         # the bound check's Dirichlet rows: same values, same stream state after
         a, b = random_stream(3, stream_id=3), random_stream(3, stream_id=3)
         for shape in [(25_000, 2), (7, 10), (1, 3)]:
-            np.testing.assert_array_equal(_bits(b.standard_exponential(size=shape)),
-                                          _bits(a.gamma(1.0, 1.0, size=shape)))
+            np.testing.assert_array_equal(bits(b.standard_exponential(size=shape)),
+                                          bits(a.gamma(1.0, 1.0, size=shape)))
         assert a.bit_generator.state == b.bit_generator.state
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -158,7 +158,7 @@ class TestFlatnessAlgebra:
             monkeypatch.setattr(theory, "FLAT_BLOCK_ROWS", block)
             got, state = _bound_check_with_state(n_samples, seed, monkeypatch)
             assert list(got) == list(want)
-            np.testing.assert_array_equal(_bits(list(got.values())), _bits(list(want.values())))
+            np.testing.assert_array_equal(bits(list(got.values())), bits(list(want.values())))
             assert state == want_state
 
     @given(n_samples=st.integers(4, 400), block=st.integers(1, 500),
@@ -169,7 +169,7 @@ class TestFlatnessAlgebra:
             want, want_state = _bound_check_with_state(n_samples, seed, mp)
             mp.setattr(theory, "FLAT_BLOCK_ROWS", block)
             got, state = _bound_check_with_state(n_samples, seed, mp)
-        np.testing.assert_array_equal(_bits(list(got.values())), _bits(list(want.values())))
+        np.testing.assert_array_equal(bits(list(got.values())), bits(list(want.values())))
         assert state == want_state
 
     @staticmethod
@@ -254,10 +254,6 @@ class TestEvalRowResidual:
         )
 
 
-def _bits(values):
-    return np.asarray(values, dtype=np.float64).view(np.int64)
-
-
 class TestResidualQuantiles:
     """``residual_quantiles`` partitions and interpolates itself on finite
     input; it must give the bits of the ``np.quantile`` call it replaces."""
@@ -270,8 +266,8 @@ class TestResidualQuantiles:
         with np.errstate(invalid="ignore"):
             got = list(theory.residual_quantiles(r).values())
             want = np.quantile(np.abs(r), (0.5, 0.9, 0.99))
-        np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=f"n={r.size}: {r}")
-        np.testing.assert_array_equal(_bits(r), _bits(kept))  # the input is not reordered
+        np.testing.assert_array_equal(bits(got), bits(want), err_msg=f"n={r.size}: {r}")
+        np.testing.assert_array_equal(bits(r), bits(kept))  # the input is not reordered
 
     @pytest.mark.parametrize("kind", ["magnitudes", "ties", "zeros"])
     def test_numpy_bits(self, kind):
@@ -342,7 +338,7 @@ def _reference_central_diff(fn, x, h=theory.FD_STEP):
 
 def _loss_total(y_hat, y_tilde, cfg):
     """One row pair's total loss as a Python float."""
-    lc, le = loss_terms_rows(softmax_rows(y_hat), softmax_rows(y_tilde), cfg)
+    lc, le = loss_terms_rows(softmax_rows(y_hat), softmax_rows(y_tilde), cfg.variant)
     return cfg.alpha * float(lc[0]) + cfg.beta * float(le[0])
 
 
@@ -359,28 +355,27 @@ class TestCentralDiff:
         rng = np.random.default_rng(nc)
         alpha, beta = rng.uniform(0.05, 0.5, size=n), rng.uniform(0.0, 0.04, size=n)
         y_hat, y_tilde = rng.normal(0.0, 2.0, size=(2, n, nc))
-        terms = LossConfig(variant=variant)
 
         def numeric(rows, wrt_pseudo):
             a, b = np.repeat(alpha[rows], 2 * nc), np.repeat(beta[rows], 2 * nc)
             if wrt_pseudo:
                 fixed = np.repeat(y_hat[rows], 2 * nc, axis=0)
                 return theory._central_diff(
-                    lambda s: theory._loss_total_rows(fixed, s, terms, a, b), y_tilde[rows])
+                    lambda s: theory._loss_total_rows(fixed, s, variant, a, b), y_tilde[rows])
             fixed = np.repeat(y_tilde[rows], 2 * nc, axis=0)
             return theory._central_diff(
-                lambda s: theory._loss_total_rows(s, fixed, terms, a, b), y_hat[rows])
+                lambda s: theory._loss_total_rows(s, fixed, variant, a, b), y_hat[rows])
 
         for wrt_pseudo in (True, False):
             each = [numeric([r], wrt_pseudo) for r in range(n)]
-            np.testing.assert_array_equal(_bits(numeric(slice(None), wrt_pseudo)),
-                                          _bits(np.concatenate(each)))
+            np.testing.assert_array_equal(bits(numeric(slice(None), wrt_pseudo)),
+                                          bits(np.concatenate(each)))
             for r in range(n):
                 cfg = LossConfig(alpha=float(alpha[r]), beta=float(beta[r]), variant=variant)
                 yh, yt = y_hat[r : r + 1].copy(), y_tilde[r : r + 1].copy()
                 want = _reference_central_diff(lambda: _loss_total(yh, yt, cfg),
                                                yt if wrt_pseudo else yh)
-                np.testing.assert_array_equal(_bits(each[r]), _bits(want))
+                np.testing.assert_array_equal(bits(each[r]), bits(want))
 
     def test_looping_loss_equals_the_loop(self):
         rng = np.random.default_rng(5)
@@ -393,14 +388,14 @@ class TestCentralDiff:
         want = [_reference_central_diff(lambda: loss(row), row) for row in x.copy()]
         got = theory._central_diff(lambda stack: np.array([loss(row) for row in stack]), x)
         assert got.shape == x.shape
-        np.testing.assert_array_equal(_bits(got), _bits(np.stack(want)))
+        np.testing.assert_array_equal(bits(got), bits(np.stack(want)))
 
     def test_input_is_never_written(self):
         x = np.random.default_rng(6).normal(size=(3, 5))
         kept = x.copy()
         x.flags.writeable = False
         theory._central_diff(lambda stack: stack.sum(axis=1), x)
-        np.testing.assert_array_equal(_bits(x), _bits(kept))
+        np.testing.assert_array_equal(bits(x), bits(kept))
 
     def test_params_paths_leave_the_checked_network_unchanged(self, monkeypatch):
         made = []
@@ -414,7 +409,7 @@ class TestCentralDiff:
         theory.finite_diff_suite(seed=0, trials=20)
         assert len(made) == 4  # two trials at each depth
         for params, kept in made:
-            np.testing.assert_array_equal(_bits(params.flat), _bits(kept))
+            np.testing.assert_array_equal(bits(params.flat), bits(kept))
 
 
 class TestFiniteDiffSuite:
@@ -443,7 +438,7 @@ class TestFiniteDiffSuite:
         monkeypatch.setattr(theory, "FD_BLOCK_TRIALS", 2)
         got = theory.finite_diff_suite(seed=2, trials=25)
         assert list(got) == list(want)
-        np.testing.assert_array_equal(_bits(list(got.values())), _bits(list(want.values())))
+        np.testing.assert_array_equal(bits(list(got.values())), bits(list(want.values())))
 
     @pytest.mark.parametrize("name, nan_fn, failing", [
         ("backward", _nan_backward, {"params:linear", "params:deep"}),

@@ -13,6 +13,7 @@ from conftest import DOCUMENT_SLOTS, FIELDS, JSON_VALUES, TINY_DOC, damaged, tin
 from conftest import plan_counts, write_idx, write_tiny_config
 from pseudograd.config import ConfigError, DataSpec, StageTwoConfig, config_from_dict, load_config
 from pseudograd.data import gen_gaussian_blobs, split_per_class
+from pseudograd.model import ModelParams
 from pseudograd.numerics import InvalidInputError, random_stream
 from pseudograd.trainer import (
     Report,
@@ -27,6 +28,11 @@ from pseudograd.trainer import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _clone(params: ModelParams) -> ModelParams:
+    """A copy of ``params`` that shares no memory with it."""
+    return ModelParams(params.arch, params.flat.copy())
 
 
 
@@ -378,7 +384,7 @@ class TestStages:
         cfg = tiny_config({"stage3.epochs": 0})
         split, _ = build_dataset(cfg.data, cfg.seed)
         params = stage1_supervised(cfg, split)
-        _, table = stage2_joint(cfg, params.copy(), split)
+        _, table = stage2_joint(cfg, _clone(params), split)
         w_before = params.head_w.copy()
         out = stage3_finetune(cfg, params, table, split)
         np.testing.assert_array_equal(out.head_w, w_before)
@@ -395,12 +401,13 @@ class TestStages:
         logits = np.zeros((n, 3))
         logits[np.arange(n), split.base.labels] = 10.0
         oracle_table = PseudoTable(logits, np.zeros(n, bool), logits.sum(axis=1))
-        out = stage3_finetune(cfg, params.copy(), oracle_table, split)
+        out = stage3_finetune(cfg, _clone(params), oracle_table, split)
 
         from pseudograd.trainer import _no_sink, _supervised_stage
 
-        ref = _supervised_stage(3, cfg.stage3, plan(cfg, split).stage3, cfg.seed, 12, params.copy(),
-                                split.base.features, split.base.labels, None, _no_sink)
+        ref = _supervised_stage(3, cfg.stage3, plan(cfg, split).stage3, cfg.seed, 12,
+                                _clone(params), split.base.features, split.base.labels, None,
+                                _no_sink)
         np.testing.assert_array_equal(out.head_w, ref.head_w)
 
     @pytest.mark.parametrize("k", [1, 3, 7])
@@ -410,10 +417,10 @@ class TestStages:
         cfg = make_trend_config(seed=7).replace({"stage2.rounds": 1})
         split, _ = build_dataset(cfg.data, cfg.seed)
         params = stage1_supervised(cfg, split)
-        got, got_table = stage2_joint(cfg, params.copy(), split,
+        got, got_table = stage2_joint(cfg, _clone(params), split,
                                       lambda stage, epoch, *_: epoch == k)
         short = cfg.replace({"stage2.epochs_per_round": k})
-        want, want_table = stage2_joint(short, params.copy(), split)
+        want, want_table = stage2_joint(short, _clone(params), split)
         np.testing.assert_array_equal(got.flat, want.flat)
         for name in ("logits", "frozen", "init_sum"):
             np.testing.assert_array_equal(getattr(got_table, name), getattr(want_table, name))
@@ -443,7 +450,7 @@ class TestSharedEval:
         report, seen_params, seen_tables = Report(split, test, cfg.loss), [], []
 
         def recording(stage, epoch, lr, stats, params, table):
-            seen_params.append(params.copy())  # the network the row is evaluated on
+            seen_params.append(_clone(params))  # the network the row is evaluated on
             if stage == 2:
                 seen_tables.append(table.copy())
             return report(stage, epoch, lr, stats, params, table)

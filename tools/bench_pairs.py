@@ -5,11 +5,15 @@
 Each revision is exported with ``git archive`` into its own temporary
 directory, removed on every exit path (an error, Ctrl-C or SIGTERM too).
 ``--workload`` takes several names, each measured in ten pairs, the fewest
-the gain rule below accepts. Pair ``i`` (from 0) runs ``bench/run.py
---workload W --seconds S --trace 0`` once per side, with ``S`` the
-``run_seconds`` of ``BENCHMARK.json``, the base first when ``i`` is even and
-the head first when it is odd, so drift on the host falls on both sides
-alike. Every run must report ``correct``.
+the gain rule below accepts. Before any pair, each tree runs ``bench/run.py
+--workload W --seconds 0 --trace 1`` once per workload: one untraced op and
+one traced op, whose call counts must pass the benchmark's count gate. Pair
+``i`` (from 0) then runs ``bench/run.py --workload W --seconds S --trace 0``
+once per side, with ``S`` the ``run_seconds`` of ``BENCHMARK.json``, the
+base first when ``i`` is even and the head first when it is odd, so drift on
+the host falls on both sides alike. Every run must report ``correct``: the
+first that does not stops the tool, naming its side, its workload and the
+tail of its output.
 
 For each end-to-end metric of ``BENCHMARK.json`` the summary gives each
 side's median and quartiles (numpy's linear rule), the pairs the head wins,
@@ -103,15 +107,16 @@ def result_metrics(stdout: str) -> dict | None:
     return {k: v["value"] for k, v in result["metrics"].items()} if result["correct"] else None
 
 
-def run_bench(tree: Path, workload: str, seconds: float) -> dict:
-    """One ``--trace 0`` run in ``tree``: its ``{metric: value}`` map."""
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seconds", str(seconds),
-         "--trace", "0"], cwd=tree, capture_output=True, text=True)
+def run_bench(tree: Path, workload: str, seconds: float, trace: int = 0) -> dict:
+    """One run in ``tree``, the side of its name: its ``{metric: value}`` map.
+    A run that exits non-zero or is not ``correct`` raises RuntimeError."""
+    argv = ["bench/run.py", "--workload", workload, "--seconds", str(seconds),
+            "--trace", str(trace)]
+    proc = subprocess.run([sys.executable, *argv], cwd=tree, capture_output=True, text=True)
     metrics = result_metrics(proc.stdout) if proc.returncode == 0 else None
     if metrics is None:
-        raise RuntimeError(f"bench/run.py in {tree} failed (exit {proc.returncode}):\n"
-                           f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+        raise RuntimeError(f"{tree.name}: {workload}: {' '.join(argv)} failed "
+                           f"(exit {proc.returncode}):\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
     print(f"  {tree.name}: {proc.stdout.strip().splitlines()[0]}", flush=True)
     return metrics
 
@@ -138,6 +143,10 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in revs}
         for side, tree in trees.items():
             export(revs[side], tree)
+        for workload in runs:
+            for side, tree in trees.items():
+                print(f"{workload}: traced count gate, {side}", flush=True)
+                run_bench(tree, workload, 0, trace=1)
         for workload, sides in runs.items():
             for i in range(PAIRS):
                 print(f"{workload}: pair {i + 1} of {PAIRS}", flush=True)
