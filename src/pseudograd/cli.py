@@ -1,17 +1,21 @@
 """Command-line entry point.
 
 Commands: gen-data, train, verify, gradcheck, ablate, export-features.
-Commands only raise; ``main`` alone turns a failure into its exit code and
-its last stderr line:
-- 2, ``config error: ...``: a config rule, checked before any work (among
-  them export-features on a penultimate layer that is not 2-D, or on a split
-  whose labeled or unlabeled rows have no class with 2 or more rows);
-- 2, ``error: ...``: an --out path that is empty, is or lies under an
-  existing file, or that the OS refuses to look up (say, a name too long),
-  and verify artifacts that are not the configured run's, naming the file;
-- 1, ``error: <stage> failed: ...``: a runtime failure, verify's checks
-  among them; ``error: cannot write <path>: <reason>``: an output file or
-  directory that cannot be written.
+Commands only raise, one of four types; ``main`` alone turns each into its
+exit code and its last stderr line:
+- ``ConfigError``, 2, ``config error: ...``: a config rule, checked before
+  any work (among them export-features on a penultimate layer that is not
+  2-D, or on a split whose labeled or unlabeled rows have no class with 2 or
+  more rows);
+- ``InvalidInputError``, 2, ``error: ...``: an input the code cannot use,
+  named: an --out path that is empty, is or lies under an existing file, or
+  that the OS refuses to look up (say, a name too long), and verify
+  artifacts that are not the configured run's;
+- ``StageError``, 1, ``error: <stage> failed: ...``: any failure inside a
+  named stage (``trainer.stage_errors``), verify's checks among them; every
+  runtime failure of a command happens inside one;
+- ``WriteError``, 1, ``error: cannot write <path>: <reason>``: an output
+  file or directory that cannot be written.
 verify and gradcheck also exit 1, with a FAIL line on stdout, on a failed
 check. train, ablate and export-features write a run manifest (config, git
 describe of the package's checkout, seed, status) even when they fail, with
@@ -198,8 +202,8 @@ def cmd_ablate(args, cfg: TrainConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _export_features_csv(params, ds: Dataset, labeled_mask: np.ndarray, path: Path) -> None:
-    feats = forward_batch(params, ds.features).features
+def _export_features_csv(feats: np.ndarray, ds: Dataset, labeled_mask: np.ndarray,
+                         path: Path) -> None:
     rows = zip(feats.tolist(), ds.labels.tolist(), labeled_mask.tolist())
     header = ["x", "y", "label", "is_labeled"]
     write_csv(path, header, ([*xy, lab, is_lab] for xy, lab, is_lab in rows))
@@ -220,24 +224,22 @@ def cmd_export_features(args, cfg: TrainConfig, out: Path) -> int:
                               f"2 or more {name} rows: check {keys[name]}")
     make_dir(out)
 
-    def spreads(params) -> dict[str, float]:
-        return {
-            name: intra_class_spread(
-                forward_batch(params, base.features[idx]).features,
-                base.labels[idx],
-                base.num_classes,
-            )
-            for name, idx in subsets.items()
-        }
+    def features(params) -> tuple[np.ndarray, dict[str, float]]:
+        """Every row's feature, and each subset's spread from its own forward."""
+        with stage_errors("export"):  # say, a forward that overflows after stage 2
+            return forward_batch(params, base.features).features, {
+                name: intra_class_spread(forward_batch(params, base.features[idx]).features,
+                                         base.labels[idx], base.num_classes)
+                for name, idx in subsets.items()}
 
     with stage_errors("stage1"):
         params = stage1_supervised(cfg, split)
-    _export_features_csv(params, base, split.labeled_mask, out / "features_before.csv")
-    before = spreads(params)
+    feats, before = features(params)
+    _export_features_csv(feats, base, split.labeled_mask, out / "features_before.csv")
     with stage_errors("stage2"):
         params, _ = stage2_joint(cfg, params, split)
-    _export_features_csv(params, base, split.labeled_mask, out / "features_after.csv")
-    after = spreads(params)
+    feats, after = features(params)
+    _export_features_csv(feats, base, split.labeled_mask, out / "features_after.csv")
     with stage_errors("export"):  # no ratio to a spread of 0, say when every unit is dead
         ratio = {k: after[k] / before[k] for k in before}
     summary = {"spread_before": before, "spread_after": after, "compaction_ratio": ratio}

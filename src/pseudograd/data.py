@@ -24,10 +24,6 @@ IDX_LABEL_MAGIC = 0x00000801
 BLOB_CENTER_DISTANCE = 4.0
 
 
-class IdxFormatError(ValueError):
-    """Raised when an IDX file fails structural validation."""
-
-
 @dataclass
 class Dataset:
     """Feature matrix (examples x dims), integer labels, and the class count."""
@@ -162,7 +158,7 @@ def gen_two_moons(n_per_class: int, noise: float, seed: int) -> Dataset:
 def _read_be_u32(f, path: Path, what: str) -> int:
     raw = f.read(4)
     if len(raw) != 4:
-        raise IdxFormatError(f"{path}: truncated while reading {what}")
+        raise InvalidInputError(f"{path}: truncated while reading {what}")
     return struct.unpack(">I", raw)[0]
 
 
@@ -173,12 +169,13 @@ def _read_idx(path, magic: int, kind: str, dims: tuple[str, ...]) -> tuple[list[
     with path.open("rb") as f:
         found = _read_be_u32(f, path, "magic")
         if found != magic:
-            raise IdxFormatError(f"{path}: bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
+            raise InvalidInputError(f"{path}: bad {kind} magic 0x{found:08x}, "
+                                    f"expected 0x{magic:08x}")
         sizes = [_read_be_u32(f, path, name) for name in dims]
         n = math.prod(sizes)
         raw = f.read(n)
     if len(raw) != n:
-        raise IdxFormatError(f"{path}: truncated {kind} data ({len(raw)} bytes, expected {n})")
+        raise InvalidInputError(f"{path}: truncated {kind} data ({len(raw)} bytes, expected {n})")
     return sizes, np.frombuffer(raw, dtype=np.uint8)
 
 
@@ -191,7 +188,7 @@ def load_idx(images_path, labels_path) -> Dataset:
                                             ("count", "rows", "cols"))
     (lcount,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", ("count",))
     if lcount != count:
-        raise IdxFormatError(f"image/label count mismatch: {count} images vs {lcount} labels")
+        raise InvalidInputError(f"image/label count mismatch: {count} images vs {lcount} labels")
     feats = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
     labels = labels.astype(np.int64)
     num_classes = int(labels.max()) + 1 if labels.size else 2

@@ -18,8 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import VARIANT_KL_PRED_PSEUDO, VARIANT_KL_PSEUDO_PRED, LossConfig
-from .config import VARIANTS  # noqa: F401  (re-exported with the loss functions)
+from .config import VARIANT_KL_PRED_PSEUDO, VARIANT_KL_PSEUDO_PRED, VARIANT_L2, VARIANTS, LossConfig
 from .numerics import InvalidInputError, clamped_log, entropy_rows, row_sum
 
 
@@ -44,13 +43,16 @@ def _check_pair(p_hat, p_tilde):
 
 
 def _terms(ph, pt, log_ph, log_pt, variant: str):
-    """Per-row (lc, le) from the probability rows and their clamped logs."""
+    """Per-row (lc, le) from the probability rows and their clamped logs; the
+    one check of the Lc ``variant`` for every entry."""
     if variant == VARIANT_KL_PRED_PSEUDO:
         lc = row_sum(ph * (log_ph - log_pt))
     elif variant == VARIANT_KL_PSEUDO_PRED:
         lc = row_sum(pt * (log_pt - log_ph))
-    else:
+    elif variant == VARIANT_L2:
         lc = row_sum((pt - ph) ** 2)
+    else:
+        raise InvalidInputError(f"unknown Lc variant {variant!r}: one of {VARIANTS}")
     return lc, entropy_rows(ph, log_ph)
 
 

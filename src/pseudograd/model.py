@@ -24,10 +24,6 @@ CHECKPOINT_VERSION = 2
 ACTIVATIONS = ("relu", "tanh")
 
 
-class InvalidStateError(RuntimeError):
-    """A trace/params pair is inconsistent (stale trace, shape drift)."""
-
-
 @dataclass(frozen=True)
 class Architecture:
     """A network's shape, built from checked values (``config.ArchSpec``), widths as a tuple."""
@@ -91,7 +87,7 @@ class ModelParams:
 
     def __post_init__(self):
         if self.flat.shape != (param_count(self.arch),) or self.flat.dtype != np.float64:
-            raise InvalidStateError(f"flat must be float64 ({param_count(self.arch)},)")
+            raise InvalidInputError(f"flat must be float64 ({param_count(self.arch)},)")
         views = dict(self.tensors())
         hidden = range(len(self.arch.hidden_dims))
         self.layer_weights = [views[f"layer{i}.w"] for i in hidden]
@@ -211,15 +207,15 @@ def backward(
     """
     g = np.asarray(grad_y_hat, dtype=np.float64)
     if g.shape != trace.y_hat.shape:
-        raise InvalidStateError(
+        raise InvalidInputError(
             f"grad_y_hat shape {g.shape} does not match trace {trace.y_hat.shape}"
         )
     if trace.features.shape[1] != params.head_w.shape[0]:
-        raise InvalidStateError("trace feature dim does not match params")
+        raise InvalidInputError("trace feature dim does not match params")
     if out is None:
         out = ModelParams(params.arch, np.empty_like(params.flat))
     elif out.arch != params.arch or np.may_share_memory(out.flat, params.flat):
-        raise InvalidStateError("out must be a separate gradient of the params' architecture")
+        raise InvalidInputError("out must be a separate gradient of the params' architecture")
     np.matmul(trace.features.T, g, out=out.head_w)
     dh = g @ params.head_w.T
     for l in reversed(range(len(params.layer_weights))):

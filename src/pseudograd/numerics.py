@@ -31,7 +31,9 @@ ROW_SUM_GATE = 32
 
 
 class InvalidInputError(ValueError):
-    """An argument violates a documented precondition."""
+    """An argument, input file or artifact the code cannot use; the message
+    names it. A command exits 2 on one raised outside a stage and 1 on one
+    raised inside (``trainer.stage_errors``)."""
 
 
 class WriteError(RuntimeError):
@@ -104,8 +106,8 @@ def _csv_cell(v):
 def write_csv(path, header, rows) -> None:
     """A header and rows as CSV. Text is written as itself, a float (numpy's
     too) as ``repr(float(v))``, which round-trips its bits, and any other
-    value as ``int(v)``, so a boolean is 0 or 1. Pass rows as lists
-    (``.tolist()``): a cell that is a numpy scalar costs more to format."""
+    value as ``int(v)``, so a boolean is 0 or 1. Pass rows as lists or tuples
+    of Python values (``.tolist()``): a numpy scalar costs more to format."""
     with _writing(path), Path(path).open("w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)

@@ -21,7 +21,6 @@ import math
 
 import numpy as np
 
-from .config import ConfigError
 from .data import SplitDataset
 from .loss import (
     VARIANT_KL_PRED_PSEUDO,
@@ -105,7 +104,7 @@ def check_link_residual(
     rows; it passes when at least ``LINK_PASS_FRACTION`` of them lie within
     ``LINK_TOLERANCE``."""
     if cfg.variant != VARIANT_KL_PRED_PSEUDO:
-        raise ConfigError("the exponential link is proved for the kl_pred_pseudo loss only")
+        raise InvalidInputError("the exponential link is proved for the kl_pred_pseudo loss only")
     _, _, r = link_residuals(params, table, split, cfg)
     if r.size == 0:
         return {"asserted": False, "pass": True, "note": NO_LIVE_ROWS}

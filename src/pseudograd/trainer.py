@@ -22,17 +22,16 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import theory
-from .config import ArchSpec, ConfigError, DataSpec, LossConfig, StageOneConfig, TrainConfig
+from .config import ArchSpec, DataSpec, LossConfig, StageOneConfig, TrainConfig
 from .config import load_config  # noqa: F401  (re-exported with build_dataset)
 from .data import Dataset, SplitDataset, gen_gaussian_blobs, gen_two_moons, load_idx, split_per_class
-from .loss import joint_loss_rows
+from .loss import VARIANT_KL_PRED_PSEUDO, joint_loss_rows
 from .model import Architecture, ModelParams, backward, forward_batch, init_params, save_checkpoint
 from .numerics import InvalidInputError, clamped_log, entropy_rows, make_dir, random_stream
 from .numerics import write_csv
@@ -55,10 +54,11 @@ class StageError(RuntimeError):
 @contextmanager
 def stage_errors(stage: str):
     """Re-raise any exception of the block as a StageError naming ``stage``.
-    Overflow warnings are off inside it: an overflowed value either fails a
-    finite check that raises by name, or leaves the block."""
+    Overflow and invalid-value warnings are off inside it: an overflowed or
+    NaN value either fails a finite check that raises by name, or leaves the
+    block."""
     try:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             yield
     except Exception as exc:
         raise StageError(stage, exc) from exc
@@ -68,8 +68,7 @@ def stage_errors(stage: str):
 # Report
 
 
-@dataclass
-class ReportRow:
+class ReportRow(NamedTuple):
     stage: int
     epoch: int
     lr: float
@@ -87,7 +86,7 @@ class ReportRow:
     link_residual_p99: float
 
 
-REPORT_COLUMNS = [f.name for f in fields(ReportRow)]
+REPORT_COLUMNS = list(ReportRow._fields)
 
 
 class PseudoEval(NamedTuple):
@@ -155,8 +154,7 @@ class Report:
         self.add(_eval_row(self, stage, epoch, lr, stats, params, self._pseudo))
 
     def add(self, row: ReportRow) -> None:
-        for name in REPORT_COLUMNS:
-            value = getattr(row, name)
+        for name, value in zip(REPORT_COLUMNS, row):
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidInputError(f"report field {name} is not finite")
         if self.rows:
@@ -166,8 +164,7 @@ class Report:
         self.rows.append(row)
 
     def to_csv(self, path) -> None:
-        rows = ([getattr(row, c) for c in REPORT_COLUMNS] for row in self.rows)
-        write_csv(path, REPORT_COLUMNS, rows)
+        write_csv(path, REPORT_COLUMNS, self.rows)
 
     def stage_rows(self, stage: int) -> list[ReportRow]:
         return [r for r in self.rows if r.stage == stage]
@@ -192,7 +189,7 @@ def build_dataset(spec: DataSpec, seed: int) -> tuple[SplitDataset, Dataset]:
         n_avail = full.n_examples - spec.holdout
         n_train = min(spec.take_first or n_avail, n_avail)
         if n_train < 1:
-            raise ConfigError("holdout leaves no training rows")
+            raise InvalidInputError("holdout leaves no training rows")
         train = Dataset(full.features[:n_train], full.labels[:n_train], full.num_classes)
         test = Dataset(full.features[-spec.holdout :], full.labels[-spec.holdout :],
                        full.num_classes)
@@ -255,7 +252,7 @@ def _eval_row(report: Report, stage: int, epoch: int, lr: float, stats: EpochSta
         mean_ent_pred = float(entropy_rows(p_hat, log_p_hat).mean())
     if pseudo is not None:
         pseudo_acc, mean_ent_pseudo, drift = pseudo.acc, pseudo.mean_entropy, pseudo.drift
-        if report.loss.variant == "kl_pred_pseudo":
+        if report.loss.variant == VARIANT_KL_PRED_PSEUDO:
             logs = (log_p_hat, pseudo.log_p_tilde)
             res = theory.link_residual_rows(p_hat, pseudo.p_tilde, logs, report.loss)
             p50, p90, p99 = theory.residual_quantiles(res).values()

@@ -3,9 +3,9 @@
 the converged blobs run used by the stationarity checks, the five moons runs
 of the benefit tests, and a handwritten-digits IDX pair for the 2-D-feature
 reproduction, written by the suite's IDX writer; the bisection link-point
-oracle; the calls a run plan makes; the config schema's configurable values;
-and the one Hypothesis profile of the property tests, with the JSON documents
-that the readers' properties draw."""
+oracle and the residual it is checked by; the calls a run plan makes; the
+config schema's configurable values; and the one Hypothesis profile of the
+property tests, with the JSON documents that the readers' properties draw."""
 
 from __future__ import annotations
 
@@ -216,6 +216,19 @@ def solve_link_point(p_hat: np.ndarray, cfg: LossConfig, iters: int = 200) -> np
         else:
             hi = mid
     return point(0.5 * (lo + hi))
+
+
+def residual_of(p_hat: np.ndarray, p_tilde: np.ndarray, cfg: LossConfig) -> float:
+    """The link residual r of one prediction row against one pseudo-label
+    row, written out from the loss terms: the oracles' check of a link point."""
+    lc, le = loss_terms_rows(p_hat[None, :], p_tilde[None, :], cfg.variant)
+    total = cfg.alpha * float(lc[0]) + cfg.beta * float(le[0])
+    n = int(np.argmax(p_hat))
+    return (
+        (cfg.alpha - cfg.beta) * float(clamped_log(p_hat[n : n + 1])[0])
+        - cfg.alpha * float(clamped_log(p_tilde[n : n + 1])[0])
+        - total
+    )
 
 
 class ConvergenceRun:

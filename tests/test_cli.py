@@ -1,5 +1,9 @@
+import ast
+import importlib
+import inspect
 import io
 import json
+import pkgutil
 import shutil
 import subprocess
 import warnings
@@ -12,10 +16,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR, DOCUMENT_SLOTS, FIELDS, JSON_VALUES, damaged, tiny_config
-from conftest import write_tiny_config
+from conftest import write_idx, write_tiny_config
+import pseudograd
 from pseudograd import cli, theory
 from pseudograd.cli import main
-from pseudograd.data import gen_gaussian_blobs, split_per_class
+from pseudograd.data import Dataset, gen_gaussian_blobs, split_per_class
 from pseudograd.loss import LossConfig
 from pseudograd.model import Architecture, ModelParams, init_params
 from pseudograd.pseudo_labels import init_pseudo
@@ -35,6 +40,30 @@ def trained(tmp_path_factory):
     cfg = write_tiny_config(root / "cfg.json")
     assert main(["train", "--config", str(cfg), "--out", str(root / "run")]) == 0
     return cfg, root / "run"
+
+
+def _refusing_mkdir(out):
+    """``Path.mkdir`` refusing to make ``out``, as a read-only parent directory does."""
+    make = Path.mkdir
+
+    def refuse(self, *args, **kwargs):
+        if self == out:
+            raise PermissionError(13, "Permission denied")
+        return make(self, *args, **kwargs)
+
+    return refuse
+
+
+def test_the_package_defines_exactly_the_exception_types_main_maps():
+    mapped = {getattr(cli, node.type.id) for node in ast.walk(ast.parse(inspect.getsource(main)))
+              if isinstance(node, ast.ExceptHandler)}
+    defined = set()
+    for info in pkgutil.iter_modules(pseudograd.__path__):
+        module = importlib.import_module(f"pseudograd.{info.name}")
+        defined |= {v for v in vars(module).values() if isinstance(v, type)
+                    and issubclass(v, BaseException) and v.__module__ == module.__name__}
+    assert {t.__name__ for t in defined} == {t.__name__ for t in mapped} == {
+        "ConfigError", "InvalidInputError", "StageError", "WriteError"}
 
 
 def _overflow_head(run: Path) -> None:
@@ -62,6 +91,15 @@ class TestDataFailures:
         err = capsys.readouterr().err
         assert "data failed" in err
         assert "Traceback" not in err
+
+    def test_idx_holdout_of_every_row_exits_1_naming_data(self, tmp_path, capsys):
+        ds = Dataset(np.zeros((4, 4)), [0, 1, 0, 1], 2)
+        write_idx(ds, tmp_path / "images.idx", tmp_path / "labels.idx")
+        data = {"kind": "idx", "images": str(tmp_path / "images.idx"),
+                "labels": str(tmp_path / "labels.idx"), "holdout": 4, "labeled_per_class": 1}
+        cfg = write_tiny_config(tmp_path / "cfg.json", data=data)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "error: data failed: holdout leaves no training rows\n"
 
 
 class TestManifest:
@@ -137,14 +175,7 @@ class TestOutputFailures:
                                                            monkeypatch, command):
         cfg, _ = trained
         out = tmp_path / "out"
-        make = Path.mkdir
-
-        def refuse(self, *args, **kwargs):  # what a read-only parent directory does
-            if self == out:
-                raise PermissionError(13, "Permission denied")
-            return make(self, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "mkdir", refuse)
+        monkeypatch.setattr(Path, "mkdir", _refusing_mkdir(out))
         argv = [command, "--config", str(cfg), "--out", str(out)]
         argv += {"gradcheck": ["--trials", "3"], "ablate": ["--grid", "lc", "--seeds", "1"]}.get(
             command, [])
@@ -400,6 +431,12 @@ DAMAGE = st.none() | st.just("overflow") | st.tuples(
     st.sampled_from(["checkpoint_stage2.json", "pseudo_table.json"]), DOCUMENT_SLOTS, JSON_VALUES)
 
 
+def _tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under ``root``, with a file's bytes and None for a directory."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
 @given(command=st.sampled_from(list(cli.COMMANDS)).flatmap(
            lambda c: st.tuples(st.just(c), COMMAND_ARGS[c])),
        config=st.sampled_from(["blobs_trend", "blobs_convergence", "moons_ssl"]),
@@ -430,22 +467,17 @@ def test_every_input_ends_in_an_exit_code_naming_its_cause(trained, tmp_path_fac
     argv = [command, "--config", str(CONFIG_DIR / f"{config}.json"), "--out", str(out), *extra]
     for item in [*SHRINK, f"arch.hidden_dims={hidden}", *(f"{k}={v}" for k, v in overrides)]:
         argv += ["--override", item]
-    make = Path.mkdir
-
-    def refuse(self, *args, **kwargs):  # what a read-only parent directory does
-        if self == out:
-            raise PermissionError(13, "Permission denied")
-        return make(self, *args, **kwargs)
-
+    before = _tree(root)
     stdout, stderr = io.StringIO(), io.StringIO()
     with (pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True),
           redirect_stdout(stdout), redirect_stderr(stderr)):
         mp.chdir(root)  # an empty --out must not write here either
         if shape == "unmakeable":
-            mp.setattr(Path, "mkdir", refuse)
+            mp.setattr(Path, "mkdir", _refusing_mkdir(out))
         rc = main(argv)
     err = stderr.getvalue().splitlines()
     assert rc in (0, 1, 2), argv
+    assert rc != 2 or _tree(root) == before, (argv, err)  # exit 2: nothing was done
     verdict = (rc == 1 and command in ("verify", "gradcheck") and not err
                and any(line.startswith("FAIL ") for line in stdout.getvalue().splitlines()))
     assert rc == 0 or verdict or (err and err[-1].startswith(("error:", "config error:"))), (
@@ -513,6 +545,23 @@ def test_train_overflowing_stage1_exits_1_naming_stage1_without_a_warning(tmp_pa
     assert err.splitlines() == ["error: stage1 failed: softmax_rows expects a 2-D array of "
                                 "finite values"]
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_export_overflowing_stage2_exits_1_naming_export_without_a_warning(tmp_path, capsys):
+    # ReLU features overflow after one stage-2 step at lr 1e308; tanh would saturate
+    cfg = write_tiny_config(tmp_path / "cfg.json")
+    out = tmp_path / "feat"
+    argv = ["export-features", "--config", str(cfg), "--out", str(out)]
+    for item in ("arch.hidden_dims=[4, 2]", "stage2.rounds=1", "stage2.epochs_per_round=1",
+                 "stage2.lr0=1e308"):
+        argv += ["--override", item]
+    rc, caught = _main_recording_warnings(argv)
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: export failed: softmax_rows expects a 2-D array of finite values"]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["failure_stage"]) == ("failed", "export")
 
 
 @pytest.mark.parametrize("changes, applies", [

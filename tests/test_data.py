@@ -5,7 +5,6 @@ import pytest
 
 from pseudograd.data import (
     Dataset,
-    IdxFormatError,
     SplitDataset,
     gen_gaussian_blobs,
     gen_two_moons,
@@ -87,19 +86,19 @@ class TestIdxFormat:
     def test_bad_image_magic(self, tmp_path):
         (tmp_path / "img").write_bytes(struct.pack(">IIII", 0x804, 1, 2, 2) + b"\0" * 4)
         (tmp_path / "lab").write_bytes(struct.pack(">II", 0x801, 1) + b"\0")
-        with pytest.raises(IdxFormatError, match="magic"):
+        with pytest.raises(InvalidInputError, match="magic"):
             load_idx(tmp_path / "img", tmp_path / "lab")
 
     def test_truncated_labels(self, tmp_path):
         (tmp_path / "img").write_bytes(struct.pack(">IIII", 0x803, 2, 1, 2) + b"\0" * 4)
         (tmp_path / "lab").write_bytes(struct.pack(">II", 0x801, 2) + b"\0")
-        with pytest.raises(IdxFormatError, match="truncated"):
+        with pytest.raises(InvalidInputError, match="truncated"):
             load_idx(tmp_path / "img", tmp_path / "lab")
 
     def test_count_mismatch(self, tmp_path):
         (tmp_path / "img").write_bytes(struct.pack(">IIII", 0x803, 2, 1, 2) + b"\0" * 4)
         (tmp_path / "lab").write_bytes(struct.pack(">II", 0x801, 3) + b"\0" * 3)
-        with pytest.raises(IdxFormatError, match="mismatch"):
+        with pytest.raises(InvalidInputError, match="mismatch"):
             load_idx(tmp_path / "img", tmp_path / "lab")
 
     def test_loaded_features_in_unit_interval(self, tmp_path):

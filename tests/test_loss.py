@@ -147,6 +147,18 @@ class TestLossValue:
                 np.testing.assert_array_equal(
                     bits(getattr(got, field)[k : k + 1]), bits(value), err_msg=field)
 
+    @pytest.mark.parametrize("variant", ["KL", "l2 ", LossConfig(variant="l2")],
+                             ids=["misspelt", "trailing_space", "loss_config"])
+    @pytest.mark.parametrize("entry", ["loss_terms_rows", "joint_loss_weighted_rows"])
+    def test_unknown_variant_is_refused_by_name(self, entry, variant):
+        # never computed as l2, the variant the check once fell through to
+        p, q = softmax_rows(np.array([[0.0, 1.0, 2.0]])), softmax_rows(np.array([[2.0, 1.0, 0.0]]))
+        with pytest.raises(InvalidInputError, match="unknown Lc variant .* one of"):
+            if entry == "loss_terms_rows":
+                loss_terms_rows(p, q, variant)
+            else:
+                joint_loss_weighted_rows(p, q, variant, np.array([0.1]), np.array([0.03]))
+
     def test_dim_mismatch(self):
         with pytest.raises(InvalidInputError):
             loss_terms_rows([[0.5, 0.5]], [[0.3, 0.3, 0.4]], "kl_pred_pseudo")

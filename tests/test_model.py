@@ -9,7 +9,6 @@ from conftest import DOCUMENT_SLOTS, JSON_VALUES, damaged
 from pseudograd.model import (
     ACTIVATIONS,
     Architecture,
-    InvalidStateError,
     ModelParams,
     backward,
     forward_batch,
@@ -239,7 +238,7 @@ class TestBackward:
         trace = forward_batch(params, np.ones((2, 4)))
         other_arch = init_params(Architecture(4, (6,), 3), seed=0)
         for out in (params, ModelParams(params.arch, params.flat), other_arch):
-            with pytest.raises(InvalidStateError):
+            with pytest.raises(InvalidInputError, match="out must be a separate gradient"):
                 backward(trace, np.ones((2, 3)), params, out=out)
         np.testing.assert_array_equal(params.flat, before)
 
@@ -247,7 +246,7 @@ class TestBackward:
         arch = Architecture(4, (5,), 3)
         params = init_params(arch, seed=0)
         trace = forward_batch(params, np.ones((1, 4)))
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(InvalidInputError, match="grad_y_hat shape"):
             backward(trace, np.zeros((1, 4)), params)
 
     def test_head_gradient_matches_stationarity_factor(self):

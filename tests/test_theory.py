@@ -6,9 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import bits, solve_link_point
+from conftest import bits, residual_of, solve_link_point
 from pseudograd import theory
-from pseudograd.config import ConfigError
 from pseudograd.data import gen_gaussian_blobs, split_per_class
 from pseudograd.loss import JointLoss, LossConfig, link_residual_matrix, loss_terms_rows
 from pseudograd.loss import VARIANTS
@@ -16,17 +15,6 @@ from pseudograd.model import Architecture, ModelParams, init_params
 from pseudograd.numerics import ROW_SUM_GATE, InvalidInputError, clamped_log, random_stream
 from pseudograd.numerics import softmax_rows
 from pseudograd.pseudo_labels import PseudoTable, init_pseudo
-
-
-def _residual_of(p_hat, p_tilde, cfg):
-    lc, le = loss_terms_rows(p_hat[None, :], p_tilde[None, :], cfg.variant)
-    total = cfg.alpha * float(lc[0]) + cfg.beta * float(le[0])
-    n = int(np.argmax(p_hat))
-    return (
-        (cfg.alpha - cfg.beta) * float(clamped_log(p_hat[n : n + 1])[0])
-        - cfg.alpha * float(clamped_log(p_tilde[n : n + 1])[0])
-        - total
-    )
 
 
 def _nan_backward(trace, grad_y, params):
@@ -65,7 +53,7 @@ class TestLinkPointOracle:
         cfg = LossConfig(alpha=alpha, beta=beta)
         p_hat = softmax_rows(y[None, :])[0]
         p_tilde = solve_link_point(p_hat, cfg)
-        assert abs(_residual_of(p_hat, p_tilde, cfg)) < 1e-8
+        assert abs(residual_of(p_hat, p_tilde, cfg)) < 1e-8
         n = p_hat.argmax()
         assert p_tilde[n] <= p_hat[n] + 1e-12
 
@@ -95,7 +83,7 @@ class TestLinkPointOracle:
         params = init_params(Architecture(2, (), 2), seed=0)
         table = init_pseudo(split, params)
         cfg = LossConfig(variant="l2")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError, match="kl_pred_pseudo loss only"):
             theory.check_link_residual(params, table, split, cfg)
 
 

@@ -1,6 +1,7 @@
 import functools
 import math
 import string
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +15,11 @@ from conftest import plan_counts, write_idx, write_tiny_config
 from pseudograd.config import ConfigError, DataSpec, StageTwoConfig, config_from_dict, load_config
 from pseudograd.data import gen_gaussian_blobs, split_per_class
 from pseudograd.model import ModelParams
-from pseudograd.numerics import InvalidInputError, random_stream
+from pseudograd.numerics import InvalidInputError, random_stream, softmax_rows
 from pseudograd.trainer import (
     Report,
     ReportRow,
+    StageError,
     _CyclingPool,
     build_dataset,
     plan,
@@ -25,6 +27,7 @@ from pseudograd.trainer import (
     stage1_supervised,
     stage2_joint,
     stage3_finetune,
+    stage_errors,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -352,6 +355,15 @@ def test_pool_fills_a_callers_buffer_like_the_allocating_take():
         np.testing.assert_array_equal(rows, expected)
 
 
+def test_a_stage_fails_by_name_without_an_overflow_or_invalid_value_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would fail the stage under its own name
+        with pytest.raises(StageError, match="^export failed: softmax_rows expects"):
+            with stage_errors("export"):
+                y_hat = np.array([[1e308, 0.0]]) * 10.0  # overflows to inf
+                softmax_rows(y_hat * 0.0)  # inf * 0 is NaN: an invalid value
+
+
 class TestStages:
     def test_stage1_zero_epochs_returns_init(self):
         cfg = tiny_config({"stage1.epochs": 0})
@@ -433,7 +445,7 @@ class TestStages:
         stage2_joint(cfg, params, split, report)
         s2 = report.stage_rows(2)
         assert len(s2) == plan_counts(plan(cfg, split))["_joint_epoch"]
-        assert all(np.isfinite(list(vars(r).values())).all() for r in s2)
+        assert all(np.isfinite(r).all() for r in s2)
 
 
 class TestSharedEval:
