@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import inspect
@@ -64,6 +65,22 @@ def test_the_package_defines_exactly_the_exception_types_main_maps():
                     and issubclass(v, BaseException) and v.__module__ == module.__name__}
     assert {t.__name__ for t in defined} == {t.__name__ for t in mapped} == {
         "ConfigError", "InvalidInputError", "StageError", "WriteError"}
+
+
+# each command's own options with their defaults; every other command has none
+OWN_DEFAULTS = {"gradcheck": {"trials": 100}, "ablate": {"seeds": 5, "grid": "strategy"}}
+
+
+def test_parser_has_each_command_with_its_own_options_and_defaults():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli.COMMANDS)
+    for name in cli.COMMANDS:
+        args = parser.parse_args([name, "--config", "c", "--out", "o"])
+        assert vars(args) == {"command": name, "config": "c", "out": "o", "override": [],
+                              **OWN_DEFAULTS.get(name, {})}
+    grid = next(a for a in sub.choices["ablate"]._actions if a.dest == "grid")
+    assert grid.choices == list(cli.GRIDS)
 
 
 def _overflow_head(run: Path) -> None:
