@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Commands: gen-data, train, verify, gradcheck, ablate, export-features.
-Commands only raise, one of four types; ``main`` alone turns each into its
-exit code and its last stderr line:
+``COMMANDS`` declares every command once: its function, its help line,
+whether it writes a run manifest, and its own options. Commands only raise,
+one of four types; ``main`` alone turns each into its exit code and its last
+stderr line:
 - ``ConfigError``, 2, ``config error: ...``: a config rule, checked before
   any work (among them export-features on a penultimate layer that is not
   2-D, or on a split whose labeled or unlabeled rows have no class with 2 or
@@ -17,10 +18,10 @@ exit code and its last stderr line:
 - ``WriteError``, 1, ``error: cannot write <path>: <reason>``: an output
   file or directory that cannot be written.
 verify and gradcheck also exit 1, with a FAIL line on stdout, on a failed
-check. train, ablate and export-features write a run manifest (config, git
-describe of the package's checkout, seed, status) even when they fail, with
-the failing stage recorded ("output" for a write, unless the manifest or its
-directory failed); gen-data, verify and gradcheck write none.
+check. A command whose entry sets ``manifest`` writes a run manifest
+(config, git describe of the package's checkout, seed, status) even when it
+fails, with the failing stage recorded ("output" for a write, unless the
+manifest or its directory failed); the others write none.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ import stat
 import statistics
 import subprocess
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,54 +259,46 @@ def positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pseudograd",
-        description="Train and verify pseudo-label-as-logits semi-supervised models.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Command(NamedTuple):
+    """A command's ``run(args, cfg, out) -> exit code`` (main loads the
+    config), its help line, whether its output directory gets a manifest.json,
+    failed or ok, and its own options as (flag, add_argument keywords) pairs."""
 
-    def add_common(p):
+    run: Callable[[argparse.Namespace, TrainConfig, Path], int]
+    help: str
+    manifest: bool
+    options: tuple[tuple[str, dict], ...] = ()
+
+
+COMMANDS = {
+    "gen-data": Command(cmd_gen_data, "materialize the configured dataset as CSV", False),
+    "train": Command(cmd_train, "run the full three-stage pipeline", True),
+    "verify": Command(cmd_verify, "run theory checks against saved artifacts", False),
+    "gradcheck": Command(cmd_gradcheck, "finite-difference gradient verification", False, (
+        ("--trials", {"type": positive_int, "default": 100,
+                      "help": "instances per gradient path"}),)),
+    "ablate": Command(cmd_ablate, "run a comparison grid", True, (
+        ("--seeds", {"type": positive_int, "default": 5, "help": "seeds per grid cell"}),
+        ("--grid", {"choices": list(GRIDS), "default": "strategy",
+                    "help": "which grid to sweep"}))),
+    "export-features": Command(cmd_export_features,
+                               "dump 2-D features before/after joint training", True),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="pseudograd", description=(
+        "Train and verify pseudo-label-as-logits semi-supervised models."))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument(
-            "--override",
-            action="append",
-            default=[],
-            metavar="K=V",
-            help="config override, e.g. loss.alpha=0.2 (repeatable)",
-        )
-
-    add_common(sub.add_parser("gen-data", help="materialize the configured dataset as CSV"))
-    add_common(sub.add_parser("train", help="run the full three-stage pipeline"))
-    add_common(sub.add_parser("verify", help="run theory checks against saved artifacts"))
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    add_common(p)
-    p.add_argument("--trials", type=positive_int, default=100, help="instances per gradient path")
-    p = sub.add_parser("ablate", help="run a comparison grid")
-    add_common(p)
-    p.add_argument("--seeds", type=positive_int, default=5, help="seeds per grid cell")
-    p.add_argument(
-        "--grid",
-        choices=list(GRIDS),
-        default="strategy",
-        help="which grid to sweep",
-    )
-    add_common(sub.add_parser("export-features", help="dump 2-D features before/after joint training"))
+        p.add_argument("--override", action="append", default=[], metavar="K=V",
+                       help="config override, e.g. loss.alpha=0.2 (repeatable)")
+        for flag, keywords in command.options:
+            p.add_argument(flag, **keywords)
     return parser
-
-
-# each command is cmd(args, cfg, out) -> exit code; main loads the config
-COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "verify": cmd_verify,
-    "gradcheck": cmd_gradcheck,
-    "ablate": cmd_ablate,
-    "export-features": cmd_export_features,
-}
-# the commands whose output directory gets a manifest.json, failed or ok
-MANIFEST_COMMANDS = ("train", "ablate", "export-features")
 
 
 def _check_out(out: str) -> None:
@@ -327,12 +322,12 @@ def _check_out(out: str) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
-    manifest = args.command in MANIFEST_COMMANDS
+    command = COMMANDS[args.command]
     try:
         _check_out(args.out)
         cfg = load_config(args.config, args.override)
-        rc = COMMANDS[args.command](args, cfg, out)
-        if manifest and rc == EXIT_OK:
+        rc = command.run(args, cfg, out)
+        if command.manifest and rc == EXIT_OK:
             _write_manifest(out, cfg, args.command, "ok", None)
         return rc
     except ConfigError as exc:
@@ -348,7 +343,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         # no manifest when the manifest or the directory it goes in failed
         failure_stage = None if exc.path in (out, out / "manifest.json") else "output"
-    if manifest and failure_stage is not None:
+    if command.manifest and failure_stage is not None:
         try:
             _write_manifest(out, cfg, args.command, "failed", failure_stage)
         except WriteError as exc:

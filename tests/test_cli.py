@@ -171,7 +171,7 @@ class TestOutputFailures:
         err = capsys.readouterr().err
         assert f"error: cannot write {out / name}: Is a directory" in err
         assert "Traceback" not in err
-        if command in cli.MANIFEST_COMMANDS:
+        if cli.COMMANDS[command].manifest:
             manifest = json.loads((out / "manifest.json").read_text())
             assert (manifest["status"], manifest["failure_stage"]) == ("failed", "output")
         else:
