@@ -1,7 +1,8 @@
 """Optimizers: Nesterov-momentum SGD for network weights, a momentum-free
 descent step with its own learning rate for pseudo-logits.
 
-The Nesterov recurrence used here (lookahead form), with g~ = g + wd*theta:
+The Nesterov recurrence used here (lookahead form), with mu = ``MOMENTUM``
+and g~ = g + wd*theta:
 
     v     <- mu * v - lr * g~
     theta <- theta + mu * v - lr * g~
@@ -9,12 +10,14 @@ The Nesterov recurrence used here (lookahead form), with g~ = g + wd*theta:
 With mu = 0 and wd = 0 this reduces to plain SGD. The recurrence runs on the
 whole flat parameter vector at once. Weight decay applies to weight-matrix
 entries only, never to biases and never to pseudo-logits (a decay term on
-pseudo-logits would break their sum conservation).
+pseudo-logits would break their sum conservation). ``init_opt_state`` builds
+a network's whole state: learning rate, velocity, per-entry decay and the
+step's two buffers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,18 +31,14 @@ MOMENTUM = 0.9  # mu of every network step
 @dataclass
 class OptState:
     lr: float
-    momentum: float = MOMENTUM
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    decay: np.ndarray = field(default_factory=lambda: np.zeros(0))  # per flat entry
-    scratch: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)))  # step temporaries
+    velocity: np.ndarray
+    decay: np.ndarray  # per flat entry
+    scratch: np.ndarray  # step temporaries
 
 
 def init_opt_state(params: ModelParams, lr: float, weight_decay: float = 0.0) -> OptState:
-    state = OptState(lr)
-    state.velocity = np.zeros_like(params.flat)
-    state.decay = weight_decay * weight_mask(params.arch)
-    state.scratch = np.empty((2, params.flat.size))
-    return state
+    return OptState(lr, np.zeros_like(params.flat), weight_decay * weight_mask(params.arch),
+                    np.empty((2, params.flat.size)))
 
 
 def sgd_nesterov_step(params: ModelParams, grads: ModelParams, state: OptState) -> None:
@@ -54,9 +53,9 @@ def sgd_nesterov_step(params: ModelParams, grads: ModelParams, state: OptState) 
     np.multiply(state.decay, theta, out=lr_g)
     lr_g += grads.flat  # g~ = g + wd * theta
     lr_g *= state.lr
-    state.velocity *= state.momentum
+    state.velocity *= MOMENTUM
     state.velocity -= lr_g
-    np.multiply(state.velocity, state.momentum, out=move)
+    np.multiply(state.velocity, MOMENTUM, out=move)
     move -= lr_g
     theta += move
 

@@ -4,10 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from pseudograd import optimizer
 from pseudograd.model import Architecture, ModelParams, init_params
 from pseudograd.numerics import InvalidInputError, softmax_rows
 from pseudograd.optimizer import (
-    OptState,
     decay_lr,
     init_opt_state,
     pseudo_step,
@@ -28,12 +28,12 @@ class TestNesterovStep:
         sgd_nesterov_step(params, _grads_like(params), state)
         np.testing.assert_array_equal(params.flat, before)
 
-    def test_reduces_to_plain_sgd(self):
+    def test_reduces_to_plain_sgd(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "MOMENTUM", 0.0)
         params = init_params(Architecture(3, (), 2), seed=1)
         before = params.head_w.copy()
         g = _grads_like(params, fill=0.5)
         state = init_opt_state(params, lr=0.2)
-        state.momentum = 0.0
         sgd_nesterov_step(params, g, state)
         np.testing.assert_allclose(params.head_w, before - 0.2 * 0.5, atol=1e-15)
 
@@ -70,12 +70,12 @@ class TestNesterovStep:
             np.testing.assert_array_equal(params.flat, theta)
             np.testing.assert_array_equal(state.velocity, v)
 
-    def test_weight_decay_skips_biases(self):
+    def test_weight_decay_skips_biases(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "MOMENTUM", 0.0)
         params = init_params(Architecture(3, (4, 5), 2), seed=2)
         params.layer_biases[0][...] = 1.0
         params.layer_biases[1][...] = 1.0
         state = init_opt_state(params, lr=0.5, weight_decay=0.1)
-        state.momentum = 0.0
         w_before = params.head_w.copy()
         sgd_nesterov_step(params, _grads_like(params), state)
         np.testing.assert_array_equal(params.layer_biases[0], np.ones(4))
@@ -151,7 +151,7 @@ class TestPseudoStep:
 
 class TestDecayLr:
     def test_two_decays_compound(self):
-        state = OptState(lr=1.0)
+        state = init_opt_state(init_params(Architecture(3, (), 2), seed=0), lr=1.0)
         decay_lr(state, 0.1)
         decay_lr(state, 0.1)
         np.testing.assert_allclose(state.lr, 0.01, atol=1e-15)
@@ -168,7 +168,7 @@ class TestDecayLr:
     def test_pseudo_lr_not_touched(self):
         # decay acts on the network lr only; the pseudo-logit rate lives in
         # LossConfig and is never part of OptState
-        state = OptState(lr=1.0)
+        state = init_opt_state(init_params(Architecture(3, (), 2), seed=0), lr=1.0)
         decay_lr(state, 0.5)
         assert not hasattr(state, "lam")
 
