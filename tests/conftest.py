@@ -10,12 +10,15 @@ property tests, with the JSON documents that the readers' properties draw."""
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
 import math
 import struct
+import sys
 import tempfile
 import time
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -177,6 +180,23 @@ def make_trend_config(seed: int, variant: str = "kl_pred_pseudo") -> TrainConfig
         {"seed": seed, "loss.variant": variant})
 
 
+def load_script(path: Path) -> ModuleType:
+    """The repo script at ``path``, loaded as a module named after its file.
+    Its directory is on ``sys.path`` and the module is registered while it
+    runs: a script may import its siblings, and a dataclass looks its module
+    up."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(path.parent))
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(path.parent))
+        del sys.modules[spec.name]
+    return module
+
+
 def solve_link_point(p_hat: np.ndarray, cfg: LossConfig, iters: int = 200) -> np.ndarray:
     """Construct a pseudo-label vector that satisfies the link exactly.
 
@@ -199,13 +219,7 @@ def solve_link_point(p_hat: np.ndarray, cfg: LossConfig, iters: int = 200) -> np
         return p_tilde
 
     def residual(t: float) -> float:
-        lc, le = loss_terms_rows(p_hat[None, :], point(t)[None, :], cfg.variant)
-        total = cfg.alpha * float(lc[0]) + cfg.beta * float(le[0])
-        return (
-            (cfg.alpha - cfg.beta) * float(clamped_log(p_hat[n : n + 1])[0])
-            - cfg.alpha * np.log(t)
-            - total
-        )
+        return residual_of(p_hat, point(t), cfg)
 
     lo, hi = 1e-12, 1.0 - 1e-12
     assert residual(lo) > 0.0 > residual(hi), "bisection bracket failed; prediction degenerate"

@@ -3,7 +3,6 @@ fabricated result lines; no benchmark runs."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import subprocess
 from pathlib import Path
@@ -11,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import load_script
+
 ROOT = Path(__file__).resolve().parent.parent
-spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_pairs)
+bench_pairs = load_script(ROOT / "tools" / "bench_pairs.py")
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 

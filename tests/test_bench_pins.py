@@ -3,27 +3,18 @@ traces a run; every name it pins must resolve, so that renaming one fails
 here and not only in a traced benchmark run."""
 
 import importlib
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import load_script
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture(scope="module")
 def bench_run():
-    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.path.insert(0, str(BENCH))  # run.py imports its siblings spans and speed
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(BENCH))
-        del sys.modules[spec.name]
-    return module
+    return load_script(BENCH / "run.py")  # run.py imports its siblings spans and speed
 
 
 def test_every_traced_target_resolves(bench_run):
