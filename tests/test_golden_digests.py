@@ -5,7 +5,6 @@ artifact; an environment with no entry skips, naming itself and its digests."""
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -14,16 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import write_tiny_config
+from conftest import load_script, write_tiny_config
 from pseudograd.cli import main
 from pseudograd.numerics import write_json
 from pseudograd.pseudo_labels import save_table
 from pseudograd.theory import run_verification
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_bytes.py"
-spec = importlib.util.spec_from_file_location("same_bytes", TOOL)
-same_bytes = importlib.util.module_from_spec(spec)  # environment() is the entry key
-spec.loader.exec_module(same_bytes)
+same_bytes = load_script(TOOL)  # environment() is the entry key
 ARTIFACTS = ("moons_seed7_report.csv", "converged_run_pseudo_table.json",
              "gradcheck_seed0_trials25.json", "converged_run_verification.json")
 
@@ -75,16 +72,19 @@ def test_same_bytes_names_each_difference_but_not_the_git_describe(tmp_path):
     for name, text in (("report.csv", "epoch\n1\n"), ("pseudo_table.json", "{}\n")):
         (run / name).write_text(text)
     (run / "manifest.json").write_text(json.dumps({"git_describe": "abc1234", "seed": 7}))
-    recorded = {"train run": {"exit": 0, "files": same_bytes.file_digests(tmp_path)}}
+    recorded = {"train run": {"exit": 0, "stdout": "a1",
+                              "files": same_bytes.file_digests(tmp_path)}}
     assert same_bytes.differences(recorded, recorded) == []
 
     (run / "report.csv").write_text("epoch\n2\n")
     (run / "pseudo_table.json").unlink()
     (run / "extra.csv").write_text("x\n")
     (run / "manifest.json").write_text(json.dumps({"git_describe": "abc1234-dirty", "seed": 7}))
-    written = {"train run": {"exit": 1, "files": same_bytes.file_digests(tmp_path)}}
+    written = {"train run": {"exit": 1, "stdout": "b2",
+                             "files": same_bytes.file_digests(tmp_path)}}
     assert same_bytes.differences(recorded, written) == [
         "exit code of train run: 0 -> 1",
+        "stdout of train run differs",
         "extra: train_run/extra.csv",
         "missing: train_run/pseudo_table.json",
         "differs: train_run/report.csv",

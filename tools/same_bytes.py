@@ -1,12 +1,13 @@
 """Check that this checkout writes the output bytes recorded for its environment.
 
 ``python3 tools/same_bytes.py`` runs COMMANDS with this checkout's program
-and configs. It compares each exit code and the SHA-256 of every file each
-command writes (``manifest.json`` without its ``git_describe``) with this
-environment's entry in ``tests/golden_digests.json``, prints each exit code
-or file that differs, is missing or is extra, and exits 1 if any does. It
-then prints the entry this checkout writes: to record the bytes, put that
-entry in place of the old one.
+and configs. It compares each exit code, the SHA-256 of what each command
+prints on stdout (the run root read as ``<out>``) and the SHA-256 of every
+file each command writes (``manifest.json`` without its ``git_describe``)
+with this environment's entry in ``tests/golden_digests.json``, prints each
+exit code, stdout or file that differs, is missing or is extra, and exits 1
+if any does. It then prints the entry this checkout writes: to record the
+bytes, put that entry in place of the old one.
 """
 
 from __future__ import annotations
@@ -111,30 +112,36 @@ def file_digests(root: Path) -> dict[str, str]:
 
 def run_all(out: Path) -> dict[str, dict]:
     """Run every command with this checkout's program; per command, its exit
-    code and the digests of the files it wrote or rewrote."""
+    code, the digest of its stdout with ``out`` read as ``<out>`` (gen-data
+    and train print their directory) and the digests of the files it wrote
+    or rewrote."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     record, before = {}, {}
     for out_name, command, config, extra in COMMANDS:
         argv = [sys.executable, "-m", "pseudograd.cli", command, "--config",
                 str(ROOT / config), "--out", str(out / out_name), *extra]
-        code = subprocess.run(argv, env=env, capture_output=True).returncode
+        proc = subprocess.run(argv, env=env, capture_output=True)
+        stdout = proc.stdout.replace(str(out).encode(), b"<out>")
         label = f"{command} {out_name} {config}"  # one run dir is verified under two configs
-        print(f"{label} exited {code}", file=sys.stderr)
+        print(f"{label} exited {proc.returncode}", file=sys.stderr)
         after = file_digests(out)
-        record[label] = {"exit": code,
+        record[label] = {"exit": proc.returncode, "stdout": hashlib.sha256(stdout).hexdigest(),
                          "files": {f: d for f, d in after.items() if before.get(f) != d}}
         before = after
     return record
 
 
 def differences(recorded: dict, written: dict) -> list[str]:
-    """Each exit code and file of ``written`` that differs from ``recorded``,
-    or is missing or extra; both map a command to its "exit" and "files"."""
+    """Each exit code, stdout and file of ``written`` that differs from
+    ``recorded``, or is missing or extra; both map a command to its "exit",
+    "stdout" and "files"."""
     out = []
     for label in dict.fromkeys([*recorded, *written]):
         was, now = recorded.get(label, {}), written.get(label, {})
         if was.get("exit") != now.get("exit"):
             out.append(f"exit code of {label}: {was.get('exit')} -> {now.get('exit')}")
+        if was.get("stdout") != now.get("stdout"):
+            out.append(f"stdout of {label} differs")
         old, new = was.get("files", {}), now.get("files", {})
         for name in sorted(old.keys() | new.keys()):
             if old.get(name) != new.get(name):
