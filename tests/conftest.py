@@ -2,10 +2,11 @@
 (each a committed file under configs/ with ``TrainConfig.replace`` changes),
 the converged blobs run used by the stationarity checks, the five moons runs
 of the benefit tests, and a handwritten-digits IDX pair for the 2-D-feature
-reproduction, written by the suite's IDX writer; the bisection link-point
-oracle and the residual it is checked by; the calls a run plan makes; the
-config schema's configurable values; and the one Hypothesis profile of the
-property tests, with the JSON documents that the readers' properties draw."""
+reproduction, written by the suite's IDX writer; the one loader of the
+repo's scripts; the bisection link-point oracle and the residual it is
+checked by; the calls a run plan makes; the config schema's configurable
+values; and the one Hypothesis profile of the property tests, with the JSON
+documents that the readers' properties draw."""
 
 from __future__ import annotations
 
