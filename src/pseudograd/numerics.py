@@ -54,11 +54,12 @@ def _writing(path):
 
 
 def read_json(path, what: str, error: type[ValueError] = InvalidInputError):
-    """The JSON document in the file ``path``, or ``error`` naming the file."""
-    if not Path(path).exists():
-        raise error(f"{what} file not found: {path}")
+    """The JSON document in the file ``path``, or ``error`` naming the file:
+    not found, or cannot be read, say for a name the OS refuses to look up."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise error(f"{what} file not found: {path}") from None
     except (OSError, ValueError, RecursionError) as exc:  # a directory, not UTF-8, not JSON
         raise error(f"cannot read {what} file {path}: {exc}") from exc
 

@@ -69,6 +69,8 @@ def test_the_package_defines_exactly_the_exception_types_main_maps():
 
 # each command's own options with their defaults; every other command has none
 OWN_DEFAULTS = {"gradcheck": {"trials": 100}, "ablate": {"seeds": 5, "grid": "strategy"}}
+# the same options set small, so that a run of the command is quick
+QUICK_OPTIONS = {"gradcheck": ["--trials", "3"], "ablate": ["--grid", "lc", "--seeds", "1"]}
 
 
 def test_parser_has_each_command_with_its_own_options_and_defaults():
@@ -129,9 +131,7 @@ class TestManifest:
         extra = {"data": _missing_idx_data(tmp_path)} if status == "failed" else {}
         cfg = write_tiny_config(tmp_path / "cfg.json", arch=FEATURE_ARCH, **extra)
         out = tmp_path / "run"
-        argv = [command, "--config", str(cfg), "--out", str(out)]
-        if command == "ablate":
-            argv += ["--grid", "lc", "--seeds", "1"]
+        argv = [command, "--config", str(cfg), "--out", str(out), *QUICK_OPTIONS.get(command, [])]
         assert main(argv) == (0 if status == "ok" else 1)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == command
@@ -143,9 +143,7 @@ class TestManifest:
         cfg, run = trained
         out = shutil.copytree(run, tmp_path / "run") if command == "verify" else tmp_path / "out"
         (out / "manifest.json").unlink(missing_ok=True)
-        argv = [command, "--config", str(cfg), "--out", str(out)]
-        if command == "gradcheck":
-            argv += ["--trials", "3"]
+        argv = [command, "--config", str(cfg), "--out", str(out), *QUICK_OPTIONS.get(command, [])]
         assert main(argv) in (0, 1)
         assert not (out / "manifest.json").exists()
 
@@ -164,9 +162,7 @@ class TestOutputFailures:
         out = shutil.copytree(run, tmp_path / "run") if command == "verify" else tmp_path / "out"
         (out / "manifest.json").unlink(missing_ok=True)
         (out / name).mkdir(parents=True)
-        argv = [command, "--config", str(cfg), "--out", str(out)]
-        argv += {"gradcheck": ["--trials", "3"], "ablate": ["--grid", "lc", "--seeds", "1"]}.get(
-            command, [])
+        argv = [command, "--config", str(cfg), "--out", str(out), *QUICK_OPTIONS.get(command, [])]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert f"error: cannot write {out / name}: Is a directory" in err
@@ -193,9 +189,7 @@ class TestOutputFailures:
         cfg, _ = trained
         out = tmp_path / "out"
         monkeypatch.setattr(Path, "mkdir", _refusing_mkdir(out))
-        argv = [command, "--config", str(cfg), "--out", str(out)]
-        argv += {"gradcheck": ["--trials", "3"], "ablate": ["--grid", "lc", "--seeds", "1"]}.get(
-            command, [])
+        argv = [command, "--config", str(cfg), "--out", str(out), *QUICK_OPTIONS.get(command, [])]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.count("error: cannot write") == 1  # no manifest is tried in no directory
@@ -250,11 +244,13 @@ class TestExitCodes:
         assert f"unknown key {override.partition('=')[0]}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("make", [Path.mkdir, lambda path: path.write_bytes(b"\xff\xfe{"),
-                                      lambda path: path.write_text("[" * 10**5)],
-                             ids=["directory", "not_utf8", "nested_too_deep"])
-    def test_unreadable_config_exits_2_naming_it(self, tmp_path, capsys, make):
-        path = tmp_path / "cfg.json"
+    @pytest.mark.parametrize("name, make", [
+        ("cfg.json", Path.mkdir), ("cfg.json", lambda path: path.write_bytes(b"\xff\xfe{")),
+        ("cfg.json", lambda path: path.write_text("[" * 10**5)),
+        ("x" * 300 + ".json", lambda path: None)],  # a name the OS refuses to look up
+        ids=["directory", "not_utf8", "nested_too_deep", "name_too_long"])
+    def test_unreadable_config_exits_2_naming_it(self, tmp_path, capsys, name, make):
+        path = tmp_path / name
         make(path)
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
