@@ -9,7 +9,8 @@ Both gradients are images of a softmax Jacobian, so each gradient row sums to
 zero.
 
 Every function takes row-stacked batches: two 2-D arrays of the same shape,
-one probability row per example.
+one probability row per example. Each entry takes the Lc variant by name, and
+``joint_loss_rows`` takes the weights as floats or as each row's own.
 """
 
 from __future__ import annotations
@@ -64,8 +65,11 @@ def loss_terms_rows(p_hat, p_tilde, variant: str, logs=None):
     return _terms(ph, pt, log_ph, log_pt, variant)
 
 
-def joint_loss_rows(p_hat, p_tilde, cfg: LossConfig) -> JointLoss:
-    """The loss terms and both gradients from one pass over the batch.
+def joint_loss_rows(p_hat, p_tilde, variant: str, alpha, beta) -> JointLoss:
+    """The loss terms and both gradients of the Lc ``variant`` from one pass
+    over the batch. ``alpha`` and ``beta`` are floats, or ``(n,)`` arrays of
+    each row's weights; row k then has the bits of the float call on row k
+    alone with ``alpha[k]`` and ``beta[k]``.
 
     For the kl_pred_pseudo variant the head gradient is the closed form
     g = p_hat * link_residual_matrix(log p_hat, log p_tilde, L, alpha, beta),
@@ -74,30 +78,8 @@ def joint_loss_rows(p_hat, p_tilde, cfg: LossConfig) -> JointLoss:
     pseudo-logits, so only Lc contributes to ``grad_pseudo``.
     """
     ph, pt = _check_pair(p_hat, p_tilde)
-    return _joint(ph, pt, cfg.variant, cfg.alpha, cfg.beta, cfg.alpha, cfg.beta)
-
-
-def joint_loss_weighted_rows(p_hat, p_tilde, variant: str, alpha, beta) -> JointLoss:
-    """``joint_loss_rows`` with each row's own weights: ``alpha`` and ``beta``
-    are ``(n,)`` arrays, and row k has the bits of ``joint_loss_rows`` on row
-    k alone under ``LossConfig(alpha=alpha[k], beta=beta[k], variant=variant)``."""
-    ph, pt = _check_pair(p_hat, p_tilde)
-    return _joint(ph, pt, variant, alpha, beta, alpha[:, None], beta[:, None])
-
-
-def link_residual_matrix(log_ph, log_pt, total, alpha, beta) -> np.ndarray:
-    """``(alpha - beta) * log p_hat - alpha * log p_tilde - L`` at every class
-    of every row: the per-class factor of the kl_pred_pseudo head gradient,
-    ``grad_y = p_hat * link_residual_matrix(...)``. At the predicted class it
-    is the exponential link's residual r, so the link holds where this
-    factor is 0. ``alpha`` and ``beta`` are floats or ``(n, 1)`` columns."""
-    return (alpha - beta) * log_ph - alpha * log_pt - total[:, None]
-
-
-def _joint(ph, pt, variant: str, alpha, beta, alpha_c, beta_c) -> JointLoss:
-    """The one kernel of both entries: ``alpha``/``beta`` weigh the per-row
-    terms and ``alpha_c``/``beta_c`` the gradient rows (the same floats, or
-    each row's weights as a column)."""
+    # the gradient rows' weights: the same floats, or each row's as a column
+    alpha_c, beta_c = (alpha[:, None], beta[:, None]) if np.ndim(alpha) else (alpha, beta)
     log_ph, log_pt = clamped_log(ph), clamped_log(pt)
     lc, le = _terms(ph, pt, log_ph, log_pt, variant)
     total = alpha * lc + beta * le
@@ -118,11 +100,20 @@ def _joint(ph, pt, variant: str, alpha, beta, alpha_c, beta_c) -> JointLoss:
     return JointLoss(lc, le, total, alpha_c * lc_grad + beta_c * le_grad, grad_pseudo)
 
 
+def link_residual_matrix(log_ph, log_pt, total, alpha, beta) -> np.ndarray:
+    """``(alpha - beta) * log p_hat - alpha * log p_tilde - L`` at every class
+    of every row: the per-class factor of the kl_pred_pseudo head gradient,
+    ``grad_y = p_hat * link_residual_matrix(...)``. At the predicted class it
+    is the exponential link's residual r, so the link holds where this
+    factor is 0. ``alpha`` and ``beta`` are floats or ``(n, 1)`` columns."""
+    return (alpha - beta) * log_ph - alpha * log_pt - total[:, None]
+
+
 def grad_wrt_logits_rows(p_hat, p_tilde, cfg: LossConfig) -> np.ndarray:
-    """``joint_loss_rows(...).grad_y``."""
-    return joint_loss_rows(p_hat, p_tilde, cfg).grad_y
+    """``joint_loss_rows(...).grad_y`` under ``cfg``'s variant and weights."""
+    return joint_loss_rows(p_hat, p_tilde, cfg.variant, cfg.alpha, cfg.beta).grad_y
 
 
 def grad_wrt_pseudo_logits_rows(p_hat, p_tilde, cfg: LossConfig) -> np.ndarray:
-    """``joint_loss_rows(...).grad_pseudo``."""
-    return joint_loss_rows(p_hat, p_tilde, cfg).grad_pseudo
+    """``joint_loss_rows(...).grad_pseudo`` under ``cfg``'s variant and weights."""
+    return joint_loss_rows(p_hat, p_tilde, cfg.variant, cfg.alpha, cfg.beta).grad_pseudo

@@ -27,7 +27,6 @@ from .loss import (
     VARIANTS,
     LossConfig,
     joint_loss_rows,
-    joint_loss_weighted_rows,
     link_residual_matrix,
     loss_terms_rows,
 )
@@ -301,7 +300,8 @@ def _softmax_paths(stream, variant: str, trials: int):
 
     Trials are drawn in order, a block at a time; the trials of a block that
     share a class count get their central differences from one loss call and
-    their analytic gradients from one ``joint_loss_weighted_rows`` call.
+    their analytic gradients from one ``joint_loss_rows`` call with each
+    trial's own weights.
     """
     worst_pseudo = worst_logits = 0.0
     for start in range(0, trials, FD_BLOCK_TRIALS):
@@ -322,8 +322,7 @@ def _softmax_paths(stream, variant: str, trials: int):
                 np.repeat(y_hat, 2 * nc, axis=0), s, variant, a, b), y_tilde)
             num_logits = _central_diff(lambda s: _loss_total_rows(
                 s, np.repeat(y_tilde, 2 * nc, axis=0), variant, a, b), y_hat)
-            loss = joint_loss_weighted_rows(
-                softmax_rows(y_hat), softmax_rows(y_tilde), variant, alpha, beta)
+            loss = joint_loss_rows(softmax_rows(y_hat), softmax_rows(y_tilde), variant, alpha, beta)
             worst_pseudo = max(worst_pseudo, float(_rel_err(loss.grad_pseudo, num_pseudo).max()))
             worst_logits = max(worst_logits, float(_rel_err(loss.grad_y, num_logits).max()))
     return worst_pseudo, worst_logits
@@ -346,11 +345,12 @@ def finite_diff_suite(seed: int, trials: int) -> dict[str, float]:
         worst[f"pseudo:{variant}"], worst[f"logits:{variant}"] = _softmax_paths(
             stream, variant, trials)
 
+    alpha, beta = 0.1, 0.03  # the network paths' fixed weights
     for label, hidden in (("params:linear", ()), ("params:deep", (6, 5, 4))):
         worst[label] = 0.0
         arch = Architecture(4, hidden, 3, activation="tanh")
         for t in range(max(1, trials // 10)):
-            cfg = LossConfig(alpha=0.1, beta=0.03, variant=VARIANTS[t % len(VARIANTS)])
+            variant = VARIANTS[t % len(VARIANTS)]
             params = init_params(arch, seed + t)
             x = stream.normal(0.0, 1.0, size=(3, 4))
             p_tilde = softmax_rows(stream.normal(0.0, 2.0, size=(3, 3)))
@@ -359,12 +359,12 @@ def finite_diff_suite(seed: int, trials: int) -> dict[str, float]:
                 # every perturbed vector in one stacked forward; the mean
                 # loss over the batch per vector
                 lc, le = loss_terms_rows(forward_stack(arch, stack, x),
-                                         np.tile(p_tilde, (stack.shape[0], 1)), cfg.variant)
-                return (cfg.alpha * lc + cfg.beta * le).reshape(stack.shape[0], -1).mean(axis=1)
+                                         np.tile(p_tilde, (stack.shape[0], 1)), variant)
+                return (alpha * lc + beta * le).reshape(stack.shape[0], -1).mean(axis=1)
 
             trace = forward_batch(params, x)
-            grad_y = joint_loss_rows(trace.p_hat, p_tilde, cfg).grad_y / x.shape[0]
-            grads = backward(trace, grad_y, params)
+            loss = joint_loss_rows(trace.p_hat, p_tilde, variant, alpha, beta)
+            grads = backward(trace, loss.grad_y / x.shape[0], params)
             numeric = ModelParams(arch, _central_diff(batch_loss, params.flat[None])[0])
             # judged per tensor: one ratio over the whole vector would be looser
             for (_, g), (_, n) in zip(grads.tensors(), numeric.tensors()):

@@ -364,7 +364,8 @@ def _joint_epoch(params: ModelParams, table: PseudoTable, split: SplitDataset,
         unl_pool.take(rows[p.labeled :])
         np.take(feats, rows, axis=0, out=x)
         trace = forward_batch(params, x)
-        loss = joint_loss_rows(trace.p_hat, pseudo_probs_rows(table, rows, out=logits), lcfg)
+        loss = joint_loss_rows(trace.p_hat, pseudo_probs_rows(table, rows, out=logits),
+                               lcfg.variant, lcfg.alpha, lcfg.beta)
         lc_s += float(loss.lc.sum())
         le_s += float(loss.le.sum())
         tot += float(loss.total.sum())

@@ -4,9 +4,10 @@ the converged blobs run used by the stationarity checks, the five moons runs
 of the benefit tests, and a handwritten-digits IDX pair for the 2-D-feature
 reproduction, written by the suite's IDX writer; the one loader of the
 repo's scripts; the bisection link-point oracle and the residual it is
-checked by; the calls a run plan makes; the config schema's configurable
-values; and the one Hypothesis profile of the property tests, with the JSON
-documents that the readers' properties draw."""
+checked by; the per-coordinate central differences and the loss total the
+gradient tests check against; the calls a run plan makes; the config
+schema's configurable values; and the one Hypothesis profile of the
+property tests, with the JSON documents that the readers' properties draw."""
 
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from pseudograd.config import LossConfig, TrainConfig, config_from_dict, load_config
 from pseudograd.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, Dataset
 from pseudograd.loss import loss_terms_rows
-from pseudograd.numerics import clamped_log
+from pseudograd.numerics import clamped_log, softmax_rows
 from pseudograd.trainer import RunPlan, build_dataset, run_pipeline, stage1_supervised
 from pseudograd.trainer import stage2_joint
 
@@ -244,6 +245,27 @@ def residual_of(p_hat: np.ndarray, p_tilde: np.ndarray, cfg: LossConfig) -> floa
         - cfg.alpha * float(clamped_log(p_tilde[n : n + 1])[0])
         - total
     )
+
+
+def central_diff(fn, x: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of the scalar ``fn`` at ``x``, one coordinate at a
+    time: ``fn`` is called on a copy of ``x`` with that entry moved by +h,
+    then by -h."""
+    g = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        moved = x.copy()
+        moved[i] = x[i] + h
+        fp = fn(moved)
+        moved[i] = x[i] - h
+        g[i] = (fp - fn(moved)) / (2.0 * h)
+    return g
+
+
+def loss_total(y_hat, y_tilde, variant: str, alpha, beta) -> float:
+    """``alpha * Lc + beta * Le`` of logit rows, summed; rows are independent,
+    so its gradient holds each row's own gradient."""
+    lc, le = loss_terms_rows(softmax_rows(y_hat), softmax_rows(y_tilde), variant)
+    return float(np.sum(alpha * lc + beta * le))
 
 
 class ConvergenceRun:

@@ -25,7 +25,7 @@ from conftest import (
 )
 from pseudograd import theory, trainer
 from pseudograd.cli import main, run_ablation
-from pseudograd.loss import LossConfig, joint_loss_rows
+from pseudograd.loss import joint_loss_rows
 from pseudograd.numerics import entropy_rows, softmax_rows
 from pseudograd.pseudo_labels import pseudo_probs_rows, repredict
 from pseudograd.trainer import build_dataset, run_pipeline, stage1_supervised, stage2_joint
@@ -57,8 +57,8 @@ def test_criterion_2_sum_invariance(converged_run):
     logits = np.array([[0.7, -0.4, 1.1]])
     table = PseudoTable(logits.copy(), np.array([False]), logits.sum(axis=1))
     p_hat = softmax_rows(np.array([[2.0, 0.0, -1.0]]))
-    grads = joint_loss_rows(p_hat, pseudo_probs_rows(table, [0]), LossConfig()).grad_pseudo
-    pseudo_step(table, grads, 4000.0, [0])
+    loss = joint_loss_rows(p_hat, pseudo_probs_rows(table, [0]), "kl_pred_pseudo", 0.1, 0.03)
+    pseudo_step(table, loss.grad_pseudo, 4000.0, [0])
     step_drift = float(table.sum_drift().max())
 
     stage_drift = converged_run.max_round_drift
@@ -94,9 +94,9 @@ def test_criterion_2_negative_control_l2_drift(monkeypatch):
     """
     l2_drift = _l2_stage2_drift()
 
-    def uncentred(p_hat, p_tilde, cfg):
-        loss = joint_loss_rows(p_hat, p_tilde, cfg)
-        return loss._replace(grad_pseudo=2.0 * cfg.alpha * p_tilde * (p_tilde - p_hat))
+    def uncentred(p_hat, p_tilde, variant, alpha, beta):
+        loss = joint_loss_rows(p_hat, p_tilde, variant, alpha, beta)
+        return loss._replace(grad_pseudo=2.0 * alpha * p_tilde * (p_tilde - p_hat))
 
     monkeypatch.setattr(trainer, "joint_loss_rows", uncentred)
     uncentred_drift = _l2_stage2_drift()

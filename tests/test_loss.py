@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import storage_directory
 from hypothesis.extra.numpy import arrays
 
-from conftest import bits
+from conftest import bits, central_diff, loss_total
 from pseudograd.config import ConfigError
 from pseudograd.loss import (
     VARIANTS,
@@ -16,7 +16,6 @@ from pseudograd.loss import (
     grad_wrt_logits_rows,
     grad_wrt_pseudo_logits_rows,
     joint_loss_rows,
-    joint_loss_weighted_rows,
     link_residual_matrix,
     loss_terms_rows,
 )
@@ -38,33 +37,15 @@ LOGITS, LOGIT_PAIRS = logit_arrays(), logit_arrays(2)  # a pair unpacks as (y_ha
 # central differences at h = 1e-6 round to about eps*|L|/h ~ 2e-10, so the
 # 1e-6 relative tolerance can only hold for gradients well above 2e-4; the
 # zero gradient at equal rows is the fixed-point property's
-FD_FLOOR = 1e-3
+FD_FLOOR, FD_H = 1e-3, 1e-6
 
 
-def _total(y_hat, y_tilde, cfg):
-    """Summed loss of logit rows; rows are independent, so its gradient
-    holds each row's own gradient."""
-    lc, le = loss_terms_rows(softmax_rows(y_hat), softmax_rows(y_tilde), cfg.variant)
-    return float(np.sum(cfg.alpha * lc + cfg.beta * le))
+def _fd_grad_logits(y_hat, y_tilde, variant, alpha, beta):
+    return central_diff(lambda y: loss_total(y, y_tilde, variant, alpha, beta), y_hat, FD_H)
 
 
-def _fd_grad(fn, y, h=1e-6):
-    g = np.zeros_like(y)
-    for i in np.ndindex(y.shape):
-        yp = y.copy()
-        yp[i] += h
-        ym = y.copy()
-        ym[i] -= h
-        g[i] = (fn(yp) - fn(ym)) / (2 * h)
-    return g
-
-
-def _fd_grad_logits(y_hat, y_tilde, cfg):
-    return _fd_grad(lambda y: _total(y, y_tilde, cfg), y_hat)
-
-
-def _fd_grad_pseudo(y_hat, y_tilde, cfg):
-    return _fd_grad(lambda y: _total(y_hat, y, cfg), y_tilde)
+def _fd_grad_pseudo(y_hat, y_tilde, variant, alpha, beta):
+    return central_diff(lambda y: loss_total(y_hat, y, variant, alpha, beta), y_tilde, FD_H)
 
 
 def test_hypothesis_profile_is_deterministic_and_writes_nothing_here():
@@ -89,15 +70,14 @@ class TestLossValue:
     @pytest.mark.parametrize("variant", VARIANTS)
     @given(y=LOGITS, alpha=ALPHA, beta=BETA)
     def test_identical_distributions_zero_lc(self, variant, y, alpha, beta):
-        cfg = LossConfig(alpha=alpha, beta=beta, variant=variant)
         p = softmax_rows(y)
-        out = joint_loss_rows(p, p, cfg)
+        out = joint_loss_rows(p, p, variant, alpha, beta)
         assert np.abs(out.lc).max() < 1e-12
-        np.testing.assert_allclose(out.total, cfg.beta * entropy_rows(p), atol=1e-12)
+        np.testing.assert_allclose(out.total, beta * entropy_rows(p), atol=1e-12)
 
     def test_uniform_pair_reference_value(self):
         # alpha=0.1, beta=0.03, both uniform over 2: total = 0.03*log(2)
-        out = joint_loss_rows([[0.5, 0.5]], [[0.5, 0.5]], LossConfig())
+        out = joint_loss_rows([[0.5, 0.5]], [[0.5, 0.5]], "kl_pred_pseudo", 0.1, 0.03)
         np.testing.assert_allclose(out.total, [0.020794415416798359], atol=1e-12)
 
     def test_l2_antipodal(self):
@@ -107,13 +87,10 @@ class TestLossValue:
     def test_breakdown_identity(self):
         rng = np.random.default_rng(0)
         for variant in VARIANTS:
-            cfg = LossConfig(variant=variant)
             p = softmax_rows(rng.normal(size=(1, 4)))
             q = softmax_rows(rng.normal(size=(1, 4)))
-            out = joint_loss_rows(p, q, cfg)
-            np.testing.assert_allclose(
-                out.total, cfg.alpha * out.lc + cfg.beta * out.le, atol=1e-12
-            )
+            out = joint_loss_rows(p, q, variant, 0.1, 0.03)
+            np.testing.assert_allclose(out.total, 0.1 * out.lc + 0.03 * out.le, atol=1e-12)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @given(pair=LOGIT_PAIRS, alpha=ALPHA, beta=BETA)
@@ -122,7 +99,7 @@ class TestLossValue:
         # and its total is alpha*lc + beta*le
         cfg = LossConfig(alpha=alpha, beta=beta, variant=variant)
         p, q = map(softmax_rows, pair)
-        out = joint_loss_rows(p, q, cfg)
+        out = joint_loss_rows(p, q, variant, alpha, beta)
         lc, le = loss_terms_rows(p, q, variant)
         for got, want in [(out.lc, lc), (out.le, le), (out.total, alpha * lc + beta * le),
                           (grad_wrt_logits_rows(p, q, cfg), out.grad_y),
@@ -139,25 +116,27 @@ class TestLossValue:
         alpha, beta = rng.uniform(0.05, 0.5, size=n), rng.uniform(0.0, 0.04, size=n)
         p = softmax_rows(rng.normal(0.0, 2.0, size=(n, nc)))
         q = softmax_rows(rng.normal(0.0, 2.0, size=(n, nc)))
-        got = joint_loss_weighted_rows(p, q, variant, alpha, beta)
+        got = joint_loss_rows(p, q, variant, alpha, beta)
         for k in range(n):
-            cfg = LossConfig(alpha=float(alpha[k]), beta=float(beta[k]), variant=variant)
-            want = joint_loss_rows(p[k : k + 1], q[k : k + 1], cfg)
+            want = joint_loss_rows(p[k : k + 1], q[k : k + 1], variant, float(alpha[k]),
+                                   float(beta[k]))
             for field, value in zip(JointLoss._fields, want):
                 np.testing.assert_array_equal(
                     bits(getattr(got, field)[k : k + 1]), bits(value), err_msg=field)
 
     @pytest.mark.parametrize("variant", ["KL", "l2 ", LossConfig(variant="l2")],
                              ids=["misspelt", "trailing_space", "loss_config"])
-    @pytest.mark.parametrize("entry", ["loss_terms_rows", "joint_loss_weighted_rows"])
-    def test_unknown_variant_is_refused_by_name(self, entry, variant):
-        # never computed as l2, the variant the check once fell through to
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["loss_terms_rows", "joint_loss_weighted_rows"])
+    def test_unknown_variant_is_refused_by_name(self, weighted, variant):
+        # never computed as l2, the variant the check once fell through to;
+        # the joint loss is called with each row's own weights
         p, q = softmax_rows(np.array([[0.0, 1.0, 2.0]])), softmax_rows(np.array([[2.0, 1.0, 0.0]]))
         with pytest.raises(InvalidInputError, match="unknown Lc variant .* one of"):
-            if entry == "loss_terms_rows":
-                loss_terms_rows(p, q, variant)
+            if weighted:
+                joint_loss_rows(p, q, variant, np.array([0.1]), np.array([0.03]))
             else:
-                joint_loss_weighted_rows(p, q, variant, np.array([0.1]), np.array([0.03]))
+                loss_terms_rows(p, q, variant)
 
     def test_dim_mismatch(self):
         with pytest.raises(InvalidInputError):
@@ -165,7 +144,7 @@ class TestLossValue:
 
     def test_rejects_one_dimensional_input(self):
         with pytest.raises(InvalidInputError):
-            joint_loss_rows([0.5, 0.5], [0.5, 0.5], LossConfig())
+            joint_loss_rows([0.5, 0.5], [0.5, 0.5], "kl_pred_pseudo", 0.1, 0.03)
 
 
 class _GradientProperties:
@@ -176,17 +155,16 @@ class _GradientProperties:
     @pytest.mark.parametrize("variant", VARIANTS)
     @given(pair=LOGIT_PAIRS, alpha=ALPHA, beta=BETA)
     def test_components_sum_to_zero(self, variant, pair, alpha, beta):
-        cfg = LossConfig(alpha=alpha, beta=beta, variant=variant)
-        grad = getattr(joint_loss_rows(*map(softmax_rows, pair), cfg), self.FIELD)
+        grad = getattr(joint_loss_rows(*map(softmax_rows, pair), variant, alpha, beta), self.FIELD)
         assert np.abs(grad.sum(axis=1)).max() < self.SUM_TOL
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @given(pair=LOGIT_PAIRS, alpha=ALPHA, beta=BETA)
     def test_matches_finite_differences(self, variant, pair, alpha, beta):
-        cfg = LossConfig(alpha=alpha, beta=beta, variant=variant)
-        numeric = self.FD(*pair, cfg)
+        numeric = self.FD(*pair, variant, alpha, beta)
         assume(np.abs(numeric).max() > FD_FLOOR)
-        analytic = getattr(joint_loss_rows(*map(softmax_rows, pair), cfg), self.FIELD)
+        analytic = getattr(joint_loss_rows(*map(softmax_rows, pair), variant, alpha, beta),
+                           self.FIELD)
         denom = max(np.abs(numeric).max(), 1e-10)
         assert np.abs(analytic - numeric).max() / denom < 1e-6
 
@@ -198,14 +176,13 @@ class TestPseudoLogitGradient(_GradientProperties):
     @given(y=LOGITS, alpha=ALPHA, beta=BETA)
     def test_fixed_point_at_equal_distributions(self, variant, y, alpha, beta):
         p = softmax_rows(y)
-        g = joint_loss_rows(p, p, LossConfig(alpha=alpha, beta=beta, variant=variant)).grad_pseudo
+        g = joint_loss_rows(p, p, variant, alpha, beta).grad_pseudo
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_saturated_prediction_reference(self):
         # p_hat -> [1, 0] via large logits, p_tilde uniform, alpha = 0.1
-        cfg = LossConfig()
         p_hat = softmax_rows(np.array([[200.0, 0.0]]))
-        g = joint_loss_rows(p_hat, np.array([[0.5, 0.5]]), cfg).grad_pseudo
+        g = joint_loss_rows(p_hat, np.array([[0.5, 0.5]]), "kl_pred_pseudo", 0.1, 0.03).grad_pseudo
         np.testing.assert_allclose(g, [[-0.05, 0.05]], atol=1e-12)
 
 
@@ -214,18 +191,16 @@ class TestLogitGradient(_GradientProperties):
 
     def test_beta_equals_alpha_reference(self):
         # beta = alpha and p_tilde = p_hat: g[n] = p_n * (-a*log p_n - L), L = a*H(p)
-        cfg = LossConfig(alpha=0.1, beta=0.1)
         p = np.array([[0.6, 0.3, 0.1]])
         expected = [[-0.023227206065447346, 0.009180812384074686, 0.014046393681372659]]
-        grad_y = joint_loss_rows(p, p, cfg).grad_y
+        grad_y = joint_loss_rows(p, p, "kl_pred_pseudo", 0.1, 0.1).grad_y
         np.testing.assert_allclose(grad_y, expected, atol=1e-12)
-        numeric = _fd_grad_logits(np.log(p), np.log(p), cfg)
+        numeric = _fd_grad_logits(np.log(p), np.log(p), "kl_pred_pseudo", 0.1, 0.1)
         np.testing.assert_allclose(grad_y, numeric, atol=1e-8)
 
     def test_uniform_pair_symmetric(self):
-        cfg = LossConfig()
         p = np.ones((1, 4)) / 4
-        g = joint_loss_rows(p, p, cfg).grad_y[0]
+        g = joint_loss_rows(p, p, "kl_pred_pseudo", 0.1, 0.03).grad_y[0]
         np.testing.assert_allclose(g, g[0], atol=1e-14)
         np.testing.assert_allclose(g.sum(), 4 * g[0], atol=1e-14)
 
@@ -237,7 +212,7 @@ class TestLinkResidualMatrix:
     @given(pair=LOGIT_PAIRS, alpha=ALPHA, beta=BETA)
     def test_head_gradient_is_p_hat_times_the_residuals(self, pair, alpha, beta):
         p, q = map(softmax_rows, pair)
-        out = joint_loss_rows(p, q, LossConfig(alpha=alpha, beta=beta))
+        out = joint_loss_rows(p, q, "kl_pred_pseudo", alpha, beta)
         want = p * link_residual_matrix(clamped_log(p), clamped_log(q), out.total, alpha, beta)
         np.testing.assert_array_equal(bits(out.grad_y), bits(want))
 
@@ -247,7 +222,7 @@ class TestLinkResidualMatrix:
         n = 20 * nc
         alpha, beta = rng.uniform(0.05, 0.5, size=n), rng.uniform(0.0, 0.04, size=n)
         p, q = softmax_rows(rng.normal(0.0, 2.0, size=(2 * n, nc))).reshape(2, n, nc)
-        out = joint_loss_weighted_rows(p, q, "kl_pred_pseudo", alpha, beta)
+        out = joint_loss_rows(p, q, "kl_pred_pseudo", alpha, beta)
         want = p * link_residual_matrix(
             clamped_log(p), clamped_log(q), out.total, alpha[:, None], beta[:, None])
         np.testing.assert_array_equal(bits(out.grad_y), bits(want))
@@ -259,7 +234,7 @@ class TestFlatteningBound:
         # kl_pred_pseudo with alpha > beta: L >= beta*H(p_hat) >= -beta*log(p_n),
         # so each row's top probability obeys exp(-L/a) * p_n^(1-b/a) <= p_n
         p, q = map(softmax_rows, pair)
-        total = joint_loss_rows(p, q, LossConfig(alpha=alpha, beta=beta)).total
+        total = joint_loss_rows(p, q, "kl_pred_pseudo", alpha, beta).total
         assert np.all(total >= beta * entropy_rows(p) - 1e-10)
         p_n = p.max(axis=1)
         assert np.all(np.exp(-total / alpha) * p_n ** (1 - beta / alpha) <= p_n + 1e-12)

@@ -262,7 +262,7 @@ class TestBackward:
         p_tilde = softmax_rows(rng.normal(size=(1, 3)))
         cfg = LossConfig()
         trace = forward_batch(params, x[None, :])
-        loss = joint_loss_rows(trace.p_hat, p_tilde, cfg)
+        loss = joint_loss_rows(trace.p_hat, p_tilde, cfg.variant, cfg.alpha, cfg.beta)
         grads = backward(trace, loss.grad_y, params)
         p_hat, p_tilde, total = trace.p_hat[0], p_tilde[0], loss.total[0]
         f = trace.features[0]

@@ -150,7 +150,7 @@ class TestFreezeAndConservation:
         for _ in range(50):
             p_hat = softmax_rows(rng.normal(size=table.logits.shape))
             p_tilde = pseudo_probs_rows(table, rows)
-            grads = joint_loss_rows(p_hat, p_tilde, cfg).grad_pseudo
+            grads = joint_loss_rows(p_hat, p_tilde, cfg.variant, cfg.alpha, cfg.beta).grad_pseudo
             pseudo_step(table, grads, cfg.lam, rows)
         np.testing.assert_array_equal(
             table.logits[small_split.labeled_idx], frozen_before
@@ -164,7 +164,7 @@ class TestFreezeAndConservation:
         for _ in range(100):
             p_hat = softmax_rows(rng.normal(size=(rows.size, 3)))
             p_tilde = pseudo_probs_rows(table, rows)
-            grads = joint_loss_rows(p_hat, p_tilde, cfg).grad_pseudo
+            grads = joint_loss_rows(p_hat, p_tilde, cfg.variant, cfg.alpha, cfg.beta).grad_pseudo
             pseudo_step(table, grads, cfg.lam, rows)
         assert table.sum_drift()[rows].max() < 1e-9
 

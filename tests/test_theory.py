@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import bits, residual_of, solve_link_point
+from conftest import bits, central_diff, loss_total, residual_of, solve_link_point
 from pseudograd import theory
 from pseudograd.data import gen_gaussian_blobs, split_per_class
 from pseudograd.loss import JointLoss, LossConfig, link_residual_matrix, loss_terms_rows
@@ -26,7 +26,7 @@ def _nan_loss_terms(p_hat, p_tilde, variant, logs=None):
     return nan, nan
 
 
-def _nan_weighted_loss(p_hat, p_tilde, variant, alpha, beta):
+def _nan_joint_loss(p_hat, p_tilde, variant, alpha, beta):
     nan = np.full(p_hat.shape, np.nan)
     return JointLoss(nan[:, 0], nan[:, 0], nan[:, 0], nan, nan)
 
@@ -194,8 +194,8 @@ class TestSumInvariance:
         from pseudograd.optimizer import pseudo_step
 
         p_hat = softmax_rows(np.array([[2.0, 0.0, -1.0]]))
-        grads = joint_loss_rows(p_hat, softmax_rows(logits), LossConfig()).grad_pseudo
-        pseudo_step(table, grads, 4000.0, [0])
+        loss = joint_loss_rows(p_hat, softmax_rows(logits), "kl_pred_pseudo", 0.1, 0.03)
+        pseudo_step(table, loss.grad_pseudo, 4000.0, [0])
         drift = table.sum_drift()
         assert drift.max() < 1e-12
 
@@ -307,29 +307,6 @@ class TestOneLinkForward:
         assert rows.count(split.n_unlabeled) == forwards
 
 
-def _reference_central_diff(fn, x, h=theory.FD_STEP):
-    """One coordinate at a time: move ``x[i]`` in place, call ``fn()`` at
-    each side, restore it."""
-    g = np.zeros_like(x)
-    flat = x.ravel()
-    gf = g.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = fn()
-        flat[i] = orig - h
-        fm = fn()
-        flat[i] = orig
-        gf[i] = (fp - fm) / (2.0 * h)
-    return g
-
-
-def _loss_total(y_hat, y_tilde, cfg):
-    """One row pair's total loss as a Python float."""
-    lc, le = loss_terms_rows(softmax_rows(y_hat), softmax_rows(y_tilde), cfg.variant)
-    return cfg.alpha * float(lc[0]) + cfg.beta * float(le[0])
-
-
 class TestCentralDiff:
     """The stacked helper gives the per-coordinate loop's bits, input by
     input, and leaves its inputs alone."""
@@ -359,10 +336,11 @@ class TestCentralDiff:
             np.testing.assert_array_equal(bits(numeric(slice(None), wrt_pseudo)),
                                           bits(np.concatenate(each)))
             for r in range(n):
-                cfg = LossConfig(alpha=float(alpha[r]), beta=float(beta[r]), variant=variant)
-                yh, yt = y_hat[r : r + 1].copy(), y_tilde[r : r + 1].copy()
-                want = _reference_central_diff(lambda: _loss_total(yh, yt, cfg),
-                                               yt if wrt_pseudo else yh)
+                yh, yt, loss = y_hat[r : r + 1], y_tilde[r : r + 1], (variant, alpha[r], beta[r])
+                if wrt_pseudo:
+                    want = central_diff(lambda y: loss_total(yh, y, *loss), yt, theory.FD_STEP)
+                else:
+                    want = central_diff(lambda y: loss_total(y, yt, *loss), yh, theory.FD_STEP)
                 np.testing.assert_array_equal(bits(each[r]), bits(want))
 
     def test_looping_loss_equals_the_loop(self):
@@ -373,7 +351,7 @@ class TestCentralDiff:
         def loss(v):
             return float(np.tanh(v) @ w + np.sum(v * v * v))
 
-        want = [_reference_central_diff(lambda: loss(row), row) for row in x.copy()]
+        want = [central_diff(loss, row, theory.FD_STEP) for row in x]
         got = theory._central_diff(lambda stack: np.array([loss(row) for row in stack]), x)
         assert got.shape == x.shape
         np.testing.assert_array_equal(bits(got), bits(np.stack(want)))
@@ -430,8 +408,7 @@ class TestFiniteDiffSuite:
 
     @pytest.mark.parametrize("name, nan_fn, failing", [
         ("backward", _nan_backward, {"params:linear", "params:deep"}),
-        ("joint_loss_weighted_rows", _nan_weighted_loss,
-         {f"{path}:{v}" for path in ("pseudo", "logits") for v in VARIANTS}),
+        ("joint_loss_rows", _nan_joint_loss, None),  # every path: the network paths read it too
         ("loss_terms_rows", _nan_loss_terms, None),  # every path
     ], ids=["analytic", "analytic-softmax", "numeric"])
     def test_non_finite_gradient_fails(self, monkeypatch, name, nan_fn, failing):
