@@ -10,8 +10,9 @@ stderr line:
   more rows);
 - ``InvalidInputError``, 2, ``error: ...``: an input the code cannot use,
   named: an --out path that is empty, is or lies under an existing file, or
-  that the OS refuses to look up (say, a name too long), and verify
-  artifacts that are not the configured run's;
+  that the OS refuses to look up (say, a name too long), and a verify run
+  directory that lacks a file or is not the configured run's
+  (``trainer.load_run``);
 - ``StageError``, 1, ``error: <stage> failed: ...``: any failure inside a
   named stage (``trainer.stage_errors``), verify's checks among them; every
   runtime failure of a command happens inside one;
@@ -41,15 +42,15 @@ import numpy as np
 from . import theory
 from .config import VARIANTS, ConfigError, TrainConfig, load_config, warn_alpha_le_beta
 from .data import Dataset
-from .model import forward_batch, load_checkpoint
+from .model import forward_batch
 from .numerics import InvalidInputError, WriteError, make_dir, write_csv, write_json
-from .pseudo_labels import load_table
 from .trainer import (
     NA,
+    RUN_FILES,
     StageError,
     build_run_data,
     intra_class_spread,
-    resolve_arch,
+    load_run,
     run_pipeline,
     stage1_supervised,
     stage2_joint,
@@ -100,7 +101,7 @@ def _git_describe() -> str | None:
 def _write_manifest(out_dir: Path, cfg: TrainConfig, command: str, status: str,
                     failure_stage: str | None) -> None:
     make_dir(out_dir)
-    write_json(out_dir / "manifest.json", {
+    write_json(out_dir / RUN_FILES.manifest, {
         "command": command,
         "config": cfg.to_dict(),
         "git_describe": _git_describe(),
@@ -126,11 +127,8 @@ def cmd_train(args, cfg: TrainConfig, out: Path) -> int:
 
 
 def cmd_verify(args, cfg: TrainConfig, out: Path) -> int:
-    split, _ = build_run_data(cfg)
-    arch = resolve_arch(cfg.arch, split.base)
-    # an artifact that is not the configured run's raises InvalidInputError naming the file
-    params = load_checkpoint(out / "checkpoint_stage2.json", arch)
-    table = load_table(out / "pseudo_table.json", split.labeled_mask, arch.num_classes)
+    # a run that is not the configured one raises InvalidInputError naming the file
+    split, params, table = load_run(out, cfg, args.config)
     with stage_errors("verify"):  # say, a forward that overflows on finite weights
         doc = theory.run_verification(params, table, split, cfg.loss, seed=cfg.seed)
     write_json(out / "verification.json", doc)
@@ -261,8 +259,8 @@ def positive_int(text: str) -> int:
 
 class Command(NamedTuple):
     """A command's ``run(args, cfg, out) -> exit code`` (main loads the
-    config), its help line, whether its output directory gets a manifest.json,
-    failed or ok, and its own options as (flag, add_argument keywords) pairs."""
+    config), its help line, whether its output directory gets the run
+    manifest, failed or ok, and its own options as (flag, add_argument keywords) pairs."""
 
     run: Callable[[argparse.Namespace, TrainConfig, Path], int]
     help: str
@@ -342,7 +340,7 @@ def main(argv=None) -> int:
     except WriteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # no manifest when the manifest or the directory it goes in failed
-        failure_stage = None if exc.path in (out, out / "manifest.json") else "output"
+        failure_stage = None if exc.path in (out, out / RUN_FILES.manifest) else "output"
     if command.manifest and failure_stage is not None:
         try:
             _write_manifest(out, cfg, args.command, "failed", failure_stage)

@@ -61,7 +61,9 @@ def read_json(path, what: str, error: type[ValueError] = InvalidInputError):
     except FileNotFoundError:
         raise error(f"{what} file not found: {path}") from None
     except (OSError, ValueError, RecursionError) as exc:  # a directory, not UTF-8, not JSON
-        raise error(f"cannot read {what} file {path}: {exc}") from exc
+        # an OSError's text names the file again; its strerror is the reason alone
+        raise error(f"cannot read {what} file {path}: {getattr(exc, 'strerror', None) or exc}"
+                    ) from exc
 
 
 def json_text(value) -> str:

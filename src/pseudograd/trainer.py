@@ -32,12 +32,13 @@ from .config import ArchSpec, DataSpec, LossConfig, StageOneConfig, TrainConfig
 from .config import load_config  # noqa: F401  (re-exported with build_dataset)
 from .data import Dataset, SplitDataset, gen_gaussian_blobs, gen_two_moons, load_idx, split_per_class
 from .loss import VARIANT_KL_PRED_PSEUDO, joint_loss_rows
-from .model import Architecture, ModelParams, backward, forward_batch, init_params, save_checkpoint
-from .numerics import InvalidInputError, clamped_log, entropy_rows, make_dir, random_stream
-from .numerics import write_csv
+from .model import Architecture, ModelParams, backward, forward_batch, init_params
+from .model import load_checkpoint, save_checkpoint
+from .numerics import InvalidInputError, clamped_log, entropy_rows, json_text, make_dir
+from .numerics import random_stream, read_json, write_csv
 from .optimizer import decay_lr, init_opt_state, pseudo_step, sgd_nesterov_step
-from .pseudo_labels import PseudoTable, export_csv, hard_labels, init_pseudo, pseudo_probs_rows
-from .pseudo_labels import repredict, save_table
+from .pseudo_labels import PseudoTable, export_csv, hard_labels, init_pseudo, load_table
+from .pseudo_labels import pseudo_probs_rows, repredict, save_table
 
 # Report sentinel for "not applicable in this stage" (rows must stay finite).
 NA = -1.0
@@ -428,13 +429,30 @@ def resolve_arch(spec: ArchSpec, ds: Dataset) -> Architecture:
                         num_classes=ds.num_classes, activation=spec.activation)
 
 
+class RunFiles(NamedTuple):
+    """The name of each file of a train run's directory. ``run_pipeline``
+    writes all but the manifest, which the command writes when the run ends,
+    and ``load_run`` reads a run back."""
+
+    checkpoint1: str
+    checkpoint2: str
+    checkpoint3: str
+    table: str
+    table_csv: str
+    report: str
+    manifest: str
+
+
+RUN_FILES = RunFiles("checkpoint_stage1.json", "checkpoint_stage2.json", "checkpoint_stage3.json",
+                     "pseudo_table.json", "pseudo_table.csv", "report.csv", "manifest.json")
+
+
 def run_pipeline(cfg: TrainConfig, out_dir=None) -> Report:
     """Execute stages 1 -> 2 -> 3 and return their report; optionally write
-    artifacts to ``out_dir``.
-
-    Artifacts: report.csv, pseudo_table.csv, checkpoint_stage{1,2,3}.json,
-    pseudo_table.json. The whole run is deterministic per (config, seed).
-    Stage failures are re-raised as StageError with the stage name.
+    the run's ``RUN_FILES`` but its manifest to ``out_dir``: each stage's
+    checkpoint after that stage, the pseudo table (JSON and CSV) after stage
+    2 and the report at the end. The whole run is deterministic per (config,
+    seed). Stage failures are re-raised as StageError with the stage name.
     """
     split, test = build_run_data(cfg)
     report = Report(split, test, cfg.loss)
@@ -443,19 +461,52 @@ def run_pipeline(cfg: TrainConfig, out_dir=None) -> Report:
         params = stage1_supervised(cfg, split, report)
     if out is not None:
         make_dir(out)
-        save_checkpoint(params, out / "checkpoint_stage1.json")
+        save_checkpoint(params, out / RUN_FILES.checkpoint1)
     with stage_errors("stage2"):
         params, table = stage2_joint(cfg, params, split, report)
     if out is not None:
-        save_checkpoint(params, out / "checkpoint_stage2.json")
-        save_table(table, out / "pseudo_table.json")
-        export_csv(table, out / "pseudo_table.csv")
+        save_checkpoint(params, out / RUN_FILES.checkpoint2)
+        save_table(table, out / RUN_FILES.table)
+        export_csv(table, out / RUN_FILES.table_csv)
     with stage_errors("stage3"):
         params = stage3_finetune(cfg, params, table, split, report)
     if out is not None:
-        save_checkpoint(params, out / "checkpoint_stage3.json")
-        report.to_csv(out / "report.csv")
+        save_checkpoint(params, out / RUN_FILES.checkpoint3)
+        report.to_csv(out / RUN_FILES.report)
     return report
+
+
+def _leaves(doc, key: str = "", depth: int = 2) -> dict[str, str]:
+    """Each value of the JSON object ``doc`` as JSON text, by dotted key, down
+    to ``depth`` levels: a config's sections and their keys. A deeper value
+    is one leaf, so a deeply nested document costs no recursion here."""
+    if not isinstance(doc, dict) or not depth:
+        return {key: json_text(doc)}
+    return {k: v for name, value in doc.items()
+            for k, v in _leaves(value, f"{key}.{name}" if key else name, depth - 1).items()}
+
+
+def load_run(out: Path, cfg: TrainConfig,
+             source: str) -> tuple[SplitDataset, ModelParams, PseudoTable]:
+    """The split, stage-2 network and pseudo table of the run ``cfg`` in the
+    directory ``out``: else InvalidInputError naming the file that is missing
+    or is not that run's. The manifest is read last, so a network or table of
+    another architecture or split is refused by its own reader; a manifest
+    whose config is not ``cfg`` is refused naming ``source``, the config's
+    file, and the keys that differ."""
+    split, _ = build_run_data(cfg)
+    arch = resolve_arch(cfg.arch, split.base)
+    params = load_checkpoint(out / RUN_FILES.checkpoint2, arch)
+    table = load_table(out / RUN_FILES.table, split.labeled_mask, arch.num_classes)
+    path = out / RUN_FILES.manifest
+    manifest = read_json(path, "manifest")
+    saved = _leaves(manifest.get("config") if isinstance(manifest, dict) else None)
+    want = _leaves(cfg.to_dict())
+    keys = sorted(k or "config" for k in saved.keys() | want.keys() if saved.get(k) != want.get(k))
+    if keys:
+        raise InvalidInputError(f"{path}: the run's config differs from {source} at "
+                                f"{', '.join(keys)}")
+    return split, params, table
 
 
 def intra_class_spread(features: np.ndarray, labels: np.ndarray, num_classes: int) -> float:

@@ -16,15 +16,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import CONFIG_DIR, DOCUMENT_SLOTS, FIELDS, JSON_VALUES, damaged, tiny_config
-from conftest import write_idx, write_tiny_config
+from conftest import CONFIG_DIR, DOCUMENT_SLOTS, FIELDS, JSON_VALUES, TINY_DOC, damaged
+from conftest import tiny_config, write_idx, write_tiny_config
 import pseudograd
 from pseudograd import cli, theory
 from pseudograd.cli import main
+from pseudograd.config import ConfigError, load_config
 from pseudograd.data import Dataset, gen_gaussian_blobs, split_per_class
 from pseudograd.loss import LossConfig
-from pseudograd.model import Architecture, ModelParams, init_params
-from pseudograd.pseudo_labels import init_pseudo
+from pseudograd.model import Architecture, ModelParams, init_params, load_checkpoint
+from pseudograd.numerics import write_json
+from pseudograd.pseudo_labels import init_pseudo, load_table
+from pseudograd.trainer import RUN_FILES, build_dataset, resolve_arch
 
 FEATURE_ARCH = {"hidden_dims": [8, 2], "activation": "tanh"}
 
@@ -53,6 +56,12 @@ def _refusing_mkdir(out):
         return make(self, *args, **kwargs)
 
     return refuse
+
+
+def _manifest_bytes(out: Path) -> bytes | None:
+    """The bytes of ``out``'s manifest.json, or None without one."""
+    path = out / "manifest.json"
+    return path.read_bytes() if path.is_file() else None
 
 
 def test_the_package_defines_exactly_the_exception_types_main_maps():
@@ -140,12 +149,13 @@ class TestManifest:
 
     @pytest.mark.parametrize("command", ["gen-data", "verify", "gradcheck"])
     def test_other_commands_write_none(self, trained, tmp_path, command):
+        # verify reads the run's own manifest, which must come out unchanged
         cfg, run = trained
         out = shutil.copytree(run, tmp_path / "run") if command == "verify" else tmp_path / "out"
-        (out / "manifest.json").unlink(missing_ok=True)
+        before = _manifest_bytes(out)
         argv = [command, "--config", str(cfg), "--out", str(out), *QUICK_OPTIONS.get(command, [])]
         assert main(argv) in (0, 1)
-        assert not (out / "manifest.json").exists()
+        assert _manifest_bytes(out) == before
 
 
 class TestOutputFailures:
@@ -160,7 +170,7 @@ class TestOutputFailures:
     def test_unwritable_output_names_its_file(self, trained, tmp_path, capsys, command, name):
         cfg, run = trained
         out = shutil.copytree(run, tmp_path / "run") if command == "verify" else tmp_path / "out"
-        (out / "manifest.json").unlink(missing_ok=True)
+        before = _manifest_bytes(out)  # verify reads the run's own manifest
         (out / name).mkdir(parents=True)
         argv = [command, "--config", str(cfg), "--out", str(out), *QUICK_OPTIONS.get(command, [])]
         assert main(argv) == 1
@@ -171,7 +181,7 @@ class TestOutputFailures:
             manifest = json.loads((out / "manifest.json").read_text())
             assert (manifest["status"], manifest["failure_stage"]) == ("failed", "output")
         else:
-            assert not (out / "manifest.json").exists()
+            assert _manifest_bytes(out) == before
 
     def test_unwritable_manifest_is_not_written_twice(self, trained, tmp_path, capsys):
         cfg, _ = trained
@@ -244,17 +254,21 @@ class TestExitCodes:
         assert f"unknown key {override.partition('=')[0]}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("name, make", [
-        ("cfg.json", Path.mkdir), ("cfg.json", lambda path: path.write_bytes(b"\xff\xfe{")),
-        ("cfg.json", lambda path: path.write_text("[" * 10**5)),
-        ("x" * 300 + ".json", lambda path: None)],  # a name the OS refuses to look up
+    @pytest.mark.parametrize("name, make, reason", [
+        ("cfg.json", Path.mkdir, "Is a directory"),
+        ("cfg.json", lambda path: path.write_bytes(b"\xff\xfe{"), None),
+        ("cfg.json", lambda path: path.write_text("[" * 10**5), None),
+        ("x" * 300 + ".json", lambda path: None, "File name too long")],  # the OS refuses it
         ids=["directory", "not_utf8", "nested_too_deep", "name_too_long"])
-    def test_unreadable_config_exits_2_naming_it(self, tmp_path, capsys, name, make):
+    def test_unreadable_config_exits_2_naming_it(self, tmp_path, capsys, name, make, reason):
+        # an OS refusal names the file once, then the OS reason alone
         path = tmp_path / name
         make(path)
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert f"cannot read config file {path}" in err
+        if reason is not None:
+            assert err == f"config error: cannot read config file {path}: {reason}\n"
         assert "Traceback" not in err
 
     def test_idx_without_holdout_exits_2_before_reading_files(self, tmp_path, capsys):
@@ -441,7 +455,8 @@ COMMAND_ARGS = {
 }
 # verify's artifacts: intact, with an overflowing head.w, or with one value replaced
 DAMAGE = st.none() | st.just("overflow") | st.tuples(
-    st.sampled_from(["checkpoint_stage2.json", "pseudo_table.json"]), DOCUMENT_SLOTS, JSON_VALUES)
+    st.sampled_from(["checkpoint_stage2.json", "pseudo_table.json", "manifest.json"]),
+    DOCUMENT_SLOTS, JSON_VALUES)
 
 
 def _tree(root: Path) -> dict[str, bytes | None]:
@@ -469,8 +484,18 @@ def test_every_input_ends_in_an_exit_code_naming_its_cause(trained, tmp_path_fac
     blocker.write_text("kept\n")
     out = {"fresh": root / "a" / "run", "file": blocker, "under_file": blocker / "run",
            "long": root / ("x" * 300), "empty": "", "unmakeable": root / "denied"}[shape]
+    items = [*SHRINK, f"arch.hidden_dims={hidden}", *(f"{k}={v}" for k, v in overrides)]
     if command == "verify" and shape == "fresh":
         shutil.copytree(trained[1], out)
+        # the copy's manifest records the drawn config, so verify reaches its checks
+        manifest = json.loads((out / "manifest.json").read_text())
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                manifest["config"] = load_config(CONFIG_DIR / f"{config}.json", items).to_dict()
+        except ConfigError:
+            pass  # main refuses the config before it reads the run
+        (out / "manifest.json").write_text(json.dumps(manifest))
         if damage == "overflow":
             _overflow_head(out)
         elif damage is not None:
@@ -478,7 +503,7 @@ def test_every_input_ends_in_an_exit_code_naming_its_cause(trained, tmp_path_fac
             (out / name).write_text(json.dumps(damaged(json.loads((out / name).read_text()),
                                                        slot, value)))
     argv = [command, "--config", str(CONFIG_DIR / f"{config}.json"), "--out", str(out), *extra]
-    for item in [*SHRINK, f"arch.hidden_dims={hidden}", *(f"{k}={v}" for k, v in overrides)]:
+    for item in items:
         argv += ["--override", item]
     before = _tree(root)
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -526,6 +551,64 @@ class TestVerifyRefusesMismatchedArtifacts:
         copy = shutil.copytree(run, tmp_path / "run")
         assert main(["verify", "--config", str(cfg), "--out", str(copy)]) in (0, 1)
         assert (copy / "verification.json").exists()
+
+    def test_own_config_verifies_the_stage2_artifacts(self, trained, tmp_path):
+        # the exit code and bytes of the checks run on the checkpoint and table read directly
+        cfg_path, run = trained
+        copy = shutil.copytree(run, tmp_path / "run")
+        rc = main(["verify", "--config", str(cfg_path), "--out", str(copy)])
+        cfg = load_config(cfg_path)
+        split, _ = build_dataset(cfg.data, cfg.seed)
+        arch = resolve_arch(cfg.arch, split.base)
+        params = load_checkpoint(run / "checkpoint_stage2.json", arch)
+        table = load_table(run / "pseudo_table.json", split.labeled_mask, arch.num_classes)
+        doc = theory.run_verification(params, table, split, cfg.loss, seed=cfg.seed)
+        write_json(tmp_path / "expected.json", doc)
+        assert rc == (0 if doc["all_pass"] else 1)
+        expected = (tmp_path / "expected.json").read_bytes()
+        assert (copy / "verification.json").read_bytes() == expected
+
+    @pytest.mark.parametrize("override, extra", [
+        ("loss.alpha=0.3", {}), ("stage2.rounds=3", {}),
+        # another seed moves the labeled rows, which the table refuses first; a run
+        # with every row labeled keeps them, so its manifest refuses the seed
+        ("seed=1", {"data": {**TINY_DOC["data"], "labeled_per_class": 20}})],
+        ids=["loss_alpha", "stage2_rounds", "seed"])
+    def test_config_other_than_the_manifests_exits_2_naming_both(self, tmp_path, capsys,
+                                                                 override, extra):
+        cfg = write_tiny_config(tmp_path / "cfg.json", **extra)
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+        capsys.readouterr()
+        before = _tree(run)
+        argv = ["verify", "--config", str(cfg), "--out", str(run), "--override", override]
+        assert main(argv) == 2
+        key = override.partition("=")[0]
+        assert capsys.readouterr().err == (
+            f"error: {run / 'manifest.json'}: the run's config differs from {cfg} at {key}\n")
+        assert _tree(run) == before
+
+    def test_manifest_config_nested_deep_exits_2_naming_it(self, trained, tmp_path, capsys):
+        # as deep as the JSON reader takes: the comparison does not recurse into it
+        cfg, run = trained
+        out = shutil.copytree(run, tmp_path / "run")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["loss"] = json.loads('{"a": ' * 900 + "1" + "}" * 900)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'manifest.json'}: the run's config differs from {cfg} at loss.a, "
+            "loss.alpha, loss.beta, loss.lambda, loss.variant\n")
+        assert not (out / "verification.json").exists()
+
+    def test_run_without_a_manifest_exits_2_naming_it(self, trained, tmp_path, capsys):
+        cfg, run = trained
+        out = shutil.copytree(run, tmp_path / "run")
+        (out / "manifest.json").unlink()
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: manifest file not found: {out / 'manifest.json'}\n")
+        assert not (out / "verification.json").exists()
 
 
 def _main_recording_warnings(argv: list[str]) -> tuple[int, list]:
@@ -605,6 +688,15 @@ def test_verify_all_labeled_run_reports_link_checks_as_informational(tmp_path):
 
 
 class TestTrainCommand:
+    def test_writes_exactly_the_declared_run_files(self, tmp_path):
+        # the names are spelled here, so renaming a run file fails this test
+        cfg = write_tiny_config(tmp_path / "cfg.json")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        names = {"checkpoint_stage1.json", "checkpoint_stage2.json", "checkpoint_stage3.json",
+                 "pseudo_table.json", "pseudo_table.csv", "report.csv", "manifest.json"}
+        assert {path.name for path in out.iterdir()} == set(RUN_FILES) == names
+
     def test_artifacts_and_manifest(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
         out = tmp_path / "run"

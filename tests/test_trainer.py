@@ -539,6 +539,14 @@ class TestSharedEval:
             assert {type(getattr(row, c)) for c in REPORT_COLUMNS[2:]} == {float}, row
 
 
+def test_only_trainer_spells_a_run_file_name():
+    # the run directory's layout is declared once, by trainer.RUN_FILES
+    for path in sorted(Path(trainer.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        counts = [text.count(name) for name in trainer.RUN_FILES]
+        assert counts == [int(path.name == "trainer.py")] * len(counts), path.name
+
+
 class TestPipeline:
     def test_full_run_writes_artifacts(self, tmp_path):
         cfg = tiny_config()

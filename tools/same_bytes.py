@@ -1,13 +1,15 @@
 """Check that this checkout writes the output bytes recorded for its environment.
 
 ``python3 tools/same_bytes.py`` runs COMMANDS with this checkout's program
-and configs. It compares each exit code, the SHA-256 of what each command
-prints on stdout (the run root read as ``<out>``) and the SHA-256 of every
-file each command writes (``manifest.json`` without its ``git_describe``)
-with this environment's entry in ``tests/golden_digests.json``, prints each
-exit code, stdout or file that differs, is missing or is extra, and exits 1
-if any does. It then prints the entry this checkout writes: to record the
-bytes, put that entry in place of the old one.
+and configs, in a temporary working directory that holds a seeded synthetic
+IDX pair at the paths of ``configs/mnist_features.json``. It compares each
+exit code, the SHA-256 of what each command prints on stdout (the run root
+read as ``<out>``) and the SHA-256 of every file each command writes
+(``manifest.json`` without its ``git_describe``) with this environment's
+entry in ``tests/golden_digests.json``, prints each exit code, stdout or
+file that differs, is missing or is extra, and exits 1 if any does. It
+then prints the entry this checkout writes: to record the bytes, put that
+entry in place of the old one.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ GOLDEN = ROOT / "tests" / "golden_digests.json"
 TREND = "configs/blobs_trend.json"
 TREND_10 = ["--override", "data.n_classes=10", "--override", "data.dim=9"]
 TREND_L2 = ["--override", "loss.variant=l2"]
+IDX = "configs/mnist_features.json"
+IDX_TINY = [arg for item in ("data.holdout=40", "data.labeled_per_class=4",
+                             "arch.hidden_dims=[8,2]", "stage1.epochs=20",
+                             "stage2.epochs_per_round=4", "stage2.rounds=2", "stage3.epochs=4")
+            for arg in ("--override", item)]
 
 # (output directory, command, config, extra arguments), run in order. gen-data
 # is the one command that writes Dataset.to_csv's files. verify reads the run
@@ -36,6 +43,7 @@ TREND_L2 = ["--override", "loss.variant=l2"]
 # informational; the moons config refuses the trend run (exit 2). The 10-class
 # trend run's eval arrays and its table's rows are wider than 7 columns.
 # 2100 gradcheck trials split each class count across FD_BLOCK_TRIALS blocks.
+# The idx run reads the IDX pair that write_idx_pair writes.
 COMMANDS = (
     ("gen_data_moons_ssl", "gen-data", "configs/moons_ssl.json", []),
     ("train_moons_ssl", "train", "configs/moons_ssl.json", []),
@@ -57,6 +65,7 @@ COMMANDS = (
     ("gradcheck_2100", "gradcheck", TREND, ["--trials", "2100"]),
     ("export_features_moons_ssl", "export-features", "configs/moons_ssl.json",
      ["--override", "arch.hidden_dims=[16,2]"]),
+    ("train_idx_tiny", "train", IDX, IDX_TINY),
 )
 
 
@@ -110,17 +119,33 @@ def file_digests(root: Path) -> dict[str, str]:
     return digests
 
 
-def run_all(out: Path) -> dict[str, dict]:
-    """Run every command with this checkout's program; per command, its exit
-    code, the digest of its stdout with ``out`` read as ``<out>`` (gen-data
-    and train print their directory) and the digests of the files it wrote
-    or rewrote."""
+def write_idx_pair(home: Path) -> None:
+    """120 rows of 10 seeded 4x4-pixel classes, as the IDX pair the idx
+    config names relative to ``home``, written by the test suite's writer.
+    The relative names keep the run's manifest the same from run to run."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from conftest import write_idx
+    from pseudograd.data import Dataset
+
+    rng = np.random.default_rng(7)
+    labels = np.arange(120) % 10  # every class in the training rows and the holdout
+    feats = np.clip(rng.random((10, 16))[labels] + rng.normal(0.0, 0.1, (120, 16)), 0.0, 1.0)
+    data = json.loads((ROOT / IDX).read_text())["data"]
+    (home / data["images"]).parent.mkdir(parents=True, exist_ok=True)
+    write_idx(Dataset(feats, labels, 10), home / data["images"], home / data["labels"])
+
+
+def run_all(out: Path, home: Path) -> dict[str, dict]:
+    """Run every command with this checkout's program in the working
+    directory ``home``; per command, its exit code, the digest of its stdout
+    with ``out`` read as ``<out>`` (gen-data and train print their directory)
+    and the digests of the files it wrote or rewrote."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     record, before = {}, {}
     for out_name, command, config, extra in COMMANDS:
         argv = [sys.executable, "-m", "pseudograd.cli", command, "--config",
                 str(ROOT / config), "--out", str(out / out_name), *extra]
-        proc = subprocess.run(argv, env=env, capture_output=True)
+        proc = subprocess.run(argv, env=env, capture_output=True, cwd=home)
         stdout = proc.stdout.replace(str(out).encode(), b"<out>")
         label = f"{command} {out_name} {config}"  # one run dir is verified under two configs
         print(f"{label} exited {proc.returncode}", file=sys.stderr)
@@ -153,7 +178,8 @@ def differences(recorded: dict, written: dict) -> list[str]:
 def main() -> int:
     entry = recorded_entry()
     with tempfile.TemporaryDirectory(prefix="same_bytes-") as tmp:
-        written = run_all(Path(tmp))
+        write_idx_pair(Path(tmp))
+        written = run_all(Path(tmp) / "runs", Path(tmp))
     diffs = differences((entry or {}).get("commands", {}), written)
     for line in diffs:
         print(line)
