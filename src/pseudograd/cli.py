@@ -11,8 +11,8 @@ stderr line:
 - ``InvalidInputError``, 2, ``error: ...``: an input the code cannot use,
   named: an --out path that is empty, is or lies under an existing file, or
   that the OS refuses to look up (say, a name too long), and a verify run
-  directory that lacks a file or is not the configured run's
-  (``trainer.load_run``);
+  directory that lacks a file, is not the configured run's or whose manifest
+  records no completed ``train`` (``trainer.load_run``);
 - ``StageError``, 1, ``error: <stage> failed: ...``: any failure inside a
   named stage (``trainer.stage_errors``), verify's checks among them; every
   runtime failure of a command happens inside one;

@@ -90,16 +90,6 @@ class ReportRow(NamedTuple):
 REPORT_COLUMNS = list(ReportRow._fields)
 
 
-class PseudoEval(NamedTuple):
-    """``Report.pseudo_eval``: the table's report fields, ``p_tilde`` and its clamped log."""
-
-    acc: float
-    mean_entropy: float
-    drift: float
-    p_tilde: np.ndarray
-    log_p_tilde: np.ndarray
-
-
 class EpochStats(NamedTuple):
     """One epoch's means, loss columns first; stages 1 and 3 pass ``(ce, ce, 0.0, NA)``."""
 
@@ -126,7 +116,6 @@ class Report:
 
     def __init__(self, split: SplitDataset, test: Dataset, loss: LossConfig):
         self.rows: list[ReportRow] = []
-        self._pseudo: PseudoEval | None = None
         self.test, self.loss = test, loss
         self.x_lab = split.base.features[split.labeled_idx]
         self.y_lab = split.labeled_targets()
@@ -134,25 +123,10 @@ class Report:
         self.x_unl = split.base.features[self.unl]
         self.y_unl = split.hidden_truth(self.unl)
 
-    def pseudo_eval(self, table: PseudoTable) -> PseudoEval | None:
-        """The table's fields over the unlabeled rows; None without any."""
-        if not self.unl.size:
-            return None
-        p_tilde = pseudo_probs_rows(table, self.unl)
-        log_p_tilde = clamped_log(p_tilde)
-        return PseudoEval(
-            float(np.count_nonzero(hard_labels(table)[self.unl] == self.y_unl) / self.unl.size),
-            float(entropy_rows(p_tilde, log_p_tilde).mean()),
-            float(table.sum_drift()[self.unl].max()),
-            p_tilde, log_p_tilde)
-
     def __call__(self, stage: int, epoch: int, lr: float, stats: EpochStats,
                  params: ModelParams, table: PseudoTable | None) -> None:
-        """Add the epoch's row. The table is read on every stage-2 epoch and
-        on stage 3's first only: it is read-only there."""
-        if stage != 3 or epoch == 1:
-            self._pseudo = None if table is None else self.pseudo_eval(table)
-        self.add(_eval_row(self, stage, epoch, lr, stats, params, self._pseudo))
+        """Add the epoch's row, a function of ``params`` and ``table`` alone."""
+        self.add(_eval_row(self, stage, epoch, lr, stats, params, table))
 
     def add(self, row: ReportRow) -> None:
         for name, value in zip(REPORT_COLUMNS, row):
@@ -242,20 +216,24 @@ def accuracy(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _eval_row(report: Report, stage: int, epoch: int, lr: float, stats: EpochStats,
-              params: ModelParams, pseudo: PseudoEval | None) -> ReportRow:
-    """One row of ``report``; ``pseudo`` is ``report.pseudo_eval(table)`` or None before stage 2."""
+              params: ModelParams, table: PseudoTable | None) -> ReportRow:
+    """One row of ``report`` from the epoch's network and table (None in stage 1)."""
     labeled_acc = accuracy(params, report.x_lab, report.y_lab)
     test_acc = accuracy(params, report.test.features, report.test.labels)
     mean_ent_pred = pseudo_acc = mean_ent_pseudo = drift = p50 = p90 = p99 = NA
-    if report.unl.size:
+    unl = report.unl
+    if unl.size:
         p_hat = forward_batch(params, report.x_unl).p_hat
         log_p_hat = clamped_log(p_hat)
         mean_ent_pred = float(entropy_rows(p_hat, log_p_hat).mean())
-    if pseudo is not None:
-        pseudo_acc, mean_ent_pseudo, drift = pseudo.acc, pseudo.mean_entropy, pseudo.drift
+    if unl.size and table is not None:
+        p_tilde = pseudo_probs_rows(table, unl)
+        log_p_tilde = clamped_log(p_tilde)
+        pseudo_acc = float(np.count_nonzero(hard_labels(table)[unl] == report.y_unl) / unl.size)
+        mean_ent_pseudo = float(entropy_rows(p_tilde, log_p_tilde).mean())
+        drift = float(table.sum_drift()[unl].max())
         if report.loss.variant == VARIANT_KL_PRED_PSEUDO:
-            logs = (log_p_hat, pseudo.log_p_tilde)
-            res = theory.link_residual_rows(p_hat, pseudo.p_tilde, logs, report.loss)
+            res = theory.link_residual_rows(p_hat, p_tilde, (log_p_hat, log_p_tilde), report.loss)
             p50, p90, p99 = theory.residual_quantiles(res).values()
     return ReportRow(stage, epoch, lr, *stats[:3], labeled_acc, pseudo_acc, test_acc,
                      mean_ent_pred, mean_ent_pseudo, drift, p50, p90, p99)
@@ -491,7 +469,8 @@ def load_run(out: Path, cfg: TrainConfig,
     """The split, stage-2 network and pseudo table of the run ``cfg`` in the
     directory ``out``: else InvalidInputError naming the file that is missing
     or is not that run's. The manifest is read last, so a network or table of
-    another architecture or split is refused by its own reader; a manifest
+    another architecture or split is refused by its own reader. A manifest
+    that records no completed ``train`` is refused naming what it records; one
     whose config is not ``cfg`` is refused naming ``source``, the config's
     file, and the keys that differ."""
     split, _ = build_run_data(cfg)
@@ -500,7 +479,11 @@ def load_run(out: Path, cfg: TrainConfig,
     table = load_table(out / RUN_FILES.table, split.labeled_mask, arch.num_classes)
     path = out / RUN_FILES.manifest
     manifest = read_json(path, "manifest")
-    saved = _leaves(manifest.get("config") if isinstance(manifest, dict) else None)
+    ran = [manifest.get(k) if isinstance(manifest, dict) else None for k in ("command", "status")]
+    if ran != ["train", "ok"]:
+        raise InvalidInputError(f"{path}: records command {json_text(ran[0])} and status "
+                                f"{json_text(ran[1])}, not a completed train run")
+    saved = _leaves(manifest.get("config"))
     want = _leaves(cfg.to_dict())
     keys = sorted(k or "config" for k in saved.keys() | want.keys() if saved.get(k) != want.get(k))
     if keys:

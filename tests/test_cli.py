@@ -601,6 +601,29 @@ class TestVerifyRefusesMismatchedArtifacts:
             "loss.alpha, loss.beta, loss.lambda, loss.variant\n")
         assert not (out / "verification.json").exists()
 
+    @pytest.mark.parametrize("command, arch, overrides, recorded", [
+        # ReLU overflows in stage 2 at lr 1e308; the first run's stage-2 files stay
+        ("train", TINY_DOC["arch"], ["loss.alpha=0.3", "stage2.lr0=1e308"], ("train", "failed")),
+        ("export-features", FEATURE_ARCH, [], ("export-features", "ok")),
+        ("ablate", TINY_DOC["arch"], [], ("ablate", "ok")),
+    ], ids=["failed_train", "export_features", "ablate"])
+    def test_manifest_of_no_completed_train_exits_2_naming_it(self, tmp_path, capsys, command,
+                                                               arch, overrides, recorded):
+        # the later command's manifest, under its own config, replaces the train run's
+        cfg = write_tiny_config(tmp_path / "cfg.json", arch=arch)
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+        items = [arg for item in overrides for arg in ("--override", item)]
+        main([command, "--config", str(cfg), "--out", str(run), *QUICK_OPTIONS.get(command, []),
+              *items])
+        capsys.readouterr()
+        before = _tree(run)
+        assert main(["verify", "--config", str(cfg), "--out", str(run), *items]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {run / 'manifest.json'}: records command \"{recorded[0]}\" and status "
+            f"\"{recorded[1]}\", not a completed train run\n")
+        assert _tree(run) == before
+
     def test_run_without_a_manifest_exits_2_naming_it(self, trained, tmp_path, capsys):
         cfg, run = trained
         out = shutil.copytree(run, tmp_path / "run")

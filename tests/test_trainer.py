@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pseudograd import theory, trainer
 from conftest import DOCUMENT_SLOTS, FIELDS, JSON_VALUES, TINY_DOC, damaged, tiny_config
-from conftest import plan_counts, write_idx, write_tiny_config
+from conftest import bits, plan_counts, write_idx, write_tiny_config
 from pseudograd.config import ConfigError, DataSpec, StageTwoConfig, config_from_dict, load_config
 from pseudograd.data import gen_gaussian_blobs, split_per_class
 from pseudograd.model import ModelParams
@@ -313,15 +313,24 @@ def test_a_run_makes_the_calls_its_plan_derives(cfg):
 
 
 @given(tiny_schedules())
-def test_the_report_reads_the_table_each_stage2_epoch_and_once_in_stage3(cfg):
-    reads, original = [], Report.pseudo_eval  # per read, the index of the row it is for
+def test_each_report_row_is_what_a_fresh_report_makes_of_its_epoch(cfg):
+    # a row depends on its epoch's network and table alone, not on the rows before it
+    seen, original = [], Report.__call__
+
+    def recording(self, stage, epoch, lr, stats, params, table):
+        seen.append((stage, epoch, lr, stats, _clone(params),
+                     None if table is None else table.copy()))
+        return original(self, stage, epoch, lr, stats, params, table)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Report, "pseudo_eval",
-                   lambda self, table: reads.append(len(self.rows)) or original(self, table))
+        mp.setattr(Report, "__call__", recording)
         report = run_pipeline(cfg)
-    split, _ = build_dataset(cfg.data, cfg.seed)
-    stage2, stage3 = plan_counts(plan(cfg, split))["_joint_epoch"], min(cfg.stage3.epochs, 1)
-    assert [report.rows[i].stage for i in reads] == [2] * stage2 + [3] * stage3
+    split, test = build_dataset(cfg.data, cfg.seed)
+    assert len(seen) == len(report.rows)
+    for row, epoch in zip(report.rows, seen):
+        fresh = Report(split, test, cfg.loss)
+        fresh(*epoch)
+        np.testing.assert_array_equal(bits(row), bits(fresh.rows[0]), f"row {row[:2]}")
 
 
 def _allocating_take(pool, k):
@@ -449,9 +458,9 @@ class TestStages:
 
 
 class TestSharedEval:
-    """A report row reads each intermediate once: gathered rows, one log per
-    probability array, and in stage 3 the read-only table's fields once per
-    stage. Every column must equal what a fresh computation gives."""
+    """A report row reads each intermediate once: the gathered rows and one
+    log per probability array, the table's among them in every stage-2 and
+    stage-3 row. Every column must equal what a fresh computation gives."""
 
     @pytest.fixture(scope="class")
     def trend_run(self):
