@@ -10,9 +10,10 @@ stderr line:
   more rows);
 - ``InvalidInputError``, 2, ``error: ...``: an input the code cannot use,
   named: an --out path that is empty, is or lies under an existing file, or
-  that the OS refuses to look up (say, a name too long), and a verify run
-  directory that lacks a file, is not the configured run's or whose manifest
-  records no completed ``train`` (``trainer.load_run``);
+  that the OS refuses to look up (say, a name too long), or whose manifest
+  records another command than the manifest-writing command given it, and a
+  verify run directory that lacks a file, is not the configured run's or
+  whose manifest records no completed ``train`` (``trainer.load_run``);
 - ``StageError``, 1, ``error: <stage> failed: ...``: any failure inside a
   named stage (``trainer.stage_errors``), verify's checks among them; every
   runtime failure of a command happens inside one;
@@ -43,7 +44,8 @@ from . import theory
 from .config import VARIANTS, ConfigError, TrainConfig, load_config, warn_alpha_le_beta
 from .data import Dataset
 from .model import forward_batch
-from .numerics import InvalidInputError, WriteError, make_dir, write_csv, write_json
+from .numerics import InvalidInputError, WriteError, json_text, make_dir, read_json
+from .numerics import write_csv, write_json
 from .trainer import (
     NA,
     RUN_FILES,
@@ -151,23 +153,24 @@ def cmd_gradcheck(args, cfg: TrainConfig, out: Path) -> int:
     return EXIT_OK if doc["pass"] else EXIT_FAILURE
 
 
-def _cell_configs(cfg: TrainConfig, grid: str) -> list[tuple[str, TrainConfig]]:
-    """The grid's (cell name, config) pairs, in table order. When ``cfg`` has
-    alpha > beta, one warning names every cell that the grid moves to alpha
-    <= beta (a crossing ``cfg`` was flagged when it was loaded)."""
-    cells = [(name, cfg.replace(changes)) for name, changes in GRIDS[grid].items()]
+def _cell_configs(cfg: TrainConfig, cells: dict[str, dict]) -> list[tuple[str, TrainConfig]]:
+    """The (cell name, config) pairs of ``cells``, in table order. When ``cfg``
+    has alpha > beta, one warning names every cell that moves it to alpha <=
+    beta (a crossing ``cfg`` was flagged when it was loaded)."""
+    configs = [(name, cfg.replace(changes)) for name, changes in cells.items()]
     if cfg.loss.alpha > cfg.loss.beta:
-        warn_alpha_le_beta([(f"cell {name} has ", cell.loss) for name, cell in cells])
-    return cells
+        warn_alpha_le_beta([(f"cell {name} has ", cell.loss) for name, cell in configs])
+    return configs
 
 
-def run_ablation(cfg: TrainConfig, grid: str, n_seeds: int) -> list[dict]:
-    """Run every grid cell over ``n_seeds`` derived seeds; one summary row per cell."""
+def run_ablation(cfg: TrainConfig, cells: dict[str, dict], n_seeds: int) -> list[dict]:
+    """Run each cell (name -> ``TrainConfig.replace`` changes, as a ``GRIDS``
+    value) at the seeds ``cfg.seed + k``, k < ``n_seeds``; one row per cell."""
     if not (cfg.stage1.epochs or cfg.stage2.epochs or cfg.stage3.epochs):  # no cell sets them
         raise ConfigError("ablate reads each run's last report row, and no stage has an epoch "
                           "(stage1.epochs, stage2.epochs_per_round and stage3.epochs are 0)")
     rows = []
-    for name, cell in _cell_configs(cfg, grid):
+    for name, cell in _cell_configs(cfg, cells):
         test_errors = []
         pseudo_errors = []
         for k in range(n_seeds):
@@ -178,7 +181,6 @@ def run_ablation(cfg: TrainConfig, grid: str, n_seeds: int) -> list[dict]:
             pseudo_errors.append(float("nan") if acc == NA else 1.0 - acc)
         rows.append(
             {
-                "grid": grid,
                 "cell": name,
                 "n_seeds": n_seeds,
                 "median_test_error": statistics.median(test_errors),
@@ -192,7 +194,7 @@ def run_ablation(cfg: TrainConfig, grid: str, n_seeds: int) -> list[dict]:
 
 
 def cmd_ablate(args, cfg: TrainConfig, out: Path) -> int:
-    rows = run_ablation(cfg, args.grid, args.seeds)
+    rows = [{"grid": args.grid, **row} for row in run_ablation(cfg, GRIDS[args.grid], args.seeds)]
     make_dir(out)
     write_csv(out / "ablation.csv", list(rows[0]), [list(row.values()) for row in rows])
     for row in rows:
@@ -299,10 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out(out: str) -> None:
+def _check_out(out: str, command: str | None) -> None:
     """Raise InvalidInputError if ``out`` cannot be the output directory: it
     is empty (``Path("")`` is the working directory), it is or lies under an
-    existing file, or the OS refuses to look it up, say for a name too long."""
+    existing file, the OS refuses to look it up, say for a name too long, or
+    its manifest records another command than ``command``, the command that
+    would write a manifest there (None for one that writes none)."""
     if not out:
         raise InvalidInputError("--out is empty: name an output directory")
     for path in (Path(out), *Path(out).parents):
@@ -312,9 +316,16 @@ def _check_out(out: str) -> None:
             continue
         except OSError as exc:
             raise InvalidInputError(f"--out {out} cannot be a directory: {exc.strerror}") from None
-        if stat.S_ISDIR(mode):
-            return
-        raise InvalidInputError(f"--out {out} cannot be a directory: {path} is a file")
+        if not stat.S_ISDIR(mode):
+            raise InvalidInputError(f"--out {out} cannot be a directory: {path} is a file")
+        break
+    path = Path(out) / RUN_FILES.manifest
+    if command is not None and path.is_file():
+        manifest = read_json(path, "manifest")
+        recorded = manifest.get("command") if isinstance(manifest, dict) else None
+        if recorded != command:
+            raise InvalidInputError(f"{path}: records command {json_text(recorded)}, and "
+                                    f"{command} writes no manifest over another command's")
 
 
 def main(argv=None) -> int:
@@ -322,7 +333,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     command = COMMANDS[args.command]
     try:
-        _check_out(args.out)
+        _check_out(args.out, args.command if command.manifest else None)
         cfg = load_config(args.config, args.override)
         rc = command.run(args, cfg, out)
         if command.manifest and rc == EXIT_OK:

@@ -35,7 +35,7 @@ from .loss import VARIANT_KL_PRED_PSEUDO, joint_loss_rows
 from .model import Architecture, ModelParams, backward, forward_batch, init_params
 from .model import load_checkpoint, save_checkpoint
 from .numerics import InvalidInputError, clamped_log, entropy_rows, json_text, make_dir
-from .numerics import random_stream, read_json, write_csv
+from .numerics import WriteError, random_stream, read_json, write_csv
 from .optimizer import decay_lr, init_opt_state, pseudo_step, sgd_nesterov_step
 from .pseudo_labels import PseudoTable, export_csv, hard_labels, init_pseudo, load_table
 from .pseudo_labels import pseudo_probs_rows, repredict, save_table
@@ -429,12 +429,22 @@ def run_pipeline(cfg: TrainConfig, out_dir=None) -> Report:
     """Execute stages 1 -> 2 -> 3 and return their report; optionally write
     the run's ``RUN_FILES`` but its manifest to ``out_dir``: each stage's
     checkpoint after that stage, the pseudo table (JSON and CSV) after stage
-    2 and the report at the end. The whole run is deterministic per (config,
-    seed). Stage failures are re-raised as StageError with the stage name.
+    2 and the report at the end. First every ``RUN_FILES`` file already in
+    ``out_dir`` is removed, so a run that fails leaves no earlier run's file
+    beside its own; one that cannot be removed is a WriteError naming it.
+    The whole run is deterministic per (config, seed). Stage failures are
+    re-raised as StageError with the stage name.
     """
+    out = Path(out_dir) if out_dir is not None else None
+    if out is not None:
+        for path in (out / name for name in RUN_FILES):
+            try:
+                if not path.is_dir():  # a directory stays, and the write there fails naming it
+                    path.unlink(missing_ok=True)
+            except OSError as exc:
+                raise WriteError(path, exc) from exc
     split, test = build_run_data(cfg)
     report = Report(split, test, cfg.loss)
-    out = Path(out_dir) if out_dir is not None else None
     with stage_errors("stage1"):
         params = stage1_supervised(cfg, split, report)
     if out is not None:

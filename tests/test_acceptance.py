@@ -13,6 +13,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from conftest import (
     CONVERGENCE_GATE,
@@ -24,11 +25,11 @@ from conftest import (
     solve_link_point,
 )
 from pseudograd import theory, trainer
-from pseudograd.cli import main, run_ablation
+from pseudograd.cli import GRIDS, main, run_ablation
 from pseudograd.loss import joint_loss_rows
 from pseudograd.numerics import entropy_rows, softmax_rows
 from pseudograd.pseudo_labels import pseudo_probs_rows, repredict
-from pseudograd.trainer import build_dataset, run_pipeline, stage1_supervised, stage2_joint
+from pseudograd.trainer import build_dataset, stage1_supervised, stage2_joint
 
 
 def _criterion(n: int, ok: bool, detail: str) -> None:
@@ -189,7 +190,7 @@ def test_criterion_6_ssl_benefit_on_moons(moons_benefit_runs):
 
 
 def test_criterion_7_strategy_trend():
-    rows = run_ablation(make_trend_config(7), "strategy", 5)
+    rows = run_ablation(make_trend_config(7), GRIDS["strategy"], 5)
     med = {r["cell"]: r["median_test_error"] for r in rows}
     ok = (
         med["single_round"] >= med["repeat"] >= med["full_schedule"]
@@ -202,15 +203,12 @@ def test_criterion_7_strategy_trend():
 
 
 def test_criterion_8_alpha_beta_requirement():
-    def median_pseudo_acc(alpha):
-        accs = []
-        for seed in (7, 8, 9, 10, 11):
-            report = run_pipeline(make_failure_pair_config(seed, alpha))
-            accs.append(report.stage_rows(2)[-1].unlabeled_pseudo_acc)
-        return float(np.median(accs))
-
-    acc_good = median_pseudo_acc(0.1)
-    acc_bad = median_pseudo_acc(0.01)
+    cells = {"alpha=0.1": {"loss.alpha": 0.1}, "alpha=0.01": {"loss.alpha": 0.01}}
+    with pytest.warns(UserWarning) as caught:
+        rows = run_ablation(make_failure_pair_config(7, 0.1), cells, 5)
+    assert [str(w.message).split(": ")[0] for w in caught] == [
+        "cell alpha=0.01 has alpha=0.01 <= beta=0.03"]
+    acc_good, acc_bad = (1.0 - r["median_pseudo_error"] for r in rows)
     # pinned margin: the alpha < beta run collapses by >= 0.2 on this fixture
     ok = acc_bad <= acc_good - 0.2
     _criterion(8, ok, f"final unlabeled pseudo-label accuracy: alpha=0.1 -> {acc_good:.3f}, "
@@ -218,16 +216,10 @@ def test_criterion_8_alpha_beta_requirement():
 
 
 def test_criterion_9_classification_loss_direction():
-    def median_error(variant):
-        errs = []
-        for seed in (7, 8, 9, 10, 11):
-            cfg = make_trend_config(seed, variant=variant).replace(
-                {"stage2.epochs_per_round": 50, "stage2.labeled_fraction_per_batch": 0.1})
-            errs.append(1.0 - run_pipeline(cfg).rows[-1].test_acc)
-        return float(np.median(errs))
-
-    err_pred_pseudo = median_error("kl_pred_pseudo")
-    err_pseudo_pred = median_error("kl_pseudo_pred")
+    cfg = make_trend_config(7).replace(
+        {"stage2.epochs_per_round": 50, "stage2.labeled_fraction_per_batch": 0.1})
+    cells = {v: GRIDS["lc"][v] for v in ("kl_pred_pseudo", "kl_pseudo_pred")}
+    err_pred_pseudo, err_pseudo_pred = (r["median_test_error"] for r in run_ablation(cfg, cells, 5))
     ok = err_pred_pseudo <= err_pseudo_pred
     _criterion(9, ok, f"median error kl_pred_pseudo {err_pred_pseudo:.4f} <= "
                       f"kl_pseudo_pred {err_pseudo_pred:.4f} over 5 seeds")

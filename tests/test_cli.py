@@ -376,6 +376,26 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: --out is empty: name an output directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize("command, earlier", [
+        ("export-features", "train"), ("ablate", "train"), ("train", "ablate")],
+        ids=["export_features_into_train", "ablate_into_train", "train_into_ablate"])
+    def test_out_whose_manifest_records_another_command_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, earlier):
+        cfg = write_tiny_config(tmp_path / "cfg.json", arch=FEATURE_ARCH)
+        out = tmp_path / "run"
+        assert main([earlier, "--config", str(cfg), "--out", str(out),
+                     *QUICK_OPTIONS.get(earlier, [])]) == 0
+        capsys.readouterr()
+        before = _tree(out)
+        self._forbid_work(monkeypatch, command)
+        monkeypatch.setattr(cli, "load_config", lambda *args: pytest.fail("config loaded"))
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     *QUICK_OPTIONS.get(command, [])]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'manifest.json'}: records command \"{earlier}\", and {command} "
+            "writes no manifest over another command's\n")
+        assert _tree(out) == before
+
     def test_verify_missing_artifacts_exits_2(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
         rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "empty")])
@@ -601,21 +621,23 @@ class TestVerifyRefusesMismatchedArtifacts:
             "loss.alpha, loss.beta, loss.lambda, loss.variant\n")
         assert not (out / "verification.json").exists()
 
-    @pytest.mark.parametrize("command, arch, overrides, recorded", [
-        # ReLU overflows in stage 2 at lr 1e308; the first run's stage-2 files stay
-        ("train", TINY_DOC["arch"], ["loss.alpha=0.3", "stage2.lr0=1e308"], ("train", "failed")),
-        ("export-features", FEATURE_ARCH, [], ("export-features", "ok")),
-        ("ablate", TINY_DOC["arch"], [], ("ablate", "ok")),
+    @pytest.mark.parametrize("command, overrides, recorded", [
+        # ReLU overflows in stage 3 at lr 1e308, after this run's stage-2 files are written
+        ("train", ["stage3.lr=1e308"], ("train", "failed")),
+        # main refuses to write another command's manifest over a run's, so it is written here
+        ("export-features", [], ("export-features", "ok")),
+        ("ablate", [], ("ablate", "ok")),
     ], ids=["failed_train", "export_features", "ablate"])
     def test_manifest_of_no_completed_train_exits_2_naming_it(self, tmp_path, capsys, command,
-                                                               arch, overrides, recorded):
-        # the later command's manifest, under its own config, replaces the train run's
-        cfg = write_tiny_config(tmp_path / "cfg.json", arch=arch)
+                                                               overrides, recorded):
+        cfg = write_tiny_config(tmp_path / "cfg.json")
         run = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
         items = [arg for item in overrides for arg in ("--override", item)]
-        main([command, "--config", str(cfg), "--out", str(run), *QUICK_OPTIONS.get(command, []),
-              *items])
+        if command == "train":
+            assert main(["train", "--config", str(cfg), "--out", str(run), *items]) == 1
+        else:
+            cli._write_manifest(run, load_config(cfg), command, "ok", None)
         capsys.readouterr()
         before = _tree(run)
         assert main(["verify", "--config", str(cfg), "--out", str(run), *items]) == 2
@@ -666,6 +688,17 @@ def test_train_overflowing_stage1_exits_1_naming_stage1_without_a_warning(tmp_pa
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_failed_retrain_leaves_none_of_the_earlier_runs_files(trained, tmp_path):
+    cfg, run = trained
+    out = shutil.copytree(run, tmp_path / "run")
+    assert main(["train", "--config", str(cfg), "--out", str(out),
+                 "--override", "stage1.lr=1e30"]) == 1
+    assert [name for name in RUN_FILES if (out / name).exists()] == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["command"], manifest["status"], manifest["failure_stage"]) == (
+        "train", "failed", "stage1")
+
+
 def test_export_overflowing_stage2_exits_1_naming_export_without_a_warning(tmp_path, capsys):
     # ReLU features overflow after one stage-2 step at lr 1e308; tanh would saturate
     cfg = write_tiny_config(tmp_path / "cfg.json")
@@ -690,7 +723,7 @@ def test_export_overflowing_stage2_exits_1_naming_export_without_a_warning(tmp_p
 ], ids=["unlabeled_rows", "all_labeled", "no_stage2_epoch"])
 def test_ablate_pseudo_error_is_nan_where_no_run_has_a_pseudo_accuracy(changes, applies):
     errors = [row["median_pseudo_error"] for row in cli.run_ablation(tiny_config(changes),
-                                                                     "strategy", 1)]
+                                                                     cli.GRIDS["strategy"], 1)]
     assert all(0.0 <= e <= 1.0 for e in errors) if applies else all(map(np.isnan, errors)), errors
 
 
@@ -912,6 +945,7 @@ class TestAblateCommand:
         lines = (out / "ablation.csv").read_text().strip().splitlines()
         assert len(lines) == 4  # header + three loss variants
         assert lines[0].startswith("grid,cell,n_seeds,median_test_error")
+        assert all(line.startswith("lc,") for line in lines[1:])  # cmd_ablate writes the grid
 
     def test_alpha_grid_completes_all_cells(self, tmp_path):
         # no ordering asserted for the alpha sweep, completeness only

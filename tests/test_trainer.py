@@ -15,7 +15,7 @@ from conftest import bits, plan_counts, write_idx, write_tiny_config
 from pseudograd.config import ConfigError, DataSpec, StageTwoConfig, config_from_dict, load_config
 from pseudograd.data import gen_gaussian_blobs, split_per_class
 from pseudograd.model import ModelParams
-from pseudograd.numerics import InvalidInputError, random_stream, softmax_rows
+from pseudograd.numerics import InvalidInputError, WriteError, random_stream, softmax_rows
 from pseudograd.trainer import (
     Report,
     ReportRow,
@@ -571,6 +571,21 @@ class TestPipeline:
             assert (tmp_path / name).exists()
         split, _ = build_dataset(cfg.data, cfg.seed)
         assert len(report.rows) == plan_counts(plan(cfg, split))["_eval_row"]
+
+    def test_run_file_that_cannot_be_removed_is_named(self, tmp_path, monkeypatch):
+        (tmp_path / "report.csv").write_text("an earlier run's\n")
+        unlink = Path.unlink
+
+        def refuse(self, *args, **kwargs):
+            if self.name == "report.csv":
+                raise PermissionError(13, "Permission denied")
+            return unlink(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", refuse)
+        with pytest.raises(WriteError, match=f"cannot write {tmp_path / 'report.csv'}: "
+                                             "Permission denied"):
+            run_pipeline(tiny_config(), out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv"]
 
     def test_report_bytes_deterministic(self, tmp_path):
         cfg = tiny_config({"seed": 5})

@@ -37,10 +37,11 @@ IDX_TINY = [arg for item in ("data.holdout=40", "data.labeled_per_class=4",
             for arg in ("--override", item)]
 
 # (output directory, command, config, extra arguments), run in order. gen-data
-# is the one command that writes Dataset.to_csv's files. verify reads the run
-# in its directory, the converged run with asserted link and flatness sections
-# among them, and the l2 run whose link, flatness and sum sections are
-# informational; the moons config refuses the trend run (exit 2). The 10-class
+# is the one command that writes Dataset.to_csv's files. ablate refuses the
+# trend run's directory (exit 2), whose manifest is train's. verify reads the
+# run in its directory, the converged run with asserted link and flatness
+# sections among them, and the l2 run whose link, flatness and sum sections
+# are informational; the moons config refuses the trend run (exit 2). The 10-class
 # trend run's eval arrays and its table's rows are wider than 7 columns.
 # 2100 gradcheck trials split each class count across FD_BLOCK_TRIALS blocks.
 # The idx run reads the IDX pair that write_idx_pair writes.
@@ -55,6 +56,7 @@ COMMANDS = (
     ("ablate_lc", "ablate", TREND, ["--grid", "lc", "--seeds", "2"]),
     ("ablate_alpha", "ablate", TREND, ["--grid", "alpha", "--seeds", "1"]),
     ("ablate_beta", "ablate", TREND, ["--grid", "beta", "--seeds", "1"]),
+    ("train_blobs_trend", "ablate", TREND, ["--grid", "lc", "--seeds", "1"]),
     ("train_blobs_trend", "verify", TREND, []),
     ("train_moons_ssl", "verify", "configs/moons_ssl.json", []),
     ("train_blobs_convergence", "verify", "configs/blobs_convergence.json", []),
